@@ -28,10 +28,10 @@ from .models import (
     QuasiPeriodicScaled,
     RiskModel,
     TruncationPolicy,
-    _build_block,
+    _epochs,
+    _walk,
     cumulative_log_mgf,
     per_increment_sup,
-    periodic_structure,
     sup_log_mgf,
 )
 
@@ -132,11 +132,8 @@ def _examined_span(model: RiskModel) -> int | None:
     horizon = model.horizon()
     if horizon is not None:
         return horizon
-    struct = periodic_structure(model)
-    if struct is None:
-        return None
-    prefix_len, _, cycle, _, rate_period = struct
-    return prefix_len + math.lcm(len(cycle), rate_period)
+    block = model._block
+    return None if block is None else block.prefix + block.length
 
 
 def _per_increment_never_blows(model: RiskModel) -> bool:
@@ -145,44 +142,40 @@ def _per_increment_never_blows(model: RiskModel) -> bool:
     span = _examined_span(model)
     if span is None:
         return False
-    return all(support_bounds(model.distribution_at(j))[1] <= 0.0 for j in range(1, span + 1))
+    return all(support_bounds(law)[1] <= 0.0 for law, _ in _epochs(model, span))
+
+
+def _esssup_sums(model: RiskModel, K: int) -> list[float] | None:
+    """esssup(S*_k) = sum_{j<=k} v_{j-1} esssup Y*_j for k = 1..K, the esssup of
+    a sum of independent terms being the sum of esssups; None once one is +inf."""
+    sums = []
+    acc = 0.0
+    for law, c in _epochs(model, K):
+        hi = support_bounds(law)[1]
+        if hi == INF:
+            return None
+        acc += math.exp(c) * hi
+        sums.append(acc)
+    return sums
 
 
 def _partial_sums_never_blow(model: RiskModel) -> bool:
-    """True when esssup(S*_k) <= 0 for all k. Independence across k makes the
-    esssup of a sum the sum of esssups, so weighted prefix sums decide it."""
+    """True when esssup(S*_k) <= 0 for all k."""
     span = _examined_span(model)
     if span is None:
         return False
-    logv = model.log_discounts(span - 1) if span > 1 else np.zeros(1)
-    acc = 0.0
-    sums = []
-    for j in range(1, span + 1):
-        hi = support_bounds(model.distribution_at(j))[1]
-        if hi == INF:
-            return False
-        acc += math.exp(logv[j - 1]) * hi
-        sums.append(acc)
-    if any(s > 0.0 for s in sums):
+    sums = _esssup_sums(model, span)
+    if sums is None or any(s > 0.0 for s in sums):
         return False
     if model.horizon() is not None:
         return True
     # eventually periodic: block sums scale by a positive factor per block, so
-    # sign patterns established over the prefix plus one full block persist
-    struct = periodic_structure(model)
-    prefix_len = struct[0]
-    block = _build_block(model, struct)
-    if block is None:
-        return False
-    block_sum = sums[-1] - (sums[prefix_len - 1] if prefix_len else 0.0)
-    if block_sum > 0.0:
-        return False
-    if block.ratio > 1.0:
-        # amplified in-block partials must be nonpositive on their own
-        base = sums[prefix_len - 1] if prefix_len else 0.0
-        if any(s - base > 0.0 for s in sums[prefix_len:]):
-            return False
-    return True
+    # sign patterns established over the prefix plus one full block persist;
+    # amplified in-block partials must be nonpositive on their own
+    block = model._block
+    base = sums[block.prefix - 1] if block.prefix else 0.0
+    in_block = [s - base for s in sums[block.prefix:]]
+    return in_block[-1] <= 0.0 and (block.log_ratio <= 0.0 or all(s <= 0.0 for s in in_block))
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +184,11 @@ def _partial_sums_never_blow(model: RiskModel) -> bool:
 
 def _domain_cap(model: RiskModel, span: int | None = None) -> float:
     span = span or _examined_span(model) or 64
-    logv = model.log_discounts(span - 1) if span > 1 else np.zeros(1)
     cap = INF
-    for j in range(1, span + 1):
-        dom = mgf_domain_sup(model.distribution_at(j))
+    for law, c in _epochs(model, span):
+        dom = mgf_domain_sup(law)
         if dom != INF:
-            cap = min(cap, dom / math.exp(logv[j - 1]))
+            cap = min(cap, dom / math.exp(c))
     return cap
 
 
@@ -204,16 +196,17 @@ def _domain_cap(model: RiskModel, span: int | None = None) -> float:
 # solvers
 
 
-def solve_per_increment(model: RiskModel, tol: float = 1e-10, policy: TruncationPolicy | None = None) -> AdjustmentResult:
-    """sup{h >= 0 : sup_j E exp(h v_{j-1} Y*_j) <= 1}, the one-step coefficient."""
+def _solve_sup_root(model, tol, policy, flavor: str, sup, never_blows, never_note: str) -> AdjustmentResult:
+    """sup{h >= 0 : sup(model, h, policy).value <= 0}; never_blows(model)
+    decides the h = +inf case that no finite scan can settle."""
     _check_tol(tol)
     policy = policy or TruncationPolicy()
-    if _per_increment_never_blows(model):
-        return AdjustmentResult(INF, "per_increment", None, True, False, "every increment is nonpositive a.s.")
+    if never_blows(model):
+        return AdjustmentResult(INF, flavor, None, True, False, never_note)
     uncertain = [False]
 
     def feasible(h: float) -> bool:
-        return _feasibility_from_sup(per_increment_sup(model, h, policy), uncertain)
+        return _feasibility_from_sup(sup(model, h, policy), uncertain)
 
     value, bracket, boundary, exhausted = _grow_and_bisect(feasible, _domain_cap(model), tol)
     note = ""
@@ -223,33 +216,23 @@ def solve_per_increment(model: RiskModel, tol: float = 1e-10, policy: Truncation
         note = "criterion still held after 200 doublings; support test could not confirm +inf"
     elif uncertain[0]:
         note = "feasibility relied on a truncated scan; value is a lower estimate"
-    return AdjustmentResult(value, "per_increment", bracket, certified, boundary, note)
+    return AdjustmentResult(value, flavor, bracket, certified, boundary, note)
+
+
+def solve_per_increment(model: RiskModel, tol: float = 1e-10, policy: TruncationPolicy | None = None) -> AdjustmentResult:
+    """sup{h >= 0 : sup_j E exp(h v_{j-1} Y*_j) <= 1}, the one-step coefficient."""
+    return _solve_sup_root(model, tol, policy, "per_increment", per_increment_sup, _per_increment_never_blows,
+                           "every increment is nonpositive a.s.")
 
 
 def solve_partial_sum(model: RiskModel, tol: float = 1e-10, policy: TruncationPolicy | None = None) -> AdjustmentResult:
     """sup{h >= 0 : sup_k E exp(h S*_k) <= 1}, the partial-sum coefficient."""
-    _check_tol(tol)
-    policy = policy or TruncationPolicy()
-    if _partial_sums_never_blow(model):
-        return AdjustmentResult(INF, "partial_sum", None, True, False, "every partial sum is nonpositive a.s.")
-    uncertain = [False]
-
-    def feasible(h: float) -> bool:
-        return _feasibility_from_sup(sup_log_mgf(model, h, policy), uncertain)
-
-    value, bracket, boundary, exhausted = _grow_and_bisect(feasible, _domain_cap(model), tol)
-    note = ""
-    certified = not uncertain[0]
-    if exhausted:
-        certified = False
-        note = "criterion still held after 200 doublings; support test could not confirm +inf"
-    elif uncertain[0]:
-        note = "feasibility relied on a truncated scan; value is a lower estimate"
-    return AdjustmentResult(value, "partial_sum", bracket, certified, boundary, note)
+    return _solve_sup_root(model, tol, policy, "partial_sum", sup_log_mgf, _partial_sums_never_blow,
+                           "every partial sum is nonpositive a.s.")
 
 
-def _check_period_args(model: RiskModel, l: int) -> tuple[int, float]:
-    """Validate the periodic-reduction hypotheses; returns (l, rho)."""
+def _check_period_args(model: RiskModel, l: int) -> None:
+    """Validate the periodic-reduction hypotheses."""
     inc = model.increments
     if not isinstance(inc, (Periodic, QuasiPeriodicScaled)):
         raise PeriodHypothesisError("period root requires Periodic or QuasiPeriodicScaled increments")
@@ -259,29 +242,20 @@ def _check_period_args(model: RiskModel, l: int) -> tuple[int, float]:
     rate_period = model.rates.period()
     if rate_period is None or l % rate_period != 0:
         raise PeriodHypothesisError("rates must repeat with a period dividing l")
-    scale = inc.scale if isinstance(inc, QuasiPeriodicScaled) else 1.0
-    q_eff = scale ** (l // cycle_len)
-    v_l = math.exp(model.log_discounts(l)[l])
-    rho = q_eff * v_l
-    if rho > 1.0 + 1e-12:
-        raise PeriodHypothesisError(f"scale times discount over one period is {rho} > 1")
-    return l, rho
+    # l is a multiple of the block length, so the block's rho decides contraction
+    block = model._block
+    if block is None:
+        raise PeriodHypothesisError("the effective period is too long to reduce")
+    if block.amplifying:
+        raise PeriodHypothesisError(f"scale times discount over one period is exp({block.log_ratio:.6g}) > 1")
 
 
 def solve_period_root(model: RiskModel, l: int, tol: float = 1e-10) -> AdjustmentResult:
     """sup{h >= 0 : E exp(h S*_l) <= 1}, the root of a single period's log-MGF."""
     _check_tol(tol)
     _check_period_args(model, l)
-
-    logv = model.log_discounts(l - 1) if l > 1 else np.zeros(1)
-    ess = 0.0
-    for j in range(1, l + 1):
-        hi = support_bounds(model.distribution_at(j))[1]
-        if hi == INF:
-            ess = INF
-            break
-        ess += math.exp(logv[j - 1]) * hi
-    if ess <= 0.0:
+    sums = _esssup_sums(model, l)
+    if sums is not None and sums[-1] <= 0.0:
         return AdjustmentResult(INF, "period_root", None, True, False, "one full period is nonpositive a.s.")
 
     def feasible(h: float) -> bool:
@@ -318,8 +292,6 @@ def verify_window_exponent(model: RiskModel, l: int, m: int, exponent: float, po
     if not (l >= 1 and m >= 1 and exponent >= 0.0):
         raise ValueError("verify_window_exponent needs l >= 1, m >= 1, exponent >= 0")
     horizon = model.horizon()
-    struct = periodic_structure(model)
-
     if horizon is not None:
         n_hi = horizon - l
         if n_hi < m:
@@ -329,17 +301,10 @@ def verify_window_exponent(model: RiskModel, l: int, m: int, exponent: float, po
         worst = max(deltas)
         return WindowCheck(worst <= SLACK, "finite horizon, exhaustive", worst, horizon)
 
-    if struct is None:
+    block = model._block
+    if block is None or block.amplifying:
         return WindowCheck(False, "unverifiable-tail", INF, 0)
-
-    prefix_len = struct[0]
-    block = _build_block(model, struct)
-    if block is None:
-        return WindowCheck(False, "unverifiable-tail", INF, 0)
-    L = block.length
-    rho = block.ratio
-    if rho > 1.0 + 1e-12:
-        return WindowCheck(False, "unverifiable-tail", INF, 0)
+    prefix_len, L = block.prefix, block.length
 
     # windows starting at n cover one effective block of phases once n passes
     # the prefix; checking through max(m, prefix)+L sees every phase
@@ -353,7 +318,7 @@ def verify_window_exponent(model: RiskModel, l: int, m: int, exponent: float, po
     if worst > SLACK:
         return WindowCheck(False, "window criterion fails at a checked index", worst, K)
 
-    if abs(rho - 1.0) <= 1e-12:
+    if block.exact:
         # exact periodicity: Delta_{n+L} = Delta_n for n past the prefix
         return WindowCheck(True, "periodic tail, all phases checked", worst, K)
 
@@ -361,9 +326,7 @@ def verify_window_exponent(model: RiskModel, l: int, m: int, exponent: float, po
     # range is already nonpositive, scaling toward zero keeps it nonpositive,
     # so all later windows sum nonpositive terms
     blocks_past = (n_hi + l - prefix_len + L - 1) // L
-    t = exponent * math.exp(model.log_discounts(prefix_len)[prefix_len] if prefix_len else 0.0) * rho**blocks_past
-    tail_terms = [block.term(t, j) for j in range(1, L + 1)]
-    if all(term <= 0.0 for term in tail_terms):
+    if all(term <= 0.0 for term in _walk(exponent, block.period(blocks_past))):
         return WindowCheck(True, "contracting tail with nonpositive terms", worst, K)
     return WindowCheck(False, "unverifiable-tail", worst, K)
 

@@ -33,7 +33,6 @@ from .models import (
     TruncationPolicy,
     cumulative_log_mgf,
     iid_base,
-    periodic_structure,
     sup_log_mgf,
 )
 
@@ -432,18 +431,13 @@ def bound_union(model: RiskModel, u: float, h: float, policy: TruncationPolicy |
             return trivial("a term diverges at this h")
         return wrap(float(logsumexp(g)))
 
-    struct = periodic_structure(model)
-    if struct is not None:
-        prefix_len = struct[0]
-        cycle_len = len(struct[2])
-        L = math.lcm(cycle_len, struct[4])
-        g = cumulative_log_mgf(model, h, prefix_len + L)
+    block = model._block
+    if block is not None:
+        prefix_len = block.prefix
+        g = cumulative_log_mgf(model, h, prefix_len + block.length)
         if any(v == INF for v in g):
             return trivial("a term diverges at this h")
-        logv = model.log_discounts(prefix_len + L)
-        ratio = math.exp(logv[prefix_len + L] - logv[prefix_len])
-        ratio *= struct[3] ** (L // cycle_len)
-        if abs(ratio - 1.0) > 1e-12:
+        if not block.exact:
             return trivial("per-epoch terms do not vanish; series diverges")
         lam_L = g[-1] - (g[prefix_len - 1] if prefix_len else 0.0)
         if lam_L >= -1e-15:

@@ -154,13 +154,12 @@ def _warn(message: str) -> None:
 def _infer_l(model: RiskModel, args) -> int:
     if args.l:
         return args.l
-    inc = model.increments
-    if isinstance(inc, (Periodic, QuasiPeriodicScaled)):
-        rate_period = model.rates.period()
-        if rate_period is None:
-            raise ConfigError("explicit rates have no period; pass --l")
-        return math.lcm(len(inc.cycle), rate_period)
-    raise ConfigError("model has no cycle to infer --l from; pass --l")
+    if not isinstance(model.increments, (Periodic, QuasiPeriodicScaled)):
+        raise ConfigError("model has no cycle to infer --l from; pass --l")
+    block = model._block
+    if block is None:
+        raise ConfigError("rates have no period, or the effective period is too long; pass --l")
+    return block.length
 
 
 # ---------------------------------------------------------------------------

@@ -3,16 +3,29 @@
 A model couples a sequence rule for the normalized increment laws Y*_k with
 deterministic rate floors r_k. The weighted partial sums S*_k, built with the
 running discounts v_k = prod_{j<=k} 1/(1+r_j), drive both the analytic bounds
-and the simulator. This module evaluates the cumulative log-MGFs
-G_k(h) = sum_{j<=k} log E exp(h v_{j-1} Y*_j) and their supremum over k,
-reducing periodic and scaled-periodic tails to finite computations.
+and the simulator.
+
+The analytic side rests on one sequence, the per-epoch terms
+log E exp(h v_{j-1} Y*_j). One walk produces them from (law, log multiplier)
+pairs and stops at the first +inf. cumulative_log_mgf returns their running
+sums G_k(h), and one reduction takes the supremum over k either of G_k(h)
+(sup_log_mgf, the partial-sum criterion) or of the terms themselves
+(per_increment_sup). An eventually (scaled-)periodic model is folded into one
+block computed in log space: the effective period, each slot's log multiplier
+log scale_j + log v_{j-1}, and log rho, the period-to-period multiplier of h.
+Exact periods and contracting tails then reduce to finite computations, four
+closed forms cover the indexed families without interest, and everything else
+is scanned up to a truncation cap.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -333,6 +346,11 @@ class RiskModel:
     def zero_rates(self) -> bool:
         return self.rates.all_zero()
 
+    @cached_property
+    def _block(self) -> _Block | None:
+        """The periodic block of _build_block, built once: the model is immutable."""
+        return _build_block(self)
+
     def log_discounts(self, K: int) -> np.ndarray:
         """log v_0 .. log v_K, with v_k = prod_{j<=k} 1/(1+r_j) kept in log space."""
         if K < 0:
@@ -395,23 +413,6 @@ class SupLogMgf:
     note: str = ""
 
 
-def cumulative_log_mgf(model: RiskModel, h: float, K: int) -> list[float]:
-    """G_k(h) = sum_{j<=k} log E exp(h v_{j-1} Y*_j) for k = 1..K; +inf is absorbing."""
-    if not h >= 0.0:
-        raise ValueError(f"h must be >= 0, got {h!r}")
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    logv = model.log_discounts(K - 1) if K > 1 else np.zeros(1)
-    out: list[float] = []
-    g = 0.0
-    for j in range(1, K + 1):
-        if g < INF:
-            t = h * math.exp(logv[j - 1])
-            g = g + log_mgf_at(model.distribution_at(j), t)
-        out.append(g)
-    return out
-
-
 def periodic_structure(model: RiskModel):
     """(prefix_len, prefix, cycle, scale, rate_period) when the model has an
     eventually (scaled-)periodic law under constant or periodic rates, else None."""
@@ -433,141 +434,154 @@ def periodic_structure(model: RiskModel):
     return (len(prefix), prefix, cycle, scale, rate_period)
 
 
-@dataclass(frozen=True)
-class _Block:
-    """One effective period folded against the rate cycle, anchored after the prefix."""
+# |log rho| up to this counts as an exactly periodic tail, and above it as amplifying
+_RATIO_TOL = 1e-12
+# longer effective periods are scanned instead of folded into a block
+_BLOCK_MAX = 100_000
 
+
+class _Block(NamedTuple):
+    """An eventually (scaled-)periodic model in log space.
+
+    Epoch j <= prefix has law laws[j-1] and log multiplier logs[j-1], the log
+    of scale_j * v_{j-1}. The effective period, length = lcm(cycle, rate
+    period), then repeats: in the b-th period after the prefix, slot m has law
+    laws[prefix+m] and log multiplier logs[prefix+m] + b * log_ratio, where
+    rho = exp(log_ratio) is the period-to-period multiplier of h.
+    """
+
+    prefix: int
     length: int
-    dists: tuple[IncrementDistribution, ...]
-    in_log_discounts: tuple[float, ...]  # d_0 .. d_L relative to the block start, logs
-    ratio: float  # rho = scale_eff * d_L, the block-to-block multiplier of h
+    laws: tuple[IncrementDistribution, ...]
+    logs: tuple[float, ...]
+    log_ratio: float
 
-    def term(self, t: float, j: int) -> float:
-        """log E exp(t * d_{j-1} * Y) for slot j in 1..length."""
-        return log_mgf_at(self.dists[j - 1], t * math.exp(self.in_log_discounts[j - 1]))
+    @property
+    def exact(self) -> bool:
+        return abs(self.log_ratio) <= _RATIO_TOL
 
+    @property
+    def amplifying(self) -> bool:
+        return self.log_ratio > _RATIO_TOL
 
-def _build_block(model: RiskModel, struct) -> _Block | None:
-    prefix_len, _, cycle, scale, rate_period = struct
-    l_inc = len(cycle)
-    L = math.lcm(l_inc, rate_period)
-    if L > 100_000:
-        return None
-    reps = L // l_inc
-    dists = []
-    for m in range(L):
-        a, s = divmod(m, l_inc)
-        base = cycle[s]
-        dists.append(base if a == 0 or scale == 1.0 else Scaled(scale**a, base))
-    dlog = [0.0]
-    acc = 0.0
-    for m in range(1, L + 1):
-        acc -= math.log1p(model.rate_at(prefix_len + m))
-        dlog.append(acc)
-    ratio = (scale**reps) * math.exp(dlog[L])
-    return _Block(L, tuple(dists), tuple(dlog), ratio)
+    def period(self, b: int):
+        """(law, log multiplier) over the b-th effective period after the prefix."""
+        return zip(self.laws[self.prefix:], map((b * self.log_ratio).__add__, self.logs[self.prefix:]))
+
+    def epochs(self, K: int):
+        """(law, log multiplier) for epochs 1..K."""
+        if K <= len(self.logs):  # the prefix and period 0 hold their own multipliers
+            return zip(self.laws[:K], self.logs[:K])
+        later = itertools.chain.from_iterable(map(self.period, itertools.count(1)))
+        return itertools.islice(itertools.chain(zip(self.laws, self.logs), later), K)
 
 
-def _prefix_pass(model: RiskModel, h: float, prefix_len: int):
-    """Cumulative log-MGF through the prefix: (G_P, log v_P, best, argmax)."""
-    best, arg = -INF, None
-    g = 0.0
-    logv = 0.0
-    for j in range(1, prefix_len + 1):
-        t = h * math.exp(logv)
-        g += log_mgf_at(model.distribution_at(j), t)
-        if g == INF:
-            return INF, logv, INF, j
-        if g > best:
-            best, arg = g, j
-        logv -= math.log1p(model.rate_at(j))
-    return g, logv, best, arg
-
-
-def _sup_periodic(model: RiskModel, h: float, policy: TruncationPolicy) -> SupLogMgf | None:
+def _build_block(model: RiskModel) -> _Block | None:
+    """The model's block, or None without periodic structure or past _BLOCK_MAX."""
     struct = periodic_structure(model)
     if struct is None:
         return None
-    block = _build_block(model, struct)
-    if block is None:
+    P, prefix, cycle, scale, rate_period = struct
+    L = math.lcm(len(cycle), rate_period)
+    if L > _BLOCK_MAX:
         return None
-    prefix_len = struct[0]
-    rho = block.ratio
-    if rho > 1.0 + 1e-12:
-        return None  # amplifying tail, no finite reduction; callers fall back to a scan
+    log_q = math.log(scale)
+    steps = [-math.log1p(model.rate_at(k)) for k in range(1, P + L + 1)]
+    logs = list(itertools.accumulate(steps[:-1], initial=0.0))
+    for m in range(L):
+        logs[P + m] += (m // len(cycle)) * log_q
+    # summed exactly, so that rho == 1 is recognized over long periods
+    log_ratio = math.fsum(steps[P:]) + (L // len(cycle)) * log_q
+    return _Block(P, L, prefix + cycle * (L // len(cycle)), tuple(logs), log_ratio)
 
-    g_start, logv, best, arg = _prefix_pass(model, h, prefix_len)
-    if g_start == INF:
-        return SupLogMgf(INF, arg, "unbounded", True, "prefix term with divergent MGF")
-    t0 = h * math.exp(logv)
-    L = block.length
 
-    def block_values(t: float):
-        vals = []
-        acc = 0.0
-        for j in range(1, L + 1):
-            if acc < INF:
-                acc += block.term(t, j)
-            vals.append(acc)
-        return vals
+def _epochs(model: RiskModel, K: int):
+    """(law, log multiplier) for epochs 1..K, from the block when there is one."""
+    if model._block is not None:
+        return model._block.epochs(K)
+    return zip(map(model.distribution_at, range(1, K + 1)), model.log_discounts(K - 1).tolist())
 
-    if abs(rho - 1.0) <= 1e-12:
-        vals = block_values(t0)
-        for j, v in enumerate(vals, start=1):
-            if v == INF:
-                return SupLogMgf(INF, prefix_len + j, "unbounded", True, "divergent MGF inside the cycle")
-        lam_full = vals[-1]
-        if lam_full > 0.0:
+
+def _walk(h: float, epochs) -> list[float]:
+    """The terms log E exp(h e^c Y) for (Y, c) in epochs, through the first +inf."""
+    terms = []
+    for law, c in epochs:
+        try:
+            t = h * math.exp(c)
+        except OverflowError:  # past the float range: clamp as QuasiPeriodicScaled.distribution_at does
+            t = h * sys.float_info.max
+        term = log_mgf_at(law, t)
+        terms.append(term)
+        if term == INF:
+            break
+    return terms
+
+
+def _fold(terms: list[float], partial: bool, start: int, g: float, best: float, arg: int | None):
+    """Fold the terms of epochs start, start+1, ... into the running value g
+    (the partial sum, or the term itself) and its maximum best at epoch arg."""
+    for j, term in enumerate(terms, start):
+        g = g + term if partial else term
+        if g > best:
+            best, arg = g, j
+    return g, best, arg
+
+
+def cumulative_log_mgf(model: RiskModel, h: float, K: int) -> list[float]:
+    """G_k(h) = sum_{j<=k} log E exp(h v_{j-1} Y*_j) for k = 1..K; +inf is absorbing."""
+    if not h >= 0.0:
+        raise ValueError(f"h must be >= 0, got {h!r}")
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    terms = _walk(h, _epochs(model, K))
+    return list(itertools.accumulate(terms, initial=0.0))[1:] + [INF] * (K - len(terms))
+
+
+def _sup_periodic(block: _Block, h: float, policy: TruncationPolicy, partial: bool) -> SupLogMgf:
+    P, L = block.prefix, block.length
+    terms = _walk(h, block.epochs(P + L))
+    g, best, arg = _fold(terms, partial, 1, 0.0, -INF, None)
+    if best == INF:
+        return SupLogMgf(INF, arg, "unbounded", True, "divergent MGF term")
+    if block.exact:
+        # every later block repeats these terms
+        if partial and sum(terms[P:]) > 0.0:
             return SupLogMgf(INF, None, "unbounded", True, "log-MGF grows by a positive amount per period")
-        for j, v in enumerate(vals, start=1):
-            if g_start + v > best:
-                best, arg = g_start + v, prefix_len + j
         return SupLogMgf(best, arg, "attained", True)
 
-    # contracting tail: iterate blocks and close with a convexity-chord envelope.
-    # Per slot, g(lam t) <= lam * max(g(t), 0) for lam in [0, 1], so every later
-    # block's partial sums are bounded by pos_mass * rho / (1 - rho).
-    g_block = g_start
-    t = t0
-    pos_mass = 0.0
-    for block_index in range(policy.block_cap):
-        vals = []
-        acc = 0.0
-        pos_mass = 0.0
-        for j in range(1, L + 1):
-            term = block.term(t, j)
-            if term == INF or acc == INF:
-                return SupLogMgf(INF, None, "unbounded", True, "divergent MGF inside the tail")
-            pos_mass += max(term, 0.0)
-            acc += term
-            vals.append(acc)
-        for j, v in enumerate(vals, start=1):
-            if g_block + v > best:
-                best, arg = g_block + v, prefix_len + block_index * L + j
-        g_block += vals[-1]
-        t *= rho
-        envelope = g_block + pos_mass * rho / (1.0 - rho)
-        scale_ref = max(1.0, abs(best), abs(g_block))
-        if pos_mass * rho / (1.0 - rho) <= 1e-13 * scale_ref:
-            if envelope > best:
-                return SupLogMgf(
-                    max(best, envelope),
-                    None,
-                    "limit",
-                    True,
-                    "supremum approached along the contracting tail; value is a tight upper envelope",
-                )
+    # contracting tail. Per slot, g(lam t) <= lam * max(g(t), 0) for lam in
+    # [0, 1], so every later term is at most rho times the positive part of the
+    # same slot's term here (the chord), and every later partial sum exceeds the
+    # current one by at most pos_mass * rho / (1 - rho) (the envelope). Once
+    # the envelope is at most the running maximum, that maximum is the sup.
+    if not partial:
+        if best < 0.0:
+            return SupLogMgf(0.0, None, "limit", True, "terms approach zero from below along the contracting tail")
+        return SupLogMgf(best, arg, "attained", True)
+    rho_share = math.exp(block.log_ratio) / -math.expm1(block.log_ratio)
+    terms = terms[P:]
+    b = 0
+    while True:
+        excess = sum(filter((0.0).__lt__, terms)) * rho_share
+        if g + excess <= best:
             return SupLogMgf(best, arg, "attained", True)
-    return SupLogMgf(
-        max(best, g_block + pos_mass * rho / (1.0 - rho)),
-        None,
-        "undetermined",
-        False,
-        "tail envelope did not converge within block_cap",
-    )
+        if excess <= 1e-13 * max(1.0, abs(best), abs(g)):
+            return SupLogMgf(g + excess, None, "limit", True,
+                             "supremum approached along the contracting tail; value is a tight upper envelope")
+        b += 1
+        if b >= policy.block_cap:
+            return SupLogMgf(g + excess, None, "undetermined", False, "tail envelope did not converge within block_cap")
+        terms = _walk(h, block.period(b))
+        g, best, arg = _fold(terms, True, P + b * L + 1, g, best, arg)
+        if best == INF:
+            return SupLogMgf(INF, arg, "unbounded", True, "divergent MGF term")
 
 
-def _sup_indexed_normal(rule: IndexedNormal, h: float) -> SupLogMgf:
+def _sup_indexed_normal(rule: IndexedNormal, h: float, partial: bool) -> SupLogMgf:
+    if not partial:
+        if rule.slope > 0.0:
+            return SupLogMgf(INF, None, "unbounded", True, "per-term exponent grows linearly in the index")
+        return SupLogMgf(h * (rule.intercept + rule.slope) + 0.5 * h * h, 1, "attained", True)
     # zero rates: G(n) = A n^2 + B n with the coefficients below
     A = 0.5 * h * rule.slope
     B = h * rule.intercept + 0.5 * h * rule.slope + 0.5 * h * h
@@ -586,7 +600,10 @@ def _sup_indexed_normal(rule: IndexedNormal, h: float) -> SupLogMgf:
     return SupLogMgf(best, arg, "attained", True)
 
 
-def _sup_indexed_twopoint(h: float) -> SupLogMgf:
+def _sup_indexed_twopoint(rule: IndexedTwoPoint, h: float, partial: bool) -> SupLogMgf:
+    if not partial:
+        # the per-step term is decreasing in the index
+        return SupLogMgf(log_mgf_at(rule.distribution_at(1), h), 1, "attained", True)
     # zero rates: the per-step term log(1 + (1 - e^{-h})(e^h - n)/(n+1)) is
     # positive exactly while n < e^h, so the prefix maximum sits at the last such n
     eh = math.exp(h)
@@ -597,12 +614,12 @@ def _sup_indexed_twopoint(h: float) -> SupLogMgf:
     return SupLogMgf(g, m, "attained", True)
 
 
-def _scan_certifies_decrease(model: RiskModel, h: float, last_index: int, logv_last: float) -> bool:
+def _scan_certifies_decrease(model: RiskModel, h: float, last_index: int) -> bool:
     """Family-level proof that every term beyond last_index stays negative."""
     inc = model.increments
-    t_last = h * math.exp(logv_last)
     if isinstance(inc, IndexedNormal) and inc.slope < 0.0:
         # per-step term t(a_n + t/2) with a_n decreasing and t nonincreasing
+        t_last = h * math.exp(model.log_discounts(last_index - 1)[-1])
         a_last = inc.intercept + inc.slope * last_index
         return a_last + 0.5 * t_last < 0.0
     if isinstance(inc, IndexedTwoPoint):
@@ -611,163 +628,63 @@ def _scan_certifies_decrease(model: RiskModel, h: float, last_index: int, logv_l
     return False
 
 
-def _sup_scan(model: RiskModel, h: float, policy: TruncationPolicy) -> SupLogMgf:
+def _decrease_run(terms: list[float], policy: TruncationPolicy) -> bool:
+    """Whether policy.window consecutive terms fall below -policy.min_decrease."""
+    run = 0
+    for term in terms:
+        run = run + 1 if term < -policy.min_decrease else 0
+        if run >= policy.window:
+            return True
+    return False
+
+
+def _sup_scan(model: RiskModel, h: float, policy: TruncationPolicy, partial: bool) -> SupLogMgf:
     horizon = model.horizon()
     cap = horizon if horizon is not None else policy.k_max
-    logv = model.log_discounts(cap - 1) if cap > 1 else np.zeros(1)
-    best, arg = -INF, None
-    g = 0.0
-    run_negative = 0
-    saw_decrease_run = False
-    for j in range(1, cap + 1):
-        term = log_mgf_at(model.distribution_at(j), h * math.exp(logv[j - 1]))
-        if term == INF:
-            return SupLogMgf(INF, j, "unbounded", True, "divergent MGF term")
-        g += term
-        if g > best:
-            best, arg = g, j
-        run_negative = run_negative + 1 if term < -policy.min_decrease else 0
-        # a run anywhere counts: under discounting the terms shrink toward
-        # zero near the cap, and a longer scan must not lose the verdict a
-        # shorter one reached
-        saw_decrease_run = saw_decrease_run or run_negative >= policy.window
+    terms = _walk(h, _epochs(model, cap))
+    _, best, arg = _fold(terms, partial, 1, 0.0, -INF, None)
+    if best == INF:
+        return SupLogMgf(INF, arg, "unbounded", True, "divergent MGF term")
     if horizon is not None:
         return SupLogMgf(best, arg, "attained", True)
-    if saw_decrease_run and _scan_certifies_decrease(model, h, cap, float(logv[cap - 1])):
+    # for partial sums a run of decreases anywhere counts: under discounting the
+    # terms shrink toward zero near the cap, and a longer scan must not lose the
+    # verdict a shorter one reached
+    if (not partial or _decrease_run(terms, policy)) and _scan_certifies_decrease(model, h, cap):
+        if not partial and best < 0.0 and not model.zero_rates():
+            return SupLogMgf(0.0, None, "limit", True, "terms approach zero from below under discounting")
         return SupLogMgf(best, arg, "attained", True)
     return SupLogMgf(best, arg, "undetermined", False, f"scan truncated at k_max={cap}")
 
 
-def sup_log_mgf(model: RiskModel, h: float, policy: TruncationPolicy | None = None) -> SupLogMgf:
-    """sup_{k>=1} G_k(h), reduced exactly where the sequence structure allows."""
+def _sup(model: RiskModel, h: float, policy: TruncationPolicy | None, partial: bool) -> SupLogMgf:
+    """The supremum over epochs of the running value: partial sums of the
+    terms (partial=True) or the terms themselves."""
     if not h >= 0.0:
         raise ValueError(f"h must be >= 0, got {h!r}")
     policy = policy or TruncationPolicy()
     if h == 0.0:
         return SupLogMgf(0.0, 1, "attained", True)
-    if model.horizon() is not None:
-        return _sup_scan(model, h, policy)
-    if model.zero_rates():
-        if isinstance(model.increments, IndexedNormal):
-            return _sup_indexed_normal(model.increments, h)
-        if isinstance(model.increments, IndexedTwoPoint):
-            return _sup_indexed_twopoint(h)
-    reduced = _sup_periodic(model, h, policy)
-    if reduced is not None:
-        return reduced
-    return _sup_scan(model, h, policy)
+    if model.horizon() is None:
+        inc = model.increments
+        if isinstance(inc, IndexedNormal) and model.zero_rates():
+            return _sup_indexed_normal(inc, h, partial)
+        if isinstance(inc, IndexedTwoPoint) and model.zero_rates():
+            return _sup_indexed_twopoint(inc, h, partial)
+        block = model._block
+        if block is not None and not block.amplifying:
+            return _sup_periodic(block, h, policy, partial)
+    return _sup_scan(model, h, policy, partial)
 
 
-# ---------------------------------------------------------------------------
-# per-increment supremum (the single-term criterion)
+def sup_log_mgf(model: RiskModel, h: float, policy: TruncationPolicy | None = None) -> SupLogMgf:
+    """sup_{k>=1} G_k(h), reduced exactly where the sequence structure allows."""
+    return _sup(model, h, policy, partial=True)
 
 
 def per_increment_sup(model: RiskModel, h: float, policy: TruncationPolicy | None = None) -> SupLogMgf:
     """sup_{j>=1} log E exp(h v_{j-1} Y*_j), the one-step analogue of sup_log_mgf."""
-    if not h >= 0.0:
-        raise ValueError(f"h must be >= 0, got {h!r}")
-    policy = policy or TruncationPolicy()
-    if h == 0.0:
-        return SupLogMgf(0.0, 1, "attained", True)
-
-    horizon = model.horizon()
-    if horizon is not None:
-        logv = model.log_discounts(horizon - 1) if horizon > 1 else np.zeros(1)
-        best, arg = -INF, None
-        for j in range(1, horizon + 1):
-            term = log_mgf_at(model.distribution_at(j), h * math.exp(logv[j - 1]))
-            if term == INF:
-                return SupLogMgf(INF, j, "unbounded", True)
-            if term > best:
-                best, arg = term, j
-        return SupLogMgf(best, arg, "attained", True)
-
-    if model.zero_rates():
-        inc = model.increments
-        if isinstance(inc, IndexedNormal):
-            if inc.slope > 0.0:
-                return SupLogMgf(INF, None, "unbounded", True, "per-term exponent grows linearly in the index")
-            value = h * (inc.intercept + inc.slope) + 0.5 * h * h
-            return SupLogMgf(value, 1, "attained", True)
-        if isinstance(inc, IndexedTwoPoint):
-            # the per-step term is decreasing in the index
-            return SupLogMgf(log_mgf_at(inc.distribution_at(1), h), 1, "attained", True)
-
-    struct = periodic_structure(model)
-    if struct is not None:
-        block = _build_block(model, struct)
-        if block is not None and block.ratio <= 1.0 + 1e-12:
-            return _per_increment_periodic(model, h, struct, block)
-
-    return _per_increment_scan(model, h, policy)
-
-
-def _per_increment_periodic(model: RiskModel, h: float, struct, block: _Block) -> SupLogMgf:
-    prefix_len = struct[0]
-    best, arg = -INF, None
-    logv = 0.0
-    for j in range(1, prefix_len + 1):
-        term = log_mgf_at(model.distribution_at(j), h * math.exp(logv))
-        if term == INF:
-            return SupLogMgf(INF, j, "unbounded", True)
-        if term > best:
-            best, arg = term, j
-        logv -= math.log1p(model.rate_at(j))
-    rho = block.ratio
-    t = h * math.exp(logv)
-    L = block.length
-
-    if abs(rho - 1.0) <= 1e-12:
-        # every block repeats the same terms
-        for j in range(1, L + 1):
-            term = block.term(t, j)
-            if term == INF:
-                return SupLogMgf(INF, prefix_len + j, "unbounded", True)
-            if term > best:
-                best, arg = term, prefix_len + j
-        return SupLogMgf(best, arg, "attained", True)
-
-    # contracting blocks: terms tend to zero, so the tail supremum is either
-    # attained early or equals the limit value 0 approached from below
-    block_index = 0
-    while True:
-        pos = 0.0
-        for j in range(1, L + 1):
-            term = block.term(t, j)
-            if term == INF:
-                return SupLogMgf(INF, prefix_len + block_index * L + j, "unbounded", True)
-            pos = max(pos, term)
-            if term > best:
-                best, arg = term, prefix_len + block_index * L + j
-        # chord bound: terms in all later blocks are <= rho * pos
-        if rho * pos <= max(1e-15, best):
-            break
-        t *= rho
-        block_index += 1
-    if best < 0.0:
-        return SupLogMgf(0.0, None, "limit", True, "terms approach zero from below along the contracting tail")
-    return SupLogMgf(best, arg, "attained", True)
-
-
-def _per_increment_scan(model: RiskModel, h: float, policy: TruncationPolicy) -> SupLogMgf:
-    cap = policy.k_max
-    logv = model.log_discounts(cap - 1) if cap > 1 else np.zeros(1)
-    best, arg = -INF, None
-    for j in range(1, cap + 1):
-        term = log_mgf_at(model.distribution_at(j), h * math.exp(logv[j - 1]))
-        if term == INF:
-            return SupLogMgf(INF, j, "unbounded", True)
-        if term > best:
-            best, arg = term, j
-
-    if _scan_certifies_decrease(model, h, cap, float(logv[cap - 1])):
-        # all later terms are negative; with discounting they drift to zero
-        if best >= 0.0:
-            return SupLogMgf(best, arg, "attained", True)
-        if not model.zero_rates():
-            return SupLogMgf(0.0, None, "limit", True, "terms approach zero from below under discounting")
-        return SupLogMgf(best, arg, "attained", True)
-    return SupLogMgf(best, arg, "undetermined", False, f"scan truncated at k_max={policy.k_max}")
+    return _sup(model, h, policy, partial=False)
 
 
 # ---------------------------------------------------------------------------

@@ -118,14 +118,34 @@ def _resolve_workers(cfg: SimConfig, n_batches: int) -> int:
     return max(1, min(w, n_batches))
 
 
-def _batch_maxima(dists, weights, seed: int, batch_index: int, count: int, u_cap: float, stop_gap) -> np.ndarray:
+def _map_batches(cfg: SimConfig, run) -> list:
+    """[run(rng, count) for each batch of cfg.n_paths], in batch order.
+
+    Every batch but the last holds BATCH paths and draws from its own Philox
+    stream keyed by (seed, batch index), so the results do not depend on how
+    many worker threads run the batches.
+    """
+    sizes = [BATCH] * (cfg.n_paths // BATCH)
+    if cfg.n_paths % BATCH:
+        sizes.append(cfg.n_paths % BATCH)
+
+    def batch(b: int):
+        return run(np.random.Generator(np.random.Philox(key=(int(cfg.seed) << 64) + b)), sizes[b])
+
+    workers = _resolve_workers(cfg, len(sizes))
+    if workers == 1:
+        return [batch(b) for b in range(len(sizes))]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(batch, range(len(sizes))))
+
+
+def _batch_maxima(dists, weights, rng: np.random.Generator, count: int, u_cap: float, stop_gap) -> np.ndarray:
     """Per-path running maxima of the weighted sums, with early retirement.
 
     A path retires once its maximum exceeds u_cap (its classification against
     every u <= u_cap is settled) or, when stop_gap is set, once the current sum
     sits stop_gap below the maximum.
     """
-    rng = np.random.Generator(np.random.Philox(key=(int(seed) << 64) + batch_index))
     cur = np.zeros(count)
     mx = np.zeros(count)
     out = np.empty(count)
@@ -153,17 +173,8 @@ def _run_maxima(model: RiskModel, cfg: SimConfig, horizon: int, u_cap: float) ->
     """Maxima for all cfg.n_paths paths, batch order fixed by path index."""
     dists = [model.distribution_at(k) for k in range(1, horizon + 1)]
     weights = np.exp(model.log_discounts(horizon - 1))[:horizon]
-    sizes = [BATCH] * (cfg.n_paths // BATCH)
-    if cfg.n_paths % BATCH:
-        sizes.append(cfg.n_paths % BATCH)
-    jobs = [(b, size) for b, size in enumerate(sizes)]
-    workers = _resolve_workers(cfg, len(jobs))
-    if workers == 1:
-        parts = [_batch_maxima(dists, weights, cfg.seed, b, size, u_cap, cfg.stop_gap) for b, size in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda j: _batch_maxima(dists, weights, cfg.seed, j[0], j[1], u_cap, cfg.stop_gap), jobs))
-    return np.concatenate(parts)
+    return np.concatenate(_map_batches(
+        cfg, lambda rng, count: _batch_maxima(dists, weights, rng, count, u_cap, cfg.stop_gap)))
 
 
 def _coerce_model(model) -> RiskModel:
@@ -316,13 +327,8 @@ def check_discount_ordering(model: RiskModel, cfg: SimConfig, alpha_sampler=None
     dists = [model.distribution_at(k) for k in range(1, K + 1)]
     rates = [model.rate_at(k) for k in range(1, K + 1)]
     v = np.exp(model.log_discounts(K - 1))[:K]
-    sizes = [BATCH] * (cfg.n_paths // BATCH)
-    if cfg.n_paths % BATCH:
-        sizes.append(cfg.n_paths % BATCH)
 
-    def batch_violation(job) -> float:
-        b, count = job
-        rng = np.random.Generator(np.random.Philox(key=(int(cfg.seed) << 64) + b))
+    def batch_violation(rng: np.random.Generator, count: int) -> float:
         cur_s = np.zeros(count)
         mx_s = np.zeros(count)
         cur_ss = np.zeros(count)
@@ -340,14 +346,7 @@ def check_discount_ordering(model: RiskModel, cfg: SimConfig, alpha_sampler=None
             np.maximum(mx_ss, cur_ss, out=mx_ss)
         return float(np.max(mx_ss - mx_s))
 
-    jobs = list(enumerate(sizes))
-    workers = _resolve_workers(cfg, len(jobs))
-    if workers == 1:
-        violations = [batch_violation(j) for j in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            violations = list(pool.map(batch_violation, jobs))
-    worst = max(violations)
+    worst = max(_map_batches(cfg, batch_violation))
     return OrderingReport(worst <= slack, worst, cfg.n_paths, K)
 
 

@@ -25,11 +25,16 @@ from ruinbounds import (
     TruncationPolicy,
     TwoPoint,
     Uniform,
+    bound_optimize,
+    bound_union,
     cumulative_log_mgf,
     per_increment_sup,
     periodic_structure,
     reduce_event_model,
+    solve_partial_sum,
+    solve_period_root,
     sup_log_mgf,
+    verify_window_exponent,
 )
 
 
@@ -207,6 +212,12 @@ class TestSupLogMgf:
         s = sup_log_mgf(m, 0.5, TruncationPolicy(k_max=60))
         assert s.status == "undetermined" and not s.certified
 
+    def test_amplifying_scan_past_the_float_range(self):
+        # 2^k leaves the float range near k = 1024, well inside the scan cap
+        m = RiskModel(QuasiPeriodicScaled((Uniform(-2.0, -1.0),), 2.0))
+        s = sup_log_mgf(m, 1.0)
+        assert s.status == "undetermined" and not s.certified and s.argmax == 1
+
     def test_finite_horizon_exact(self):
         m = RiskModel(ExplicitPrefix((Normal(1.0, 1.0), Normal(-5.0, 1.0))))
         s = sup_log_mgf(m, 1.0)
@@ -236,6 +247,38 @@ class TestPerIncrementSup:
         m = RiskModel(IndexedNormal(0.5, 0.0))
         s = per_increment_sup(m, 1.0)
         assert s.value == INF and s.status == "unbounded" and s.certified
+
+
+class TestUnitRatioOverLongPeriod:
+    """Scale 2 per epoch against a 100% rate: rho is exactly 1, while 2^1500
+    and the discount over 1500 epochs both leave the float range."""
+
+    model = RiskModel(QuasiPeriodicScaled((Normal(-1.0, 1.0),), 2.0), PeriodicRates((1.0,) * 1500))
+    # every term is log E exp(h Y) = -h + h^2/2 for Y ~ Normal(-1, 1)
+
+    def test_cumulative_stays_exact(self):
+        assert cumulative_log_mgf(self.model, 0.5, 1500)[-1] == pytest.approx(-562.5)
+
+    def test_sups(self):
+        s = sup_log_mgf(self.model, 0.5)
+        assert s.status == "attained" and s.value == pytest.approx(-0.375, rel=1e-9)
+        s = per_increment_sup(self.model, 0.5)
+        assert s.status == "attained" and s.value == pytest.approx(-0.375, rel=1e-9)
+
+    def test_roots(self):
+        for r in (solve_partial_sum(self.model), solve_period_root(self.model, 1500)):
+            assert r.certified and r.value == pytest.approx(2.0, abs=1e-8)
+
+    def test_window_exponent(self):
+        check = verify_window_exponent(self.model, 1500, 1, 0.5)
+        assert check.ok and check.max_delta == pytest.approx(-562.5)
+
+    def test_bounds(self):
+        best = bound_optimize(self.model, 5.0)
+        assert best.certified and best.log_bound == pytest.approx(-10.0, abs=1e-6)
+        union = bound_union(self.model, 5.0, 0.5)
+        expected = -2.5 - 0.375 - math.log1p(-math.exp(-0.375))
+        assert union.certified and union.log_bound == pytest.approx(expected, rel=1e-9)
 
 
 class TestEventModelReduction:

@@ -9,6 +9,8 @@ from ruinbounds import (
     INF,
     ConstantRates,
     Degenerate,
+    ExplicitPrefix,
+    ExplicitRates,
     FiniteDiscrete,
     Normal,
     Periodic,
@@ -23,8 +25,10 @@ from ruinbounds import (
     clopper_pearson,
     cumulative_log_mgf,
     log_mgf_at,
+    per_increment_sup,
     solve_partial_sum,
     solve_per_increment,
+    sup_log_mgf,
 )
 from ruinbounds.serialize import model_from_dict, model_to_dict
 
@@ -132,6 +136,34 @@ class TestCumulativeStructure:
                           rates=PeriodicRates(tuple(rates)))
         logv = model.log_discounts(12)
         assert all(b <= a + 1e-15 for a, b in zip(logv, logv[1:]))
+
+
+class TestBlockMatchesScan:
+    """The periodic block reduction against the plain scan of its epochs,
+    unrolled into an explicit model over BLOCKS effective periods."""
+
+    BLOCKS = 20
+    rate_rules = st.one_of(
+        st.one_of(st.just(0.0), st.floats(0.01, 0.3)).map(ConstantRates),
+        st.lists(st.one_of(st.just(0.0), st.floats(0.01, 0.3)), min_size=1, max_size=3)
+        .map(lambda values: PeriodicRates(tuple(values))),
+    )
+
+    @pytest.mark.parametrize("sup", [sup_log_mgf, per_increment_sup])
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(entire_dists, min_size=1, max_size=3), rate_rules, st.floats(0.05, 2.0))
+    def test_block_value_dominates_and_matches_the_scan(self, sup, cycle, rates, h):
+        model = RiskModel(Periodic(tuple(cycle)), rates=rates)
+        n = self.BLOCKS * math.lcm(len(cycle), rates.period())
+        unrolled = RiskModel(ExplicitPrefix(tuple(model.distribution_at(k) for k in range(1, n + 1))),
+                             ExplicitRates(tuple(model.rate_at(k) for k in range(1, n + 1))))
+        periodic = sup(model, h)
+        scan = sup(unrolled, h)
+        assert scan.certified
+        # a supremum over all epochs bounds the one over the first n, up to rounding
+        assert periodic.value >= scan.value - 1e-12 * (1.0 + abs(scan.value))
+        if periodic.status == "attained" and periodic.argmax <= n:
+            assert periodic.value == pytest.approx(scan.value, rel=1e-9, abs=1e-12)
 
 
 class TestIntervalProperties:

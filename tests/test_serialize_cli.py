@@ -13,6 +13,7 @@ from ruinbounds import (
     Normal,
     Periodic,
     PeriodicRates,
+    QuasiPeriodicScaled,
     RiskModel,
     bound_optimize,
     reduce_event_model,
@@ -270,6 +271,16 @@ class TestCliBound:
         rc2, out2, _ = run_cli(["bound", "--model", str(copy)] + argv, capsys)
         assert rc1 == rc2 == 0
         assert out1 == out2
+
+    def test_unit_ratio_over_long_period(self, tmp_path, capsys):
+        # exact rho = 1 from factors 2^1500 and 2^-1500 that overflow separately
+        path = tmp_path / "long_period.json"
+        dump_model(RiskModel(QuasiPeriodicScaled((Normal(-1.0, 1.0),), 2.0), PeriodicRates((1.0,) * 1500)), str(path))
+        rc, out, _ = run_cli(["bound", "--model", str(path), "--u", "5"], capsys)
+        assert rc == 0
+        row = out.strip().split("\n")[1].split(",")
+        assert float(row[3]) == pytest.approx(-10.0 / math.log(10.0), abs=1e-6)
+        assert row[6] == "true"
 
 
 class TestCliAdjustment:

@@ -1,0 +1,80 @@
+"""Layer benchmarks for the sup reductions (pytest-benchmark).
+
+    python -m pytest benchmarks/bench_sup.py --benchmark-json=out.json
+
+Outside the test suite's testpaths, so plain `python -m pytest` skips it. Each
+bench times one call: a truncated scan of 2000 epochs on the indexed families
+under discounting, the scan of a 5000-law ExplicitPrefix, the IndexedTwoPoint
+closed form at h = 16 (e^16 ~ 8.9 million epochs before its maximum), and, end
+to end, the optimized bound of the bundled two_point_decay model at u = 60.
+"""
+
+from __future__ import annotations
+
+import random
+from importlib import resources
+
+import pytest
+
+from ruinbounds import (
+    ConstantRates,
+    ExplicitPrefix,
+    IndexedNormal,
+    IndexedTwoPoint,
+    Normal,
+    RiskModel,
+    ShiftedExponential,
+    TruncationPolicy,
+    TwoPoint,
+    Uniform,
+    bound_optimize,
+    load_model,
+    sup_log_mgf,
+)
+from ruinbounds.models import _sup_indexed_twopoint
+
+SCAN = TruncationPolicy(k_max=2000)
+
+
+def _mixed_prefix(n: int = 5000, seed: int = 1) -> RiskModel:
+    """n laws with negative drift, a quarter of each of four families."""
+    rng = random.Random(seed)
+    laws = []
+    for i in range(n):
+        kind = i % 4
+        if kind == 0:
+            laws.append(Normal(-0.3 - 0.9 * rng.random(), 0.5 + rng.random()))
+        elif kind == 1:
+            laws.append(Uniform(-2.0 - rng.random(), 1.0 + 0.5 * rng.random()))
+        elif kind == 2:
+            laws.append(TwoPoint(1.0, 0.2 + 0.15 * rng.random(), -1.0))
+        else:
+            laws.append(ShiftedExponential(0.8 + 0.4 * rng.random(), -1.5 - rng.random()))
+    rng.shuffle(laws)
+    return RiskModel(ExplicitPrefix(tuple(laws)))
+
+
+@pytest.mark.parametrize("name, model", [
+    ("indexed_normal_1pct", RiskModel(IndexedNormal(-0.5, 0.25), ConstantRates(0.01))),
+    ("indexed_two_point_2pct", RiskModel(IndexedTwoPoint(), ConstantRates(0.02))),
+])
+def test_scan_2000(benchmark, name, model):
+    s = benchmark(sup_log_mgf, model, 0.5, SCAN)
+    assert s.value < float("inf")
+
+
+def test_explicit_prefix_5000(benchmark):
+    model = _mixed_prefix()
+    s = benchmark(sup_log_mgf, model, 0.3)
+    assert s.certified
+
+
+def test_indexed_two_point_closed_form_h16(benchmark):
+    s = benchmark(_sup_indexed_twopoint, IndexedTwoPoint(), 16.0, True)
+    assert s.argmax == 8886110
+
+
+def test_bound_optimize_two_point_decay_u60(benchmark):
+    model = load_model(str(resources.files("ruinbounds") / "configs" / "two_point_decay.json"))
+    b = benchmark(bound_optimize, model, 60.0)
+    assert b.certified

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .adjustment import (
     SLACK,
@@ -94,6 +93,16 @@ def _require_h(h: float) -> None:
         raise ValueError(f"h must be a nonnegative real, got {h!r}")
 
 
+def _logsumexp(values) -> float:
+    """log sum_i exp(values_i), shifted by the maximum; -inf for no mass, +inf
+    when a value is +inf."""
+    a = np.asarray(values, dtype=float)
+    top = float(a.max())
+    if top in (INF, -INF):
+        return top
+    return top + float(np.log(np.sum(np.exp(a - top))))
+
+
 # ---------------------------------------------------------------------------
 # golden-section minimization of a convex extended-real function
 
@@ -145,7 +154,8 @@ def bound_at_h(model: RiskModel, u: float, h: float, policy: TruncationPolicy | 
     _require_h(h)
     s = sup_log_mgf(model, h, policy or TruncationPolicy())
     if s.value == INF:
-        return BoundResult(u, 0.0, h, "fixed_h", None, True, "sup diverges at this h; trivial bound")
+        why = "sup diverges at this h" if s.status == "unbounded" else s.note
+        return BoundResult(u, 0.0, h, "fixed_h", None, True, f"{why}; trivial bound")
     log_bound = min(0.0, -h * u + s.value)
     if s.status == "undetermined":
         return BoundResult(u, log_bound, h, "fixed_h", None, False,
@@ -372,13 +382,18 @@ def _union_indexed_normal(model: RiskModel, h: float, policy: TruncationPolicy):
         nxt = h * (intercept + slope * (n + 1)) + 0.5 * h * h
         if nxt <= -40.0 and n >= 4:
             tail = g + nxt - math.log1p(-math.exp(h * (intercept + slope * (n + 2)) + 0.5 * h * h))
-            return float(np.logaddexp(logsumexp(terms), tail))
+            return float(np.logaddexp(_logsumexp(terms), tail))
         n += 1
     return None
 
 
 def _union_indexed_twopoint(model: RiskModel, h: float, policy: TruncationPolicy):
-    eh = math.exp(h)
+    try:
+        eh = math.exp(h)
+    except OverflowError:
+        return None
+    if policy.k_max <= eh:
+        return None  # the partial sums grow through n = e^h, past the scan budget
     em = -math.expm1(-h)  # 1 - e^{-h}
 
     def delta(n: int) -> float:
@@ -392,7 +407,7 @@ def _union_indexed_twopoint(model: RiskModel, h: float, policy: TruncationPolicy
         g += delta(n)
         terms.append(g)
         if n > eh and n >= 4:
-            partial = logsumexp(terms)
+            partial = _logsumexp(terms)
             r = delta(n + 1)  # future step ratios only shrink below this
             tail = g + r - math.log1p(-math.exp(r))
             if tail <= partial + math.log(1e-16):
@@ -429,7 +444,7 @@ def bound_union(model: RiskModel, u: float, h: float, policy: TruncationPolicy |
         g = cumulative_log_mgf(model, h, horizon)
         if g[-1] == INF or any(v == INF for v in g):
             return trivial("a term diverges at this h")
-        return wrap(float(logsumexp(g)))
+        return wrap(_logsumexp(g))
 
     block = model._block
     if block is not None:
@@ -442,9 +457,9 @@ def bound_union(model: RiskModel, u: float, h: float, policy: TruncationPolicy |
         lam_L = g[-1] - (g[prefix_len - 1] if prefix_len else 0.0)
         if lam_L >= -1e-15:
             return trivial("one-period log-MGF is nonnegative at this h; series diverges")
-        tail = float(logsumexp(g[prefix_len:])) - math.log1p(-math.exp(lam_L))
+        tail = _logsumexp(g[prefix_len:]) - math.log1p(-math.exp(lam_L))
         if prefix_len:
-            total = float(np.logaddexp(logsumexp(g[:prefix_len]), tail))
+            total = float(np.logaddexp(_logsumexp(g[:prefix_len]), tail))
         else:
             total = tail
         return wrap(total)

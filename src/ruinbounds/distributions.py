@@ -65,6 +65,21 @@ def _log_expm1_ratio(x: float) -> float:
     return math.log(math.expm1(x) / x)
 
 
+def _log_expm1_ratio_vec(x: np.ndarray) -> np.ndarray:
+    """_log_expm1_ratio elementwise, with the same three branches."""
+    out = np.empty_like(x)
+    small = np.abs(x) < 1e-6
+    high = x > 30.0
+    low = x < -30.0
+    mid = ~(small | high | low)
+    xs, xh, xl, xm = x[small], x[high], x[low], x[mid]
+    out[small] = xs / 2.0 + xs * xs / 24.0
+    out[high] = xh + np.log1p(-np.exp(-xh)) - np.log(xh)
+    out[low] = np.log1p(-np.exp(xl)) - np.log(-xl)
+    out[mid] = np.log(np.expm1(xm) / xm)
+    return out
+
+
 class IncrementDistribution:
     """Base class for the closed catalogue of one-dimensional increment laws."""
 
@@ -72,6 +87,22 @@ class IncrementDistribution:
 
     def _lmgf(self, t: float) -> float:
         raise NotImplementedError
+
+    # Vectorized log-MGF: _table(laws) turns laws of one family into parameter
+    # arrays, one entry (row) per law, and _lmgf_vec(params, t) evaluates row i
+    # at t[i] with the same arithmetic as _lmgf. Families without a closed
+    # vectorized form keep the laws themselves and evaluate them one by one.
+
+    @classmethod
+    def _table(cls, laws) -> tuple[np.ndarray, ...]:
+        objects = np.empty(len(laws), dtype=object)
+        objects[:] = laws
+        return (objects,)
+
+    @staticmethod
+    def _lmgf_vec(params: tuple[np.ndarray, ...], t: np.ndarray) -> np.ndarray:
+        (laws,) = params
+        return np.array([law._lmgf(x) for law, x in zip(laws, t.tolist())], dtype=float)
 
     def _domain(self) -> tuple[float, float]:
         """Open interval of t where log E exp(t Y) is finite."""
@@ -103,6 +134,15 @@ class Normal(IncrementDistribution):
     def _lmgf(self, t: float) -> float:
         return t * self.mean + 0.5 * self.variance * t * t
 
+    @classmethod
+    def _table(cls, laws):
+        return (np.array([d.mean for d in laws]), np.array([d.variance for d in laws]))
+
+    @staticmethod
+    def _lmgf_vec(params, t):
+        mean, variance = params
+        return t * mean + 0.5 * variance * t * t
+
     def _domain(self) -> tuple[float, float]:
         return (-INF, INF)
 
@@ -128,6 +168,15 @@ class Uniform(IncrementDistribution):
 
     def _lmgf(self, t: float) -> float:
         return t * self.lower + _log_expm1_ratio(t * (self.upper - self.lower))
+
+    @classmethod
+    def _table(cls, laws):
+        return (np.array([d.lower for d in laws]), np.array([d.upper for d in laws]))
+
+    @staticmethod
+    def _lmgf_vec(params, t):
+        lower, upper = params
+        return t * lower + _log_expm1_ratio_vec(t * (upper - lower))
 
     def _domain(self) -> tuple[float, float]:
         return (-INF, INF)
@@ -162,6 +211,20 @@ class TwoPoint(IncrementDistribution):
             math.log(self.p1) + t * self.x1,
             math.log1p(-self.p1) + t * self.x2,
         )
+
+    @classmethod
+    def _table(cls, laws):
+        p1 = np.array([d.p1 for d in laws])
+        with np.errstate(divide="ignore"):
+            return (np.array([d.x1 for d in laws]), np.log(p1), np.array([d.x2 for d in laws]), np.log1p(-p1))
+
+    @staticmethod
+    def _lmgf_vec(params, t):
+        # an atom of probability zero has log-weight -inf and drops out of the
+        # sum, which leaves t * x of the other atom as in _lmgf
+        x1, log_p1, x2, log_p2 = params
+        return np.logaddexp(np.where(log_p1 > -INF, log_p1 + t * x1, -INF),
+                            np.where(log_p2 > -INF, log_p2 + t * x2, -INF))
 
     def _domain(self) -> tuple[float, float]:
         return (-INF, INF)
@@ -199,6 +262,17 @@ class ShiftedExponential(IncrementDistribution):
             return INF
         return t * self.shift + math.log(self.rate) - math.log(self.rate - t)
 
+    @classmethod
+    def _table(cls, laws):
+        return (np.array([d.rate for d in laws]), np.array([d.shift for d in laws]))
+
+    @staticmethod
+    def _lmgf_vec(params, t):
+        rate, shift = params
+        inside = t < rate
+        finite = t * shift + np.log(rate) - np.log(np.where(inside, rate - t, 1.0))
+        return np.where(inside, finite, INF)
+
     def _domain(self) -> tuple[float, float]:
         return (-INF, self.rate)
 
@@ -222,6 +296,15 @@ class Degenerate(IncrementDistribution):
 
     def _lmgf(self, t: float) -> float:
         return t * self.value
+
+    @classmethod
+    def _table(cls, laws):
+        return (np.array([d.value for d in laws]),)
+
+    @staticmethod
+    def _lmgf_vec(params, t):
+        (value,) = params
+        return t * value
 
     def _domain(self) -> tuple[float, float]:
         return (-INF, INF)
@@ -354,6 +437,28 @@ class FiniteDiscrete(IncrementDistribution):
         for x, p in self.atoms:
             if p > 0.0:
                 acc = _logaddexp(acc, math.log(p) + t * x)
+        return acc
+
+    @classmethod
+    def _table(cls, laws):
+        # atoms padded to a common count; a padded or zero-probability atom has
+        # log-weight -inf and is skipped, as in _lmgf
+        width = max(len(d.atoms) for d in laws)
+        xs = np.zeros((len(laws), width))
+        log_ps = np.full((len(laws), width), -INF)
+        for i, d in enumerate(laws):
+            for a, (x, p) in enumerate(d.atoms):
+                xs[i, a] = x
+                if p > 0.0:
+                    log_ps[i, a] = math.log(p)
+        return (xs, log_ps)
+
+    @staticmethod
+    def _lmgf_vec(params, t):
+        xs, log_ps = params
+        acc = np.full(len(t), -INF)
+        for x, log_p in zip(xs.T, log_ps.T):
+            acc = np.where(log_p > -INF, np.logaddexp(acc, log_p + t * x), acc)
         return acc
 
     def _domain(self) -> tuple[float, float]:

@@ -6,16 +6,24 @@ running discounts v_k = prod_{j<=k} 1/(1+r_j), drive both the analytic bounds
 and the simulator.
 
 The analytic side rests on one sequence, the per-epoch terms
-log E exp(h v_{j-1} Y*_j). One walk produces them from (law, log multiplier)
-pairs and stops at the first +inf. cumulative_log_mgf returns their running
-sums G_k(h), and one reduction takes the supremum over k either of G_k(h)
-(sup_log_mgf, the partial-sum criterion) or of the terms themselves
-(per_increment_sup). An eventually (scaled-)periodic model is folded into one
-block computed in log space: the effective period, each slot's log multiplier
-log scale_j + log v_{j-1}, and log rho, the period-to-period multiplier of h.
-Exact periods and contracting tails then reduce to finite computations, four
-closed forms cover the indexed families without interest, and everything else
-is scanned up to a truncation cap.
+log E exp(h v_{j-1} Y*_j), evaluated in one of two ways that both stop at the
+first +inf. cumulative_log_mgf returns their running sums G_k(h), and one
+reduction takes the supremum over k either of G_k(h) (sup_log_mgf, the
+partial-sum criterion) or of the terms themselves (per_increment_sup).
+
+An eventually (scaled-)periodic model is folded into one block computed in log
+space: the effective period, each slot's log multiplier log scale_j +
+log v_{j-1}, and log rho, the period-to-period multiplier of h. Exact periods
+and contracting tails then reduce to a few periods of the block, walked one
+(law, log multiplier) pair at a time by _walk over the block's cached laws;
+these walks are short, and a scalar loop beats numpy's fixed cost on them.
+Four closed forms cover the indexed families without interest (the
+IndexedTwoPoint one in O(1) through log-factorials and a power-sum series).
+Everything else is scanned up to a truncation cap by log_mgf_terms, the
+vectorized term kernel: it builds per-epoch parameter arrays (closed-form for
+the indexed families, from a cached per-family law table for an explicit
+prefix or an amplifying block) and evaluates each family's log-MGF on whole
+arrays, with no per-epoch law objects.
 """
 
 from __future__ import annotations
@@ -351,6 +359,15 @@ class RiskModel:
         """The periodic block of _build_block, built once: the model is immutable."""
         return _build_block(self)
 
+    @cached_property
+    def _laws(self) -> tuple[_LawTable, np.ndarray | None]:
+        """The law table of the block's laws (with their log multipliers) or of
+        an explicit prefix, for log_mgf_terms; built once like _block."""
+        block = self._block
+        if block is not None:
+            return _tabulate(block.laws), np.array(block.logs)
+        return _tabulate(self.increments.dists), None
+
     def log_discounts(self, K: int) -> np.ndarray:
         """log v_0 .. log v_K, with v_k = prod_{j<=k} 1/(1+r_j) kept in log space."""
         if K < 0:
@@ -399,7 +416,8 @@ class SupLogMgf:
     """sup_k G_k(h) together with how the value was established.
 
     status is one of
-      attained:     value = G_k(h) at argmax, exact
+      attained:     value = G_k(h) at argmax, exact; +inf with argmax None
+                    when that G_k(h) is too large for floating point
       limit:        value is the exact limit (or a tight upper envelope) of a
                     supremum approached but not attained at any finite index
       unbounded:    value is +inf, certified
@@ -502,6 +520,84 @@ def _epochs(model: RiskModel, K: int):
     return zip(map(model.distribution_at, range(1, K + 1)), model.log_discounts(K - 1).tolist())
 
 
+class _LawTable(NamedTuple):
+    """Finitely many laws grouped by family: law i is row row[i] of the
+    parameter table of family family[i] (see IncrementDistribution._table)."""
+
+    family: np.ndarray
+    row: np.ndarray
+    tables: tuple[tuple[type, tuple[np.ndarray, ...]], ...]
+
+
+def _tabulate(laws) -> _LawTable:
+    members: dict[type, list] = {}
+    family, row = [], []
+    for law in laws:
+        group = members.setdefault(type(law), [])
+        family.append(list(members).index(type(law)))
+        row.append(len(group))
+        group.append(law)
+    tables = tuple((cls, cls._table(group)) for cls, group in members.items())
+    return _LawTable(np.array(family, dtype=np.intp), np.array(row, dtype=np.intp), tables)
+
+
+def _table_terms(table: _LawTable, law: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """log E exp(t_j Y) with Y the law numbered law[j] in the table."""
+    out = np.empty(len(t))
+    family = table.family[law]
+    for f, (cls, params) in enumerate(table.tables):
+        sel = np.flatnonzero(family == f) if len(table.tables) > 1 else slice(None)
+        rows = table.row[law[sel]]
+        out[sel] = cls._lmgf_vec(tuple(p[rows] for p in params), t[sel])
+    return out
+
+
+_FLOAT_MAX = sys.float_info.max
+
+
+def log_mgf_terms(model: RiskModel, h: float, K: int) -> np.ndarray:
+    """The terms log E exp(h e^{c_j} Y*_j) for epochs j = 1..K, through the
+    first +inf, where e^{c_j} is the scale times the discount v_{j-1}.
+
+    The per-epoch parameters come as arrays: in closed form for the indexed
+    families, and as a cached law table (see RiskModel._laws) indexed per
+    epoch otherwise, tiling the block of an eventually (scaled-)periodic model.
+    The arithmetic is _walk's: exact 0 at t = 0, a cut after the first +inf,
+    and e^c clamped at the float maximum.
+    """
+    inc = model.increments
+    if isinstance(inc, ExplicitPrefix) and K > len(inc.dists):
+        # past the prefix only when no term before it diverges, as in _walk
+        terms = log_mgf_terms(model, h, len(inc.dists))
+        if terms[-1] != INF:
+            inc.distribution_at(len(inc.dists) + 1)  # raises ModelIndexError
+        return terms
+    block = model._block
+    j = np.arange(K)
+    with np.errstate(all="ignore"):
+        if block is not None:
+            logs = model._laws[1]
+            past = np.maximum(j - block.prefix, 0)
+            law = np.where(j < block.prefix, j, block.prefix + past % block.length)
+            c = logs[law] + (past // block.length) * block.log_ratio
+        else:
+            law = j
+            c = model.log_discounts(K - 1)
+        t = h * np.minimum(np.exp(c), _FLOAT_MAX)
+        if isinstance(inc, IndexedNormal):
+            terms = Normal._lmgf_vec((inc.intercept + inc.slope * (j + 1.0), np.ones(K)), t)
+        elif isinstance(inc, IndexedTwoPoint):
+            p1 = 1.0 / (j + 2.0)
+            terms = TwoPoint._lmgf_vec((np.ones(K), np.log(p1), -np.ones(K), np.log1p(-p1)), t)
+        elif block is not None or isinstance(inc, ExplicitPrefix):
+            terms = _table_terms(model._laws[0], law, t)
+        else:
+            terms = _table_terms(_tabulate(map(model.distribution_at, range(1, K + 1))), law, t)
+    terms[t == 0.0] = 0.0
+    cut = np.flatnonzero(terms == INF)
+    return terms[:cut[0] + 1] if cut.size else terms
+
+
 def _walk(h: float, epochs) -> list[float]:
     """The terms log E exp(h e^c Y) for (Y, c) in epochs, through the first +inf."""
     terms = []
@@ -533,8 +629,12 @@ def cumulative_log_mgf(model: RiskModel, h: float, K: int) -> list[float]:
         raise ValueError(f"h must be >= 0, got {h!r}")
     if K < 1:
         raise ValueError("K must be >= 1")
-    terms = _walk(h, _epochs(model, K))
-    return list(itertools.accumulate(terms, initial=0.0))[1:] + [INF] * (K - len(terms))
+    if model._block is not None:
+        sums = list(itertools.accumulate(_walk(h, model._block.epochs(K)), initial=0.0))[1:]
+    else:
+        with np.errstate(over="ignore"):
+            sums = np.cumsum(log_mgf_terms(model, h, K)).tolist()
+    return sums + [INF] * (K - len(sums))
 
 
 def _sup_periodic(block: _Block, h: float, policy: TruncationPolicy, partial: bool) -> SupLogMgf:
@@ -606,12 +706,38 @@ def _sup_indexed_twopoint(rule: IndexedTwoPoint, h: float, partial: bool) -> Sup
         return SupLogMgf(log_mgf_at(rule.distribution_at(1), h), 1, "attained", True)
     # zero rates: the per-step term log(1 + (1 - e^{-h})(e^h - n)/(n+1)) is
     # positive exactly while n < e^h, so the prefix maximum sits at the last such n
-    eh = math.exp(h)
-    m = max(1, math.ceil(eh) - 1)
-    g = 0.0
-    for n in range(1, m + 1):
-        g += math.log1p((1.0 - math.exp(-h)) * (eh - n) / (n + 1.0))
+    try:
+        eh = math.exp(h)
+        m = max(1, math.ceil(eh) - 1)
+        g = _twopoint_partial_sum(h, eh, m)
+    except OverflowError:  # e^h or log (m+1)! past the float range
+        g = INF
+    if not math.isfinite(g):
+        return SupLogMgf(INF, None, "attained", True, "the maximal partial sum is too large to evaluate in floating point")
     return SupLogMgf(g, m, "attained", True)
+
+
+def _twopoint_partial_sum(h: float, eh: float, m: int) -> float:
+    """G_m(h) of IndexedTwoPoint under zero rates, in O(1) for large m.
+
+    Term n is h - log(n+1) + log1p(n x) with x = e^{-2h}, so
+    G_m = m h - log (m+1)! + sum_{n<=m} log1p(n x). Since n x <= m x < e^{-h},
+    the last sum is the alternating series x S1 - x^2 S2/2 + x^3 S3/3 - ... in
+    the power sums S_p = sum_{n<=m} n^p, and cutting it there errs by at most
+    x^4 S4/4 <= (m x)^4 m/4, about e^{-3h}/4 against |G_m| ~ e^h. When that
+    bound is not below 1e-16 |G_m| (h below about 9, m below about 8000), the
+    terms are summed one by one instead.
+    """
+    x = math.exp(-2.0 * h)
+    mf = float(m)
+    xm = x * mf
+    xs1 = xm * (mf + 1.0) / 2.0
+    series = xs1 - xm * (x * (mf + 1.0)) * (2.0 * mf + 1.0) / 12.0 + xs1 * xs1 * x / 3.0
+    g = mf * h - math.lgamma(mf + 2.0) + series
+    if not math.isfinite(g) or xm**4 * mf / 4.0 <= 1e-16 * abs(g):
+        return g
+    n = np.arange(1.0, mf + 1.0)
+    return math.fsum(np.log1p((1.0 - math.exp(-h)) * (eh - n) / (n + 1.0)))
 
 
 def _scan_certifies_decrease(model: RiskModel, h: float, last_index: int) -> bool:
@@ -624,25 +750,25 @@ def _scan_certifies_decrease(model: RiskModel, h: float, last_index: int) -> boo
         return a_last + 0.5 * t_last < 0.0
     if isinstance(inc, IndexedTwoPoint):
         # term is negative once n exceeds e^{t_n}, and t_n <= h throughout
-        return last_index > math.exp(h)
+        return math.log(last_index) > h
     return False
 
 
-def _decrease_run(terms: list[float], policy: TruncationPolicy) -> bool:
+def _decrease_run(terms: np.ndarray, policy: TruncationPolicy) -> bool:
     """Whether policy.window consecutive terms fall below -policy.min_decrease."""
-    run = 0
-    for term in terms:
-        run = run + 1 if term < -policy.min_decrease else 0
-        if run >= policy.window:
-            return True
-    return False
+    runs = np.concatenate(([0], np.cumsum(terms < -policy.min_decrease)))
+    return bool(np.any(runs[policy.window:] - runs[:runs.size - policy.window] == policy.window))
 
 
 def _sup_scan(model: RiskModel, h: float, policy: TruncationPolicy, partial: bool) -> SupLogMgf:
     horizon = model.horizon()
     cap = horizon if horizon is not None else policy.k_max
-    terms = _walk(h, _epochs(model, cap))
-    _, best, arg = _fold(terms, partial, 1, 0.0, -INF, None)
+    terms = log_mgf_terms(model, h, cap)
+    with np.errstate(over="ignore"):
+        values = np.cumsum(terms) if partial else terms
+    i = int(np.argmax(values))  # the first maximum, as _fold keeps it
+    best = float(values[i])
+    arg = i + 1 if best > -INF else None
     if best == INF:
         return SupLogMgf(INF, arg, "unbounded", True, "divergent MGF term")
     if horizon is not None:

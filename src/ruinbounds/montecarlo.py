@@ -15,10 +15,16 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import beta as _beta
 
 from .distributions import INF, IncrementDistribution, log_mgf, sample
-from .models import EventModel, ExplicitPrefix, RiskModel, reduce_event_model
+from .models import (
+    EventModel,
+    ExplicitPrefix,
+    PrefixThenTail,
+    QuasiPeriodicScaled,
+    RiskModel,
+    reduce_event_model,
+)
 
 __all__ = [
     "BATCH",
@@ -100,6 +106,8 @@ def clopper_pearson(x: int, n: int, confidence: float = 0.99) -> tuple[float, fl
         raise ValueError(f"need 0 <= x <= n with n >= 1, got x={x!r}, n={n!r}")
     if not (0.0 < confidence < 1.0):
         raise ValueError(f"confidence must lie in (0, 1), got {confidence!r}")
+    from scipy.stats import beta as _beta  # deferred: scipy.stats is slow to import and only needed here
+
     a = 1.0 - confidence
     lo = 0.0 if x == 0 else float(_beta.ppf(a / 2.0, x, n - x + 1))
     hi = 1.0 if x == n else float(_beta.ppf(1.0 - a / 2.0, x + 1, n - x))
@@ -169,10 +177,26 @@ def _batch_maxima(dists, weights, rng: np.random.Generator, count: int, u_cap: f
     return out
 
 
+def _base_laws(model: RiskModel, K: int) -> tuple[list[IncrementDistribution], np.ndarray]:
+    """(laws, log scales) for epochs 1..K with the scale powers of a
+    quasi-periodic tail factored out: Y*_k is exp(log_scales[k-1]) times laws[k-1].
+    The log scale i * log(scale) of the i-th cycle stays a log, so deep epochs
+    never meet a scale power past the float range."""
+    inc = model.increments
+    prefix, tail = (inc.prefix, inc.tail) if isinstance(inc, PrefixThenTail) else ((), inc)
+    log_scales = np.zeros(K)
+    if not isinstance(tail, QuasiPeriodicScaled) or tail.scale == 1.0:
+        return [model.distribution_at(k) for k in range(1, K + 1)], log_scales
+    P, n = len(prefix), len(tail.cycle)
+    laws = [prefix[j] if j < P else tail.cycle[(j - P) % n] for j in range(K)]
+    log_scales[P:] = (np.arange(K - P) // n) * math.log(tail.scale)
+    return laws, log_scales
+
+
 def _run_maxima(model: RiskModel, cfg: SimConfig, horizon: int, u_cap: float) -> np.ndarray:
     """Maxima for all cfg.n_paths paths, batch order fixed by path index."""
-    dists = [model.distribution_at(k) for k in range(1, horizon + 1)]
-    weights = np.exp(model.log_discounts(horizon - 1))[:horizon]
+    dists, log_scales = _base_laws(model, horizon)
+    weights = np.exp(model.log_discounts(horizon - 1) + log_scales)
     return np.concatenate(_map_batches(
         cfg, lambda rng, count: _batch_maxima(dists, weights, rng, count, u_cap, cfg.stop_gap)))
 

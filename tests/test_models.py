@@ -36,6 +36,8 @@ from ruinbounds import (
     sup_log_mgf,
     verify_window_exponent,
 )
+from ruinbounds.distributions import log_mgf_at
+from ruinbounds.models import log_mgf_terms
 
 
 def cycle_model():
@@ -279,6 +281,71 @@ class TestUnitRatioOverLongPeriod:
         union = bound_union(self.model, 5.0, 0.5)
         expected = -2.5 - 0.375 - math.log1p(-math.exp(-0.375))
         assert union.certified and union.log_bound == pytest.approx(expected, rel=1e-9)
+
+
+class TestTermKernel:
+    def test_domain_edge_cuts_after_the_divergent_term(self):
+        # t = h exactly at the ShiftedExponential rate diverges, as in log_mgf_at
+        model = RiskModel(ExplicitPrefix((Normal(-1.0, 1.0), ShiftedExponential(0.75, -1.0), Normal(-1.0, 1.0))))
+        terms = log_mgf_terms(model, 0.75, 3)
+        assert terms.tolist() == [-0.75 + 0.5 * 0.75**2, INF]
+
+    def test_zero_argument_gives_exact_zeros(self):
+        model = RiskModel(ExplicitPrefix((ShiftedExponential(1.0, -1.0), Uniform(-1.0, 2.0))))
+        assert log_mgf_terms(model, 0.0, 2).tolist() == [0.0, 0.0]
+
+    def test_block_tiles_the_amplifying_period(self):
+        model = RiskModel(QuasiPeriodicScaled((Normal(-1.0, 1.0), Uniform(-2.0, 1.0)), 1.5))
+        terms = log_mgf_terms(model, 0.1, 9)
+        expected = [log_mgf_at(model.distribution_at(k), 0.1) for k in range(1, 10)]
+        assert terms.tolist() == pytest.approx(expected, rel=1e-13)
+
+    def test_explicit_prefix_is_bounded_by_its_horizon(self):
+        model = RiskModel(ExplicitPrefix((Normal(-1.0, 1.0),)))
+        with pytest.raises(ModelIndexError):
+            log_mgf_terms(model, 0.5, 2)
+
+
+def _twopoint_reference(h):
+    """fsum of the direct terms h - log(n+1) + log1p(n e^{-2h}) up to the last
+    positive one, in chunks."""
+    m = max(1, math.ceil(math.exp(h)) - 1)
+    x = math.exp(-2.0 * h)
+    parts = []
+    for lo in range(1, m + 1, 1 << 20):
+        n = np.arange(lo, min(m, lo + (1 << 20) - 1) + 1, dtype=float)
+        parts.append(math.fsum(h - np.log(n + 1.0) + np.log1p(n * x)))
+    return math.fsum(parts), m
+
+
+class TestIndexedTwoPointClosedForm:
+    model = RiskModel(IndexedTwoPoint())
+
+    @pytest.mark.parametrize("h", [0.5, math.log(3.0), 5.0, 8.0, 11.2, 12.0, 16.0])
+    def test_matches_the_direct_sum(self, h):
+        value, m = _twopoint_reference(h)
+        s = sup_log_mgf(self.model, h)
+        assert s.status == "attained" and s.certified and s.argmax == m
+        assert s.value == pytest.approx(value, rel=1e-13)
+
+    def test_deep_exponent_is_cheap(self):
+        s = sup_log_mgf(self.model, 32.0)
+        assert s.argmax == math.ceil(math.exp(32.0)) - 1
+        # Stirling's log (m+1)! with m + 1 = e^h + f, and the series' x S1 ~ 1/2:
+        # G_m = m h - log (m+1)! + 1/2 + o(1) = m + 2 - 3h/2 - log(2 pi)/2 - f + o(1)
+        m, h = s.argmax, 32.0
+        f = m + 1 - math.exp(h)
+        assert s.value == pytest.approx(m + 2.0 - 1.5 * h - 0.5 * math.log(2.0 * math.pi) - f, abs=0.5)
+
+    @pytest.mark.parametrize("h", [705.0, 800.0])
+    def test_past_the_float_range(self, h):
+        s = sup_log_mgf(self.model, h)
+        assert s.value == INF and s.status == "attained" and s.certified
+        assert "diverg" not in s.note
+
+    def test_scan_certificate_survives_a_huge_exponent(self):
+        s = sup_log_mgf(RiskModel(IndexedTwoPoint(), ConstantRates(0.02)), 800.0)
+        assert s.value > 0.0
 
 
 class TestEventModelReduction:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from ruinbounds import (
     Degenerate,
     Normal,
     Periodic,
+    PeriodicRates,
+    QuasiPeriodicScaled,
     RiskModel,
     ShiftedExponential,
     SimConfig,
@@ -157,6 +160,20 @@ class TestSimulateRuin:
         # one-step ruin probability is exactly 0.3; nominal coverage is 99%
         assert covered >= 190
         assert covered == 198  # frozen for this seed range
+
+
+    def test_scaled_periodic_weights_stay_in_log_space(self):
+        # scale 2 per epoch against a 100% rate: Y*_k ~ 2^(k-1) Normal(-1, 1) and
+        # v_{k-1} = 2^-(k-1), whose product is 1 although 2^(k-1) leaves the float
+        # range past k = 1024; the paths are those of the iid model
+        model = RiskModel(QuasiPeriodicScaled((Normal(-1.0, 1.0),), 2.0), PeriodicRates((1.0,) * 1500))
+        cfg = SimConfig(n_paths=4000, horizon=1200, seed=5, workers=1)
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = simulate_ruin_grid(model, [1.0, 3.0], cfg)
+        iid = simulate_ruin_grid(RiskModel(Periodic((Normal(-1.0, 1.0),))), [1.0, 3.0], cfg)
+        assert [r.ruin_count for r in scaled] == [r.ruin_count for r in iid]
+        assert scaled[0].ruin_count > scaled[1].ruin_count
 
 
 class TestRealizePath:

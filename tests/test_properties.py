@@ -7,14 +7,18 @@ import pytest
 
 from ruinbounds import (
     INF,
+    CompoundIncrement,
     ConstantRates,
     Degenerate,
     ExplicitPrefix,
     ExplicitRates,
     FiniteDiscrete,
+    IndexedNormal,
+    IndexedTwoPoint,
     Normal,
     Periodic,
     PeriodicRates,
+    QuasiPeriodicScaled,
     RiskModel,
     Scaled,
     ShiftedExponential,
@@ -30,6 +34,7 @@ from ruinbounds import (
     solve_per_increment,
     sup_log_mgf,
 )
+from ruinbounds.models import log_mgf_terms
 from ruinbounds.serialize import model_from_dict, model_to_dict
 
 
@@ -164,6 +169,53 @@ class TestBlockMatchesScan:
         assert periodic.value >= scan.value - 1e-12 * (1.0 + abs(scan.value))
         if periodic.status == "attained" and periodic.argmax <= n:
             assert periodic.value == pytest.approx(scan.value, rel=1e-9, abs=1e-12)
+
+
+class TestTermKernelParity:
+    """log_mgf_terms against one log_mgf_at call per epoch on the epoch's law,
+    cut after the first +inf in the same place."""
+
+    compounds = st.builds(CompoundIncrement, st.builds(ShiftedExponential, st.floats(0.5, 3.0)),
+                          st.floats(0.5, 2.0), st.builds(ShiftedExponential, st.floats(0.5, 3.0)))
+    laws = st.one_of(any_dists, compounds, st.builds(Scaled, st.floats(0.2, 2.0), any_dists))
+    constant_rates = st.one_of(st.just(0.0), st.floats(0.01, 0.3)).map(ConstantRates)
+
+    @st.composite
+    def models(draw):
+        kind = draw(st.sampled_from(["indexed_normal", "indexed_two_point", "explicit", "amplifying"]))
+        rates = draw(TestTermKernelParity.constant_rates)
+        if kind == "indexed_normal":
+            return RiskModel(IndexedNormal(draw(st.floats(-1.0, 1.0)), draw(finite_means)), rates)
+        if kind == "indexed_two_point":
+            return RiskModel(IndexedTwoPoint(), rates)
+        if kind == "explicit":
+            laws = draw(st.lists(TestTermKernelParity.laws, min_size=1, max_size=30))
+            if draw(st.booleans()):
+                rates = ExplicitRates(tuple(draw(st.lists(st.floats(0.0, 0.3), min_size=len(laws), max_size=len(laws)))))
+            return RiskModel(ExplicitPrefix(tuple(laws)), rates)
+        cycle = draw(st.lists(TestTermKernelParity.laws, min_size=1, max_size=3))
+        rates = PeriodicRates(tuple(draw(st.lists(st.floats(0.0, 0.01), min_size=1, max_size=2))))
+        model = RiskModel(QuasiPeriodicScaled(tuple(cycle), draw(st.floats(1.05, 1.5))), rates)
+        assert model._block.amplifying
+        return model
+
+    @settings(max_examples=400, deadline=None)
+    @given(models(), st.one_of(st.just(0.0), st.floats(0.01, 3.0)), st.integers(1, 40))
+    def test_terms_match_the_scalar_walk(self, model, h, K):
+        K = min(K, model.horizon() or K)
+        logv = model.log_discounts(K - 1)
+        expected = []
+        for k in range(1, K + 1):
+            expected.append(log_mgf_at(model.distribution_at(k), h * math.exp(logv[k - 1])))
+            if expected[-1] == INF:
+                break
+        got = log_mgf_terms(model, h, K).tolist()
+        assert len(got) == len(expected)
+        assert (got[-1] == INF) == (expected[-1] == INF)
+        if h == 0.0:
+            assert got == [0.0] * K
+        for a, b in zip(got[:-1] if got[-1] == INF else got, expected):
+            assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
 
 
 class TestIntervalProperties:

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -281,6 +285,32 @@ class TestCliBound:
         row = out.strip().split("\n")[1].split(",")
         assert float(row[3]) == pytest.approx(-10.0 / math.log(10.0), abs=1e-6)
         assert row[6] == "true"
+
+
+    @pytest.mark.parametrize("method", ["fixed_h", "union"])
+    def test_huge_exponent_gives_a_trivial_row(self, method, capsys):
+        # e^800 leaves the float range; the row is the trivial bound, not a traceback
+        rc, out, _ = run_cli(["bound", "--model", "two_point_decay", "--u", "1", "--method", method, "--h", "800"], capsys)
+        assert rc == 0
+        row = out.strip().split("\n")[1].split(",")
+        assert float(row[3]) == 0.0 and row[6] == "true"
+
+    def test_deep_two_point_row_is_fast(self, capsys):
+        start = time.perf_counter()
+        rc, out, _ = run_cli(["bound", "--model", "two_point_decay", "--u", "1000"], capsys)
+        assert time.perf_counter() - start < 2.0
+        assert rc == 0
+        row = out.strip().split("\n")[1].split(",")
+        assert row[6] == "true" and float(row[3]) < -100.0
+
+    def test_bound_path_does_not_import_scipy(self):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        code = ("import sys, ruinbounds; from ruinbounds import cli; "
+                "assert cli.main(['bound', '--model', 'alternating_normals', '--u', '1,2']) == 0; "
+                "assert 'scipy' not in sys.modules, 'scipy was imported'")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestCliAdjustment:

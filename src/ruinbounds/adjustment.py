@@ -9,7 +9,6 @@ cases that no finite scan can settle.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,7 @@ from .models import (
     QuasiPeriodicScaled,
     RiskModel,
     TruncationPolicy,
-    _epochs,
+    _layout,
     _walk,
     cumulative_log_mgf,
     per_increment_sup,
@@ -127,6 +126,20 @@ def _feasibility_from_sup(sup, uncertain_flag: list) -> bool:
 # support-based shortcuts for the +inf cases
 
 
+def _per_model(fn):
+    """fn(model, *args), kept on the model as RiskModel._block is: models are
+    immutable, and these facts do not depend on h."""
+
+    def once(model: RiskModel, *args):
+        memo = model.__dict__.setdefault("_support_facts", {})
+        key = (fn.__name__, *args)
+        if key not in memo:
+            memo[key] = fn(model, *args)
+        return memo[key]
+
+    return once
+
+
 def _examined_span(model: RiskModel) -> int | None:
     """How many leading indices decide the sign structure, when finitely many do."""
     horizon = model.horizon()
@@ -136,36 +149,34 @@ def _examined_span(model: RiskModel) -> int | None:
     return None if block is None else block.prefix + block.length
 
 
+@_per_model
 def _per_increment_never_blows(model: RiskModel) -> bool:
     """True when every increment has esssup <= 0, making the one-step criterion
     hold at every h; positive scale factors and discounts preserve the signs."""
     span = _examined_span(model)
     if span is None:
         return False
-    return all(support_bounds(law)[1] <= 0.0 for law, _ in _epochs(model, span))
+    laws, slot, _ = _layout(model, span)
+    return bool((laws.esssup[slot] <= 0.0).all())
 
 
-def _esssup_sums(model: RiskModel, K: int) -> list[float] | None:
+@_per_model
+def _esssup_sums(model: RiskModel, K: int) -> np.ndarray | None:
     """esssup(S*_k) = sum_{j<=k} v_{j-1} esssup Y*_j for k = 1..K, the esssup of
-    a sum of independent terms being the sum of esssups; None once one is +inf."""
-    sums = []
-    acc = 0.0
-    for law, c in _epochs(model, K):
-        hi = support_bounds(law)[1]
-        if hi == INF:
-            return None
-        acc += math.exp(c) * hi
-        sums.append(acc)
-    return sums
+    a sum of independent terms being the sum of esssups; None if one is +inf."""
+    laws, slot, c = _layout(model, K)
+    hi = laws.esssup[slot]
+    return None if (hi == INF).any() else np.cumsum(np.exp(c) * hi)
 
 
+@_per_model
 def _partial_sums_never_blow(model: RiskModel) -> bool:
     """True when esssup(S*_k) <= 0 for all k."""
     span = _examined_span(model)
     if span is None:
         return False
     sums = _esssup_sums(model, span)
-    if sums is None or any(s > 0.0 for s in sums):
+    if sums is None or (sums > 0.0).any():
         return False
     if model.horizon() is not None:
         return True
@@ -173,23 +184,20 @@ def _partial_sums_never_blow(model: RiskModel) -> bool:
     # sign patterns established over the prefix plus one full block persist;
     # amplified in-block partials must be nonpositive on their own
     block = model._block
-    base = sums[block.prefix - 1] if block.prefix else 0.0
-    in_block = [s - base for s in sums[block.prefix:]]
-    return in_block[-1] <= 0.0 and (block.log_ratio <= 0.0 or all(s <= 0.0 for s in in_block))
+    in_block = sums[block.prefix:] - (sums[block.prefix - 1] if block.prefix else 0.0)
+    return bool(in_block[-1] <= 0.0 and (block.log_ratio <= 0.0 or (in_block <= 0.0).all()))
 
 
 # ---------------------------------------------------------------------------
 # MGF domain caps (doubling guides; never affect soundness)
 
 
+@_per_model
 def _domain_cap(model: RiskModel, span: int | None = None) -> float:
-    span = span or _examined_span(model) or 64
-    cap = INF
-    for law, c in _epochs(model, span):
-        dom = mgf_domain_sup(law)
-        if dom != INF:
-            cap = min(cap, dom / math.exp(c))
-    return cap
+    laws, slot, c = _layout(model, span or _examined_span(model) or 64)
+    dom = laws.dom[slot]
+    finite = dom < INF
+    return float((dom[finite] / np.exp(c[finite])).min()) if finite.any() else INF
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +269,7 @@ def solve_period_root(model: RiskModel, l: int, tol: float = 1e-10) -> Adjustmen
     def feasible(h: float) -> bool:
         return cumulative_log_mgf(model, h, l)[-1] <= SLACK
 
-    cap = _domain_cap(model, span=l)
+    cap = _domain_cap(model, l)
     value, bracket, boundary, exhausted = _grow_and_bisect(feasible, cap, tol)
     if exhausted:
         return AdjustmentResult(value, "period_root", bracket, False, False, "criterion still held after 200 doublings")

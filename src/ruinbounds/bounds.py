@@ -32,6 +32,7 @@ from .models import (
     TruncationPolicy,
     cumulative_log_mgf,
     iid_base,
+    log_mgf_terms,
     sup_log_mgf,
 )
 
@@ -108,9 +109,11 @@ def _logsumexp(values) -> float:
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# relative tolerance on f at which the search stops
+_FTOL = 1e-8
 
 
-def _golden(f, a: float, c: float, ftol: float = 1e-8, iters: int = 300):
+def _golden(f, a: float, c: float, iters: int = 300):
     """Minimize convex f on [a, c]; f may return +inf. Returns (x, f(x))."""
     best_x, best_f = a, f(a)
     fc = f(c)
@@ -134,7 +137,7 @@ def _golden(f, a: float, c: float, ftol: float = 1e-8, iters: int = 300):
             f2 = f(b2)
         if c - a <= 1e-13 * (1.0 + abs(a) + abs(c)):
             break
-        if f1 != INF and f2 != INF and abs(f1 - f2) <= ftol * (1.0 + max(abs(f1), abs(f2))):
+        if f1 != INF and f2 != INF and abs(f1 - f2) <= _FTOL * (1.0 + max(abs(f1), abs(f2))):
             # one more squeeze to settle the argmin, then stop
             if f1 < best_f:
                 best_x, best_f = b1, f1
@@ -163,7 +166,7 @@ def bound_at_h(model: RiskModel, u: float, h: float, policy: TruncationPolicy | 
     return BoundResult(u, log_bound, h, "fixed_h", Certificate(s.value, h), True, "")
 
 
-def bound_optimize(model: RiskModel, u: float, policy: TruncationPolicy | None = None, ftol: float = 1e-8) -> BoundResult:
+def bound_optimize(model: RiskModel, u: float, policy: TruncationPolicy | None = None) -> BoundResult:
     """min over h >= 0 of exp(-h u) * sup_k E exp(h S*_k).
 
     The objective -hu + sup_k G_k(h) is a supremum of convex functions, hence
@@ -217,7 +220,7 @@ def bound_optimize(model: RiskModel, u: float, policy: TruncationPolicy | None =
     a = pts[i_best - 1] if i_best > 0 else 0.0
     c = pts[min(i_best + 1, len(pts) - 1)]
     if c > a:
-        _golden(f, a, c, ftol)
+        _golden(f, a, c)
     h_star = min(cache, key=cache.get) if cache else 0.0
     if f(h_star) >= 0.0:
         h_star = 0.0
@@ -240,18 +243,12 @@ def bound_per_increment(model: RiskModel, u: float, tol: float = 1e-10, policy: 
     r = solve_per_increment(model, tol, policy)
     L = r.value
     if L == INF:
-        if r.certified:
-            return BoundResult(u, -INF, INF, "per_increment", Certificate(0.0, INF), True, r.note)
-        return BoundResult(u, -INF, INF, "per_increment", Certificate(0.0, INF), False, r.note)
+        return BoundResult(u, -INF, INF, "per_increment", Certificate(0.0, INF), r.certified, r.note)
     if L <= tol:
         return BoundResult(u, 0.0, 0.0, "per_increment", Certificate(0.0, 0.0), r.certified,
                            "per-increment coefficient is zero; only the trivial bound holds")
     first = model.distribution_at(1)
-
-    def g(h: float) -> float:
-        return -h * u + log_mgf_at(first, h)
-
-    h_star, g_min = _golden(g, 0.0, L)
+    h_star, g_min = _golden(lambda h: -h * u + log_mgf_at(first, h), 0.0, L)
     log_c = log_mgf_at(first, L)
     return BoundResult(u, min(0.0, g_min), h_star, "per_increment", Certificate(log_c, L), r.certified, r.note)
 
@@ -328,11 +325,8 @@ def bound_periodic(
     k_hi = max(ks)
 
     def window_max(h: float) -> float:
-        if k_hi == 0:
-            return 0.0
-        g = cumulative_log_mgf(model, h, k_hi)
-        vals = [0.0 if k == 0 else g[k - 1] for k in ks]
-        return max(vals)
+        g = cumulative_log_mgf(model, h, k_hi) if k_hi else []
+        return max(g + [0.0] if ks.start == 0 else g)  # k = 0 is the empty sum
 
     log_c = window_max(L)
     cert = Certificate(log_c, L)
@@ -362,58 +356,37 @@ def bound_kappa(model: RiskModel, u: float, tol: float = 1e-10) -> BoundResult:
     return BoundResult(u, min(0.0, -k * u), k, "kappa", Certificate(0.0, k), r.certified, r.note)
 
 
-def _union_indexed_normal(model: RiskModel, h: float, policy: TruncationPolicy):
-    rule = model.increments
-    slope, intercept = rule.slope, rule.intercept
-    if slope > 0.0:
-        return None
-    if slope == 0.0:
-        step = h * intercept + 0.5 * h * h
-        if step >= -1e-15:
+_LOG_EPS = math.log(1e-16)
+
+
+def _union_series(model: RiskModel, h: float, k_max: int) -> float | None:
+    """log sum_{k>=1} E exp(h S*_k) when the terms d_k are nonincreasing in k,
+    or None when no tail envelope settles it within k_max epochs.
+
+    Past an n with d_{n+1} < 0 the rest of the series is at most the geometric
+    tail e^{G_n + d_{n+1}} / (1 - e^{d_{n+1}}). The sum stops at the first n
+    where that tail is below 1e-16 of the partial sum, or exact (the terms stay
+    constant through the chunk). Chunks of log_mgf_terms grow fourfold to k_max.
+    """
+    K = 64
+    while True:
+        K = min(K, k_max)
+        terms = log_mgf_terms(model, h, K + 1)
+        if terms[-1] == INF:
             return None
-        # identical increments: plain geometric series sum_{k>=1} e^{k*step}
-        return step - math.log1p(-math.exp(step))
-    terms = []
-    g = 0.0
-    n = 1
-    while n <= policy.k_max:
-        g += h * (intercept + slope * n) + 0.5 * h * h
-        terms.append(g)
-        nxt = h * (intercept + slope * (n + 1)) + 0.5 * h * h
-        if nxt <= -40.0 and n >= 4:
-            tail = g + nxt - math.log1p(-math.exp(h * (intercept + slope * (n + 2)) + 0.5 * h * h))
-            return float(np.logaddexp(_logsumexp(terms), tail))
-        n += 1
-    return None
-
-
-def _union_indexed_twopoint(model: RiskModel, h: float, policy: TruncationPolicy):
-    try:
-        eh = math.exp(h)
-    except OverflowError:
-        return None
-    if policy.k_max <= eh:
-        return None  # the partial sums grow through n = e^h, past the scan budget
-    em = -math.expm1(-h)  # 1 - e^{-h}
-
-    def delta(n: int) -> float:
-        return math.log1p(em * (eh - n) / (n + 1.0))
-
-    terms = []
-    g = 0.0
-    n = 1
-    partial = -INF
-    while n <= policy.k_max:
-        g += delta(n)
-        terms.append(g)
-        if n > eh and n >= 4:
-            partial = _logsumexp(terms)
-            r = delta(n + 1)  # future step ratios only shrink below this
-            tail = g + r - math.log1p(-math.exp(r))
-            if tail <= partial + math.log(1e-16):
-                return float(np.logaddexp(partial, tail))
-        n += 1
-    return None
+        with np.errstate(all="ignore"):
+            g = np.cumsum(terms[:-1])
+            partial = np.logaddexp.accumulate(g)
+            d = terms[1:]
+            tail = g + d - np.log1p(-np.exp(d))
+        exact = np.append(d[:-1] == d[-1], False)  # constant terms through the chunk
+        done = np.flatnonzero((d < 0.0) & (tail < INF) & ((tail <= partial + _LOG_EPS) | exact))
+        if done.size:
+            n = done[0]
+            return float(np.logaddexp(partial[n], tail[n]))
+        if K == k_max:
+            return None
+        K *= 4
 
 
 def bound_union(model: RiskModel, u: float, h: float, policy: TruncationPolicy | None = None) -> BoundResult:
@@ -464,15 +437,12 @@ def bound_union(model: RiskModel, u: float, h: float, policy: TruncationPolicy |
             total = tail
         return wrap(total)
 
-    if isinstance(model.increments, IndexedNormal) and model.zero_rates():
-        res = _union_indexed_normal(model, h, policy)
+    inc = model.increments
+    if isinstance(inc, (IndexedNormal, IndexedTwoPoint)) and model.zero_rates():
+        # the terms are nonincreasing in the index, unless the drift slope is positive
+        res = None if getattr(inc, "slope", 0.0) > 0.0 else _union_series(model, h, policy.k_max)
         if res is not None:
             return wrap(res)
         return trivial("series diverges or tail not certified within the scan budget")
-    if isinstance(model.increments, IndexedTwoPoint) and model.zero_rates():
-        res = _union_indexed_twopoint(model, h, policy)
-        if res is not None:
-            return wrap(res)
-        return trivial("tail not certified within the scan budget")
 
     return trivial("no certified tail structure for the series; trivial bound")

@@ -32,6 +32,7 @@ from .bounds import (
 from .distributions import INF
 from .models import (
     EventModel,
+    ModelIndexError,
     PeriodHypothesisError,
     Periodic,
     QuasiPeriodicScaled,
@@ -123,10 +124,10 @@ def _load(args) -> RiskModel:
 
 
 def _policy(args, us=None) -> TruncationPolicy:
-    k_max = args.kmax if args.kmax else 10_000
+    policy = TruncationPolicy() if args.kmax is None else TruncationPolicy(k_max=args.kmax)
     if us:
-        k_max = max(k_max, int(10 * max(us)))
-    return TruncationPolicy(k_max=k_max)
+        return TruncationPolicy(k_max=max(policy.k_max, int(10 * max(us))))
+    return policy
 
 
 def _emit(rows: list[dict], columns: list[str], args) -> None:
@@ -385,13 +386,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
     except PeriodHypothesisError as e:
         print(f"config error: model violates the method's hypotheses: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, ModelIndexError) as e:  # ConfigError is a ValueError
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 

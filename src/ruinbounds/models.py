@@ -16,14 +16,20 @@ space: the effective period, each slot's log multiplier log scale_j +
 log v_{j-1}, and log rho, the period-to-period multiplier of h. Exact periods
 and contracting tails then reduce to a few periods of the block, walked one
 (law, log multiplier) pair at a time by _walk over the block's cached laws;
-these walks are short, and a scalar loop beats numpy's fixed cost on them.
-Four closed forms cover the indexed families without interest (the
+_walk serves only these short walks, where a scalar loop beats numpy's fixed
+cost. Four closed forms cover the indexed families without interest (the
 IndexedTwoPoint one in O(1) through log-factorials and a power-sum series).
 Everything else is scanned up to a truncation cap by log_mgf_terms, the
-vectorized term kernel: it builds per-epoch parameter arrays (closed-form for
-the indexed families, from a cached per-family law table for an explicit
-prefix or an amplifying block) and evaluates each family's log-MGF on whole
-arrays, with no per-epoch law objects.
+vectorized term kernel, on per-family parameter arrays.
+
+Every longer walk reads one epoch layout, _layout(model, K): a slot in the
+model's finite law list (the block's laws, an explicit prefix, or a prefix and
+one cycle) and the log multiplier log(scale_j v_{j-1}) of each epoch j. The
+list's record, cached per model, holds the parameter table and each law's
+esssup and MGF-domain sup for the kernel, the solvers' support shortcuts, the
+union series and the simulator's weights. Only a rule without such a list
+(the indexed families, which the kernel takes in closed form) builds laws per
+epoch through distribution_at, and only when they are read.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from .distributions import (
     Scaled,
     TwoPoint,
     log_mgf_at,
+    mgf_domain_sup,
     support_bounds,
 )
 
@@ -360,13 +367,19 @@ class RiskModel:
         return _build_block(self)
 
     @cached_property
-    def _laws(self) -> tuple[_LawTable, np.ndarray | None]:
-        """The law table of the block's laws (with their log multipliers) or of
-        an explicit prefix, for log_mgf_terms; built once like _block."""
+    def _laws(self) -> _Laws | None:
+        """The record of the block's laws, else of the rule's finitely many
+        laws, the prefix then one cycle; None for a rule without such a list.
+        Built once like _block."""
         block = self._block
         if block is not None:
-            return _tabulate(block.laws), np.array(block.logs)
-        return _tabulate(self.increments.dists), None
+            return _Laws(block.laws, block.prefix)
+        if isinstance(self.increments, ExplicitPrefix):
+            return _Laws(self.increments.dists, len(self.increments.dists))
+        prefix, tail = _prefix_and_tail(self.increments)
+        if not isinstance(tail, (Periodic, QuasiPeriodicScaled)):
+            return None
+        return _Laws(prefix + tail.cycle, len(prefix), math.log(getattr(tail, "scale", 1.0)))
 
     def log_discounts(self, K: int) -> np.ndarray:
         """log v_0 .. log v_K, with v_k = prod_{j<=k} 1/(1+r_j) kept in log space."""
@@ -403,12 +416,21 @@ def discount_factor(model: RiskModel, k: int) -> float:
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Caps for the scans that cannot be reduced to finite closed forms."""
+    """The cap on the scans that cannot be reduced to finite closed forms."""
 
     k_max: int = 10_000
-    window: int = 50
-    min_decrease: float = 1e-6
-    block_cap: int = 50_000
+
+    def __post_init__(self) -> None:
+        if not (isinstance(self.k_max, (int, np.integer)) and self.k_max >= 1):
+            raise ValueError(f"k_max must be a positive integer, got {self.k_max!r}")
+
+
+# a scan's partial sums count as decreasing after this many consecutive terms
+# below -_MIN_DECREASE
+_DECREASE_WINDOW = 50
+_MIN_DECREASE = 1e-6
+# periods a contracting tail envelope may walk before it gives up
+_BLOCK_CAP = 50_000
 
 
 @dataclass(frozen=True)
@@ -434,22 +456,15 @@ class SupLogMgf:
 def periodic_structure(model: RiskModel):
     """(prefix_len, prefix, cycle, scale, rate_period) when the model has an
     eventually (scaled-)periodic law under constant or periodic rates, else None."""
-    inc = model.increments
-    if isinstance(inc, PrefixThenTail):
-        prefix, tail = inc.prefix, inc.tail
-    elif isinstance(inc, (Periodic, QuasiPeriodicScaled)):
-        prefix, tail = (), inc
-    else:
+    prefix, tail = _prefix_and_tail(model.increments)
+    rate_period = model.rates.period()
+    if not isinstance(tail, (Periodic, QuasiPeriodicScaled)) or rate_period is None:
         return None
-    if isinstance(tail, QuasiPeriodicScaled):
-        cycle, scale = tail.cycle, tail.scale
-    else:
-        cycle, scale = tail.cycle, 1.0
-    rates = model.rates
-    rate_period = rates.period()
-    if rate_period is None:
-        return None
-    return (len(prefix), prefix, cycle, scale, rate_period)
+    return (len(prefix), prefix, tail.cycle, getattr(tail, "scale", 1.0), rate_period)
+
+
+def _prefix_and_tail(inc: SequenceRule) -> tuple[tuple[IncrementDistribution, ...], SequenceRule]:
+    return (inc.prefix, inc.tail) if isinstance(inc, PrefixThenTail) else ((), inc)
 
 
 # |log rho| up to this counts as an exactly periodic tail, and above it as amplifying
@@ -473,6 +488,7 @@ class _Block(NamedTuple):
     laws: tuple[IncrementDistribution, ...]
     logs: tuple[float, ...]
     log_ratio: float
+    log_array: np.ndarray  # logs as an array, for _layout
 
     @property
     def exact(self) -> bool:
@@ -510,44 +526,76 @@ def _build_block(model: RiskModel) -> _Block | None:
         logs[P + m] += (m // len(cycle)) * log_q
     # summed exactly, so that rho == 1 is recognized over long periods
     log_ratio = math.fsum(steps[P:]) + (L // len(cycle)) * log_q
-    return _Block(P, L, prefix + cycle * (L // len(cycle)), tuple(logs), log_ratio)
+    log_array = np.array(logs)
+    log_array.flags.writeable = False  # _layout hands out views of it
+    return _Block(P, L, prefix + cycle * (L // len(cycle)), tuple(logs), log_ratio, log_array)
 
 
-def _epochs(model: RiskModel, K: int):
-    """(law, log multiplier) for epochs 1..K, from the block when there is one."""
-    if model._block is not None:
-        return model._block.epochs(K)
-    return zip(map(model.distribution_at, range(1, K + 1)), model.log_discounts(K - 1).tolist())
+class _Laws:
+    """Finitely many increment laws and what is read of them, each built on
+    first use. A model's record (RiskModel._laws) holds prefix laws, then one
+    period: the block's, or a cycle whose i-th repetition is scaled by
+    exp(i * log_scale)."""
+
+    def __init__(self, laws, prefix: int = 0, log_scale: float = 0.0) -> None:
+        self._source, self.prefix, self.log_scale = laws, prefix, log_scale
+
+    @cached_property
+    def laws(self) -> tuple[IncrementDistribution, ...]:
+        return tuple(self._source)
+
+    @cached_property
+    def table(self) -> tuple[np.ndarray, np.ndarray, tuple]:
+        """(family, row, tables): law i is row row[i] of tables[family[i]] =
+        (cls, cls._table(laws of that family)), see IncrementDistribution._table."""
+        members: dict[type, tuple[int, list]] = {}
+        family, row = [], []
+        for law in self.laws:
+            f, group = members.setdefault(type(law), (len(members), []))
+            family.append(f)
+            row.append(len(group))
+            group.append(law)
+        tables = tuple((cls, cls._table(group)) for cls, (_, group) in members.items())
+        return np.array(family, dtype=np.intp), np.array(row, dtype=np.intp), tables
+
+    @cached_property
+    def esssup(self) -> np.ndarray:
+        return np.array([support_bounds(law)[1] for law in self.laws])
+
+    @cached_property
+    def dom(self) -> np.ndarray:
+        return np.array([mgf_domain_sup(law) for law in self.laws])
 
 
-class _LawTable(NamedTuple):
-    """Finitely many laws grouped by family: law i is row row[i] of the
-    parameter table of family family[i] (see IncrementDistribution._table)."""
+def _layout(model: RiskModel, K: int) -> tuple[_Laws, np.ndarray, np.ndarray]:
+    """(laws, slot, c): epoch j = 1..K has law laws.laws[slot[j-1]] and log
+    multiplier c[j-1] = log(scale_j v_{j-1}). A rule without a finite law list
+    gets a record of its laws for epochs 1..K, built only if read."""
+    j = np.arange(K)
+    laws, block = model._laws, model._block
+    if laws is None:
+        return _Laws(map(model.distribution_at, range(1, K + 1))), j, model.log_discounts(K - 1)
+    if K <= len(laws.laws):  # no epoch past the first period: no period powers
+        return laws, j, block.log_array[:K] if block is not None else model.log_discounts(K - 1)
+    P, n = laws.prefix, len(laws.laws) - laws.prefix
+    if not n:
+        model.distribution_at(K)  # past an explicit prefix: raises ModelIndexError
+    past = np.maximum(j - P, 0)
+    slot = np.where(j < P, j, P + past % n)
+    if block is not None:
+        return laws, slot, block.log_array[slot] + (past // n) * block.log_ratio
+    c = model.log_discounts(K - 1)
+    return laws, slot, c + (past // n) * laws.log_scale if laws.log_scale else c
 
-    family: np.ndarray
-    row: np.ndarray
-    tables: tuple[tuple[type, tuple[np.ndarray, ...]], ...]
 
-
-def _tabulate(laws) -> _LawTable:
-    members: dict[type, list] = {}
-    family, row = [], []
-    for law in laws:
-        group = members.setdefault(type(law), [])
-        family.append(list(members).index(type(law)))
-        row.append(len(group))
-        group.append(law)
-    tables = tuple((cls, cls._table(group)) for cls, group in members.items())
-    return _LawTable(np.array(family, dtype=np.intp), np.array(row, dtype=np.intp), tables)
-
-
-def _table_terms(table: _LawTable, law: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """log E exp(t_j Y) with Y the law numbered law[j] in the table."""
+def _table_terms(laws: _Laws, slot: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """log E exp(t_j Y) with Y the law laws.laws[slot[j]]."""
     out = np.empty(len(t))
-    family = table.family[law]
-    for f, (cls, params) in enumerate(table.tables):
-        sel = np.flatnonzero(family == f) if len(table.tables) > 1 else slice(None)
-        rows = table.row[law[sel]]
+    family, row, tables = laws.table
+    family = family[slot]
+    for f, (cls, params) in enumerate(tables):
+        sel = np.flatnonzero(family == f) if len(tables) > 1 else slice(None)
+        rows = row[slot[sel]]
         out[sel] = cls._lmgf_vec(tuple(p[rows] for p in params), t[sel])
     return out
 
@@ -560,10 +608,9 @@ def log_mgf_terms(model: RiskModel, h: float, K: int) -> np.ndarray:
     first +inf, where e^{c_j} is the scale times the discount v_{j-1}.
 
     The per-epoch parameters come as arrays: in closed form for the indexed
-    families, and as a cached law table (see RiskModel._laws) indexed per
-    epoch otherwise, tiling the block of an eventually (scaled-)periodic model.
-    The arithmetic is _walk's: exact 0 at t = 0, a cut after the first +inf,
-    and e^c clamped at the float maximum.
+    families, and otherwise from the law table of the _layout record, indexed
+    by slot. The arithmetic is _walk's: exact 0 at t = 0, a cut after the
+    first +inf, and e^c clamped at the float maximum.
     """
     inc = model.increments
     if isinstance(inc, ExplicitPrefix) and K > len(inc.dists):
@@ -572,27 +619,16 @@ def log_mgf_terms(model: RiskModel, h: float, K: int) -> np.ndarray:
         if terms[-1] != INF:
             inc.distribution_at(len(inc.dists) + 1)  # raises ModelIndexError
         return terms
-    block = model._block
-    j = np.arange(K)
+    laws, slot, c = _layout(model, K)
     with np.errstate(all="ignore"):
-        if block is not None:
-            logs = model._laws[1]
-            past = np.maximum(j - block.prefix, 0)
-            law = np.where(j < block.prefix, j, block.prefix + past % block.length)
-            c = logs[law] + (past // block.length) * block.log_ratio
-        else:
-            law = j
-            c = model.log_discounts(K - 1)
         t = h * np.minimum(np.exp(c), _FLOAT_MAX)
         if isinstance(inc, IndexedNormal):
-            terms = Normal._lmgf_vec((inc.intercept + inc.slope * (j + 1.0), np.ones(K)), t)
+            terms = Normal._lmgf_vec((inc.intercept + inc.slope * (slot + 1.0), np.ones(K)), t)
         elif isinstance(inc, IndexedTwoPoint):
-            p1 = 1.0 / (j + 2.0)
+            p1 = 1.0 / (slot + 2.0)
             terms = TwoPoint._lmgf_vec((np.ones(K), np.log(p1), -np.ones(K), np.log1p(-p1)), t)
-        elif block is not None or isinstance(inc, ExplicitPrefix):
-            terms = _table_terms(model._laws[0], law, t)
         else:
-            terms = _table_terms(_tabulate(map(model.distribution_at, range(1, K + 1))), law, t)
+            terms = _table_terms(laws, slot, t)
     terms[t == 0.0] = 0.0
     cut = np.flatnonzero(terms == INF)
     return terms[:cut[0] + 1] if cut.size else terms
@@ -637,7 +673,7 @@ def cumulative_log_mgf(model: RiskModel, h: float, K: int) -> list[float]:
     return sums + [INF] * (K - len(sums))
 
 
-def _sup_periodic(block: _Block, h: float, policy: TruncationPolicy, partial: bool) -> SupLogMgf:
+def _sup_periodic(block: _Block, h: float, partial: bool) -> SupLogMgf:
     P, L = block.prefix, block.length
     terms = _walk(h, block.epochs(P + L))
     g, best, arg = _fold(terms, partial, 1, 0.0, -INF, None)
@@ -669,8 +705,8 @@ def _sup_periodic(block: _Block, h: float, policy: TruncationPolicy, partial: bo
             return SupLogMgf(g + excess, None, "limit", True,
                              "supremum approached along the contracting tail; value is a tight upper envelope")
         b += 1
-        if b >= policy.block_cap:
-            return SupLogMgf(g + excess, None, "undetermined", False, "tail envelope did not converge within block_cap")
+        if b >= _BLOCK_CAP:
+            return SupLogMgf(g + excess, None, "undetermined", False, f"tail envelope did not converge within {_BLOCK_CAP} periods")
         terms = _walk(h, block.period(b))
         g, best, arg = _fold(terms, True, P + b * L + 1, g, best, arg)
         if best == INF:
@@ -754,10 +790,11 @@ def _scan_certifies_decrease(model: RiskModel, h: float, last_index: int) -> boo
     return False
 
 
-def _decrease_run(terms: np.ndarray, policy: TruncationPolicy) -> bool:
-    """Whether policy.window consecutive terms fall below -policy.min_decrease."""
-    runs = np.concatenate(([0], np.cumsum(terms < -policy.min_decrease)))
-    return bool(np.any(runs[policy.window:] - runs[:runs.size - policy.window] == policy.window))
+def _decrease_run(terms: np.ndarray) -> bool:
+    """Whether _DECREASE_WINDOW consecutive terms fall below -_MIN_DECREASE."""
+    w = _DECREASE_WINDOW
+    runs = np.concatenate(([0], np.cumsum(terms < -_MIN_DECREASE)))
+    return bool(np.any(runs[w:] - runs[:runs.size - w] == w))
 
 
 def _sup_scan(model: RiskModel, h: float, policy: TruncationPolicy, partial: bool) -> SupLogMgf:
@@ -776,7 +813,7 @@ def _sup_scan(model: RiskModel, h: float, policy: TruncationPolicy, partial: boo
     # for partial sums a run of decreases anywhere counts: under discounting the
     # terms shrink toward zero near the cap, and a longer scan must not lose the
     # verdict a shorter one reached
-    if (not partial or _decrease_run(terms, policy)) and _scan_certifies_decrease(model, h, cap):
+    if (not partial or _decrease_run(terms)) and _scan_certifies_decrease(model, h, cap):
         if not partial and best < 0.0 and not model.zero_rates():
             return SupLogMgf(0.0, None, "limit", True, "terms approach zero from below under discounting")
         return SupLogMgf(best, arg, "attained", True)
@@ -799,7 +836,7 @@ def _sup(model: RiskModel, h: float, policy: TruncationPolicy | None, partial: b
             return _sup_indexed_twopoint(inc, h, partial)
         block = model._block
         if block is not None and not block.amplifying:
-            return _sup_periodic(block, h, policy, partial)
+            return _sup_periodic(block, h, partial)
     return _sup_scan(model, h, policy, partial)
 
 

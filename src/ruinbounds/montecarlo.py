@@ -16,14 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import INF, IncrementDistribution, log_mgf, sample
+from .distributions import INF, sample
 from .models import (
     EventModel,
     ExplicitPrefix,
-    PrefixThenTail,
-    QuasiPeriodicScaled,
     RiskModel,
+    _layout,
     reduce_event_model,
+    sup_log_mgf,
 )
 
 __all__ = [
@@ -177,26 +177,12 @@ def _batch_maxima(dists, weights, rng: np.random.Generator, count: int, u_cap: f
     return out
 
 
-def _base_laws(model: RiskModel, K: int) -> tuple[list[IncrementDistribution], np.ndarray]:
-    """(laws, log scales) for epochs 1..K with the scale powers of a
-    quasi-periodic tail factored out: Y*_k is exp(log_scales[k-1]) times laws[k-1].
-    The log scale i * log(scale) of the i-th cycle stays a log, so deep epochs
-    never meet a scale power past the float range."""
-    inc = model.increments
-    prefix, tail = (inc.prefix, inc.tail) if isinstance(inc, PrefixThenTail) else ((), inc)
-    log_scales = np.zeros(K)
-    if not isinstance(tail, QuasiPeriodicScaled) or tail.scale == 1.0:
-        return [model.distribution_at(k) for k in range(1, K + 1)], log_scales
-    P, n = len(prefix), len(tail.cycle)
-    laws = [prefix[j] if j < P else tail.cycle[(j - P) % n] for j in range(K)]
-    log_scales[P:] = (np.arange(K - P) // n) * math.log(tail.scale)
-    return laws, log_scales
-
-
 def _run_maxima(model: RiskModel, cfg: SimConfig, horizon: int, u_cap: float) -> np.ndarray:
-    """Maxima for all cfg.n_paths paths, batch order fixed by path index."""
-    dists, log_scales = _base_laws(model, horizon)
-    weights = np.exp(model.log_discounts(horizon - 1) + log_scales)
+    """Maxima for all cfg.n_paths paths, batch order fixed by path index; epoch
+    k draws its law from the layout and weights it by exp(c_k), as the bounds do."""
+    laws, slot, c = _layout(model, horizon)
+    dists = [laws.laws[s] for s in slot.tolist()]
+    weights = np.exp(c)
     return np.concatenate(_map_batches(
         cfg, lambda rng, count: _batch_maxima(dists, weights, rng, count, u_cap, cfg.stop_gap)))
 
@@ -218,6 +204,9 @@ def simulate_ruin_grid(model, u_grid, cfg: SimConfig) -> list[SimResult]:
     for u in us:
         if not (u > 0.0 and u != INF):
             raise ValueError(f"u must be a positive real, got {u!r}")
+    horizon = model.horizon()
+    if horizon is not None and cfg.horizon > horizon:
+        raise ValueError(f"simulation horizon {cfg.horizon} is past the model's horizon {horizon}")
     maxima = _run_maxima(model, cfg, cfg.horizon, max(us))
     results = []
     for u in us:
@@ -305,16 +294,9 @@ def check_maximal_inequality(dists, h: float, w: float, n: int, cfg: SimConfig) 
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if not (h >= 0.0):
         raise ValueError(f"h must be nonnegative, got {h!r}")
-    seq = [dists[i % len(dists)] for i in range(n)]
-    g = 0.0
-    g_max = -INF
-    for d in seq:
-        g += log_mgf(d, h)
-        g_max = max(g_max, g)
-        if g == INF:
-            break
+    model = RiskModel(ExplicitPrefix(tuple(dists[i % len(dists)] for i in range(n))))
+    g_max = sup_log_mgf(model, h).value
     rhs_log = 0.0 if g_max == INF else min(0.0, -h * w + g_max)
-    model = RiskModel(ExplicitPrefix(tuple(seq)))
     maxima = _run_maxima(model, cfg, n, w)
     count = int(np.count_nonzero(maxima > w))
     lo, hi = clopper_pearson(count, cfg.n_paths, cfg.confidence)

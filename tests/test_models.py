@@ -227,6 +227,17 @@ class TestSupLogMgf:
         assert s.value == pytest.approx(1.5, abs=1e-14)
 
 
+class TestTruncationPolicy:
+    @pytest.mark.parametrize("k_max", [0, -5, 1.5, None])
+    def test_cap_must_be_a_positive_integer(self, k_max):
+        with pytest.raises(ValueError, match="k_max must be a positive integer"):
+            TruncationPolicy(k_max=k_max)
+
+    def test_one_epoch_cap_scans_one_epoch(self):
+        s = sup_log_mgf(RiskModel(IndexedNormal(-0.5, 0.25), rates=0.01), 0.5, TruncationPolicy(k_max=1))
+        assert s.argmax == 1 and s.status == "undetermined"
+
+
 class TestPerIncrementSup:
     def test_worst_slot_of_cycle(self):
         m = RiskModel(Periodic((Normal(-0.25, 1.0), Normal(-0.75, 1.0))))

@@ -8,6 +8,7 @@ from ruinbounds import (
     BATCH,
     CompoundIncrement,
     Degenerate,
+    ExplicitPrefix,
     Normal,
     Periodic,
     PeriodicRates,
@@ -174,6 +175,12 @@ class TestSimulateRuin:
         iid = simulate_ruin_grid(RiskModel(Periodic((Normal(-1.0, 1.0),))), [1.0, 3.0], cfg)
         assert [r.ruin_count for r in scaled] == [r.ruin_count for r in iid]
         assert scaled[0].ruin_count > scaled[1].ruin_count
+
+    def test_horizon_past_a_finite_model_is_rejected(self):
+        model = RiskModel(ExplicitPrefix((Normal(-0.5, 1.0),) * 3))
+        with pytest.raises(ValueError, match="simulation horizon 10 is past the model's horizon 3"):
+            simulate_ruin_grid(model, [1.0], SimConfig(n_paths=100, horizon=10))
+        assert simulate_ruin_grid(model, [1.0], SimConfig(n_paths=100, horizon=3))[0].horizon == 3
 
 
 class TestRealizePath:

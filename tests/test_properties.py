@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 import pytest
 
@@ -26,6 +27,7 @@ from ruinbounds import (
     Uniform,
     bound_at_h,
     bound_optimize,
+    bound_union,
     clopper_pearson,
     cumulative_log_mgf,
     log_mgf_at,
@@ -34,7 +36,9 @@ from ruinbounds import (
     solve_per_increment,
     sup_log_mgf,
 )
-from ruinbounds.models import log_mgf_terms
+from ruinbounds.adjustment import _domain_cap, _esssup_sums
+from ruinbounds.distributions import mgf_domain_sup, support_bounds
+from ruinbounds.models import PrefixThenTail, log_mgf_terms
 from ruinbounds.serialize import model_from_dict, model_to_dict
 
 
@@ -216,6 +220,110 @@ class TestTermKernelParity:
             assert got == [0.0] * K
         for a, b in zip(got[:-1] if got[-1] == INF else got, expected):
             assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
+
+
+def _logsumexp(values) -> float:
+    a = np.asarray(values, dtype=float)
+    top = float(a.max())
+    return top if top in (INF, -INF) else top + math.log(math.fsum(np.exp(a - top)))
+
+
+def _reference_union(model: RiskModel, h: float, k_max: int = 10_000):
+    """The zero-rate union series summed one epoch at a time, as bound_union
+    did before it ran on the term kernel; None where that sum certified nothing."""
+    rule = model.increments
+    if isinstance(rule, IndexedNormal):
+        slope, intercept = rule.slope, rule.intercept
+        if slope > 0.0:
+            return None
+        if slope == 0.0:
+            step = h * intercept + 0.5 * h * h
+            return None if step >= -1e-15 else step - math.log1p(-math.exp(step))
+        terms, g = [], 0.0
+        for n in range(1, k_max + 1):
+            g += h * (intercept + slope * n) + 0.5 * h * h
+            terms.append(g)
+            nxt = h * (intercept + slope * (n + 1)) + 0.5 * h * h
+            if nxt <= -40.0 and n >= 4:
+                tail = g + nxt - math.log1p(-math.exp(h * (intercept + slope * (n + 2)) + 0.5 * h * h))
+                return float(np.logaddexp(_logsumexp(terms), tail))
+        return None
+    eh = math.exp(h)
+    if k_max <= eh:
+        return None
+    em = -math.expm1(-h)
+    terms, g = [], 0.0
+    for n in range(1, k_max + 1):
+        g += math.log1p(em * (eh - n) / (n + 1.0))
+        terms.append(g)
+        if n > eh and n >= 4:
+            partial = _logsumexp(terms)
+            r = math.log1p(em * (eh - n - 1) / (n + 2.0))
+            tail = g + r - math.log1p(-math.exp(r))
+            if tail <= partial + math.log(1e-16):
+                return float(np.logaddexp(partial, tail))
+    return None
+
+
+class TestUnionSeriesOracle:
+    """The zero-rate union series of the indexed families: a certificate bounds
+    every partial sum of the series, and agrees with the epoch-by-epoch sum."""
+
+    models = st.one_of(
+        st.builds(IndexedNormal, st.floats(-1.0, 0.0), st.floats(-2.0, 2.0)).map(RiskModel),
+        st.just(RiskModel(IndexedTwoPoint())),
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(models, st.floats(0.05, 9.0), st.integers(1, 2000))
+    def test_certificate_bounds_the_partial_series(self, model, h, N):
+        r = bound_union(model, 10.0, h)
+        assume(r.certificate is not None)
+        partial = _logsumexp(cumulative_log_mgf(model, h, N))
+        assert r.certificate.log_c >= partial - 1e-12 * abs(partial)
+
+    @settings(max_examples=150, deadline=None)
+    @given(models, st.floats(0.05, 7.0))
+    def test_agrees_with_the_epoch_by_epoch_sum(self, model, h):
+        reference = _reference_union(model, h)
+        r = bound_union(model, 10.0, h)
+        if reference is not None:
+            assert r.certificate is not None
+            assert r.certificate.log_c == pytest.approx(reference, rel=1e-12)
+
+
+class TestLayoutParity:
+    """The support shortcuts, reductions over the epoch layout, against one
+    distribution_at law per epoch weighted by its discount v_{j-1}."""
+
+    @st.composite
+    def models(draw):
+        laws = st.lists(TestTermKernelParity.laws, min_size=1, max_size=3)
+        rates = draw(st.one_of(TestTermKernelParity.constant_rates,
+                               st.lists(st.floats(0.0, 0.1), min_size=1, max_size=3).map(tuple).map(PeriodicRates),
+                               st.lists(st.floats(0.0, 0.1), min_size=30, max_size=30).map(tuple).map(ExplicitRates)))
+        kind = draw(st.sampled_from(["explicit", "periodic", "quasi_periodic", "prefix_tail"]))
+        if kind == "explicit":
+            return RiskModel(ExplicitPrefix(tuple(draw(st.lists(TestTermKernelParity.laws, min_size=30, max_size=40)))), rates)
+        tail = QuasiPeriodicScaled(tuple(draw(laws)), draw(st.floats(0.5, 1.5)))
+        if kind == "periodic":
+            tail = Periodic(tail.cycle)
+        return RiskModel(PrefixThenTail(tuple(draw(laws)), tail) if kind == "prefix_tail" else tail, rates)
+
+    @settings(max_examples=300, deadline=None)
+    @given(models(), st.integers(1, 30))
+    def test_shortcuts_match_the_epoch_loop(self, model, K):
+        v = [math.exp(c) for c in model.log_discounts(K - 1)]
+        laws = [model.distribution_at(k) for k in range(1, K + 1)]
+        his = [support_bounds(law)[1] for law in laws]
+        sums = _esssup_sums(model, K)
+        if INF in his:
+            assert sums is None
+        else:
+            expected = np.cumsum([w * hi for w, hi in zip(v, his)])
+            assert sums == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        caps = [mgf_domain_sup(law) / w for law, w in zip(laws, v) if mgf_domain_sup(law) < INF]
+        assert _domain_cap(model, K) == pytest.approx(min(caps, default=INF), rel=1e-12)
 
 
 class TestIntervalProperties:

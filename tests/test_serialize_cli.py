@@ -481,3 +481,57 @@ class TestCliStrictAndDominance:
         assert rc == 4
         assert "escaped above its bound" in err
         assert out.strip().split("\n")[1].split(",")[8] == "false"
+
+
+class TestCliFiniteModels:
+    """Simulation horizons past a finite model's horizon, and truncation caps
+    below one, are configuration errors: exit 2 with a diagnostic."""
+
+    @pytest.fixture(params=["explicit_prefix", "explicit_rates"])
+    def finite_model(self, request, tmp_path):
+        normal = {"family": "normal", "mean": -0.5, "variance": 1.0}
+        if request.param == "explicit_prefix":
+            config, horizon = {"increments": {"kind": "explicit", "dists": [normal] * 3}}, 3
+        else:
+            # two rates fix the discounts through v_2, hence increments through 3
+            config = {"increments": {"kind": "periodic", "cycle": [normal]},
+                      "rates": {"kind": "explicit", "values": [0.01, 0.02]}}
+            horizon = 3
+        p = tmp_path / f"{request.param}.json"
+        p.write_text(json.dumps(config), encoding="utf-8")
+        return str(p), horizon
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_horizon_past_the_model_exits_two(self, command, finite_model, capsys):
+        path, horizon = finite_model
+        rc, out, err = run_cli([command, "--model", path, "--u", "1", "--paths", "100", "--horizon", "10"], capsys)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert "simulation horizon 10" in err and f"model's horizon {horizon}" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_horizon_at_the_model_runs(self, command, finite_model, capsys):
+        path, horizon = finite_model
+        rc, out, _ = run_cli([command, "--model", path, "--u", "1", "--paths", "100",
+                              "--horizon", str(horizon)], capsys)
+        assert rc == 0
+        assert len(out.strip().split("\n")) == 2
+
+    @pytest.fixture
+    def amplifying_model(self, tmp_path):
+        p = tmp_path / "amplifying.json"
+        p.write_text(json.dumps({
+            "increments": {"kind": "quasi_periodic", "cycle": [{"family": "normal", "mean": -1.0, "variance": 1.0}],
+                           "scale": 1.0005},
+        }), encoding="utf-8")
+        return str(p)
+
+    @pytest.mark.parametrize("kmax", ["0", "-5"])
+    @pytest.mark.parametrize("command", ["bound", "adjustment"])
+    def test_nonpositive_kmax_exits_two(self, kmax, command, amplifying_model, capsys):
+        argv = [command, "--model", amplifying_model, "--kmax", kmax] + (["--u", "1"] if command == "bound" else [])
+        rc, out, err = run_cli(argv, capsys)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("config error:") and "k_max must be a positive integer" in err

@@ -22,6 +22,8 @@ from .distributions import (
     support_bounds,
 )
 from .models import (
+    IndexedNormal,
+    IndexedTwoPoint,
     PeriodHypothesisError,
     Periodic,
     QuasiPeriodicScaled,
@@ -194,6 +196,8 @@ def _partial_sums_never_blow(model: RiskModel) -> bool:
 
 @_per_model
 def _domain_cap(model: RiskModel, span: int | None = None) -> float:
+    if isinstance(model.increments, (IndexedNormal, IndexedTwoPoint)):
+        return INF  # every Normal and TwoPoint law has an unbounded MGF domain
     laws, slot, c = _layout(model, span or _examined_span(model) or 64)
     dom = laws.dom[slot]
     finite = dom < INF

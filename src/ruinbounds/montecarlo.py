@@ -78,6 +78,8 @@ class SimConfig:
             raise ValueError(f"confidence must lie in (0, 1), got {self.confidence!r}")
         if self.stop_gap is not None and not (self.stop_gap > 0.0):
             raise ValueError(f"stop_gap must be positive when set, got {self.stop_gap!r}")
+        if self.workers is not None and not (_is_int(self.workers) and self.workers >= 1):
+            raise ValueError(f"workers must be None or a positive integer, got {self.workers!r}")
 
 
 @dataclass(frozen=True)
@@ -101,17 +103,151 @@ class SimResult:
 
 
 def clopper_pearson(x: int, n: int, confidence: float = 0.99) -> tuple[float, float]:
-    """Exact two-sided binomial interval for x successes in n trials."""
-    if not (isinstance(x, (int, np.integer)) and isinstance(n, (int, np.integer)) and 0 <= x <= n and n >= 1):
+    """Exact two-sided binomial interval for x successes in n trials
+    (Clopper & Pearson 1934).
+
+    With a = 1 - confidence, lo solves P[Bin(n, lo) >= x] = a/2 and hi solves
+    P[Bin(n, hi) <= x] = 1 - (1 - a/2): the level of the beta quantile
+    Beta(x+1, n-x)^{-1}(1 - a/2) once 1 - a/2 is rounded to a double. So the
+    interval is the classical one, beta.ppf(a/2, x, n-x+1) to
+    beta.ppf(1 - a/2, x+1, n-x), with both ends accurate to a few units in the
+    last place.
+    """
+    if not (_is_int(x) and _is_int(n) and 0 <= x <= n and n >= 1):
         raise ValueError(f"need 0 <= x <= n with n >= 1, got x={x!r}, n={n!r}")
     if not (0.0 < confidence < 1.0):
         raise ValueError(f"confidence must lie in (0, 1), got {confidence!r}")
-    from scipy.stats import beta as _beta  # deferred: scipy.stats is slow to import and only needed here
-
+    x, n = int(x), int(n)
     a = 1.0 - confidence
-    lo = 0.0 if x == 0 else float(_beta.ppf(a / 2.0, x, n - x + 1))
-    hi = 1.0 if x == n else float(_beta.ppf(1.0 - a / 2.0, x + 1, n - x))
+    tail = 1.0 - (1.0 - a / 2.0)  # 0 when a/2 is below half an ulp of 1: hi is then 1
+    if x == 0:
+        lo = 0.0
+    elif x == n:
+        lo = math.exp(math.log(a / 2.0) / n)
+    else:
+        lo = _logistic(_solve_upper_tail(x, n, a / 2.0))
+    if x == n or tail == 0.0:
+        hi = 1.0
+    elif x == 0:
+        hi = -math.expm1(math.log(tail) / n)
+    else:  # P[Bin(n, p) <= x] = P[Bin(n, 1-p) >= n-x]
+        hi = _logistic(-_solve_upper_tail(n - x, n, tail))
     return lo, hi
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+# ---------------------------------------------------------------------------
+# binomial tails for the intervals
+#
+# Both ends solve an upper-tail equation P[Bin(n, r) >= k] = level, with r the
+# success probability for lo and the failure probability for hi. Each is solved
+# in w = logit(r), from which r and 1 - r both come at full relative accuracy,
+# so neither end is found as one minus a number close to 1.
+
+# Loader's (2000) Stirling-series errors log(m!) - log(sqrt(2 pi m) (m/e)^m)
+# for m = 1..15, rounded from 40-digit values
+_STIRLERR = (0.08106146679532726, 0.0413406959554093, 0.02767792568499834, 0.020790672103765093,
+             0.016644691189821193, 0.013876128823070748, 0.01189670994589177, 0.010411265261972096,
+             0.009255462182712733, 0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+             0.006408994188004207, 0.0059513701127588475, 0.005554733551962801)
+_LOG_2PI = math.log(2.0 * math.pi)
+_TINY = 1e-300  # modified Lentz's stand-in for a zero denominator
+
+
+def _stirlerr(m: int) -> float:
+    """log(m!) - log(sqrt(2 pi m) (m/e)^m) for m >= 1 (C. Loader, Fast and
+    Accurate Computation of Binomial Probabilities, 2000)."""
+    if m <= 15:
+        return _STIRLERR[m - 1]
+    mm = float(m) * m
+    if m > 500:
+        return (1 / 12 - 1 / 360 / mm) / m
+    if m > 80:
+        return (1 / 12 - (1 / 360 - 1 / 1260 / mm) / mm) / m
+    if m > 35:
+        return (1 / 12 - (1 / 360 - (1 / 1260 - 1 / 1680 / mm) / mm) / mm) / m
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / mm) / mm) / mm) / mm) / m
+
+
+def _bd0(x: float, m: float) -> float:
+    """x log(x/m) + m - x, by its series in (x-m)/(x+m) where x is near m
+    (Loader 2000)."""
+    if abs(x - m) >= 0.1 * (x + m):
+        return x * math.log(x / m) + m - x
+    v = (x - m) / (x + m)
+    s = (x - m) * v
+    ej = 2.0 * x * v
+    v *= v
+    j = 3
+    while True:
+        ej *= v
+        s1 = s + ej / j
+        if s1 == s:
+            return s
+        s = s1
+        j += 2
+
+
+def _log_upper_tail(k: int, n: int, r: float, s: float) -> tuple[float, float]:
+    """(log P[Bin(n, r) >= k], f) for 0 < k < n and s = 1 - r, where f is the
+    derivative of the log tail in logit(r).
+
+    The tail is I_r(k, n-k+1) = dbinom(k; n, r) k s / f, with dbinom from
+    Loader's saddle-point form (no lgamma differences) and f the DiDonato-Morris
+    continued fraction for the incomplete beta (as in Boost's ibeta_fraction2),
+    evaluated by modified Lentz. The fraction reads r and s separately, so the
+    tail keeps its relative accuracy in both. It converges fast for r below
+    about k/n, where every root lies, since its tail is at most 1/2.
+    """
+    log_dbinom = (_stirlerr(n) - _stirlerr(k) - _stirlerr(n - k) - _bd0(k, n * r) - _bd0(n - k, n * s)
+                  - 0.5 * (_LOG_2PI + math.log(k * (n - k) / n)))
+    a, b = float(k), float(n - k + 1)
+    lam = a * s - b * r + 1.0
+    f = a * lam / (a + 1.0) or _TINY
+    c, d = f, 0.0
+    m = 1
+    while True:
+        den = a + 2 * m - 1
+        an = (a + m - 1) * (a + b + m - 1) * m * (b - m) * r * r / (den * den)
+        bn = m + m * (b - m) * r / den + (a + m) * (lam + m * (2.0 - r)) / (den + 2.0)
+        d = 1.0 / (bn + an * d or _TINY)
+        c = bn + an / c or _TINY
+        delta = c * d
+        f *= delta
+        if abs(delta - 1.0) <= 1e-16:
+            return log_dbinom + math.log(k * s / f), f
+        m += 1
+
+
+def _solve_upper_tail(k: int, n: int, level: float) -> float:
+    """logit(r) for the r with P[Bin(n, r) >= k] = level, 0 < k < n, 0 < level <= 1/2.
+
+    Newton's method on the log tail in w = logit(r). The log tail is concave
+    in w (the logit of a beta variable has a log-concave density), so below
+    the root the iterates climb to it monotonically, and from above one step
+    lands below it; the floor log(level/n) <= logit(root) (the tail is at most
+    n r) keeps that step in range. The start is the normal approximation.
+    """
+    log_level = math.log(level)
+    t = math.sqrt(-2.0 * log_level)
+    # the normal quantile of level by Abramowitz & Stegun 26.2.23 (error < 4.5e-4)
+    z = t - (2.515517 + t * (0.802853 + 0.010328 * t)) / (1.0 + t * (1.432788 + t * (0.189269 + 0.001308 * t)))
+    floor = log_level - math.log(n)
+    w = max(math.log(k / (n - k)) - z * math.sqrt(n / (k * (n - k))), floor)
+    for _ in range(100):
+        log_tail, slope = _log_upper_tail(k, n, _logistic(w), _logistic(-w))
+        step = (log_level - log_tail) / slope
+        w = max(w + step, floor)
+        if abs(step) <= 1e-9:  # quadratic convergence: the next step would be below rounding
+            return w
+    raise ArithmeticError(f"binomial tail root did not converge for k={k}, n={n}, level={level!r}")
+
+
+def _logistic(w: float) -> float:
+    return 1.0 / (1.0 + math.exp(-w))
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +259,7 @@ def _resolve_workers(cfg: SimConfig, n_batches: int) -> int:
     if w is None:
         env = os.environ.get("RUINBOUND_THREADS", "")
         w = int(env) if env.strip().isdigit() and int(env) >= 1 else min(8, os.cpu_count() or 1)
-    return max(1, min(w, n_batches))
+    return min(w, n_batches)
 
 
 def _map_batches(cfg: SimConfig, run) -> list:

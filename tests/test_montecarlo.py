@@ -27,6 +27,7 @@ from ruinbounds import (
     simulate_ruin,
     simulate_ruin_grid,
 )
+from ruinbounds.montecarlo import _logistic, _solve_upper_tail
 
 
 def classical():
@@ -65,7 +66,67 @@ class TestClopperPearson:
             clopper_pearson(1, 10, 1.0)
 
 
+class TestClopperPearsonLevels:
+    """The interval at the classical workload's 1 - 1e-9 confidence, against
+    scipy.stats.beta.ppf(a/2, x, n-x+1) and beta.ppf(1 - a/2, x+1, n-x)."""
+
+    CONFIDENCE = 1.0 - 1e-9
+
+    def test_zero_successes_at_a_million(self):
+        lo, hi = clopper_pearson(0, 10**6, self.CONFIDENCE)
+        assert lo == 0.0
+        assert hi == pytest.approx(2.1416183605031636e-05, rel=1e-12)
+        # hi inverts the tail level 1 - (1 - a/2), 8e-8 relative above a/2;
+        # at the level a/2 itself it would be 5e-9 relative higher
+        a = 1.0 - self.CONFIDENCE
+        assert abs(-math.expm1(math.log(a / 2.0) / 10**6) / hi - 1.0) > 1e-9
+
+    def test_classical_workload_count(self):
+        lo, hi = clopper_pearson(15035, 50_000, self.CONFIDENCE)
+        assert lo == pytest.approx(0.2882639117117085, rel=1e-12)
+        assert hi == pytest.approx(0.3133373038528348, rel=1e-12)
+        a = 1.0 - self.CONFIDENCE
+        at_half_a = _logistic(-_solve_upper_tail(50_000 - 15035, 50_000, a / 2.0))
+        assert abs(at_half_a / hi - 1.0) > 1e-10
+
+    @pytest.mark.parametrize("n", [1, 2, 37, 5000, 10**6])
+    def test_monotone_in_x(self, n):
+        xs = sorted({0, 1, 2, n // 3, n // 2, n - 2, n - 1, n} & set(range(n + 1)))
+        los, his = zip(*(clopper_pearson(x, n, 0.99) for x in xs))
+        assert all(a < b for a, b in zip(los, los[1:]))
+        assert all(a < b for a, b in zip(his, his[1:]))
+
+    @pytest.mark.parametrize("x, n", [(0, 100), (1, 100), (50, 100), (99, 100), (100, 100), (15035, 50_000), (3, 10**6)])
+    def test_monotone_in_confidence(self, x, n):
+        levels = [0.5, 0.8, 0.9, 0.99, 0.999, 1.0 - 1e-6, 1.0 - 1e-9]
+        los, his = zip(*(clopper_pearson(x, n, c) for c in levels))
+        assert all(a >= b for a, b in zip(los, los[1:]))
+        assert all(a <= b for a, b in zip(his, his[1:]))
+        if 0 < x < n:
+            assert all(a > b for a, b in zip(los, los[1:])) and all(a < b for a, b in zip(his, his[1:]))
+
+    def test_hi_is_one_once_the_level_rounds_away(self):
+        # 1 - a/2 rounds to 1.0 at the largest double below 1: beta.ppf(1.0, ...) is 1
+        lo, hi = clopper_pearson(3, 10, 0.9999999999999999)
+        assert hi == 1.0 and 0.0 < lo < 0.3
+
+    def test_integer_types(self):
+        assert clopper_pearson(np.int64(30), np.int32(200), 0.9) == clopper_pearson(30, 200, 0.9)
+        for x, n in [(True, 10), (1, True), (False, 1), (1.0, 10), (1, 10.0)]:
+            with pytest.raises(ValueError):
+                clopper_pearson(x, n)
+
+
 class TestSimConfig:
+    @pytest.mark.parametrize("workers", [0, -3, True, False, 2.5, "2", np.float64(2.0)])
+    def test_workers_validation(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            SimConfig(workers=workers)
+
+    @pytest.mark.parametrize("workers", [None, 1, 3, np.int64(2)])
+    def test_workers_accepted(self, workers):
+        assert SimConfig(workers=workers).workers == workers
+
     def test_defaults(self):
         cfg = SimConfig()
         assert cfg.n_paths == 100_000 and cfg.horizon == 5000 and cfg.confidence == 0.99

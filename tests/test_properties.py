@@ -326,6 +326,37 @@ class TestLayoutParity:
         assert _domain_cap(model, K) == pytest.approx(min(caps, default=INF), rel=1e-12)
 
 
+class TestIndexedDomainCap:
+    """_domain_cap on the indexed rules, which it settles without laws,
+    against one distribution_at law per epoch weighted by its discount."""
+
+    @st.composite
+    def models(draw):
+        rule = draw(st.one_of(st.builds(IndexedNormal, st.floats(-1.0, 1.0), finite_means), st.just(IndexedTwoPoint())))
+        rates = draw(st.one_of(TestTermKernelParity.constant_rates,
+                               st.lists(st.floats(0.0, 0.1), min_size=1, max_size=3).map(tuple).map(PeriodicRates),
+                               st.lists(st.floats(0.0, 0.1), min_size=64, max_size=64).map(tuple).map(ExplicitRates)))
+        return RiskModel(rule, rates)
+
+    @settings(max_examples=200, deadline=None)
+    @given(models(), st.one_of(st.none(), st.integers(1, 64)))
+    def test_matches_the_epoch_loop(self, model, K):
+        K_loop = K or model.horizon() or 64
+        v = [math.exp(c) for c in model.log_discounts(K_loop - 1)]
+        laws = [model.distribution_at(k) for k in range(1, K_loop + 1)]
+        caps = [mgf_domain_sup(law) / w for law, w in zip(laws, v) if mgf_domain_sup(law) < INF]
+        assert _domain_cap(model, K) == min(caps, default=INF)
+
+    def test_builds_no_law(self, monkeypatch):
+        def refuse(self, k):
+            raise AssertionError("a law was built")
+
+        for cls in (IndexedNormal, IndexedTwoPoint):
+            monkeypatch.setattr(cls, "distribution_at", refuse)
+        assert _domain_cap(RiskModel(IndexedNormal(-0.5, 0.25), 0.01)) == INF
+        assert _domain_cap(RiskModel(IndexedTwoPoint(), PeriodicRates((0.02, 0.01)))) == INF
+
+
 class TestIntervalProperties:
     @given(st.integers(1, 500), st.data(), st.floats(0.8, 0.999))
     def test_clopper_pearson_brackets_the_estimate(self, n, data, conf):
@@ -343,6 +374,56 @@ class TestIntervalProperties:
         lo, hi = clopper_pearson(n, n, conf)
         assert hi == 1.0
         assert lo == pytest.approx((alpha / 2.0) ** (1.0 / n), rel=1e-9)
+
+
+def _exact_tail(mpmath, x, n, p, upper):
+    """P[Bin(n, p) >= x] (upper) or P[Bin(n, p) <= x] to 40 digits, summing the
+    pmf from x outward until the terms no longer count."""
+    with mpmath.workdps(40):
+        p = mpmath.mpf(min(p, 1.0))
+        q = 1 - p
+        term = total = mpmath.binomial(n, x) * p**x * q ** (n - x)
+        j = x
+        while term > total * mpmath.mpf(10) ** -35 and (j < n if upper else j > 0):
+            if upper:
+                term *= (n - j) * p / ((j + 1) * q)
+                j += 1
+            else:
+                term *= j * q / ((n - j + 1) * p)
+                j -= 1
+            total += term
+        return total
+
+
+class TestIntervalOracle:
+    """clopper_pearson against scipy.stats.beta.ppf called as the classical
+    formula calls it, at rel 1e-12. beta.ppf is itself off by up to ~2e-11 on
+    hi for a few successes in more than ~1e5 trials (checked with mpmath), so
+    where the two differ by more than that, the exact tail decides: the
+    returned end must bracket the root of its tail equation within 1e-13."""
+
+    def test_matches_beta_ppf(self):
+        beta = pytest.importorskip("scipy.stats").beta
+        mpmath = pytest.importorskip("mpmath")
+
+        def brackets_root(end, x, n, level, upper):
+            below, above = (_exact_tail(mpmath, x, n, end * (1.0 + d), upper) for d in (-1e-13, 1e-13))
+            return below < level < above if upper else below > level > above
+
+        @settings(max_examples=300, deadline=None)
+        @given(st.integers(1, 10**6), st.data(), st.floats(0.5, 1.0 - 1e-9))
+        def check(n, data, conf):
+            x = data.draw(st.one_of(st.integers(0, n), st.integers(0, min(n, 30)), st.integers(max(0, n - 30), n)))
+            a = 1.0 - conf
+            lo, hi = clopper_pearson(x, n, conf)
+            ref_lo = 0.0 if x == 0 else float(beta.ppf(a / 2.0, x, n - x + 1))
+            ref_hi = 1.0 if x == n else float(beta.ppf(1.0 - a / 2.0, x + 1, n - x))
+            if lo != pytest.approx(ref_lo, rel=1e-12):
+                assert brackets_root(lo, x, n, a / 2.0, True), (lo, ref_lo)
+            if hi != pytest.approx(ref_hi, rel=1e-12):
+                assert brackets_root(hi, x, n, 1.0 - (1.0 - a / 2.0), False), (hi, ref_hi)
+
+        check()
 
 
 class TestSerializeRoundTrips:

@@ -312,6 +312,21 @@ class TestCliBound:
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
 
+    def test_simulator_paths_do_not_import_scipy(self):
+        # the intervals are computed without scipy, so no path of the package imports it
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        mc = "'--paths', '2000', '--horizon', '200', '--stop-gap', '60'"
+        code = ("import sys, ruinbounds; from ruinbounds import cli, SimConfig, simulate_ruin_grid, load_model; "
+                "model = load_model(cli._resolve_model_path('classical_poisson_exponential')); "
+                "sims = simulate_ruin_grid(model, [1.0, 2.0], SimConfig(n_paths=2000, horizon=200, stop_gap=60.0, workers=1)); "
+                "assert 0.0 < sims[0].ci_low < sims[0].ci_high < 1.0; "
+                f"assert cli.main(['simulate', '--model', 'classical_poisson_exponential', '--u', '1,2', {mc}]) == 0; "
+                f"assert cli.main(['compare', '--model', 'classical_poisson_exponential', '--u', '2', {mc}]) == 0; "
+                "assert 'scipy' not in sys.modules, 'scipy was imported'")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestCliAdjustment:
     def test_classical_reports_all_flavors(self, capsys):

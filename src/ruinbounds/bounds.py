@@ -29,6 +29,7 @@ from .models import (
     PeriodHypothesisError,
     Periodic,
     RiskModel,
+    SupLogMgf,
     TruncationPolicy,
     cumulative_log_mgf,
     iid_base,
@@ -181,6 +182,7 @@ def bound_optimize(model: RiskModel, u: float, policy: TruncationPolicy | None =
                            "paths never rise above zero a.s.")
 
     cache: dict[float, float] = {}
+    sups: dict[float, SupLogMgf] = {}  # every probe's sup, so h_star's is not evaluated again
 
     def f(h: float) -> float:
         if h in cache:
@@ -188,7 +190,7 @@ def bound_optimize(model: RiskModel, u: float, policy: TruncationPolicy | None =
         if h == 0.0:
             val = 0.0
         else:
-            s = sup_log_mgf(model, h, policy)
+            s = sups[h] = sup_log_mgf(model, h, policy)
             val = INF if s.value == INF else -h * u + s.value
         cache[h] = val
         return val
@@ -227,7 +229,7 @@ def bound_optimize(model: RiskModel, u: float, policy: TruncationPolicy | None =
 
     if h_star == 0.0:
         return BoundResult(u, 0.0, 0.0, "optimized", Certificate(0.0, 0.0), True, "no exponent improves on the trivial bound")
-    s = sup_log_mgf(model, h_star, policy)
+    s = sups[h_star]
     log_bound = min(0.0, -h_star * u + s.value)
     if s.status == "undetermined":
         return BoundResult(u, log_bound, h_star, "optimized", None, False,

@@ -332,12 +332,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, strict=True, seed=False):
         p.add_argument("--model", required=True, help="model config path, or the name of a bundled config")
         p.add_argument("--out", default=None, help="output file (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--strict", action="store_true", help="exit 3 when any result is uncertified")
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
+        if strict:
+            p.add_argument("--strict", action="store_true", help="exit 3 when any result is uncertified")
         p.add_argument("--kmax", type=int, default=None, help="sup/scan truncation index (default 10000, auto-raised with u)")
         p.add_argument("--tol", type=float, default=None, help="root tolerance (default 1e-10)")
 
@@ -357,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("simulate", help="Monte Carlo ruin frequency with exact intervals")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--u", required=True)
     p.add_argument("--paths", type=int, default=100_000)
     p.add_argument("--horizon", type=int, default=5000)
@@ -372,7 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("compare", help="our bounds vs the union baseline, external reference curves, and MC")
-    common(p)
+    common(p, strict=False, seed=True)
     p.add_argument("--u", required=True)
     p.add_argument("--paths", type=int, default=100_000)
     p.add_argument("--horizon", type=int, default=5000)

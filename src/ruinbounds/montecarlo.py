@@ -68,11 +68,11 @@ class SimConfig:
     workers: int | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.n_paths, (int, np.integer)) and self.n_paths >= 1):
+        if not (_is_int(self.n_paths) and self.n_paths >= 1):
             raise ValueError(f"n_paths must be a positive integer, got {self.n_paths!r}")
-        if not (isinstance(self.horizon, (int, np.integer)) and self.horizon >= 1):
+        if not (_is_int(self.horizon) and self.horizon >= 1):
             raise ValueError(f"horizon must be a positive integer, got {self.horizon!r}")
-        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
+        if not (_is_int(self.seed) and 0 <= self.seed < 2**64):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if not (0.0 < self.confidence < 1.0):
             raise ValueError(f"confidence must lie in (0, 1), got {self.confidence!r}")
@@ -316,11 +316,17 @@ def _batch_maxima(dists, weights, rng: np.random.Generator, count: int, u_cap: f
 def _run_maxima(model: RiskModel, cfg: SimConfig, horizon: int, u_cap: float) -> np.ndarray:
     """Maxima for all cfg.n_paths paths, batch order fixed by path index; epoch
     k draws its law from the layout and weights it by exp(c_k), as the bounds do."""
-    laws, slot, c = _layout(model, horizon)
-    dists = [laws.laws[s] for s in slot.tolist()]
+    dists, c = _epoch_laws(model, horizon)
     weights = np.exp(c)
     return np.concatenate(_map_batches(
         cfg, lambda rng, count: _batch_maxima(dists, weights, rng, count, u_cap, cfg.stop_gap)))
+
+
+def _epoch_laws(model: RiskModel, K: int) -> tuple[list, np.ndarray]:
+    """Epoch k's base law and log multiplier c_k = log(scale_k v_{k-1}) for
+    k = 1..K, from the layout: v_{k-1} Y*_k is e^{c_k} times a draw of the law."""
+    laws, slot, c = _layout(model, K)
+    return [laws.laws[s] for s in slot.tolist()], c
 
 
 def _coerce_model(model) -> RiskModel:
@@ -382,23 +388,28 @@ def realize_path(model: RiskModel, horizon: int, seed: int = 0, alpha_sampler=No
     model = _coerce_model(model)
     rng = np.random.Generator(np.random.Philox(key=(int(seed) << 64)))
     K = int(horizon)
-    y = np.empty(K + 1)
+    dists, c = _epoch_laws(model, K)
+    log_v = model.log_discounts(K)
+    x = np.empty(K + 1)
     alpha = np.empty(K + 1)
-    y[0] = alpha[0] = 0.0
+    x[0] = alpha[0] = 0.0
     rates = np.array([0.0] + [model.rate_at(k) for k in range(1, K + 1)])
     for k in range(1, K + 1):
-        y[k] = sample(model.distribution_at(k), rng, 1)[0]
+        x[k] = sample(dists[k - 1], rng, 1)[0]
         if alpha_sampler is None:
             alpha[k] = rates[k]
         else:
             alpha[k] = float(alpha_sampler(rng, k, rates[k], 1)[0])
             if alpha[k] < rates[k] - 1e-12:
                 raise ValueError(f"alpha sampler returned {alpha[k]} below the floor rate {rates[k]} at epoch {k}")
-    v = np.exp(model.log_discounts(K))
-    v_star = np.exp(-np.cumsum(np.log1p(alpha)))
-    s_star = np.concatenate([[0.0], np.cumsum(v[:K] * y[1:] / (1.0 + alpha[1:]))])
-    s_star_star = np.concatenate([[0.0], np.cumsum(v_star[1:] * y[1:])])
-    return PathRealization(y, alpha, v, v_star, s_star, s_star_star)
+    log_vstar = -np.cumsum(np.log1p(alpha))
+    log_scale = c - log_v[:K]  # Y_k = e^{log_scale} x_k, with x_k the draw of the base law
+    with np.errstate(over="ignore"):  # Y_k of a scaled rule may leave the float range
+        y = np.concatenate([[0.0], np.exp(log_scale) * x[1:]])
+    # both sums stay in log space: v_{k-1} Y_k = e^{c_k} x_k
+    s_star = np.concatenate([[0.0], np.cumsum(np.exp(c) * x[1:] / (1.0 + alpha[1:]))])
+    s_star_star = np.concatenate([[0.0], np.cumsum(np.exp(log_vstar[1:] + log_scale) * x[1:])])
+    return PathRealization(y, alpha, np.exp(log_v), np.exp(log_vstar), s_star, s_star_star)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +437,7 @@ def check_maximal_inequality(dists, h: float, w: float, n: int, cfg: SimConfig) 
     the left side is simulated, and the check passes when the interval's lower
     end does not exceed the right side.
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
+    if not (_is_int(n) and n >= 1):
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if not (h >= 0.0):
         raise ValueError(f"h must be nonnegative, got {h!r}")
@@ -466,9 +477,9 @@ def check_discount_ordering(model: RiskModel, cfg: SimConfig, alpha_sampler=None
     model = _coerce_model(model)
     sampler = alpha_sampler or _default_alpha_sampler
     K = cfg.horizon
-    dists = [model.distribution_at(k) for k in range(1, K + 1)]
+    dists, c = _epoch_laws(model, K)
+    weights, log_scale = np.exp(c), c - model.log_discounts(K - 1)
     rates = [model.rate_at(k) for k in range(1, K + 1)]
-    v = np.exp(model.log_discounts(K - 1))[:K]
 
     def batch_violation(rng: np.random.Generator, count: int) -> float:
         cur_s = np.zeros(count)
@@ -477,14 +488,14 @@ def check_discount_ordering(model: RiskModel, cfg: SimConfig, alpha_sampler=None
         mx_ss = np.zeros(count)
         log_vstar = np.zeros(count)
         for k in range(1, K + 1):
-            y = sample(dists[k - 1], rng, count)
+            x = sample(dists[k - 1], rng, count)
             a = np.asarray(sampler(rng, k, rates[k - 1], count), dtype=float)
             if np.any(a < rates[k - 1] - 1e-12):
                 raise ValueError(f"alpha sampler went below the floor rate at epoch {k}")
-            cur_s += v[k - 1] * y / (1.0 + a)
+            cur_s += weights[k - 1] * x / (1.0 + a)
             np.maximum(mx_s, cur_s, out=mx_s)
             log_vstar -= np.log1p(a)
-            cur_ss += np.exp(log_vstar) * y
+            cur_ss += np.exp(log_vstar + log_scale[k - 1]) * x
             np.maximum(mx_ss, cur_ss, out=mx_ss)
         return float(np.max(mx_ss - mx_s))
 

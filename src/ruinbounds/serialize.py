@@ -5,35 +5,21 @@ with a "family" discriminator, an increment rule an object with a "kind"
 discriminator, and a model an object holding "increments" plus optional
 "rates" and "label". Unknown keys are rejected so a typo fails loudly instead
 of silently reverting to a default.
+
+One schema reads and writes all of it. For each discriminator, a table maps
+each value to its constructor and fields; the JSON keys are the constructors'
+attribute names. Each field has a kind, which is its reader, and one writer
+serves every kind.
 """
 
 from __future__ import annotations
 
 import json
 
-from .distributions import (
-    CompoundIncrement,
-    Degenerate,
-    FiniteDiscrete,
-    Normal,
-    Scaled,
-    ShiftedExponential,
-    TwoPoint,
-    Uniform,
-)
-from .models import (
-    ConstantRates,
-    EventModel,
-    ExplicitPrefix,
-    ExplicitRates,
-    IndexedNormal,
-    IndexedTwoPoint,
-    Periodic,
-    PeriodicRates,
-    PrefixThenTail,
-    QuasiPeriodicScaled,
-    RiskModel,
-)
+from .distributions import (CompoundIncrement, Degenerate, FiniteDiscrete, Normal, Scaled, ShiftedExponential,
+                            TwoPoint, Uniform)
+from .models import (ConstantRates, EventModel, ExplicitPrefix, ExplicitRates, IndexedNormal, IndexedTwoPoint, Periodic,
+                     PeriodicRates, PrefixThenTail, QuasiPeriodicScaled, RiskModel)
 
 __all__ = ["ConfigError", "model_from_dict", "model_to_dict", "load_model", "dump_model"]
 
@@ -46,184 +32,154 @@ class ConfigError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
-def _require_keys(d: dict, path: str, required: tuple, optional: tuple = ()) -> None:
+# ---------------------------------------------------------------------------
+# field kinds: each is a reader (value, key, path of the enclosing object) ->
+# constructor argument; one writer, _dump, serves them all
+
+
+def _number(v, key: str, path: str) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError(f"{key!r} must be a number, got {v!r}", path)
+    try:
+        return float(v)
+    except OverflowError:  # an integer literal past the float range
+        raise ConfigError(f"{key!r} is out of the float range", path) from None
+
+
+def _numbers(v, key: str, path: str) -> tuple:
+    if not isinstance(v, list):
+        raise ConfigError(f"{key!r} must be a list of numbers, got {v!r}", path)
+    return tuple(_number(x, f"{key}[{i}]", path) for i, x in enumerate(v))
+
+
+def _atoms(v, key: str, path: str) -> tuple:
+    if not isinstance(v, list) or not all(isinstance(a, list) and len(a) == 2 for a in v):
+        raise ConfigError(f"{key!r} must be a list of [value, probability] pairs", path)
+    return tuple(_numbers(a, f"{key}[{i}]", path) for i, a in enumerate(v))
+
+
+def _label(v, key: str, path: str) -> str:
+    if not isinstance(v, str):
+        raise ConfigError(f"{key!r} must be a string, got {v!r}", path)
+    return v
+
+
+def _dist(v, key: str, path: str):
+    return _build(_DISTRIBUTIONS, v, f"{path}.{key}")
+
+
+def _dists(v, key: str, path: str) -> tuple:
+    if not isinstance(v, list) or not v:
+        raise ConfigError(f"{key!r} must be a nonempty list of distributions", path)
+    return tuple(_build(_DISTRIBUTIONS, x, f"{path}.{key}[{i}]") for i, x in enumerate(v))
+
+
+def _rule(v, key: str, path: str):
+    return _build(_RULES, v, f"{path}.{key}")
+
+
+def _rates(v, key: str, path: str):
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        v = {"kind": "constant", "rate": v}  # a bare number is a constant rate
+    elif not isinstance(v, dict):
+        raise ConfigError(f"rates must be an object or a number, got {type(v).__name__}", f"{path}.{key}")
+    return _build(_RATES, v, f"{path}.{key}")
+
+
+# ---------------------------------------------------------------------------
+# the schema: for each discriminator value, the constructor and its fields
+
+
+_WRITERS: dict = {}  # constructor -> (discriminator, its value, fields)
+
+
+def _entry(cls, fields: dict, optional=(), key: str | None = None, tag: str | None = None) -> tuple:
+    """(constructor, (key, reader) pairs in its argument order, required keys, allowed keys)"""
+    keys = ((key,) if key else ()) + tuple(fields)
+    entry = (cls, tuple(fields.items()), tuple(k for k in keys if k not in optional), frozenset(keys))
+    _WRITERS[cls] = (key, tag, entry[1])
+    return entry
+
+
+def _table(key: str, noun: str, spec: dict) -> tuple:
+    """(discriminator, its noun in diagnostics, {value: entry}) from {value: (constructor, fields, *optional)}"""
+    return key, noun, {tag: _entry(cls, fields, optional, key, tag) for tag, (cls, fields, *optional) in spec.items()}
+
+
+_DISTRIBUTIONS = _table("family", "distribution", {
+    "normal": (Normal, {"mean": _number, "variance": _number}),
+    "uniform": (Uniform, {"lower": _number, "upper": _number}),
+    "two_point": (TwoPoint, {"x1": _number, "p1": _number, "x2": _number}),
+    "shifted_exponential": (ShiftedExponential, {"rate": _number, "shift": _number}, "shift"),
+    "degenerate": (Degenerate, {"value": _number}),
+    "scaled": (Scaled, {"factor": _number, "inner": _dist}),
+    "compound": (CompoundIncrement, {"claim": _dist, "premium_rate": _number, "interarrival": _dist}),
+    "finite_discrete": (FiniteDiscrete, {"atoms": _atoms}),
+})
+
+_RULES = _table("kind", "increments", {
+    "explicit": (ExplicitPrefix, {"dists": _dists}),
+    "periodic": (Periodic, {"cycle": _dists}),
+    "quasi_periodic": (QuasiPeriodicScaled, {"cycle": _dists, "scale": _number}),
+    "prefix_tail": (PrefixThenTail, {"prefix": _dists, "tail": _rule}),
+    "indexed_normal": (IndexedNormal, {"slope": _number, "intercept": _number}),
+    "indexed_two_point": (IndexedTwoPoint, {}),
+})
+
+_RATES = _table("kind", "rates", {
+    "constant": (ConstantRates, {"rate": _number}),
+    "periodic": (PeriodicRates, {"values": _numbers}),
+    "explicit": (ExplicitRates, {"values": _numbers}),
+})
+
+_RISK = _entry(RiskModel, {"increments": _rule, "rates": _rates, "label": _label}, ("rates", "label"))
+_EVENT = _entry(EventModel, {"claim": _rule, "interarrival": _rule, "premium_rate": _rates,
+                             "reserve_interest": _rates, "premium_interest": _rates, "label": _label},
+                ("premium_rate", "reserve_interest", "premium_interest", "label"))
+
+
+def _build(table: tuple, d, path: str):
+    key, noun, entries = table
+    if not isinstance(d, dict):
+        raise ConfigError(f"{noun} must be an object, got {type(d).__name__}", path)
+    tag = d.get(key)
+    if not isinstance(tag, str) or tag not in entries:
+        raise ConfigError(f"unknown {noun} {key} {tag!r}", path)
+    return _make(entries[tag], d, path)
+
+
+def _make(entry: tuple, d: dict, path: str):
+    """The entry's constructor called on the keys of d; an absent optional key
+    takes the constructor's default."""
+    cls, fields, required, allowed = entry
     for key in required:
         if key not in d:
             raise ConfigError(f"missing required key {key!r}", path)
     for key in d:
-        if key not in required and key not in optional:
-            raise ConfigError(f"unknown key {key!r} (allowed: {sorted(required + optional)})", path)
-
-
-def _number(d: dict, key: str, path: str) -> float:
-    v = d[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{key!r} must be a number, got {v!r}", path)
-    return float(v)
-
-
-# ---------------------------------------------------------------------------
-# distributions
-
-_SIMPLE_DISTS = {
-    "normal": (Normal, ("mean", "variance"), ()),
-    "uniform": (Uniform, ("lower", "upper"), ()),
-    "two_point": (TwoPoint, ("x1", "p1", "x2"), ()),
-    "shifted_exponential": (ShiftedExponential, ("rate",), ("shift",)),
-    "degenerate": (Degenerate, ("value",), ()),
-}
-
-
-def _dist_from_dict(d, path: str):
-    if not isinstance(d, dict):
-        raise ConfigError(f"distribution must be an object, got {type(d).__name__}", path)
-    family = d.get("family")
-    if family in _SIMPLE_DISTS:
-        cls, required, optional = _SIMPLE_DISTS[family]
-        _require_keys(d, path, ("family",) + required, optional)
-        kwargs = {k: _number(d, k, path) for k in required + optional if k in d}
-        try:
-            return cls(**kwargs)
-        except ValueError as e:
-            raise ConfigError(str(e), path) from e
-    if family == "scaled":
-        _require_keys(d, path, ("family", "factor", "inner"))
-        return Scaled(_number(d, "factor", path), _dist_from_dict(d["inner"], path + ".inner"))
-    if family == "compound":
-        _require_keys(d, path, ("family", "claim", "premium_rate", "interarrival"))
-        try:
-            return CompoundIncrement(
-                _dist_from_dict(d["claim"], path + ".claim"),
-                _number(d, "premium_rate", path),
-                _dist_from_dict(d["interarrival"], path + ".interarrival"),
-            )
-        except ValueError as e:
-            raise ConfigError(str(e), path) from e
-    if family == "finite_discrete":
-        _require_keys(d, path, ("family", "atoms"))
-        atoms = d["atoms"]
-        if not isinstance(atoms, list) or not all(isinstance(a, list) and len(a) == 2 for a in atoms):
-            raise ConfigError("'atoms' must be a list of [value, probability] pairs", path)
-        try:
-            return FiniteDiscrete(tuple((float(v), float(p)) for v, p in atoms))
-        except ValueError as e:
-            raise ConfigError(str(e), path) from e
-    raise ConfigError(f"unknown distribution family {family!r}", path)
-
-
-def _dist_to_dict(dist) -> dict:
-    for family, (cls, required, optional) in _SIMPLE_DISTS.items():
-        if type(dist) is cls:
-            out = {"family": family}
-            for k in required + optional:
-                out[k] = getattr(dist, k)
-            return out
-    if type(dist) is Scaled:
-        return {"family": "scaled", "factor": dist.factor, "inner": _dist_to_dict(dist.inner)}
-    if type(dist) is CompoundIncrement:
-        return {
-            "family": "compound",
-            "claim": _dist_to_dict(dist.claim),
-            "premium_rate": dist.premium_rate,
-            "interarrival": _dist_to_dict(dist.interarrival),
-        }
-    if type(dist) is FiniteDiscrete:
-        return {"family": "finite_discrete", "atoms": [[v, p] for v, p in dist.atoms]}
-    raise TypeError(f"cannot serialize distribution {dist!r}")
-
-
-def _dist_list(d, key: str, path: str) -> tuple:
-    seq = d[key]
-    if not isinstance(seq, list) or not seq:
-        raise ConfigError(f"{key!r} must be a nonempty list of distributions", path)
-    return tuple(_dist_from_dict(item, f"{path}.{key}[{i}]") for i, item in enumerate(seq))
-
-
-# ---------------------------------------------------------------------------
-# increment rules
-
-
-def _increments_from_dict(d, path: str):
-    if not isinstance(d, dict):
-        raise ConfigError(f"increments must be an object, got {type(d).__name__}", path)
-    kind = d.get("kind")
+        if key not in allowed:
+            raise ConfigError(f"unknown key {key!r} (allowed: {sorted(allowed)})", path)
+    kwargs = {key: read(d[key], key, path) for key, read in fields if key in d}
     try:
-        if kind == "explicit":
-            _require_keys(d, path, ("kind", "dists"))
-            return ExplicitPrefix(_dist_list(d, "dists", path))
-        if kind == "periodic":
-            _require_keys(d, path, ("kind", "cycle"))
-            return Periodic(_dist_list(d, "cycle", path))
-        if kind == "quasi_periodic":
-            _require_keys(d, path, ("kind", "cycle", "scale"))
-            return QuasiPeriodicScaled(_dist_list(d, "cycle", path), _number(d, "scale", path))
-        if kind == "prefix_tail":
-            _require_keys(d, path, ("kind", "prefix", "tail"))
-            return PrefixThenTail(_dist_list(d, "prefix", path), _increments_from_dict(d["tail"], path + ".tail"))
-        if kind == "indexed_normal":
-            _require_keys(d, path, ("kind", "slope", "intercept"))
-            return IndexedNormal(_number(d, "slope", path), _number(d, "intercept", path))
-        if kind == "indexed_two_point":
-            _require_keys(d, path, ("kind",))
-            return IndexedTwoPoint()
+        return cls(**kwargs)
     except ValueError as e:
-        if isinstance(e, ConfigError):
-            raise
         raise ConfigError(str(e), path) from e
-    raise ConfigError(f"unknown increments kind {kind!r}", path)
 
 
-def _increments_to_dict(rule) -> dict:
-    if type(rule) is ExplicitPrefix:
-        return {"kind": "explicit", "dists": [_dist_to_dict(x) for x in rule.dists]}
-    if type(rule) is Periodic:
-        return {"kind": "periodic", "cycle": [_dist_to_dict(x) for x in rule.cycle]}
-    if type(rule) is QuasiPeriodicScaled:
-        return {"kind": "quasi_periodic", "cycle": [_dist_to_dict(x) for x in rule.cycle], "scale": rule.scale}
-    if type(rule) is PrefixThenTail:
-        return {"kind": "prefix_tail", "prefix": [_dist_to_dict(x) for x in rule.prefix], "tail": _increments_to_dict(rule.tail)}
-    if type(rule) is IndexedNormal:
-        return {"kind": "indexed_normal", "slope": rule.slope, "intercept": rule.intercept}
-    if type(rule) is IndexedTwoPoint:
-        return {"kind": "indexed_two_point"}
-    raise TypeError(f"cannot serialize increments {rule!r}")
-
-
-# ---------------------------------------------------------------------------
-# rate rules
-
-
-def _rates_from_dict(d, path: str):
-    if isinstance(d, (int, float)) and not isinstance(d, bool):
-        return ConstantRates(float(d))
-    if not isinstance(d, dict):
-        raise ConfigError(f"rates must be an object or a number, got {type(d).__name__}", path)
-    kind = d.get("kind")
-    try:
-        if kind == "constant":
-            _require_keys(d, path, ("kind", "rate"))
-            return ConstantRates(_number(d, "rate", path))
-        if kind == "periodic":
-            _require_keys(d, path, ("kind", "values"))
-            return PeriodicRates(tuple(float(v) for v in d["values"]))
-        if kind == "explicit":
-            _require_keys(d, path, ("kind", "values"))
-            return ExplicitRates(tuple(float(v) for v in d["values"]))
-    except ValueError as e:
-        if isinstance(e, ConfigError):
-            raise
-        raise ConfigError(str(e), path) from e
-    raise ConfigError(f"unknown rates kind {kind!r}", path)
-
-
-def _rates_to_dict(rule) -> dict:
-    if type(rule) is ConstantRates:
-        return {"kind": "constant", "rate": rule.rate}
-    if type(rule) is PeriodicRates:
-        return {"kind": "periodic", "values": list(rule.values)}
-    if type(rule) is ExplicitRates:
-        return {"kind": "explicit", "values": list(rule.values)}
-    raise TypeError(f"cannot serialize rates {rule!r}")
+def _dump(value):
+    """The JSON form of a model, a rule, a law or one of their attributes."""
+    if isinstance(value, (float, int, str)):
+        return value
+    if isinstance(value, tuple):
+        return [_dump(x) for x in value]
+    if type(value) not in _WRITERS:
+        raise TypeError(f"cannot serialize {value!r}")
+    key, tag, fields = _WRITERS[type(value)]
+    out = {key: tag} if key else {}
+    for name, _ in fields:
+        attr = getattr(value, name)
+        if name != "label" or attr:  # an empty label is left out
+            out[name] = _dump(attr)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -234,47 +190,11 @@ def model_from_dict(d: dict):
     """Build a RiskModel (or EventModel, when claim-level keys appear)."""
     if not isinstance(d, dict):
         raise ConfigError(f"model must be an object, got {type(d).__name__}")
-    if "claim" in d:
-        _require_keys(d, "$", ("claim", "interarrival"),
-                      ("premium_rate", "reserve_interest", "premium_interest", "label"))
-        try:
-            return EventModel(
-                claim=_increments_from_dict(d["claim"], "$.claim"),
-                interarrival=_increments_from_dict(d["interarrival"], "$.interarrival"),
-                premium_rate=_rates_from_dict(d.get("premium_rate", 1.0), "$.premium_rate"),
-                reserve_interest=_rates_from_dict(d.get("reserve_interest", 0.0), "$.reserve_interest"),
-                premium_interest=_rates_from_dict(d.get("premium_interest", 0.0), "$.premium_interest"),
-                label=str(d.get("label", "")),
-            )
-        except ValueError as e:
-            if isinstance(e, ConfigError):
-                raise
-            raise ConfigError(str(e)) from e
-    _require_keys(d, "$", ("increments",), ("rates", "label"))
-    increments = _increments_from_dict(d["increments"], "$.increments")
-    rates = _rates_from_dict(d.get("rates", 0.0), "$.rates")
-    try:
-        return RiskModel(increments, rates=rates, label=str(d.get("label", "")))
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    return _make(_EVENT if "claim" in d else _RISK, d, "$")
 
 
 def model_to_dict(model) -> dict:
-    if isinstance(model, EventModel):
-        out = {
-            "claim": _increments_to_dict(model.claim),
-            "interarrival": _increments_to_dict(model.interarrival),
-            "premium_rate": _rates_to_dict(model.premium_rate),
-            "reserve_interest": _rates_to_dict(model.reserve_interest),
-            "premium_interest": _rates_to_dict(model.premium_interest),
-        }
-        if model.label:
-            out["label"] = model.label
-        return out
-    out = {"increments": _increments_to_dict(model.increments), "rates": _rates_to_dict(model.rates)}
-    if model.label:
-        out["label"] = model.label
-    return out
+    return _dump(model)
 
 
 def load_model(path: str):
@@ -285,10 +205,11 @@ def load_model(path: str):
     except OSError as e:
         raise ConfigError(f"cannot read {path}: {e.strerror}") from e
     try:
-        data = json.loads(raw)
+        return model_from_dict(json.loads(raw))
     except json.JSONDecodeError as e:
         raise ConfigError(f"invalid JSON in {path}: {e.msg} at line {e.lineno} column {e.colno}") from e
-    return model_from_dict(data)
+    except RecursionError:
+        raise ConfigError(f"{path} nests objects too deeply") from None
 
 
 def dump_model(model, path: str) -> None:

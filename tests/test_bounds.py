@@ -29,6 +29,7 @@ from ruinbounds import (
     bound_union,
     cumulative_log_mgf,
 )
+from ruinbounds import bounds
 
 
 def alternating_normals():
@@ -144,6 +145,23 @@ class TestOptimize:
         r = bound_optimize(m, 3.0)
         # the certificate must reproduce the reported bound at this u
         assert r.certificate.log_bound_at(3.0) == pytest.approx(r.log_bound, abs=1e-9)
+
+    @pytest.mark.parametrize("model", [alternating_normals, uniform_exponential_cycle, linear_drift,
+                                       two_point_decay, classical])
+    def test_no_exponent_is_probed_twice(self, model, monkeypatch):
+        # the result reuses the sup of the probe at h_star
+        probes = []
+        sup = bounds.sup_log_mgf
+
+        def recording_sup(m, h, policy=None):
+            probes.append(h)
+            return sup(m, h, policy)
+
+        monkeypatch.setattr(bounds, "sup_log_mgf", recording_sup)
+        for u in (1.0, 2.5, 5.0, 10.0, 20.0, 40.0):
+            probes.clear()
+            r = bound_optimize(model(), u)
+            assert len(probes) == len(set(probes)), (u, r.h_star)
 
     def test_nonpositive_paths_short_circuit(self):
         m = RiskModel(Periodic((Uniform(-2.0, -1.0),)))

@@ -143,6 +143,10 @@ class TestSimConfig:
             {"confidence": 1.0},
             {"stop_gap": 0.0},
             {"stop_gap": -1.0},
+            {"n_paths": True},
+            {"horizon": True},
+            {"seed": False},
+            {"seed": True},
         ],
     )
     def test_validation(self, kwargs):
@@ -258,6 +262,19 @@ class TestRealizePath:
         with pytest.raises(ValueError):
             realize_path(m, 5, seed=0, alpha_sampler=lambda rng, k, floor, size: np.full(size, floor - 1.0))
 
+    def test_scaled_rule_sums_stay_in_log_space(self):
+        # epoch k's raw increment is 2^(k-1) x_k, past the float range from k = 1025,
+        # while v_{k-1} = 2^-(k-1): the discounted sums are those of x_k / 2
+        model = RiskModel(QuasiPeriodicScaled((Normal(-1.0, 1.0),), 2.0), PeriodicRates((1.0,) * 1500))
+        with warnings.catch_warnings():  # v_k itself underflows to 0, which numpy does not warn about
+            warnings.simplefilter("error")
+            p = realize_path(model, 1200, seed=3)
+        iid = realize_path(RiskModel(Periodic((Normal(-1.0, 1.0),))), 1200, seed=3)
+        assert np.isfinite(p.s_star).all() and np.isfinite(p.s_star_star).all()
+        np.testing.assert_allclose(p.s_star, iid.s_star / 2.0, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(p.s_star_star, p.s_star, rtol=1e-9, atol=1e-9)
+        assert p.y[1] == iid.y[1] and np.isinf(p.y[-1])
+
     def test_realized_rates_reduce_sums(self):
         m = RiskModel(Periodic((ShiftedExponential(1.0, -0.5),)), rates=0.0)
         p = realize_path(m, 50, seed=8, alpha_sampler=lambda rng, k, floor, size: floor + rng.standard_exponential(size))
@@ -287,6 +304,10 @@ class TestMaximalInequality:
         rep = check_maximal_inequality([ShiftedExponential(1.0)], 2.0, 1.0, 5, cfg)
         assert rep.ok and rep.rhs == 1.0
 
+    def test_bool_n_is_rejected(self):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            check_maximal_inequality([Normal(0.0, 1.0)], 1.0, 1.0, True, SimConfig(n_paths=100, horizon=10))
+
     def test_validation(self):
         cfg = SimConfig(n_paths=100, horizon=10)
         with pytest.raises(ValueError):
@@ -313,6 +334,13 @@ class TestDiscountOrdering:
         assert rep.ok
         # equal rates make the two sums identical up to arithmetic order
         assert abs(rep.max_violation) < 1e-13
+
+    def test_scaled_rule_stays_in_log_space(self):
+        model = RiskModel(QuasiPeriodicScaled((Normal(-1.0, 1.0),), 2.0), PeriodicRates((1.0,) * 1500))
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = check_discount_ordering(model, SimConfig(n_paths=2000, horizon=1200, seed=3, workers=1))
+        assert rep.ok and rep.max_violation <= 1e-9
 
     def test_sampler_below_floor_raises(self):
         m = RiskModel(Periodic((Normal(-0.5, 1.0),)), rates=0.05)

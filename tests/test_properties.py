@@ -1,5 +1,7 @@
 """Property tests: structural identities that every parameter choice must obey."""
 
+import copy
+import json
 import math
 
 import numpy as np
@@ -39,7 +41,7 @@ from ruinbounds import (
 from ruinbounds.adjustment import _domain_cap, _esssup_sums
 from ruinbounds.distributions import mgf_domain_sup, support_bounds
 from ruinbounds.models import PrefixThenTail, log_mgf_terms
-from ruinbounds.serialize import model_from_dict, model_to_dict
+from ruinbounds.serialize import ConfigError, model_from_dict, model_to_dict
 
 
 finite_means = st.floats(-2.0, 2.0, allow_nan=False)
@@ -434,6 +436,188 @@ class TestSerializeRoundTrips:
     def test_generated_models_survive_the_dict_format(self, cycle, rate, label):
         model = RiskModel(Periodic(tuple(cycle)), rates=rate, label=label)
         assert model_from_dict(model_to_dict(model)) == model
+
+
+# The JSON config grammar, written out here apart from the package's own
+# schema: each object's keys with the kind of value each takes. Keys ending in
+# "?" are optional; "family" or "kind" picks the entry.
+_LAW_KEYS = {
+    "normal": {"mean": "number", "variance": "number"},
+    "uniform": {"lower": "number", "upper": "number"},
+    "two_point": {"x1": "number", "p1": "number", "x2": "number"},
+    "shifted_exponential": {"rate": "number", "shift?": "number"},
+    "degenerate": {"value": "number"},
+    "scaled": {"factor": "number", "inner": "law"},
+    "compound": {"claim": "law", "premium_rate": "number", "interarrival": "law"},
+    "finite_discrete": {"atoms": "atoms"},
+}
+_RULE_KEYS = {
+    "explicit": {"dists": "laws"},
+    "periodic": {"cycle": "laws"},
+    "quasi_periodic": {"cycle": "laws", "scale": "number"},
+    "prefix_tail": {"prefix": "laws", "tail": "rule"},
+    "indexed_normal": {"slope": "number", "intercept": "number"},
+    "indexed_two_point": {},
+}
+_RATE_KEYS = {"constant": {"rate": "number"}, "periodic": {"values": "numbers"}, "explicit": {"values": "numbers"}}
+_RISK_KEYS = {"increments": "rule", "rates?": "rates", "label?": "label"}
+_EVENT_KEYS = {"claim": "rule", "interarrival": "rule", "premium_rate?": "rates",
+               "reserve_interest?": "rates", "premium_interest?": "rates", "label?": "label"}
+
+# values of the wrong type for each kind; "rates" also takes a bare number
+_WRONG = {
+    "number": ["0.5", True, False, None, [0.5], {}],
+    "numbers": [0.5, "0.5", True, None, {}],
+    "atoms": [0.5, "x", True, None, {}, [0.5], [[0.5]]],
+    "law": [0.5, "x", True, None, []],
+    "laws": [0.5, "x", True, None, {}],
+    "rule": [0.5, "x", True, None, []],
+    "rates": ["x", True, None, [0.1]],
+    "label": [0.5, True, None, [], {}],
+    "tag": [0.5, True, None, [], "no_such"],
+    "model": [0.5, "x", True, None, []],
+}
+
+
+def _num(lo, hi):
+    return st.one_of(st.floats(lo, hi), st.integers(math.ceil(lo), math.floor(hi)))
+
+
+def _obj(tag, **fields):
+    return st.fixed_dictionaries({"family": st.just(tag), **fields})
+
+
+def _uniform_cfg(lower):
+    return st.tuples(lower, st.floats(0.1, 3.0)).map(
+        lambda p: {"family": "uniform", "lower": p[0], "upper": p[0] + p[1]})
+
+
+@st.composite
+def _atoms_cfg(draw):
+    pairs = draw(st.lists(st.tuples(_num(-3, 3), st.integers(1, 8)), min_size=1, max_size=4))
+    total = sum(w for _, w in pairs)
+    return {"family": "finite_discrete", "atoms": [[x, w / total] for x, w in pairs]}
+
+
+# laws with positive support, as compound increments and event models need
+_positive_law_cfgs = st.one_of(
+    _uniform_cfg(_num(0, 2)),
+    _obj("shifted_exponential", rate=_num(0.2, 3), shift=_num(0, 2)),
+)
+_law_cfgs = st.recursive(
+    st.one_of(
+        _obj("normal", mean=_num(-3, 3), variance=_num(0.1, 4)),
+        _uniform_cfg(_num(-3, 3)),
+        _obj("two_point", x1=_num(-3, 3), p1=st.floats(0.0, 1.0), x2=_num(-3, 3)),
+        st.fixed_dictionaries({"family": st.just("shifted_exponential"), "rate": _num(0.2, 3)},
+                              optional={"shift": _num(-3, 3)}),
+        _obj("degenerate", value=_num(-3, 3)),
+        _atoms_cfg(),
+        _obj("compound", claim=_positive_law_cfgs, premium_rate=_num(0.1, 3), interarrival=_positive_law_cfgs),
+    ),
+    lambda inner: _obj("scaled", factor=st.one_of(_num(0.1, 3), _num(-3, -0.1)), inner=inner),
+    max_leaves=3,
+)
+
+
+def _cycle_rule_cfgs(laws, kinds=("periodic", "quasi_periodic")):
+    cycle = st.lists(laws, min_size=1, max_size=3)
+    rules = {
+        "explicit": st.fixed_dictionaries({"kind": st.just("explicit"), "dists": cycle}),
+        "periodic": st.fixed_dictionaries({"kind": st.just("periodic"), "cycle": cycle}),
+        "quasi_periodic": st.fixed_dictionaries({"kind": st.just("quasi_periodic"), "cycle": cycle,
+                                                 "scale": _num(0.5, 2)}),
+    }
+    return st.one_of(*(rules[k] for k in kinds))
+
+
+_rule_cfgs = st.one_of(
+    _cycle_rule_cfgs(_law_cfgs, ("explicit", "periodic", "quasi_periodic")),
+    st.fixed_dictionaries({"kind": st.just("prefix_tail"), "prefix": st.lists(_law_cfgs, min_size=1, max_size=3),
+                           "tail": _cycle_rule_cfgs(_law_cfgs)}),
+    st.fixed_dictionaries({"kind": st.just("indexed_normal"), "slope": _num(-1, 1), "intercept": _num(-2, 2)}),
+    st.just({"kind": "indexed_two_point"}),
+)
+
+
+def _rate_cfgs(lo, hi):
+    values = st.lists(_num(lo, hi), min_size=1, max_size=4)
+    return st.one_of(
+        _num(lo, hi),
+        st.fixed_dictionaries({"kind": st.just("constant"), "rate": _num(lo, hi)}),
+        st.fixed_dictionaries({"kind": st.just("periodic"), "values": values}),
+        st.fixed_dictionaries({"kind": st.just("explicit"), "values": values}),
+    )
+
+
+_model_cfgs = st.one_of(
+    st.fixed_dictionaries({"increments": _rule_cfgs},
+                          optional={"rates": _rate_cfgs(0, 0.5), "label": st.text(max_size=8)}),
+    st.fixed_dictionaries(
+        {"claim": _cycle_rule_cfgs(_positive_law_cfgs, ("explicit", "periodic")),
+         "interarrival": _cycle_rule_cfgs(_positive_law_cfgs, ("explicit", "periodic"))},
+        optional={"premium_rate": _rate_cfgs(0.1, 3), "reserve_interest": _rate_cfgs(0, 0.5),
+                  "premium_interest": _rate_cfgs(0, 0.5), "label": st.text(max_size=8)}),
+)
+
+
+def _keys(value, kind):
+    """{key: (kind, required)} of an object of the grammar, its tag included."""
+    if kind == "model":
+        table = _EVENT_KEYS if "claim" in value else _RISK_KEYS
+        tag = {}
+    else:
+        name = "family" if kind == "law" else "kind"
+        table = {"law": _LAW_KEYS, "rule": _RULE_KEYS, "rates": _RATE_KEYS}[kind][value[name]]
+        tag = {name: ("tag", True)}
+    return {**tag, **{k.rstrip("?"): (v, not k.endswith("?")) for k, v in table.items()}}
+
+
+def _sites(value, kind, path=()):
+    """(path, kind) of every value in a valid config, the config itself first."""
+    yield path, kind
+    if isinstance(value, dict):
+        for key, (sub, _) in _keys(value, kind).items():
+            if key in value:
+                yield from _sites(value[key], sub, path + (key,))
+    elif kind in ("laws", "numbers", "atoms"):
+        item = {"laws": "law", "numbers": "number", "atoms": "numbers"}[kind]
+        for i, x in enumerate(value):
+            yield from _sites(x, item, path + (i,))
+
+
+class TestConfigGrammar:
+    @settings(max_examples=300, deadline=None)
+    @given(_model_cfgs)
+    def test_valid_configs_round_trip(self, cfg):
+        model = model_from_dict(cfg)
+        assert model_from_dict(model_to_dict(model)) == model
+        assert model_from_dict(json.loads(json.dumps(model_to_dict(model)))) == model
+
+    @settings(max_examples=500, deadline=None)
+    @given(_model_cfgs, st.data())
+    def test_mutated_configs_raise_config_errors(self, cfg, data):
+        cfg = copy.deepcopy(cfg)
+        path, kind = data.draw(st.sampled_from(list(_sites(cfg, "model"))))
+        parent, key = None, None
+        node = cfg
+        for step in path:
+            parent, key, node = node, step, node[step]
+        mutations = ["wrong type"] + (["missing key", "unknown key"] if isinstance(node, dict) else [])
+        mutation = data.draw(st.sampled_from(mutations))
+        if mutation == "wrong type":
+            wrong = data.draw(st.sampled_from(_WRONG[kind]))
+            if parent is None:
+                cfg = wrong
+            else:
+                parent[key] = wrong
+        elif mutation == "missing key":
+            required = [k for k, (_, req) in _keys(node, kind).items() if req]
+            del node[data.draw(st.sampled_from(required))]
+        else:
+            node["no_such_key"] = 0.5
+        with pytest.raises(ConfigError):
+            model_from_dict(cfg)
 
 
 class TestSolverOrdering:

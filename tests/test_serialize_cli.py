@@ -163,11 +163,36 @@ class TestDiagnostics:
          "$.rates: unknown rates kind 'bogus'"),
         ({"increments": {"kind": "indexed_two_point"}, "typo": 1},
          "unknown key 'typo'"),
+        ({"increments": {"kind": "indexed_two_point"}, "rates": {"kind": "periodic", "values": 5}},
+         "$.rates: 'values' must be a list of numbers, got 5"),
+        ({"increments": {"kind": "indexed_two_point"}, "rates": {"kind": "periodic", "values": None}},
+         "$.rates: 'values' must be a list of numbers, got None"),
+        ({"increments": {"kind": "periodic",
+                         "cycle": [{"family": "finite_discrete", "atoms": [[1, {}]]}]}},
+         "$.increments.cycle[0]: 'atoms[0][1]' must be a number, got {}"),
+        ({"increments": {"kind": "indexed_two_point"}, "rates": {"kind": "periodic", "values": ["0.1", True]}},
+         "$.rates: 'values[0]' must be a number, got '0.1'"),
+        ({"increments": {"kind": "indexed_two_point"}, "rates": {"kind": "explicit", "values": [0.1, True]}},
+         "$.rates: 'values[1]' must be a number, got True"),
+        ({"increments": {"kind": "indexed_two_point"}, "rates": -1},
+         "$.rates: ConstantRates entries must be finite and >= 0"),
+        ({"increments": {"kind": "indexed_normal", "slope": 10**400, "intercept": 0}},
+         "$.increments: 'slope' is out of the float range"),
+        ({"increments": {"kind": "indexed_two_point"}, "label": 7},
+         "$: 'label' must be a string, got 7"),
     ])
     def test_bad_configs_carry_positions(self, cfg, fragment):
         with pytest.raises(ConfigError) as exc:
             model_from_dict(cfg)
         assert fragment in str(exc.value)
+
+    def test_nested_law_error_is_positioned_once(self):
+        cfg = {"increments": {"kind": "explicit", "dists": [
+            {"family": "compound", "claim": 3, "premium_rate": 1.0,
+             "interarrival": {"family": "shifted_exponential", "rate": 1.0}}]}}
+        with pytest.raises(ConfigError) as exc:
+            model_from_dict(cfg)
+        assert str(exc.value) == "$.increments.dists[0].claim: distribution must be an object, got int"
 
     def test_second_cycle_entry_is_indexed(self):
         cfg = {"increments": {"kind": "periodic", "cycle": [
@@ -437,6 +462,45 @@ class TestCliConfigErrors:
         assert out == ""
         assert err.startswith("config error:")
         assert fragment in err
+
+    @pytest.mark.parametrize("config, fragment", [
+        ({"rates": {"kind": "periodic", "values": 5}}, "$.rates: 'values' must be a list of numbers"),
+        ({"rates": {"kind": "periodic", "values": None}}, "$.rates: 'values' must be a list of numbers"),
+        ({"increments": {"kind": "periodic", "cycle": [{"family": "finite_discrete", "atoms": [[1, {}]]}]}},
+         "$.increments.cycle[0]: 'atoms[0][1]' must be a number"),
+        ({"rates": {"kind": "periodic", "values": ["0.1", True]}}, "$.rates: 'values[0]' must be a number"),
+    ])
+    def test_malformed_lists_exit_two(self, config, fragment, tmp_path, capsys):
+        normal = {"family": "normal", "mean": -0.5, "variance": 1.0}
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps({"increments": {"kind": "periodic", "cycle": [normal]}, **config}), encoding="utf-8")
+        rc, out, err = run_cli(["bound", "--model", str(p), "--u", "1"], capsys)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert fragment in err
+
+    @pytest.mark.parametrize("depth", [600, 5000])
+    def test_deep_nesting_exits_two(self, depth, tmp_path, capsys):
+        # 600 levels overflow the config reader's recursion, 5000 the JSON parser's
+        scaled = '{"family": "scaled", "factor": 1.0, "inner": '
+        law = scaled * depth + '{"family": "degenerate", "value": -1.0}' + "}" * depth
+        p = tmp_path / "deep.json"
+        p.write_text('{"increments": {"kind": "periodic", "cycle": [' + law + ']}}', encoding="utf-8")
+        rc, out, err = run_cli(["bound", "--model", str(p), "--u", "1"], capsys)
+        assert rc == 2
+        assert err.startswith("config error:") and "nests objects too deeply" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--model", "alternating_normals", "--u", "1", "--seed", "1"],
+        ["adjustment", "--model", "alternating_normals", "--seed", "1"],
+        ["compare", "--model", "classical_poisson_exponential", "--u", "2", "--strict"],
+    ])
+    def test_flags_the_subcommand_does_not_read_exit_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_unknown_name_lists_bundled_configs(self, capsys):
         rc, _, err = run_cli(["bound", "--model", "missing", "--u", "1"], capsys)

@@ -129,7 +129,7 @@ def _feasibility_from_sup(sup, uncertain_flag: list) -> bool:
 
 
 def _per_model(fn):
-    """fn(model, *args), kept on the model as RiskModel._block is: models are
+    """fn(model, *args), kept on the model as RiskModel._laws is: models are
     immutable, and these facts do not depend on h."""
 
     def once(model: RiskModel, *args):
@@ -293,7 +293,7 @@ class WindowCheck:
         return self.ok
 
 
-def verify_window_exponent(model: RiskModel, l: int, m: int, exponent: float, policy: TruncationPolicy | None = None) -> WindowCheck:
+def verify_window_exponent(model: RiskModel, l: int, m: int, exponent: float) -> WindowCheck:
     """Check the shifted-window criterion G_{n+l} - G_n <= 0 for every n >= m.
 
     A finite window of n is evaluated directly; the verdict extends to all n

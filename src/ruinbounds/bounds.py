@@ -58,7 +58,11 @@ class Certificate:
 
     @property
     def c(self) -> float:
-        return math.exp(self.log_c)
+        """exp(log_c), +inf past the float range."""
+        try:
+            return math.exp(self.log_c)
+        except OverflowError:
+            return INF
 
     def log_bound_at(self, u: float) -> float:
         if self.exponent == INF:
@@ -267,7 +271,6 @@ def bound_periodic(
     exponent: float | None = None,
     at_h: float | None = None,
     tol: float = 1e-10,
-    policy: TruncationPolicy | None = None,
 ) -> BoundResult:
     """Constant-times-exponential certificates from one period's structure.
 
@@ -286,7 +289,6 @@ def bound_periodic(
         raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
     if u is not None:
         _require_u(u)
-    policy = policy or TruncationPolicy()
 
     if variant == "shift_window":
         if exponent is None:
@@ -295,7 +297,7 @@ def bound_periodic(
             raise ValueError("at_h applies only to the root-based variants")
         if not (isinstance(start_index, (int, np.integer)) and start_index >= 1):
             raise ValueError(f"start_index must be a positive integer, got {start_index!r}")
-        check = verify_window_exponent(model, l, start_index, exponent, policy)
+        check = verify_window_exponent(model, l, start_index, exponent)
         if not check.ok:
             raise PeriodHypothesisError(f"window criterion not verified: {check.reason} (max delta {check.max_delta:.3g})")
         L = float(exponent)

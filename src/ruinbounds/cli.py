@@ -55,8 +55,6 @@ EXTERNAL_REFERENCES = (
     ("external_b", 178.0, 1.0 / 20.0),
 )
 
-_BOUND_METHODS = ("optimized", "fixed_h", "per_increment", "periodic", "scaled_periodic", "shift_window", "kappa", "union")
-
 
 def _fmt(value) -> str:
     """Deterministic cell formatting: 12 significant digits for floats."""
@@ -132,8 +130,10 @@ def _policy(args, us=None) -> TruncationPolicy:
 
 def _emit(rows: list[dict], columns: list[str], args) -> None:
     if args.format == "json":
-        payload = json.dumps(rows, indent=2)
-        text = payload + "\n"
+        # standard JSON has no non-finite numbers: they are written as the CSV cell text
+        rows = [{k: _fmt(v) if isinstance(v, float) and not math.isfinite(v) else v for k, v in row.items()}
+                for row in rows]
+        text = json.dumps(rows, indent=2, allow_nan=False) + "\n"
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -153,7 +153,7 @@ def _warn(message: str) -> None:
 
 
 def _infer_l(model: RiskModel, args) -> int:
-    if args.l:
+    if args.l is not None:
         return args.l
     if not isinstance(model.increments, (Periodic, QuasiPeriodicScaled)):
         raise ConfigError("model has no cycle to infer --l from; pass --l")
@@ -170,13 +170,12 @@ def _infer_l(model: RiskModel, args) -> int:
 def cmd_adjustment(args) -> int:
     model = _load(args)
     policy = _policy(args)
-    tol = args.tol or 1e-10
-    results = [solve_per_increment(model, tol, policy), solve_partial_sum(model, tol, policy)]
+    results = [solve_per_increment(model, args.tol, policy), solve_partial_sum(model, args.tol, policy)]
     if isinstance(model.increments, (Periodic, QuasiPeriodicScaled)) and model.rates.period() is not None:
-        results.append(solve_period_root(model, _infer_l(model, args), tol))
+        results.append(solve_period_root(model, _infer_l(model, args), args.tol))
     base = iid_base(model)
     if base is not None:
-        results.append(solve_kappa(base, tol))
+        results.append(solve_kappa(base, args.tol))
     rows = []
     for r in results:
         lo, hi = r.bracket if r.bracket else (None, None)
@@ -193,31 +192,28 @@ def cmd_adjustment(args) -> int:
     return OK
 
 
-def _bound_for(model, u, args, policy):
-    method = args.method
-    tol = args.tol or 1e-10
-    if method == "optimized":
-        return bound_optimize(model, u, policy)
-    if method == "fixed_h":
-        if args.h is None:
-            raise ConfigError("--method fixed_h needs --h")
-        return bound_at_h(model, u, args.h, policy)
-    if method == "per_increment":
-        return bound_per_increment(model, u, tol, policy)
-    if method in ("periodic", "scaled_periodic"):
-        return bound_periodic(model, _infer_l(model, args), method, u=u, at_h=args.h, tol=tol, policy=policy)
-    if method == "shift_window":
-        if args.lstar is None:
-            raise ConfigError("--method shift_window needs --lstar")
-        return bound_periodic(model, _infer_l(model, args), "shift_window", u=u,
-                              start_index=args.m or 1, exponent=args.lstar, tol=tol, policy=policy)
-    if method == "kappa":
-        return bound_kappa(model, u, tol)
-    if method == "union":
-        if args.h is None:
-            raise ConfigError("--method union needs --h")
-        return bound_union(model, u, args.h, policy)
-    raise ConfigError(f"unknown method {method!r} (choices: {', '.join(_BOUND_METHODS)})")
+# each bound method: the flag it needs (None if it needs none) and its call on
+# (model, u, args, policy)
+_BOUND_METHODS = {
+    "optimized": (None, lambda model, u, a, policy: bound_optimize(model, u, policy)),
+    "fixed_h": ("h", lambda model, u, a, policy: bound_at_h(model, u, a.h, policy)),
+    "per_increment": (None, lambda model, u, a, policy: bound_per_increment(model, u, a.tol, policy)),
+    "periodic": (None, lambda model, u, a, policy: bound_periodic(
+        model, _infer_l(model, a), "periodic", u=u, at_h=a.h, tol=a.tol)),
+    "scaled_periodic": (None, lambda model, u, a, policy: bound_periodic(
+        model, _infer_l(model, a), "scaled_periodic", u=u, at_h=a.h, tol=a.tol)),
+    "shift_window": ("lstar", lambda model, u, a, policy: bound_periodic(
+        model, _infer_l(model, a), "shift_window", u=u, start_index=a.m, exponent=a.lstar, tol=a.tol)),
+    "kappa": (None, lambda model, u, a, policy: bound_kappa(model, u, a.tol)),
+    "union": ("h", lambda model, u, a, policy: bound_union(model, u, a.h, policy)),
+}
+
+
+def _bound_for(model, u, args, policy, method: str):
+    flag, call = _BOUND_METHODS[method]
+    if flag is not None and getattr(args, flag) is None:
+        raise ConfigError(f"--method {method} needs --{flag}")
+    return call(model, u, args, policy)
 
 
 def _bound_row(b) -> dict:
@@ -235,7 +231,7 @@ def cmd_bound(args) -> int:
     model = _load(args)
     us = _check_u_grid(_parse_u_spec(args.u))
     policy = _policy(args, us)
-    bounds = [_bound_for(model, u, args, policy) for u in us]
+    bounds = [_bound_for(model, u, args, policy, args.method) for u in us]
     _emit([_bound_row(b) for b in bounds], ["u", "method", "h_star", "log10_bound", "C", "L", "certified"], args)
     uncertified = [b for b in bounds if not b.certified]
     if uncertified:
@@ -255,10 +251,8 @@ def cmd_simulate(args) -> int:
     sims = simulate_ruin_grid(model, us, cfg)
     bounds = None
     if args.bound_method != "none":
-        bound_args = argparse.Namespace(**vars(args))
-        bound_args.method = args.bound_method
         policy = _policy(args, us)
-        bounds = [_bound_for(model, u, bound_args, policy) for u in us]
+        bounds = [_bound_for(model, u, args, policy, args.bound_method) for u in us]
     rows = []
     violated = False
     for i, s in enumerate(sims):
@@ -291,14 +285,13 @@ def cmd_compare(args) -> int:
     model = _load(args)
     us = _check_u_grid(_parse_u_spec(args.u))
     policy = _policy(args, us)
-    tol = args.tol or 1e-10
     cfg = SimConfig(n_paths=args.paths, horizon=args.horizon, seed=args.seed, stop_gap=args.stop_gap)
     sims = simulate_ruin_grid(model, us, cfg)
     rows = []
     for u, sim in zip(us, sims):
         opt = bound_optimize(model, u, policy)
         uni = bound_union(model, u, opt.h_star if opt.h_star not in (0.0, INF) else 1.0, policy)
-        per = bound_per_increment(model, u, tol, policy)
+        per = bound_per_increment(model, u, args.tol, policy)
         entries = {"optimized": opt.log10_bound, "union": uni.log10_bound, "per_increment": per.log10_bound}
         for name, c, lam in EXTERNAL_REFERENCES:
             entries[name] = min(0.0, (math.log(c) - lam * u) / math.log(10.0))
@@ -332,7 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, strict=True, seed=False):
+    def common(p, strict=True, seed=False, bound=False):
         p.add_argument("--model", required=True, help="model config path, or the name of a bundled config")
         p.add_argument("--out", default=None, help="output file (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -341,7 +334,12 @@ def _build_parser() -> argparse.ArgumentParser:
         if strict:
             p.add_argument("--strict", action="store_true", help="exit 3 when any result is uncertified")
         p.add_argument("--kmax", type=int, default=None, help="sup/scan truncation index (default 10000, auto-raised with u)")
-        p.add_argument("--tol", type=float, default=None, help="root tolerance (default 1e-10)")
+        p.add_argument("--tol", type=float, default=1e-10, help="root tolerance (default 1e-10)")
+        if bound:  # the flags that _BOUND_METHODS reads
+            p.add_argument("--h", type=float, default=None, help="exponent for fixed_h/union, or sub-root at_h for periodic variants")
+            p.add_argument("--l", type=int, default=None, help="period length (default: inferred cycle length)")
+            p.add_argument("--m", type=int, default=1, help="start index for shift_window (default 1)")
+            p.add_argument("--lstar", type=float, default=None, help="exponent for shift_window")
 
     p = sub.add_parser("adjustment", help="solve all applicable adjustment coefficients")
     common(p)
@@ -349,28 +347,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_adjustment)
 
     p = sub.add_parser("bound", help="evaluate a bound method over a u-grid")
-    common(p)
+    common(p, bound=True)
     p.add_argument("--u", required=True, help="u grid: comma list or start:stop:step")
-    p.add_argument("--method", choices=_BOUND_METHODS, default="optimized")
-    p.add_argument("--h", type=float, default=None, help="exponent for fixed_h/union, or sub-root at_h for periodic variants")
-    p.add_argument("--l", type=int, default=None)
-    p.add_argument("--m", type=int, default=None, help="start index for shift_window")
-    p.add_argument("--lstar", type=float, default=None, help="exponent for shift_window")
+    p.add_argument("--method", choices=tuple(_BOUND_METHODS), default="optimized")
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("simulate", help="Monte Carlo ruin frequency with exact intervals")
-    common(p, seed=True)
+    common(p, seed=True, bound=True)
     p.add_argument("--u", required=True)
     p.add_argument("--paths", type=int, default=100_000)
     p.add_argument("--horizon", type=int, default=5000)
     p.add_argument("--stop-gap", dest="stop_gap", type=float, default=None,
                    help="retire a path once it falls this far below its running maximum (approximation)")
-    p.add_argument("--bound-method", dest="bound_method", choices=_BOUND_METHODS + ("none",), default="optimized",
+    p.add_argument("--bound-method", dest="bound_method", choices=(*_BOUND_METHODS, "none"), default="optimized",
                    help="bound for the dominance column (default optimized; 'none' disables)")
-    p.add_argument("--h", type=float, default=None)
-    p.add_argument("--l", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--lstar", type=float, default=None)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("compare", help="our bounds vs the union baseline, external reference curves, and MC")

@@ -11,25 +11,25 @@ first +inf. cumulative_log_mgf returns their running sums G_k(h), and one
 reduction takes the supremum over k either of G_k(h) (sup_log_mgf, the
 partial-sum criterion) or of the terms themselves (per_increment_sup).
 
-An eventually (scaled-)periodic model is folded into one block computed in log
-space: the effective period, each slot's log multiplier log scale_j +
-log v_{j-1}, and log rho, the period-to-period multiplier of h. Exact periods
-and contracting tails then reduce to a few periods of the block, walked one
-(law, log multiplier) pair at a time by _walk over the block's cached laws;
-_walk serves only these short walks, where a scalar loop beats numpy's fixed
-cost. Four closed forms cover the indexed families without interest (the
-IndexedTwoPoint one in O(1) through log-factorials and a power-sum series).
-Everything else is scanned up to a truncation cap by log_mgf_terms, the
-vectorized term kernel, on per-family parameter arrays.
+Each model caches one structural record, RiskModel._laws: its finite law
+list (an explicit prefix, or a prefix and one period) with the parameter table
+and each law's esssup and MGF-domain sup, read by the kernel, the solvers'
+support shortcuts, the union series and the simulator's weights. When the
+rates repeat too, the record is the model's block, folded in log space: the
+effective period, each slot's log multiplier log scale_j + log v_{j-1}, and
+log rho, the period-to-period multiplier of h. Exact periods and contracting
+tails then reduce to a few periods of the block, walked one (law, log
+multiplier) pair at a time by _walk; _walk serves only these short walks,
+where a scalar loop beats numpy's fixed cost. Four closed forms cover the
+indexed families without interest (the IndexedTwoPoint one in O(1) through
+log-factorials and a power-sum series). Everything else is scanned up to a
+truncation cap by log_mgf_terms, the vectorized term kernel, on per-family
+parameter arrays.
 
-Every longer walk reads one epoch layout, _layout(model, K): a slot in the
-model's finite law list (the block's laws, an explicit prefix, or a prefix and
-one cycle) and the log multiplier log(scale_j v_{j-1}) of each epoch j. The
-list's record, cached per model, holds the parameter table and each law's
-esssup and MGF-domain sup for the kernel, the solvers' support shortcuts, the
-union series and the simulator's weights. Only a rule without such a list
-(the indexed families, which the kernel takes in closed form) builds laws per
-epoch through distribution_at, and only when they are read.
+Every longer walk reads one epoch layout, _layout(model, K): each epoch's slot
+in the record's law list and its log multiplier log(scale_j v_{j-1}). Only a
+rule without a finite law list (the indexed families, which the kernel takes
+in closed form) builds laws per epoch, and only when they are read.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -72,8 +71,6 @@ __all__ = [
     "EventModel",
     "TruncationPolicy",
     "SupLogMgf",
-    "distribution_at",
-    "discount_factor",
     "cumulative_log_mgf",
     "sup_log_mgf",
     "per_increment_sup",
@@ -103,6 +100,10 @@ class SequenceRule:
 
     def horizon(self) -> int | None:
         """Largest defined index, or None when the rule is total."""
+        return None
+
+    def period(self) -> int | None:
+        """Length after which the laws repeat exactly, or None."""
         return None
 
 
@@ -152,6 +153,9 @@ class Periodic(SequenceRule):
     def distribution_at(self, k: int) -> IncrementDistribution:
         _check_index(k)
         return self.cycle[(k - 1) % len(self.cycle)]
+
+    def period(self) -> int | None:
+        return len(self.cycle)
 
 
 @dataclass(frozen=True)
@@ -362,24 +366,38 @@ class RiskModel:
         return self.rates.all_zero()
 
     @cached_property
-    def _block(self) -> _Block | None:
-        """The periodic block of _build_block, built once: the model is immutable."""
-        return _build_block(self)
-
-    @cached_property
     def _laws(self) -> _Laws | None:
-        """The record of the block's laws, else of the rule's finitely many
-        laws, the prefix then one cycle; None for a rule without such a list.
-        Built once like _block."""
-        block = self._block
-        if block is not None:
-            return _Laws(block.laws, block.prefix)
-        if isinstance(self.increments, ExplicitPrefix):
-            return _Laws(self.increments.dists, len(self.increments.dists))
-        prefix, tail = _prefix_and_tail(self.increments)
+        """The model's structural record, built once: the model is immutable.
+        It holds the rule's finitely many laws, the prefix then one period;
+        None for a rule without such a list. Under repeating rates the period
+        is the effective one, lcm(cycle, rate period), and the record is the
+        block: it carries the log multiplier of each epoch through that
+        period, unless the period is longer than _BLOCK_MAX."""
+        inc = self.increments
+        if isinstance(inc, ExplicitPrefix):
+            return _Laws(inc.dists, len(inc.dists))
+        prefix, tail = _prefix_and_tail(inc)
         if not isinstance(tail, (Periodic, QuasiPeriodicScaled)):
             return None
-        return _Laws(prefix + tail.cycle, len(prefix), math.log(getattr(tail, "scale", 1.0)))
+        P, cycle, log_q = len(prefix), tail.cycle, math.log(getattr(tail, "scale", 1.0))
+        rate_period = self.rates.period()
+        L = math.lcm(len(cycle), rate_period or 1)
+        if rate_period is None or L > _BLOCK_MAX:
+            return _Laws(prefix + cycle, P, log_q)
+        steps = [-math.log1p(self.rate_at(k)) for k in range(1, P + L + 1)]
+        logs = list(itertools.accumulate(steps[:-1], initial=0.0))
+        for m in range(L):
+            logs[P + m] += (m // len(cycle)) * log_q
+        # summed exactly, so that rho == 1 is recognized over long periods
+        log_ratio = math.fsum(steps[P:]) + (L // len(cycle)) * log_q
+        return _Laws(prefix + cycle * (L // len(cycle)), P, log_ratio, tuple(logs))
+
+    @cached_property
+    def _block(self) -> _Laws | None:
+        """The record when it carries the block's log multipliers, else None;
+        cached, since every sup reads it."""
+        laws = self._laws
+        return laws if laws is not None and laws.logs is not None else None
 
     def log_discounts(self, K: int) -> np.ndarray:
         """log v_0 .. log v_K, with v_k = prod_{j<=k} 1/(1+r_j) kept in log space."""
@@ -400,14 +418,6 @@ class RiskModel:
         if k < 0:
             raise ValueError("discount index must be >= 0")
         return float(math.exp(self.log_discounts(k)[k]))
-
-
-def distribution_at(model: RiskModel, k: int) -> IncrementDistribution:
-    return model.distribution_at(k)
-
-
-def discount_factor(model: RiskModel, k: int) -> float:
-    return model.discount_factor(k)
 
 
 # ---------------------------------------------------------------------------
@@ -473,22 +483,25 @@ _RATIO_TOL = 1e-12
 _BLOCK_MAX = 100_000
 
 
-class _Block(NamedTuple):
-    """An eventually (scaled-)periodic model in log space.
+class _Laws:
+    """Finitely many increment laws, a prefix then one period, and what is
+    read of them, each built on first use. The b-th repetition of the period
+    multiplies h by exp(b * log_ratio).
 
-    Epoch j <= prefix has law laws[j-1] and log multiplier logs[j-1], the log
-    of scale_j * v_{j-1}. The effective period, length = lcm(cycle, rate
-    period), then repeats: in the b-th period after the prefix, slot m has law
-    laws[prefix+m] and log multiplier logs[prefix+m] + b * log_ratio, where
-    rho = exp(log_ratio) is the period-to-period multiplier of h.
+    A block (logs given) also holds the log multipliers of one pass: epoch
+    j <= prefix + length has law laws[j-1] and log multiplier logs[j-1], the
+    log of scale_j * v_{j-1}, and log_ratio takes in the discounts over a
+    period, so rho = exp(log_ratio) is the period-to-period multiplier of h.
+    Otherwise log_ratio is only the log scale of one cycle, and the discounts
+    come from the rates.
     """
 
-    prefix: int
-    length: int
-    laws: tuple[IncrementDistribution, ...]
-    logs: tuple[float, ...]
-    log_ratio: float
-    log_array: np.ndarray  # logs as an array, for _layout
+    def __init__(self, laws, prefix: int = 0, log_ratio: float = 0.0, logs: tuple[float, ...] | None = None) -> None:
+        self._source, self.prefix, self.log_ratio, self.logs = laws, prefix, log_ratio, logs
+
+    @property
+    def length(self) -> int:
+        return len(self.laws) - self.prefix
 
     @property
     def exact(self) -> bool:
@@ -499,46 +512,14 @@ class _Block(NamedTuple):
         return self.log_ratio > _RATIO_TOL
 
     def period(self, b: int):
-        """(law, log multiplier) over the b-th effective period after the prefix."""
+        """(law, log multiplier) over the b-th period of a block after the prefix."""
         return zip(self.laws[self.prefix:], map((b * self.log_ratio).__add__, self.logs[self.prefix:]))
 
-    def epochs(self, K: int):
-        """(law, log multiplier) for epochs 1..K."""
-        if K <= len(self.logs):  # the prefix and period 0 hold their own multipliers
-            return zip(self.laws[:K], self.logs[:K])
-        later = itertools.chain.from_iterable(map(self.period, itertools.count(1)))
-        return itertools.islice(itertools.chain(zip(self.laws, self.logs), later), K)
-
-
-def _build_block(model: RiskModel) -> _Block | None:
-    """The model's block, or None without periodic structure or past _BLOCK_MAX."""
-    struct = periodic_structure(model)
-    if struct is None:
-        return None
-    P, prefix, cycle, scale, rate_period = struct
-    L = math.lcm(len(cycle), rate_period)
-    if L > _BLOCK_MAX:
-        return None
-    log_q = math.log(scale)
-    steps = [-math.log1p(model.rate_at(k)) for k in range(1, P + L + 1)]
-    logs = list(itertools.accumulate(steps[:-1], initial=0.0))
-    for m in range(L):
-        logs[P + m] += (m // len(cycle)) * log_q
-    # summed exactly, so that rho == 1 is recognized over long periods
-    log_ratio = math.fsum(steps[P:]) + (L // len(cycle)) * log_q
-    log_array = np.array(logs)
-    log_array.flags.writeable = False  # _layout hands out views of it
-    return _Block(P, L, prefix + cycle * (L // len(cycle)), tuple(logs), log_ratio, log_array)
-
-
-class _Laws:
-    """Finitely many increment laws and what is read of them, each built on
-    first use. A model's record (RiskModel._laws) holds prefix laws, then one
-    period: the block's, or a cycle whose i-th repetition is scaled by
-    exp(i * log_scale)."""
-
-    def __init__(self, laws, prefix: int = 0, log_scale: float = 0.0) -> None:
-        self._source, self.prefix, self.log_scale = laws, prefix, log_scale
+    @cached_property
+    def log_array(self) -> np.ndarray:
+        out = np.array(self.logs)
+        out.flags.writeable = False  # _layout hands out views of it
+        return out
 
     @cached_property
     def laws(self) -> tuple[IncrementDistribution, ...]:
@@ -572,20 +553,18 @@ def _layout(model: RiskModel, K: int) -> tuple[_Laws, np.ndarray, np.ndarray]:
     multiplier c[j-1] = log(scale_j v_{j-1}). A rule without a finite law list
     gets a record of its laws for epochs 1..K, built only if read."""
     j = np.arange(K)
-    laws, block = model._laws, model._block
+    laws = model._laws
     if laws is None:
         return _Laws(map(model.distribution_at, range(1, K + 1))), j, model.log_discounts(K - 1)
     if K <= len(laws.laws):  # no epoch past the first period: no period powers
-        return laws, j, block.log_array[:K] if block is not None else model.log_discounts(K - 1)
-    P, n = laws.prefix, len(laws.laws) - laws.prefix
+        return laws, j, laws.log_array[:K] if laws.logs is not None else model.log_discounts(K - 1)
+    P, n = laws.prefix, laws.length
     if not n:
         model.distribution_at(K)  # past an explicit prefix: raises ModelIndexError
     past = np.maximum(j - P, 0)
     slot = np.where(j < P, j, P + past % n)
-    if block is not None:
-        return laws, slot, block.log_array[slot] + (past // n) * block.log_ratio
-    c = model.log_discounts(K - 1)
-    return laws, slot, c + (past // n) * laws.log_scale if laws.log_scale else c
+    c = laws.log_array[slot] if laws.logs is not None else model.log_discounts(K - 1)
+    return laws, slot, c + (past // n) * laws.log_ratio if laws.log_ratio else c
 
 
 def _table_terms(laws: _Laws, slot: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -665,17 +644,18 @@ def cumulative_log_mgf(model: RiskModel, h: float, K: int) -> list[float]:
         raise ValueError(f"h must be >= 0, got {h!r}")
     if K < 1:
         raise ValueError("K must be >= 1")
-    if model._block is not None:
-        sums = list(itertools.accumulate(_walk(h, model._block.epochs(K)), initial=0.0))[1:]
+    block = model._block
+    if block is not None and K <= len(block.logs):
+        sums = list(itertools.accumulate(_walk(h, zip(block.laws, block.logs[:K])), initial=0.0))[1:]
     else:
         with np.errstate(over="ignore"):
             sums = np.cumsum(log_mgf_terms(model, h, K)).tolist()
     return sums + [INF] * (K - len(sums))
 
 
-def _sup_periodic(block: _Block, h: float, partial: bool) -> SupLogMgf:
+def _sup_periodic(block: _Laws, h: float, partial: bool) -> SupLogMgf:
     P, L = block.prefix, block.length
-    terms = _walk(h, block.epochs(P + L))
+    terms = _walk(h, zip(block.laws, block.logs))
     g, best, arg = _fold(terms, partial, 1, 0.0, -INF, None)
     if best == INF:
         return SupLogMgf(INF, arg, "unbounded", True, "divergent MGF term")
@@ -878,22 +858,6 @@ def _coerce_seq(value) -> SequenceRule:
     raise ValueError(f"cannot interpret {value!r} as a sequence rule")
 
 
-def _event_rule_period(rule) -> int | None:
-    if isinstance(rule, Periodic):
-        return len(rule.cycle)
-    if isinstance(rule, RateRule):
-        return rule.period()
-    return None
-
-
-def _event_rule_horizon(rule) -> int | None:
-    if isinstance(rule, ExplicitPrefix):
-        return len(rule.dists)
-    if isinstance(rule, RateRule):
-        return rule.horizon()
-    return None
-
-
 @dataclass(frozen=True)
 class EventModel:
     """Event-level description: claims Z_k at epochs T_k with interarrivals
@@ -938,7 +902,7 @@ def reduce_event_model(em: EventModel) -> RiskModel:
     from .distributions import CompoundIncrement  # deferred: avoids cycle at import time
 
     rules = (em.claim, em.interarrival, em.premium_rate, em.reserve_interest, em.premium_interest)
-    horizons = [h for h in (_event_rule_horizon(r) for r in rules) if h is not None]
+    horizons = [h for h in (r.horizon() for r in rules) if h is not None]
 
     def build(k: int) -> IncrementDistribution:
         z = em.claim.distribution_at(k)
@@ -955,6 +919,6 @@ def reduce_event_model(em: EventModel) -> RiskModel:
         rates: RateRule = ExplicitRates(tuple(em.reserve_interest.rate_at(k) for k in range(1, H + 1)))
         return RiskModel(increments, rates, em.label)
 
-    L = math.lcm(*(_event_rule_period(r) or 1 for r in rules))
+    L = math.lcm(*(r.period() or 1 for r in rules))
     increments = Periodic(tuple(build(k) for k in range(1, L + 1)))
     return RiskModel(increments, em.reserve_interest, em.label)

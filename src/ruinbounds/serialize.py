@@ -186,11 +186,18 @@ def _dump(value):
 # models
 
 
-def model_from_dict(d: dict):
-    """Build a RiskModel (or EventModel, when claim-level keys appear)."""
+def _model(d: dict):
     if not isinstance(d, dict):
         raise ConfigError(f"model must be an object, got {type(d).__name__}")
     return _make(_EVENT if "claim" in d else _RISK, d, "$")
+
+
+def model_from_dict(d: dict):
+    """Build a RiskModel (or EventModel, when claim-level keys appear)."""
+    try:
+        return _model(d)
+    except RecursionError:  # the reader takes a few frames per nesting level
+        raise ConfigError("model nests objects too deeply") from None
 
 
 def model_to_dict(model) -> dict:
@@ -205,7 +212,7 @@ def load_model(path: str):
     except OSError as e:
         raise ConfigError(f"cannot read {path}: {e.strerror}") from e
     try:
-        return model_from_dict(json.loads(raw))
+        return _model(json.loads(raw))
     except json.JSONDecodeError as e:
         raise ConfigError(f"invalid JSON in {path}: {e.msg} at line {e.lineno} column {e.colno}") from e
     except RecursionError:

@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+import ruinbounds
 from ruinbounds import (
     CompoundIncrement,
     IndexedNormal,
@@ -257,10 +258,12 @@ def test_criterion_6_inequality_harness_and_structural_orderings(capsys):
 
 def test_criterion_7_csv_is_byte_identical_across_thread_counts(capsys, tmp_path):
     start = time.perf_counter()
+    src = os.path.dirname(os.path.dirname(ruinbounds.__file__))
     outputs = []
     for threads in ("1", "6"):
         dest = tmp_path / f"threads_{threads}.csv"
-        env = dict(os.environ, RUINBOUND_THREADS=threads)
+        env = dict(os.environ, RUINBOUND_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-m", "ruinbounds.cli", "simulate",
              "--model", "uniform_exponential_cycle", "--u", "2,5",

@@ -64,6 +64,10 @@ class TestCertificate:
         assert c.log_bound_at(5.0) == -INF
         assert c.log_bound_at(0.0) == 0.0
 
+    def test_constant_past_the_float_range_is_infinite(self):
+        assert Certificate(800.0, 1.0).c == INF
+        assert Certificate(709.0, 1.0).c == pytest.approx(math.exp(709.0))
+
 
 class TestFixedExponent:
     def test_linear_drift_closed_form(self):

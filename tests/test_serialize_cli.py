@@ -202,6 +202,13 @@ class TestDiagnostics:
         with pytest.raises(ConfigError, match=r"\$\.increments\.cycle\[1\]"):
             model_from_dict(cfg)
 
+    def test_deep_nesting_is_a_config_error(self):
+        law = {"family": "degenerate", "value": -1.0}
+        for _ in range(300):
+            law = {"family": "scaled", "factor": 1.0, "inner": law}
+        with pytest.raises(ConfigError, match="nests objects too deeply"):
+            model_from_dict({"increments": {"kind": "periodic", "cycle": [law]}})
+
     def test_model_must_be_an_object(self):
         with pytest.raises(ConfigError, match="model must be an object, got list"):
             model_from_dict([1, 2])
@@ -264,6 +271,23 @@ class TestCliBound:
         ref = bound_optimize(model, 3.0)
         assert rows[0]["log10_bound"] == pytest.approx(ref.log10_bound, rel=1e-12)
         assert rows[0]["certified"] is True
+
+    @pytest.mark.parametrize("command", [["adjustment"], ["bound", "--u", "1,2"]])
+    def test_json_spells_non_finite_values_as_strings(self, command, tmp_path, capsys):
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps({"increments": {"kind": "periodic", "cycle": [
+            {"family": "uniform", "lower": -2.0, "upper": -1.0}]}}), encoding="utf-8")
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        rc, out, _ = run_cli([command[0], "--model", str(p), *command[1:], "--format", "json"], capsys)
+        assert rc == 0
+        rows = json.loads(out, parse_constant=reject)
+        cells = [v for row in rows for v in row.values()]
+        assert "inf" in cells
+        if command[0] == "bound":
+            assert all(row["log10_bound"] == "-inf" for row in rows)
 
     def test_colon_range_is_inclusive(self, capsys):
         rc, out, _ = run_cli(
@@ -455,6 +479,16 @@ class TestCliConfigErrors:
         (["bound", "--model", "alternating_normals", "--u", "1",
           "--method", "shift_window"],
          "--method shift_window needs --lstar"),
+        (["adjustment", "--model", "alternating_normals", "--tol", "0"],
+         "tol must be positive"),
+        (["bound", "--model", "alternating_normals", "--u", "1",
+          "--method", "shift_window", "--lstar", "1", "--m", "0"],
+         "start_index must be a positive integer"),
+        (["bound", "--model", "alternating_normals", "--u", "1",
+          "--method", "periodic", "--l", "0"],
+         "l=0 is not a multiple of the cycle length"),
+        (["adjustment", "--model", "alternating_normals", "--l", "0"],
+         "l=0 is not a multiple of the cycle length"),
     ])
     def test_exit_two_with_diagnostic(self, argv, fragment, capsys):
         rc, out, err = run_cli(argv, capsys)

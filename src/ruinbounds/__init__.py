@@ -60,7 +60,6 @@ from .models import (
     cumulative_log_mgf,
     iid_base,
     per_increment_sup,
-    periodic_structure,
     reduce_event_model,
     sup_log_mgf,
 )

@@ -3,6 +3,12 @@
 Every bound here has the shape psi(u) <= exp(log_c - h u) for some exponent h
 and log-constant log_c; values like 1e-165 are ordinary numbers in this
 representation. Results clamp at 1 since psi is a probability.
+
+The sups, roots and certificates behind a bound do not depend on u. The bounds
+that find them (bound_optimize, bound_per_increment, bound_periodic) take a
+memo, a dict that the calls for one model over a u-grid share: each such value
+is then found once per grid. A memo serves one model; without one, every call
+starts afresh.
 """
 
 from __future__ import annotations
@@ -99,6 +105,15 @@ def _require_h(h: float) -> None:
         raise ValueError(f"h must be a nonnegative real, got {h!r}")
 
 
+def _once(memo: dict | None, key, compute):
+    """compute(), kept in memo under key when a memo is given."""
+    if memo is None:
+        return compute()
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
 def _logsumexp(values) -> float:
     """log sum_i exp(values_i), shifted by the maximum; -inf for no mass, +inf
     when a value is +inf."""
@@ -171,13 +186,15 @@ def bound_at_h(model: RiskModel, u: float, h: float, policy: TruncationPolicy | 
     return BoundResult(u, log_bound, h, "fixed_h", Certificate(s.value, h), True, "")
 
 
-def bound_optimize(model: RiskModel, u: float, policy: TruncationPolicy | None = None) -> BoundResult:
+def bound_optimize(model: RiskModel, u: float, policy: TruncationPolicy | None = None, *,
+                   memo: dict | None = None) -> BoundResult:
     """min over h >= 0 of exp(-h u) * sup_k E exp(h S*_k).
 
     The objective -hu + sup_k G_k(h) is a supremum of convex functions, hence
     convex; exponential bracketing followed by golden-section search finds the
     minimizer. The optimal h may sit far above any adjustment coefficient and
-    grows with u for models whose G_k flatten out.
+    grows with u for models whose G_k flatten out. Every probed sup is kept,
+    in memo when given, so that no h is evaluated twice.
     """
     _require_u(u)
     policy = policy or TruncationPolicy()
@@ -186,7 +203,7 @@ def bound_optimize(model: RiskModel, u: float, policy: TruncationPolicy | None =
                            "paths never rise above zero a.s.")
 
     cache: dict[float, float] = {}
-    sups: dict[float, SupLogMgf] = {}  # every probe's sup, so h_star's is not evaluated again
+    sups: dict[float, SupLogMgf] = _once(memo, ("sup_log_mgf", policy), dict)
 
     def f(h: float) -> float:
         if h in cache:
@@ -194,7 +211,7 @@ def bound_optimize(model: RiskModel, u: float, policy: TruncationPolicy | None =
         if h == 0.0:
             val = 0.0
         else:
-            s = sups[h] = sup_log_mgf(model, h, policy)
+            s = _once(sups, h, lambda: sup_log_mgf(model, h, policy))
             val = INF if s.value == INF else -h * u + s.value
         cache[h] = val
         return val
@@ -242,11 +259,14 @@ def bound_optimize(model: RiskModel, u: float, policy: TruncationPolicy | None =
     return BoundResult(u, log_bound, h_star, "optimized", Certificate(s.value, h_star), not exhausted, note)
 
 
-def bound_per_increment(model: RiskModel, u: float, tol: float = 1e-10, policy: TruncationPolicy | None = None) -> BoundResult:
+def bound_per_increment(model: RiskModel, u: float, tol: float = 1e-10, policy: TruncationPolicy | None = None, *,
+                        memo: dict | None = None) -> BoundResult:
     """One-step coefficient bound: below the per-increment root every factor of
-    E exp(h S*_k) is at most 1, so the first factor alone bounds the sup."""
+    E exp(h S*_k) is at most 1, so the first factor alone bounds the sup. The
+    root is kept in memo when given."""
     _require_u(u)
-    r = solve_per_increment(model, tol, policy)
+    policy = policy or TruncationPolicy()
+    r = _once(memo, ("per_increment", tol, policy), lambda: solve_per_increment(model, tol, policy))
     L = r.value
     if L == INF:
         return BoundResult(u, -INF, INF, "per_increment", Certificate(0.0, INF), r.certified, r.note)
@@ -271,6 +291,8 @@ def bound_periodic(
     exponent: float | None = None,
     at_h: float | None = None,
     tol: float = 1e-10,
+    *,
+    memo: dict | None = None,
 ) -> BoundResult:
     """Constant-times-exponential certificates from one period's structure.
 
@@ -283,13 +305,32 @@ def bound_periodic(
     k in [1, l + start_index - 1].
 
     With a concrete u the bound also minimizes exp(-h u) * max_k E exp(h S*_k)
-    over h in [0, exponent], which can only improve on the certificate.
+    over h in [0, exponent], which can only improve on the certificate. The
+    certificate does not depend on u, and is kept in memo when given.
     """
     if variant not in _VARIANTS:
         raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
     if u is not None:
         _require_u(u)
+    cert, ks, certified, note = _once(
+        memo, ("periodic", l, variant, start_index, exponent, at_h, tol),
+        lambda: _periodic_certificate(model, l, variant, start_index, exponent, at_h, tol))
+    if ks is None:  # the root is +inf
+        lb = -INF if u is not None else 0.0
+        return BoundResult(u, lb, INF, variant, cert, certified, note or "one period is nonpositive a.s.")
+    if u is None:
+        return BoundResult(None, min(0.0, cert.log_c), cert.exponent, variant, cert, certified,
+                           (note + "; " if note else "") + "certificate-only")
 
+    h_star, f_min = _golden(lambda h: -h * u + _window_max(model, ks, h), 0.0, cert.exponent)
+    log_bound = min(0.0, min(f_min, cert.log_bound_at(u)))
+    return BoundResult(u, log_bound, h_star, variant, cert, certified, note)
+
+
+def _periodic_certificate(model: RiskModel, l: int, variant: str, start_index: int, exponent: float | None,
+                          at_h: float | None, tol: float) -> tuple[Certificate, range | None, bool, str]:
+    """(certificate, window of k, certified, note) of bound_periodic; the
+    window is None when the period root is +inf."""
     if variant == "shift_window":
         if exponent is None:
             raise ValueError("shift_window needs an exponent to verify")
@@ -321,25 +362,16 @@ def bound_periodic(
         else:
             L = root.value
         if L == INF:
-            cert = Certificate(0.0, INF)
-            lb = -INF if u is not None else 0.0
-            return BoundResult(u, lb, INF, variant, cert, certified, note or "one period is nonpositive a.s.")
+            return Certificate(0.0, INF), None, certified, note
         ks = range(1, l + 1) if variant == "periodic" else range(0, l)
+    return Certificate(_window_max(model, ks, L), L), ks, certified, note
 
+
+def _window_max(model: RiskModel, ks: range, h: float) -> float:
+    """max over k in ks of G_k(h), with G_0 = 0 (the empty sum)."""
     k_hi = max(ks)
-
-    def window_max(h: float) -> float:
-        g = cumulative_log_mgf(model, h, k_hi) if k_hi else []
-        return max(g + [0.0] if ks.start == 0 else g)  # k = 0 is the empty sum
-
-    log_c = window_max(L)
-    cert = Certificate(log_c, L)
-    if u is None:
-        return BoundResult(None, min(0.0, log_c), L, variant, cert, certified, (note + "; " if note else "") + "certificate-only")
-
-    h_star, f_min = _golden(lambda h: -h * u + window_max(h), 0.0, L)
-    log_bound = min(0.0, min(f_min, cert.log_bound_at(u)))
-    return BoundResult(u, log_bound, h_star, variant, cert, certified, note)
+    g = cumulative_log_mgf(model, h, k_hi) if k_hi else []
+    return max(g + [0.0] if ks.start == 0 else g)
 
 
 def bound_kappa(model: RiskModel, u: float, tol: float = 1e-10) -> BoundResult:

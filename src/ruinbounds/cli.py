@@ -192,28 +192,45 @@ def cmd_adjustment(args) -> int:
     return OK
 
 
-# each bound method: the flag it needs (None if it needs none) and its call on
-# (model, u, args, policy)
+# each bound method: the flags of _BOUND_FLAGS it reads, the one of them it
+# needs (None if it needs none), and its call on (model, u, args, policy, memo).
+# The calls look the bound functions up by their names in this module.
+_BOUND_FLAGS = ("h", "l", "m", "lstar")
 _BOUND_METHODS = {
-    "optimized": (None, lambda model, u, a, policy: bound_optimize(model, u, policy)),
-    "fixed_h": ("h", lambda model, u, a, policy: bound_at_h(model, u, a.h, policy)),
-    "per_increment": (None, lambda model, u, a, policy: bound_per_increment(model, u, a.tol, policy)),
-    "periodic": (None, lambda model, u, a, policy: bound_periodic(
-        model, _infer_l(model, a), "periodic", u=u, at_h=a.h, tol=a.tol)),
-    "scaled_periodic": (None, lambda model, u, a, policy: bound_periodic(
-        model, _infer_l(model, a), "scaled_periodic", u=u, at_h=a.h, tol=a.tol)),
-    "shift_window": ("lstar", lambda model, u, a, policy: bound_periodic(
-        model, _infer_l(model, a), "shift_window", u=u, start_index=a.m, exponent=a.lstar, tol=a.tol)),
-    "kappa": (None, lambda model, u, a, policy: bound_kappa(model, u, a.tol)),
-    "union": ("h", lambda model, u, a, policy: bound_union(model, u, a.h, policy)),
+    "optimized": ((), None, lambda model, u, a, policy, memo: bound_optimize(model, u, policy, memo=memo)),
+    "fixed_h": (("h",), "h", lambda model, u, a, policy, memo: bound_at_h(model, u, a.h, policy)),
+    "per_increment": ((), None, lambda model, u, a, policy, memo: bound_per_increment(
+        model, u, a.tol, policy, memo=memo)),
+    "periodic": (("l", "h"), None, lambda model, u, a, policy, memo: bound_periodic(
+        model, _infer_l(model, a), "periodic", u=u, at_h=a.h, tol=a.tol, memo=memo)),
+    "scaled_periodic": (("l", "h"), None, lambda model, u, a, policy, memo: bound_periodic(
+        model, _infer_l(model, a), "scaled_periodic", u=u, at_h=a.h, tol=a.tol, memo=memo)),
+    "shift_window": (("l", "m", "lstar"), "lstar", lambda model, u, a, policy, memo: bound_periodic(
+        model, _infer_l(model, a), "shift_window", u=u, start_index=1 if a.m is None else a.m,
+        exponent=a.lstar, tol=a.tol, memo=memo)),
+    "kappa": ((), None, lambda model, u, a, policy, memo: bound_kappa(model, u, a.tol)),
+    "union": (("h",), "h", lambda model, u, a, policy, memo: bound_union(model, u, a.h, policy)),
 }
 
 
-def _bound_for(model, u, args, policy, method: str):
-    flag, call = _BOUND_METHODS[method]
-    if flag is not None and getattr(args, flag) is None:
-        raise ConfigError(f"--method {method} needs --{flag}")
-    return call(model, u, args, policy)
+def _check_bound_flags(args, option: str, method: str) -> None:
+    """A flag of _BOUND_FLAGS that the method does not read is a configuration
+    error, as is a missing flag that it needs. simulate's method 'none' reads
+    none."""
+    reads, needs = _BOUND_METHODS[method][:2] if method in _BOUND_METHODS else ((), None)
+    if needs is not None and getattr(args, needs) is None:
+        raise ConfigError(f"{option} {method} needs --{needs}")
+    unread = [f"--{flag}" for flag in _BOUND_FLAGS if flag not in reads and getattr(args, flag) is not None]
+    if unread:
+        raise ConfigError(f"{option} {method} does not read {', '.join(unread)}")
+
+
+def _bound_grid(model, us, args, policy, method: str) -> list:
+    """The method's bound at every u of the grid. The u share one memo, so the
+    sups, roots and certificates that do not depend on u are found once."""
+    call = _BOUND_METHODS[method][2]
+    memo: dict = {}
+    return [call(model, u, args, policy, memo) for u in us]
 
 
 def _bound_row(b) -> dict:
@@ -231,7 +248,8 @@ def cmd_bound(args) -> int:
     model = _load(args)
     us = _check_u_grid(_parse_u_spec(args.u))
     policy = _policy(args, us)
-    bounds = [_bound_for(model, u, args, policy, args.method) for u in us]
+    _check_bound_flags(args, "--method", args.method)
+    bounds = _bound_grid(model, us, args, policy, args.method)
     _emit([_bound_row(b) for b in bounds], ["u", "method", "h_star", "log10_bound", "C", "L", "certified"], args)
     uncertified = [b for b in bounds if not b.certified]
     if uncertified:
@@ -248,11 +266,11 @@ def cmd_simulate(args) -> int:
         n_paths=args.paths, horizon=args.horizon, seed=args.seed,
         stop_gap=args.stop_gap, workers=None,
     )
+    _check_bound_flags(args, "--bound-method", args.bound_method)
     sims = simulate_ruin_grid(model, us, cfg)
     bounds = None
     if args.bound_method != "none":
-        policy = _policy(args, us)
-        bounds = [_bound_for(model, u, args, policy, args.bound_method) for u in us]
+        bounds = _bound_grid(model, us, args, _policy(args, us), args.bound_method)
     rows = []
     violated = False
     for i, s in enumerate(sims):
@@ -287,11 +305,11 @@ def cmd_compare(args) -> int:
     policy = _policy(args, us)
     cfg = SimConfig(n_paths=args.paths, horizon=args.horizon, seed=args.seed, stop_gap=args.stop_gap)
     sims = simulate_ruin_grid(model, us, cfg)
+    opts = _bound_grid(model, us, args, policy, "optimized")
+    pers = _bound_grid(model, us, args, policy, "per_increment")
     rows = []
-    for u, sim in zip(us, sims):
-        opt = bound_optimize(model, u, policy)
+    for u, sim, opt, per in zip(us, sims, opts, pers):
         uni = bound_union(model, u, opt.h_star if opt.h_star not in (0.0, INF) else 1.0, policy)
-        per = bound_per_increment(model, u, args.tol, policy)
         entries = {"optimized": opt.log10_bound, "union": uni.log10_bound, "per_increment": per.log10_bound}
         for name, c, lam in EXTERNAL_REFERENCES:
             entries[name] = min(0.0, (math.log(c) - lam * u) / math.log(10.0))
@@ -338,7 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if bound:  # the flags that _BOUND_METHODS reads
             p.add_argument("--h", type=float, default=None, help="exponent for fixed_h/union, or sub-root at_h for periodic variants")
             p.add_argument("--l", type=int, default=None, help="period length (default: inferred cycle length)")
-            p.add_argument("--m", type=int, default=1, help="start index for shift_window (default 1)")
+            p.add_argument("--m", type=int, default=None, help="start index for shift_window (default 1)")
             p.add_argument("--lstar", type=float, default=None, help="exponent for shift_window")
 
     p = sub.add_parser("adjustment", help="solve all applicable adjustment coefficients")

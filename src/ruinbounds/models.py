@@ -22,9 +22,10 @@ tails then reduce to a few periods of the block, walked one (law, log
 multiplier) pair at a time by _walk; _walk serves only these short walks,
 where a scalar loop beats numpy's fixed cost. Four closed forms cover the
 indexed families without interest (the IndexedTwoPoint one in O(1) through
-log-factorials and a power-sum series). Everything else is scanned up to a
-truncation cap by log_mgf_terms, the vectorized term kernel, on per-family
-parameter arrays.
+log-factorials and a power-sum series). Everything else is scanned by
+log_mgf_terms, the vectorized term kernel, on per-family parameter arrays, in
+ranges up to a truncation cap; the scan stops early where the family proves
+that every later term is negative.
 
 Every longer walk reads one epoch layout, _layout(model, K): each epoch's slot
 in the record's law list and its log multiplier log(scale_j v_{j-1}). Only a
@@ -34,8 +35,10 @@ in closed form) builds laws per epoch, and only when they are read.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -76,7 +79,6 @@ __all__ = [
     "per_increment_sup",
     "reduce_event_model",
     "iid_base",
-    "periodic_structure",
 ]
 
 
@@ -399,20 +401,33 @@ class RiskModel:
         laws = self._laws
         return laws if laws is not None and laws.logs is not None else None
 
-    def log_discounts(self, K: int) -> np.ndarray:
-        """log v_0 .. log v_K, with v_k = prod_{j<=k} 1/(1+r_j) kept in log space."""
+    def log_discounts(self, K: int, start: int = 0, prev: float | None = None) -> np.ndarray:
+        """log v_start .. log v_K, with v_k = prod_{j<=k} 1/(1+r_j) kept in log space.
+
+        Under rates that vary, the entries are one running sum from v_0. A walk
+        in ranges passes prev = log v_{start-1}, the last entry of its range
+        before, to continue that sum; without prev it is redone up to start
+        without holding the entries before start.
+        """
         if K < 0:
             raise ValueError("K must be >= 0")
+        if not 0 <= start <= K:
+            raise ValueError(f"start must be in [0, K], got {start!r}")
         if self.rates.all_zero():
-            return np.zeros(K + 1)
+            return np.zeros(K - start + 1)
         if isinstance(self.rates, ConstantRates):
-            return -math.log1p(self.rates.rate) * np.arange(K + 1, dtype=float)
-        out = np.zeros(K + 1)
-        acc = 0.0
-        for k in range(1, K + 1):
-            acc -= math.log1p(self.rates.rate_at(k))
-            out[k] = acc
-        return out
+            return -math.log1p(self.rates.rate) * np.arange(start, K + 1, dtype=float)
+
+        def steps(a: int, b: int):
+            return (-math.log1p(self.rates.rate_at(k)) for k in range(a, b + 1))
+
+        # np.cumsum and reduce add in order, as a scalar loop would (sum()
+        # compensates its rounding on Python 3.12+)
+        if not start:
+            return np.cumsum([0.0, *steps(1, K)])
+        if prev is None:
+            prev = functools.reduce(operator.add, steps(1, start - 1), 0.0)
+        return np.cumsum([prev, *steps(start, K)])[1:]
 
     def discount_factor(self, k: int) -> float:
         if k < 0:
@@ -461,16 +476,6 @@ class SupLogMgf:
     status: str
     certified: bool
     note: str = ""
-
-
-def periodic_structure(model: RiskModel):
-    """(prefix_len, prefix, cycle, scale, rate_period) when the model has an
-    eventually (scaled-)periodic law under constant or periodic rates, else None."""
-    prefix, tail = _prefix_and_tail(model.increments)
-    rate_period = model.rates.period()
-    if not isinstance(tail, (Periodic, QuasiPeriodicScaled)) or rate_period is None:
-        return None
-    return (len(prefix), prefix, tail.cycle, getattr(tail, "scale", 1.0), rate_period)
 
 
 def _prefix_and_tail(inc: SequenceRule) -> tuple[tuple[IncrementDistribution, ...], SequenceRule]:
@@ -548,22 +553,32 @@ class _Laws:
         return np.array([mgf_domain_sup(law) for law in self.laws])
 
 
-def _layout(model: RiskModel, K: int) -> tuple[_Laws, np.ndarray, np.ndarray]:
-    """(laws, slot, c): epoch j = 1..K has law laws.laws[slot[j-1]] and log
-    multiplier c[j-1] = log(scale_j v_{j-1}). A rule without a finite law list
-    gets a record of its laws for epochs 1..K, built only if read."""
-    j = np.arange(K)
+def _layout(model: RiskModel, K: int, start: int = 0, log_v: np.ndarray | None = None) -> tuple[_Laws, np.ndarray, np.ndarray]:
+    """(laws, slot, c): epoch j = start+1..K has law laws.laws[slot[i]] and log
+    multiplier c[i] = log(scale_j v_{j-1}), i = j-start-1. A rule without a
+    finite law list gets a record of its laws for epochs start+1..K, built only
+    if read.
+
+    The discounts log v_start .. log v_{K-1} are read exactly when the model has
+    no block; a scan in ranges passes them as log_v, continued from the range
+    before, and otherwise they come from model.log_discounts.
+    """
+    j = np.arange(start, K)
+
+    def discounts() -> np.ndarray:
+        return model.log_discounts(K - 1, start) if log_v is None else log_v
+
     laws = model._laws
     if laws is None:
-        return _Laws(map(model.distribution_at, range(1, K + 1))), j, model.log_discounts(K - 1)
+        return _Laws(map(model.distribution_at, range(start + 1, K + 1))), j - start, discounts()
     if K <= len(laws.laws):  # no epoch past the first period: no period powers
-        return laws, j, laws.log_array[:K] if laws.logs is not None else model.log_discounts(K - 1)
+        return laws, j, laws.log_array[start:K] if laws.logs is not None else discounts()
     P, n = laws.prefix, laws.length
     if not n:
         model.distribution_at(K)  # past an explicit prefix: raises ModelIndexError
     past = np.maximum(j - P, 0)
     slot = np.where(j < P, j, P + past % n)
-    c = laws.log_array[slot] if laws.logs is not None else model.log_discounts(K - 1)
+    c = laws.log_array[slot] if laws.logs is not None else discounts()
     return laws, slot, c + (past // n) * laws.log_ratio if laws.log_ratio else c
 
 
@@ -582,32 +597,38 @@ def _table_terms(laws: _Laws, slot: np.ndarray, t: np.ndarray) -> np.ndarray:
 _FLOAT_MAX = sys.float_info.max
 
 
-def log_mgf_terms(model: RiskModel, h: float, K: int) -> np.ndarray:
-    """The terms log E exp(h e^{c_j} Y*_j) for epochs j = 1..K, through the
-    first +inf, where e^{c_j} is the scale times the discount v_{j-1}.
+def log_mgf_terms(model: RiskModel, h: float, K: int, start: int = 0, log_v: np.ndarray | None = None) -> np.ndarray:
+    """The terms log E exp(h e^{c_j} Y*_j) for epochs j = start+1..K, through
+    the first +inf, where e^{c_j} is the scale times the discount v_{j-1}.
 
     The per-epoch parameters come as arrays: in closed form for the indexed
     families, and otherwise from the law table of the _layout record, indexed
     by slot. The arithmetic is _walk's: exact 0 at t = 0, a cut after the
-    first +inf, and e^c clamped at the float maximum.
+    first +inf, and e^c clamped at the float maximum. Every term depends on
+    its own epoch only, so consecutive ranges give the terms of one call;
+    log_v is as in _layout.
     """
     inc = model.increments
     if isinstance(inc, ExplicitPrefix) and K > len(inc.dists):
         # past the prefix only when no term before it diverges, as in _walk
-        terms = log_mgf_terms(model, h, len(inc.dists))
+        terms = log_mgf_terms(model, h, len(inc.dists), start, log_v)
         if terms[-1] != INF:
             inc.distribution_at(len(inc.dists) + 1)  # raises ModelIndexError
         return terms
-    laws, slot, c = _layout(model, K)
+    indexed = isinstance(inc, (IndexedNormal, IndexedTwoPoint))  # no laws: parameters by epoch
+    if indexed:
+        c = model.log_discounts(K - 1, start) if log_v is None else log_v
+    else:
+        laws, slot, c = _layout(model, K, start, log_v)
     with np.errstate(all="ignore"):
         t = h * np.minimum(np.exp(c), _FLOAT_MAX)
-        if isinstance(inc, IndexedNormal):
-            terms = Normal._lmgf_vec((inc.intercept + inc.slope * (slot + 1.0), np.ones(K)), t)
-        elif isinstance(inc, IndexedTwoPoint):
-            p1 = 1.0 / (slot + 2.0)
-            terms = TwoPoint._lmgf_vec((np.ones(K), np.log(p1), -np.ones(K), np.log1p(-p1)), t)
-        else:
+        if not indexed:
             terms = _table_terms(laws, slot, t)
+        elif isinstance(inc, IndexedNormal):
+            terms = Normal._lmgf_vec((inc.intercept + inc.slope * (np.arange(start, K) + 1.0), 1.0), t)
+        else:
+            p1 = 1.0 / (np.arange(start, K) + 2.0)
+            terms = TwoPoint._lmgf_vec((1.0, np.log(p1), -1.0, np.log1p(-p1)), t)
     terms[t == 0.0] = 0.0
     cut = np.flatnonzero(terms == INF)
     return terms[:cut[0] + 1] if cut.size else terms
@@ -761,7 +782,7 @@ def _scan_certifies_decrease(model: RiskModel, h: float, last_index: int) -> boo
     inc = model.increments
     if isinstance(inc, IndexedNormal) and inc.slope < 0.0:
         # per-step term t(a_n + t/2) with a_n decreasing and t nonincreasing
-        t_last = h * math.exp(model.log_discounts(last_index - 1)[-1])
+        t_last = h * math.exp(model.log_discounts(last_index - 1, last_index - 1)[0])
         a_last = inc.intercept + inc.slope * last_index
         return a_last + 0.5 * t_last < 0.0
     if isinstance(inc, IndexedTwoPoint):
@@ -773,27 +794,70 @@ def _scan_certifies_decrease(model: RiskModel, h: float, last_index: int) -> boo
 def _decrease_run(terms: np.ndarray) -> bool:
     """Whether _DECREASE_WINDOW consecutive terms fall below -_MIN_DECREASE."""
     w = _DECREASE_WINDOW
-    runs = np.concatenate(([0], np.cumsum(terms < -_MIN_DECREASE)))
-    return bool(np.any(runs[w:] - runs[:runs.size - w] == w))
+    runs = np.cumsum(terms < -_MIN_DECREASE)  # runs[i]: how many of terms[:i+1] are below
+    return runs.size >= w and bool(runs[w - 1] == w or (runs[w:] - runs[:-w] == w).any())
+
+
+# a scan's first range is the shortest of _SCAN_FIRST * 4^i epochs that the
+# family's proof closes (with room for a run of decreases after it, for partial
+# sums), and the rest of the scan runs to the cap; no range is longer than
+# _SCAN_CHUNK epochs, so a scan holds one chunk at a time
+_SCAN_FIRST = 64
+_SCAN_CHUNK = 1 << 16
 
 
 def _sup_scan(model: RiskModel, h: float, policy: TruncationPolicy, partial: bool) -> SupLogMgf:
+    """The sup over epochs 1..cap of the running value, scanned in ranges.
+
+    The verdict is the full scan's: attained when the family's proof
+    (_scan_certifies_decrease at the cap) holds and, for partial sums, a run of
+    decreases occurs anywhere, else undetermined. Both conditions stay true as
+    the index grows, so once both hold at the end of a range, every later term
+    is negative and the value, argmax and status are already those of the
+    full scan: the scan stops there.
+    """
     horizon = model.horizon()
     cap = horizon if horizon is not None else policy.k_max
-    terms = log_mgf_terms(model, h, cap)
-    with np.errstate(over="ignore"):
-        values = np.cumsum(terms) if partial else terms
-    i = int(np.argmax(values))  # the first maximum, as _fold keeps it
-    best = float(values[i])
-    arg = i + 1 if best > -INF else None
-    if best == INF:
-        return SupLogMgf(INF, arg, "unbounded", True, "divergent MGF term")
-    if horizon is not None:
-        return SupLogMgf(best, arg, "attained", True)
+    end, proved = cap, False
+    if horizon is None:
+        room = _DECREASE_WINDOW - 1 if partial else 0
+        end = _SCAN_FIRST
+        while end < cap and not _scan_certifies_decrease(model, h, end - room):
+            end *= 4
+        proved = end < cap or _scan_certifies_decrease(model, h, cap)
     # for partial sums a run of decreases anywhere counts: under discounting the
     # terms shrink toward zero near the cap, and a longer scan must not lose the
     # verdict a shorter one reached
-    if (not partial or _decrease_run(terms)) and _scan_certifies_decrease(model, h, cap):
+    decreasing = not partial
+    start, g, best, arg = 0, 0.0, -INF, None
+    tail = np.empty(0)  # the last terms before the range, for a run across its start
+    log_v = None  # the discounts of the range, which a model without a block reads
+    while True:
+        end = min(end, cap, start + _SCAN_CHUNK)
+        if model._block is None:
+            log_v = model.log_discounts(end - 1, start, None if log_v is None else log_v[-1])
+        terms = log_mgf_terms(model, h, end, start, log_v)
+        values = terms
+        if partial:  # the running sum continues in order from the range before
+            with np.errstate(over="ignore"):
+                values = np.cumsum(np.concatenate(([g], terms)))[1:] if start else np.cumsum(terms)
+        i = int(np.argmax(values))  # the first maximum, as _fold keeps it
+        if values[i] > best:
+            best, arg = float(values[i]), start + i + 1
+        if best == INF:
+            return SupLogMgf(INF, arg, "unbounded", True, "divergent MGF term")
+        if proved and not decreasing:
+            seen = np.concatenate((tail, terms)) if start else terms
+            decreasing, tail = _decrease_run(seen), seen[1 - _DECREASE_WINDOW:]
+        g = values[-1]
+        # a per-increment sup below zero scans on: discounted terms rise toward
+        # zero, and where t underflows they round to it
+        if end == cap or terms.size < end - start or (proved and decreasing and (partial or best > 0.0)):
+            break
+        start, end = end, cap
+    if horizon is not None:
+        return SupLogMgf(best, arg, "attained", True)
+    if proved and decreasing:
         if not partial and best < 0.0 and not model.zero_rates():
             return SupLogMgf(0.0, None, "limit", True, "terms approach zero from below under discounting")
         return SupLogMgf(best, arg, "attained", True)

@@ -185,6 +185,67 @@ class TestOptimize:
         assert r.log_bound <= 0.0
 
 
+class TestGridMemo:
+    """One memo over a u-grid: the sups and roots that do not depend on u are
+    found once per grid, and nothing is kept between calls without it."""
+
+    GRID = (1.0, 2.5, 5.0, 10.0, 20.0)
+
+    @staticmethod
+    def _record(monkeypatch, name):
+        calls = []
+        original = getattr(bounds, name)
+
+        def recording(*args, **kwargs):
+            calls.append(args[1:])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, name, recording)
+        return calls
+
+    @pytest.mark.parametrize("model", [alternating_normals, linear_drift,
+                                       lambda: RiskModel(IndexedNormal(-0.5, 0.25), rates=0.01)],
+                             ids=["alternating_normals", "linear_drift", "indexed_normal_1pct"])
+    def test_grid_probes_fewer_sups(self, model, monkeypatch):
+        probes = self._record(monkeypatch, "sup_log_mgf")
+        m = model()
+        alone = [bound_optimize(m, u) for u in self.GRID]
+        per_u = len(probes)
+        probes.clear()
+        memo = {}
+        shared = [bound_optimize(m, u, memo=memo) for u in self.GRID]
+        assert shared == alone
+        assert len(probes) == len(set(probes)) < per_u
+
+    @pytest.mark.parametrize("solver, call", [
+        ("solve_per_increment", lambda m, u, memo: bound_per_increment(m, u, memo=memo)),
+        ("solve_period_root", lambda m, u, memo: bound_periodic(m, 2, "periodic", u=u, memo=memo)),
+        ("solve_period_root", lambda m, u, memo: bound_periodic(m, 2, "scaled_periodic", u=u, memo=memo)),
+    ], ids=["per_increment", "periodic", "scaled_periodic"])
+    def test_grid_solves_the_root_once(self, solver, call, monkeypatch):
+        solves = self._record(monkeypatch, solver)
+        m = alternating_normals()
+        alone = [call(m, u, None) for u in self.GRID]
+        assert len(solves) == len(self.GRID)
+        solves.clear()
+        memo = {}
+        assert [call(m, u, memo) for u in self.GRID] == alone
+        assert len(solves) == 1
+
+    def test_no_cache_between_calls(self, monkeypatch):
+        probes = self._record(monkeypatch, "sup_log_mgf")
+        solves = self._record(monkeypatch, "solve_per_increment")
+        m = alternating_normals()
+        counts = []
+        for _ in range(2):
+            probes.clear()
+            solves.clear()
+            bound_optimize(m, 5.0)
+            bound_per_increment(m, 5.0)
+            counts.append((len(probes), len(solves)))
+        assert counts[0] == counts[1] and counts[0][0] > 0 and counts[0][1] == 1
+
+
 class TestPerIncrement:
     def test_iid_normal(self):
         m = RiskModel(Periodic((Normal(-0.5, 1.0),)))

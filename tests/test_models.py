@@ -29,7 +29,6 @@ from ruinbounds import (
     bound_union,
     cumulative_log_mgf,
     per_increment_sup,
-    periodic_structure,
     reduce_event_model,
     solve_partial_sum,
     solve_period_root,
@@ -147,22 +146,27 @@ class TestCumulativeLogMgf:
 
 
 class TestPeriodicStructure:
+    """The prefix/tail split and the rate period, as RiskModel._laws records them."""
+
     def test_plain_cycle(self):
-        s = periodic_structure(cycle_model())
-        assert s is not None
-        prefix_len, prefix, cycle, scale, rate_period = s
-        assert prefix_len == 0 and len(cycle) == 3 and scale == 1.0 and rate_period == 1
+        m = cycle_model()
+        laws = m._laws
+        assert laws is not None and m._block is laws  # zero rates repeat with period 1
+        assert laws.prefix == 0 and laws.length == 3 and laws.log_ratio == 0.0
 
     def test_prefix_and_rate_period(self):
         m = RiskModel(
             PrefixThenTail((Degenerate(1.0),), Periodic((Normal(-1.0, 1.0),))),
             rates=PeriodicRates((0.1, 0.2)),
         )
-        prefix_len, prefix, cycle, scale, rate_period = periodic_structure(m)
-        assert prefix_len == 1 and rate_period == 2
+        block = m._block
+        # the one-law cycle repeats over the rate period 2, which the block spans
+        assert block.prefix == 1 and block.length == 2
+        assert block.log_ratio == pytest.approx(-math.log(1.1 * 1.2), abs=1e-15)
 
     def test_indexed_has_no_periodic_structure(self):
-        assert periodic_structure(RiskModel(IndexedNormal(-0.5, 0.25))) is None
+        m = RiskModel(IndexedNormal(-0.5, 0.25))
+        assert m._laws is None and m._block is None
 
 
 class TestSupLogMgf:

@@ -3,9 +3,10 @@
 import copy
 import json
 import math
+from unittest.mock import patch
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 import pytest
 
 from ruinbounds import (
@@ -24,6 +25,7 @@ from ruinbounds import (
     QuasiPeriodicScaled,
     RiskModel,
     Scaled,
+    SupLogMgf,
     ShiftedExponential,
     TwoPoint,
     Uniform,
@@ -40,7 +42,15 @@ from ruinbounds import (
 )
 from ruinbounds.adjustment import _domain_cap, _esssup_sums
 from ruinbounds.distributions import mgf_domain_sup, support_bounds
-from ruinbounds.models import PrefixThenTail, log_mgf_terms
+from ruinbounds import models as models_module
+from ruinbounds.models import (
+    PrefixThenTail,
+    TruncationPolicy,
+    _decrease_run,
+    _scan_certifies_decrease,
+    _sup_scan,
+    log_mgf_terms,
+)
 from ruinbounds.serialize import ConfigError, model_from_dict, model_to_dict
 
 
@@ -222,6 +232,97 @@ class TestTermKernelParity:
             assert got == [0.0] * K
         for a, b in zip(got[:-1] if got[-1] == INF else got, expected):
             assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
+
+
+def _full_scan(model: RiskModel, h: float, k_max: int, partial: bool) -> SupLogMgf:
+    """The truncated-scan sup from one log_mgf_terms call over every epoch up
+    to the cap, the reference for the streamed scan."""
+    horizon = model.horizon()
+    cap = horizon if horizon is not None else k_max
+    terms = log_mgf_terms(model, h, cap)
+    with np.errstate(over="ignore"):
+        values = np.cumsum(terms) if partial else terms
+    i = int(np.argmax(values))
+    best = float(values[i])
+    arg = i + 1 if best > -INF else None
+    if best == INF:
+        return SupLogMgf(INF, arg, "unbounded", True, "divergent MGF term")
+    if horizon is not None:
+        return SupLogMgf(best, arg, "attained", True)
+    if (not partial or _decrease_run(terms)) and _scan_certifies_decrease(model, h, cap):
+        if not partial and best < 0.0 and not model.zero_rates():
+            return SupLogMgf(0.0, None, "limit", True, "terms approach zero from below under discounting")
+        return SupLogMgf(best, arg, "attained", True)
+    return SupLogMgf(best, arg, "undetermined", False, f"scan truncated at k_max={cap}")
+
+
+class TestStreamedScan:
+    """_sup_scan reads the terms in ranges and stops once the family's proof
+    and the decrease run hold; its result must be bitwise the one of a single
+    scan to the cap."""
+
+    rates = st.one_of(
+        st.just(ConstantRates(0.0)),
+        st.floats(0.001, 0.3).map(ConstantRates),
+        st.lists(st.one_of(st.just(0.0), st.floats(0.001, 0.3)), min_size=1, max_size=3).map(tuple).map(PeriodicRates),
+        st.lists(st.floats(0.0, 0.3), min_size=1, max_size=300).map(tuple).map(ExplicitRates),
+    )
+
+    @st.composite
+    def models(draw):
+        kind = draw(st.sampled_from(["indexed_normal", "indexed_two_point", "explicit", "amplifying"]))
+        rates = draw(TestStreamedScan.rates)
+        if kind == "indexed_normal":
+            return RiskModel(IndexedNormal(draw(st.floats(-1.0, 0.05)), draw(finite_means)), rates)
+        if kind == "indexed_two_point":
+            return RiskModel(IndexedTwoPoint(), rates)
+        if kind == "explicit":
+            n = draw(st.integers(1, 150))
+            return RiskModel(ExplicitPrefix(tuple(draw(st.lists(TestTermKernelParity.laws, min_size=n, max_size=n)))), rates)
+        cycle = draw(st.lists(TestTermKernelParity.laws, min_size=1, max_size=3))
+        return RiskModel(QuasiPeriodicScaled(tuple(cycle), draw(st.floats(1.0001, 1.05))), rates)
+
+    @pytest.mark.parametrize("partial", [True, False], ids=["partial", "per_increment"])
+    @settings(max_examples=300, deadline=None)
+    @given(models(), st.floats(0.01, 20.0),
+           st.sampled_from([1, 2, 49, 50, 63, 64, 65, 255, 256, 257, 1024, 1025, 5000]),
+           st.sampled_from([None, 64, 100]))
+    # discounted per-increment terms that round to zero past epoch 15,000
+    @example(RiskModel(IndexedNormal(-0.5, 0.25), ConstantRates(0.05)), 0.3, 20_000, None)
+    # the family's proof holds from epoch 2,000 on, but no run of decreases follows
+    @example(RiskModel(IndexedNormal(-0.001, 2.0), ConstantRates(0.01)), 1.0, 5000, None)
+    # the proof holds at epoch 64, the run of decreases starts at epoch 141
+    @example(RiskModel(IndexedNormal(-1e-8, -0.5 + 4e-7)), 1.0, 257, None)
+    # the one run of decreases, epochs 42-92, spans the end of the first range
+    @example(RiskModel(IndexedNormal(-1.0, 0.0), ConstantRates(math.expm1(1 / 64))), 4.525e-8, 1024, None)
+    # the maximum sits in a later range, under rates that vary
+    @example(RiskModel(IndexedNormal(0.01, -0.5), PeriodicRates((0.01, 0.0))), 0.5, 257, 64)
+    # a first term of -0.0
+    @example(RiskModel(ExplicitPrefix((Degenerate(-5e-324), Degenerate(-1.0)))), 0.01, 64, None)
+    def test_matches_one_scan_to_the_cap(self, partial, model, h, k_max, chunk):
+        expected = _full_scan(model, h, k_max, partial)
+        with patch.object(models_module, "_SCAN_CHUNK", chunk or models_module._SCAN_CHUNK):
+            got = _sup_scan(model, h, TruncationPolicy(k_max), partial)
+        assert got.value.hex() == expected.value.hex()
+        assert (got.argmax, got.status, got.certified, got.note) == \
+            (expected.argmax, expected.status, expected.certified, expected.note)
+
+    @pytest.mark.parametrize("model", [
+        RiskModel(IndexedNormal(-0.5, 0.25), ConstantRates(0.01)),
+        RiskModel(IndexedTwoPoint(), PeriodicRates((0.02, 0.0, 0.05))),
+    ], ids=["indexed_normal", "indexed_two_point"])
+    def test_certified_scan_stops_early(self, model, monkeypatch):
+        read = []
+        terms = models_module.log_mgf_terms
+
+        def recording(model, h, K, start=0, log_v=None):
+            read.append(K - start)
+            return terms(model, h, K, start, log_v)
+
+        monkeypatch.setattr(models_module, "log_mgf_terms", recording)
+        s = sup_log_mgf(model, 1.0, TruncationPolicy(10_000))
+        assert s.status == "attained" and s.certified
+        assert sum(read) <= 320
 
 
 def _logsumexp(values) -> float:

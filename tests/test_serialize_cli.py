@@ -20,6 +20,8 @@ from ruinbounds import (
     QuasiPeriodicScaled,
     RiskModel,
     bound_optimize,
+    bound_per_increment,
+    bound_periodic,
     reduce_event_model,
 )
 from ruinbounds import cli
@@ -289,6 +291,34 @@ class TestCliBound:
         if command[0] == "bound":
             assert all(row["log10_bound"] == "-inf" for row in rows)
 
+    GRID = (1.0, 2.5, 5.0, 10.0, 20.0)
+
+    @pytest.mark.parametrize("model, method, extra, call", [
+        ("alternating_normals", "optimized", [], lambda m, u: bound_optimize(m, u)),
+        ("scan", "optimized", [], lambda m, u: bound_optimize(m, u)),
+        ("alternating_normals", "per_increment", [], lambda m, u: bound_per_increment(m, u)),
+        ("alternating_normals", "periodic", [], lambda m, u: bound_periodic(m, 2, "periodic", u=u)),
+        ("alternating_normals", "scaled_periodic", ["--h", "0.5"],
+         lambda m, u: bound_periodic(m, 2, "scaled_periodic", u=u, at_h=0.5)),
+        ("alternating_normals", "shift_window", ["--lstar", "0.3", "--m", "2"],
+         lambda m, u: bound_periodic(m, 2, "shift_window", u=u, start_index=2, exponent=0.3)),
+    ], ids=["optimized", "optimized_scan", "per_increment", "periodic", "scaled_periodic", "shift_window"])
+    def test_grid_rows_match_per_u_library_calls(self, model, method, extra, call, tmp_path, capsys):
+        # the rows of one grid share a memo; each library call here starts afresh
+        if model == "scan":
+            path = tmp_path / "scan.json"
+            path.write_text(json.dumps({"increments": {"kind": "indexed_normal", "slope": -0.5, "intercept": 0.25},
+                                        "rates": {"kind": "constant", "rate": 0.01}}), encoding="utf-8")
+            model = str(path)
+        rc, out, err = run_cli(["bound", "--model", model, "--u", ",".join("%g" % u for u in self.GRID),
+                                "--method", method, *extra], capsys)
+        assert rc == 0 and err == ""
+        m = load_model(model if model.endswith(".json") else bundled_path(model))
+        columns = ["u", "method", "h_star", "log10_bound", "C", "L", "certified"]
+        rows = [cli._bound_row(call(m, u)) for u in self.GRID]
+        lines = [",".join(columns)] + [",".join(cli._fmt(row[c]) for c in columns) for row in rows]
+        assert out == "\n".join(lines) + "\n"
+
     def test_colon_range_is_inclusive(self, capsys):
         rc, out, _ = run_cli(
             ["bound", "--model", "alternating_normals", "--u", "1:3:0.5"], capsys)
@@ -489,6 +519,13 @@ class TestCliConfigErrors:
          "l=0 is not a multiple of the cycle length"),
         (["adjustment", "--model", "alternating_normals", "--l", "0"],
          "l=0 is not a multiple of the cycle length"),
+        (["bound", "--model", "alternating_normals", "--u", "1", "--method", "optimized", "--lstar", "3"],
+         "--method optimized does not read --lstar"),
+        (["bound", "--model", "alternating_normals", "--u", "1",
+          "--method", "shift_window", "--lstar", "1", "--h", "0.5"],
+         "--method shift_window does not read --h"),
+        (["simulate", "--model", "alternating_normals", "--u", "1", "--bound-method", "none", "--h", "1"],
+         "--bound-method none does not read --h"),
     ])
     def test_exit_two_with_diagnostic(self, argv, fragment, capsys):
         rc, out, err = run_cli(argv, capsys)

@@ -20,17 +20,12 @@ from importlib import resources
 
 import pytest
 
-from bench_sup import _mixed_prefix
+from bench_sup import _fresh, _mixed_prefix
 from ruinbounds import IndexedTwoPoint, RiskModel, bound_union, load_model, solve_partial_sum, solve_per_increment
 from ruinbounds.adjustment import _domain_cap
 
 PREFIX = _mixed_prefix()
 ALTERNATING = load_model(str(resources.files("ruinbounds") / "configs" / "alternating_normals.json"))
-
-
-def _fresh(model: RiskModel):
-    """pedantic setup: the call's arguments on a new RiskModel of the same rule."""
-    return lambda: ((RiskModel(model.increments, model.rates, model.label),), {})
 
 
 @pytest.mark.parametrize("solver", [solve_partial_sum, solve_per_increment], ids=["partial_sum", "per_increment"])

@@ -30,6 +30,7 @@ from .models import (
     RiskModel,
     TruncationPolicy,
     _layout,
+    _per_model,
     _walk,
     cumulative_log_mgf,
     per_increment_sup,
@@ -126,20 +127,6 @@ def _feasibility_from_sup(sup, uncertain_flag: list) -> bool:
 
 # ---------------------------------------------------------------------------
 # support-based shortcuts for the +inf cases
-
-
-def _per_model(fn):
-    """fn(model, *args), kept on the model as RiskModel._laws is: models are
-    immutable, and these facts do not depend on h."""
-
-    def once(model: RiskModel, *args):
-        memo = model.__dict__.setdefault("_support_facts", {})
-        key = (fn.__name__, *args)
-        if key not in memo:
-            memo[key] = fn(model, *args)
-        return memo[key]
-
-    return once
 
 
 def _examined_span(model: RiskModel) -> int | None:

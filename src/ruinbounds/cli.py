@@ -91,14 +91,14 @@ def _parse_u_spec(spec: str) -> list[float]:
             raise ValueError("empty u list")
         return out
     except ValueError as e:
-        raise ConfigError(f"cannot parse --u {spec!r}: {e}") from e
+        raise ConfigError(f"cannot parse --u {spec!r}: {e}", path=None) from e
 
 
 def _check_u_grid(us: list[float]) -> list[float]:
     if any(not (u > 0.0) or u == INF for u in us):
-        raise ConfigError("--u values must be strictly positive reals")
+        raise ConfigError("--u values must be strictly positive reals", path=None)
     if any(b <= a for a, b in zip(us, us[1:])):
-        raise ConfigError("--u values must be strictly increasing")
+        raise ConfigError("--u values must be strictly increasing", path=None)
     return us
 
 
@@ -110,8 +110,8 @@ def _resolve_model_path(name: str) -> str:
         if base.is_file():
             return str(base)
         bundled = sorted(p.name[:-5] for p in (resources.files("ruinbounds") / "configs").iterdir() if p.name.endswith(".json"))
-        raise ConfigError(f"no file {name!r} and no bundled config of that name (bundled: {', '.join(bundled)})")
-    raise ConfigError(f"model file not found: {name}")
+        raise ConfigError(f"no file {name!r} and no bundled config of that name (bundled: {', '.join(bundled)})", path=None)
+    raise ConfigError(f"model file not found: {name}", path=None)
 
 
 def _load(args) -> RiskModel:
@@ -156,10 +156,10 @@ def _infer_l(model: RiskModel, args) -> int:
     if args.l is not None:
         return args.l
     if not isinstance(model.increments, (Periodic, QuasiPeriodicScaled)):
-        raise ConfigError("model has no cycle to infer --l from; pass --l")
+        raise ConfigError("model has no cycle to infer --l from; pass --l", path=None)
     block = model._block
     if block is None:
-        raise ConfigError("rates have no period, or the effective period is too long; pass --l")
+        raise ConfigError("rates have no period, or the effective period is too long; pass --l", path=None)
     return block.length
 
 
@@ -219,10 +219,10 @@ def _check_bound_flags(args, option: str, method: str) -> None:
     none."""
     reads, needs = _BOUND_METHODS[method][:2] if method in _BOUND_METHODS else ((), None)
     if needs is not None and getattr(args, needs) is None:
-        raise ConfigError(f"{option} {method} needs --{needs}")
+        raise ConfigError(f"{option} {method} needs --{needs}", path=None)
     unread = [f"--{flag}" for flag in _BOUND_FLAGS if flag not in reads and getattr(args, flag) is not None]
     if unread:
-        raise ConfigError(f"{option} {method} does not read {', '.join(unread)}")
+        raise ConfigError(f"{option} {method} does not read {', '.join(unread)}", path=None)
 
 
 def _bound_grid(model, us, args, policy, method: str) -> list:

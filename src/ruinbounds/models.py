@@ -25,7 +25,9 @@ indexed families without interest (the IndexedTwoPoint one in O(1) through
 log-factorials and a power-sum series). Everything else is scanned by
 log_mgf_terms, the vectorized term kernel, on per-family parameter arrays, in
 ranges up to a truncation cap; the scan stops early where the family proves
-that every later term is negative.
+that every later term is negative. What a range's terms read apart from h,
+its probe plan, is built once and kept on the model (RiskModel._memo, with
+the solvers' support facts), so a probe does only the work that depends on h.
 
 Every longer walk reads one epoch layout, _layout(model, K): each epoch's slot
 in the record's law list and its log multiplier log(scale_j v_{j-1}). Only a
@@ -40,6 +42,7 @@ import itertools
 import math
 import operator
 import sys
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -346,6 +349,8 @@ class RiskModel:
         if not isinstance(self.increments, SequenceRule):
             raise ValueError("RiskModel.increments must be a SequenceRule")
         object.__setattr__(self, "rates", _coerce_rates(self.rates))
+        # what the model keeps of its own that does not depend on h
+        object.__setattr__(self, "_memo", _Memo())
 
     def distribution_at(self, k: int) -> IncrementDistribution:
         return self.increments.distribution_at(k)
@@ -433,6 +438,41 @@ class RiskModel:
         if k < 0:
             raise ValueError("discount index must be >= 0")
         return float(math.exp(self.log_discounts(k)[k]))
+
+
+class _Memo(dict):
+    """A model's facts that do not depend on h, by key: the support facts of
+    _per_model functions and the probe plans (_plan). The stored plans span
+    at most _PLAN_EPOCHS epochs in all (self.epochs counts them); a plan past
+    that is built, used and dropped, so what a model keeps does not grow with
+    the scan cap."""
+
+    epochs = 0
+
+    def get_or_build(self, key: tuple, build, epochs: int = 0):
+        value = self.get(key, _MISSING)
+        if value is _MISSING:
+            value = build()
+            with _MEMO_LOCK:  # threads probing one model count each stored plan once
+                if key not in self and self.epochs + epochs <= _PLAN_EPOCHS:
+                    self[key] = value
+                    self.epochs += epochs
+        return value
+
+
+_MISSING = object()
+_MEMO_LOCK = threading.Lock()
+
+
+def _per_model(fn):
+    """fn(model, *args), kept in the model's memo: the model is immutable, and
+    fn does not depend on h."""
+
+    @functools.wraps(fn)
+    def once(model: RiskModel, *args):
+        return model._memo.get_or_build((fn.__name__, *args), lambda: fn(model, *args))
+
+    return once
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +600,7 @@ def _layout(model: RiskModel, K: int, start: int = 0, log_v: np.ndarray | None =
     if read.
 
     The discounts log v_start .. log v_{K-1} are read exactly when the model has
-    no block; a scan in ranges passes them as log_v, continued from the range
+    no block; a probe plan passes them as log_v, continued from the range
     before, and otherwise they come from model.log_discounts.
     """
     j = np.arange(start, K)
@@ -582,54 +622,89 @@ def _layout(model: RiskModel, K: int, start: int = 0, log_v: np.ndarray | None =
     return laws, slot, c + (past // n) * laws.log_ratio if laws.log_ratio else c
 
 
-def _table_terms(laws: _Laws, slot: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """log E exp(t_j Y) with Y the law laws.laws[slot[j]]."""
-    out = np.empty(len(t))
-    family, row, tables = laws.table
-    family = family[slot]
-    for f, (cls, params) in enumerate(tables):
-        sel = np.flatnonzero(family == f) if len(tables) > 1 else slice(None)
-        rows = row[slot[sel]]
-        out[sel] = cls._lmgf_vec(tuple(p[rows] for p in params), t[sel])
-    return out
-
-
 _FLOAT_MAX = sys.float_info.max
+# probe plans kept per model span at most this many epochs in all
+_PLAN_EPOCHS = 1 << 16
 
 
-def log_mgf_terms(model: RiskModel, h: float, K: int, start: int = 0, log_v: np.ndarray | None = None) -> np.ndarray:
+class _Plan:
+    """What the terms of epochs start+1..K read that does not depend on h,
+    built once per model and range (_plan): w = e^c, clamped at the float
+    maximum, and per family of the range the epochs it covers (sel) with their
+    law parameters, in closed form for the indexed families and otherwise
+    gathered from the _layout record's law table. last is the discount
+    log v_{K-1}, from which the plan of the next range continues the running
+    sum; None when the model has a block, whose terms read no discounts. The
+    arrays are read-only, since every probe shares them.
+    """
+
+    def __init__(self, model: RiskModel, start: int, K: int, prev: float | None) -> None:
+        inc = model.increments
+        log_v = None if model._block is not None else model.log_discounts(K - 1, start, prev)
+        self.last = None if log_v is None else log_v[-1]
+        every = slice(None)
+        if isinstance(inc, IndexedNormal):
+            c, parts = log_v, [(Normal, every, (inc.intercept + inc.slope * (np.arange(start, K) + 1.0), 1.0))]
+        elif isinstance(inc, IndexedTwoPoint):
+            p1 = 1.0 / (np.arange(start, K) + 2.0)
+            c, parts = log_v, [(TwoPoint, every, (1.0, np.log(p1), -1.0, np.log1p(-p1)))]
+        else:
+            laws, slot, c = _layout(model, K, start, log_v)
+            family, row, tables = laws.table
+            family, parts = family[slot] if len(tables) > 1 else None, []
+            for f, (cls, params) in enumerate(tables):
+                sel = every if family is None else np.flatnonzero(family == f)
+                rows = row[slot[sel]]
+                if rows.size:
+                    parts.append((cls, sel, tuple(p[rows] for p in params)))
+        with np.errstate(all="ignore"):
+            self.w = np.minimum(np.exp(c), _FLOAT_MAX)
+        self.parts = tuple(parts)
+        for a in (self.w, *(x for _, sel, params in parts for x in (sel, *params))):
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+
+    def terms(self, h: float) -> np.ndarray:
+        """log E exp(h e^{c_j} Y*_j) over the range, before the cut at +inf."""
+        with np.errstate(all="ignore"):
+            t = h * self.w
+            if len(self.parts) == 1:  # one family covers the range, in order
+                (cls, _, params), = self.parts
+                terms = cls._lmgf_vec(params, t)
+            else:
+                terms = np.empty(len(t))
+                for cls, sel, params in self.parts:
+                    terms[sel] = cls._lmgf_vec(params, t[sel])
+        terms[t == 0.0] = 0.0
+        return terms
+
+
+def _plan(model: RiskModel, start: int, K: int, prev: float | None = None) -> _Plan:
+    """The probe plan of epochs start+1..K, kept on the model (_Memo). prev,
+    the last discount of the range that ends at start (its plan's last),
+    continues the running sum; without it a plan that reads discounts sums
+    them from v_0."""
+    return model._memo.get_or_build(("plan", start, K), lambda: _Plan(model, start, K, prev), K - start)
+
+
+def log_mgf_terms(model: RiskModel, h: float, K: int, start: int = 0, plan: _Plan | None = None) -> np.ndarray:
     """The terms log E exp(h e^{c_j} Y*_j) for epochs j = start+1..K, through
     the first +inf, where e^{c_j} is the scale times the discount v_{j-1}.
 
-    The per-epoch parameters come as arrays: in closed form for the indexed
-    families, and otherwise from the law table of the _layout record, indexed
-    by slot. The arithmetic is _walk's: exact 0 at t = 0, a cut after the
-    first +inf, and e^c clamped at the float maximum. Every term depends on
-    its own epoch only, so consecutive ranges give the terms of one call;
-    log_v is as in _layout.
+    Everything but h comes from the range's probe plan (_plan), the model's
+    own unless the caller passes it. The arithmetic is _walk's: exact 0 at
+    t = 0, a cut after the first +inf, and e^c clamped at the float maximum.
+    Every term depends on its own epoch only, so consecutive ranges give the
+    terms of one call.
     """
     inc = model.increments
     if isinstance(inc, ExplicitPrefix) and K > len(inc.dists):
         # past the prefix only when no term before it diverges, as in _walk
-        terms = log_mgf_terms(model, h, len(inc.dists), start, log_v)
+        terms = log_mgf_terms(model, h, len(inc.dists), start)
         if terms[-1] != INF:
             inc.distribution_at(len(inc.dists) + 1)  # raises ModelIndexError
         return terms
-    indexed = isinstance(inc, (IndexedNormal, IndexedTwoPoint))  # no laws: parameters by epoch
-    if indexed:
-        c = model.log_discounts(K - 1, start) if log_v is None else log_v
-    else:
-        laws, slot, c = _layout(model, K, start, log_v)
-    with np.errstate(all="ignore"):
-        t = h * np.minimum(np.exp(c), _FLOAT_MAX)
-        if not indexed:
-            terms = _table_terms(laws, slot, t)
-        elif isinstance(inc, IndexedNormal):
-            terms = Normal._lmgf_vec((inc.intercept + inc.slope * (np.arange(start, K) + 1.0), 1.0), t)
-        else:
-            p1 = 1.0 / (np.arange(start, K) + 2.0)
-            terms = TwoPoint._lmgf_vec((1.0, np.log(p1), -1.0, np.log1p(-p1)), t)
-    terms[t == 0.0] = 0.0
+    terms = (_plan(model, start, K) if plan is None else plan).terms(h)
     cut = np.flatnonzero(terms == INF)
     return terms[:cut[0] + 1] if cut.size else terms
 
@@ -777,12 +852,18 @@ def _twopoint_partial_sum(h: float, eh: float, m: int) -> float:
     return math.fsum(np.log1p((1.0 - math.exp(-h)) * (eh - n) / (n + 1.0)))
 
 
+@_per_model
+def _log_discount(model: RiskModel, k: int) -> float:
+    """log v_k, which the scan's proof reads at the same few indices on every probe."""
+    return float(model.log_discounts(k, k)[0])
+
+
 def _scan_certifies_decrease(model: RiskModel, h: float, last_index: int) -> bool:
     """Family-level proof that every term beyond last_index stays negative."""
     inc = model.increments
     if isinstance(inc, IndexedNormal) and inc.slope < 0.0:
         # per-step term t(a_n + t/2) with a_n decreasing and t nonincreasing
-        t_last = h * math.exp(model.log_discounts(last_index - 1, last_index - 1)[0])
+        t_last = h * math.exp(_log_discount(model, last_index - 1))
         a_last = inc.intercept + inc.slope * last_index
         return a_last + 0.5 * t_last < 0.0
     if isinstance(inc, IndexedTwoPoint):
@@ -831,12 +912,12 @@ def _sup_scan(model: RiskModel, h: float, policy: TruncationPolicy, partial: boo
     decreasing = not partial
     start, g, best, arg = 0, 0.0, -INF, None
     tail = np.empty(0)  # the last terms before the range, for a run across its start
-    log_v = None  # the discounts of the range, which a model without a block reads
+    prev = None  # the last discount of the range before, which the range's plan continues
     while True:
         end = min(end, cap, start + _SCAN_CHUNK)
-        if model._block is None:
-            log_v = model.log_discounts(end - 1, start, None if log_v is None else log_v[-1])
-        terms = log_mgf_terms(model, h, end, start, log_v)
+        plan = _plan(model, start, end, prev)
+        terms = log_mgf_terms(model, h, end, start, plan)
+        prev, plan = plan.last, None  # a plan past the budget goes before the next one is built
         values = terms
         if partial:  # the running sum continues in order from the range before
             with np.errstate(over="ignore"):

@@ -25,11 +25,12 @@ __all__ = ["ConfigError", "model_from_dict", "model_to_dict", "load_model", "dum
 
 
 class ConfigError(ValueError):
-    """A malformed configuration, carrying the JSON path of the offense."""
+    """A malformed configuration, carrying the JSON path of the offense; None
+    for an error of the command line, which names no position in a config."""
 
-    def __init__(self, message: str, path: str = "$"):
+    def __init__(self, message: str, path: str | None = "$"):
         self.path = path
-        super().__init__(f"{path}: {message}")
+        super().__init__(message if path is None else f"{path}: {message}")
 
 
 # ---------------------------------------------------------------------------

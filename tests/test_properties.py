@@ -3,6 +3,8 @@
 import copy
 import json
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from unittest.mock import patch
 
 import numpy as np
@@ -323,6 +325,100 @@ class TestStreamedScan:
         s = sup_log_mgf(model, 1.0, TruncationPolicy(10_000))
         assert s.status == "attained" and s.certified
         assert sum(read) <= 320
+
+
+def _stored_plans(model: RiskModel) -> list:
+    return [value for key, value in model._memo.items() if key[0] == "plan"]
+
+
+class TestProbePlans:
+    """A model keeps the probe plans of its scan ranges, and every later probe
+    reads them; the results must be bitwise those of plans built afresh for
+    each probe (plan storage off)."""
+
+    @st.composite
+    def models(draw):
+        kind = draw(st.sampled_from(["indexed_normal", "indexed_two_point", "explicit", "amplifying", "prefix_tail"]))
+        rates = draw(TestStreamedScan.rates)
+        if kind == "indexed_normal":
+            return RiskModel(IndexedNormal(draw(st.floats(-1.0, 0.05)), draw(finite_means)), rates)
+        if kind == "indexed_two_point":
+            return RiskModel(IndexedTwoPoint(), rates)
+        laws = st.lists(TestTermKernelParity.laws, min_size=1, max_size=4)
+        if kind == "explicit":
+            mix = draw(laws)
+            n = draw(st.integers(1, 150))
+            return RiskModel(ExplicitPrefix(tuple(mix[i % len(mix)] for i in range(n))), rates)
+        if kind == "amplifying":
+            return RiskModel(QuasiPeriodicScaled(tuple(draw(laws)), draw(st.floats(1.0001, 1.05))), rates)
+        # cycle and rate periods of 317 and 331 epochs: lcm 104,927 > _BLOCK_MAX, so no block
+        cycle, values = draw(laws), draw(st.lists(st.floats(0.0, 0.1), min_size=1, max_size=3))
+        model = RiskModel(PrefixThenTail(tuple(draw(laws)), Periodic(tuple(cycle[i % len(cycle)] for i in range(317)))),
+                          PeriodicRates(tuple(values[i % len(values)] for i in range(331))))
+        assert model._block is None
+        return model
+
+    @staticmethod
+    def _results(model: RiskModel, h: float, k_max: int) -> list:
+        policy = TruncationPolicy(k_max)
+        K = min(k_max, model.horizon() or k_max)
+        sups = [f(model, h, policy) for f in (sup_log_mgf, per_increment_sup)]
+        return [(s.value.hex(), s.argmax, s.status, s.certified, s.note) for s in sups] + [
+            [x.hex() for x in cumulative_log_mgf(model, h, K)],
+            [x.hex() for x in log_mgf_terms(model, h, K).tolist()],
+        ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(models(), st.floats(0.01, 20.0), st.lists(st.floats(0.01, 20.0), min_size=1, max_size=3),
+           st.sampled_from([1, 2, 49, 50, 63, 64, 65, 255, 256, 257, 1024, 1025, 5000]),
+           st.sampled_from([None, 64, 100]))
+    def test_warm_plans_match_plans_built_per_probe(self, model, h, others, k_max, chunk):
+        fresh = RiskModel(model.increments, model.rates, model.label)
+        with patch.object(models_module, "_SCAN_CHUNK", chunk or models_module._SCAN_CHUNK):
+            for other in others:  # other h and other caps, ranges ending on either side of k_max
+                for cap in (max(1, k_max // 2), k_max + 63, 4 * k_max + 1):
+                    self._results(model, other, cap)
+            warm = self._results(model, h, k_max)
+            with patch.object(models_module, "_PLAN_EPOCHS", 0):
+                cold = self._results(fresh, h, k_max)
+        assert _stored_plans(model) and not _stored_plans(fresh)
+        assert warm == cold
+
+    @pytest.mark.parametrize("model", [
+        RiskModel(QuasiPeriodicScaled((Normal(-1.0, 1.0),), 1.0005)),
+        RiskModel(IndexedNormal(-1e-7, 2.0), PeriodicRates((0.0, 1e-9))),
+        RiskModel(ExplicitPrefix((Normal(-1.0, 1.0), Uniform(-2.0, 1.0)) * 40_000)),
+    ], ids=["amplifying", "indexed_normal", "explicit"])
+    def test_stored_plans_are_read_only_and_capped(self, model):
+        for h in (0.001, 0.5):
+            sup_log_mgf(model, h, TruncationPolicy(10**6))
+        plans = _stored_plans(model)
+        assert plans and sum(len(p.w) for p in plans) == model._memo.epochs <= models_module._PLAN_EPOCHS
+        for plan in plans:
+            arrays = [a for _, sel, params in plan.parts for a in (sel, *params) if isinstance(a, np.ndarray)]
+            for a in (plan.w, *arrays):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[:1] = 0.0
+
+    def test_threads_count_each_stored_plan_once(self):
+        # never certified at this h, so each scan reads (0, 64) and (64, cap): the 41
+        # ranges of 40 caps span 66,364 epochs, past the budget, and each cap is
+        # probed eight times at once
+        model = RiskModel(IndexedNormal(-1e-7, 2.0), PeriodicRates((0.0, 1e-9)))
+        caps = [1000 + 37 * i for i in range(40) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                futures = [pool.submit(sup_log_mgf, model, 0.001, TruncationPolicy(cap)) for cap in caps]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == len(caps)
+        plans = _stored_plans(model)
+        assert model._memo.epochs == sum(len(p.w) for p in plans) <= models_module._PLAN_EPOCHS
+        assert len(plans) < 41
 
 
 def _logsumexp(values) -> float:

@@ -589,6 +589,36 @@ class TestCliConfigErrors:
         assert rc == 2
         assert "$.increments.cycle[0]: missing required key 'variance'" in err
 
+    @pytest.mark.parametrize("argv, line", [
+        (["--u", "1", "--method", "fixed_h"], "--method fixed_h needs --h"),
+        (["--u", "1", "--method", "optimized", "--lstar", "3"], "--method optimized does not read --lstar"),
+        (["--u", "1:x:1"], "cannot parse --u '1:x:1': could not convert string to float: 'x'"),
+        (["--u", "2,1"], "--u values must be strictly increasing"),
+        (["--u", "0,1"], "--u values must be strictly positive reals"),
+        (["--u", "1", "--method", "periodic", "--model", "two_point_decay"],
+         "model has no cycle to infer --l from; pass --l"),
+        (["--u", "1", "--model", "no/such.json"], "model file not found: no/such.json"),
+    ])
+    def test_command_line_errors_name_no_config_position(self, argv, line, capsys):
+        rc, out, err = run_cli(["bound", "--model", "alternating_normals", *argv], capsys)
+        assert (rc, out, err) == (2, "", f"config error: {line}\n")
+
+    def test_rates_without_period_need_l(self, tmp_path, capsys):
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps({
+            "increments": {"kind": "periodic", "cycle": [{"family": "normal", "mean": -1.0, "variance": 1.0}]},
+            "rates": {"kind": "explicit", "values": [0.01, 0.02]},
+        }), encoding="utf-8")
+        rc, out, err = run_cli(["bound", "--model", str(p), "--u", "1", "--method", "periodic"], capsys)
+        assert (rc, out, err) == (2, "", "config error: rates have no period, or the effective period is too long; pass --l\n")
+
+    def test_config_file_errors_keep_their_path(self, tmp_path, capsys):
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps({"increments": {"kind": "periodic", "cycle": [{"family": "normal", "mean": 0.0}]}}),
+                     encoding="utf-8")
+        rc, out, err = run_cli(["bound", "--model", str(p), "--u", "1"], capsys)
+        assert (rc, out, err) == (2, "", "config error: $.increments.cycle[0]: missing required key 'variance'\n")
+
 
 class TestCliStrictAndDominance:
     @pytest.fixture

@@ -1,0 +1,127 @@
+"""Alternating A/B rounds of a perfbench workload, both checkouts in one process.
+
+    python3 benchmarks/ab_inprocess.py BASE [CHANGE] --workload heavy_sups --seed 1 --rounds 20
+
+BASE and CHANGE are roots of two checkouts of the repository (CHANGE defaults
+to this one). Each one's src/ruinbounds is loaded under its own package name,
+so both run in one interpreter. The requests, and the code that loads the
+models and runs the requests, are this checkout's perfbench/workloads.py, as
+in perfbench/run.py: library calls for heavy_sups and simulate, in-process
+`cli.main` calls for light_curves.
+
+After one warm-up round per side, the rounds alternate between the sides,
+each pair starting with the other side than the pair before. Every round's
+rows must equal the base's first rows (the script exits 1 otherwise). It
+prints each side's median and quartiles of the round time, the ratio of the
+medians (base over change: above 1 when the change is faster) and how many
+pairs the change won, then the same as one JSON line.
+
+Separate perfbench runs of two checkouts can differ by 30-60% on a shared
+host whose speed drifts; rounds that alternate within one process see the
+same drift on both sides.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import importlib.util
+import json
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402  (perfbench/workloads.py, found through the path above)
+
+
+SUBMODULES = ("adjustment", "bounds", "cli", "distributions", "models", "montecarlo", "serialize")
+
+
+class Side:
+    """One checkout's src/ruinbounds, imported under its own package name.
+
+    activate() points the names `ruinbounds` and `ruinbounds.<sub>` at it, so
+    perfbench's own loader and executor (workloads.load_models, .execute),
+    which look the package up by name at call time, run this side.
+    """
+
+    def __init__(self, checkout: Path, name: str) -> None:
+        pkg = checkout / "src" / "ruinbounds"
+        spec = importlib.util.spec_from_file_location(name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+        self.modules = {"ruinbounds": module, **{f"ruinbounds.{sub}": importlib.import_module(f"{name}.{sub}")
+                                                 for sub in SUBMODULES}}
+
+    def activate(self) -> None:
+        sys.modules.update(self.modules)
+
+    def round(self, requests: list, directory: Path, models: dict) -> tuple[float, list]:
+        self.activate()
+        t0 = time.perf_counter()
+        rows = [workloads.execute(r, directory, models) for r in requests]
+        return time.perf_counter() - t0, rows
+
+
+def quartiles(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": median, "q3": q3}
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("base", type=Path, help="root of the base checkout")
+    ap.add_argument("change", type=Path, nargs="?", default=ROOT, help="root of the changed checkout (default: this one)")
+    ap.add_argument("--workload", choices=workloads.WORKLOADS, default="heavy_sups")
+    ap.add_argument("--seed", type=int, default=workloads.DEFAULT_SEED)
+    ap.add_argument("--rounds", type=int, default=20, help="rounds per side, alternating (default 20)")
+    args = ap.parse_args(argv)
+    if args.rounds < 2:
+        ap.error("--rounds must be at least 2")
+
+    configs, requests = workloads.build(args.workload, args.seed)
+    sides = {"base": Side(args.base.resolve(), "ruinbounds_ab_base"),
+             "change": Side(args.change.resolve(), "ruinbounds_ab_change")}
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        workloads.write_configs(configs, directory)
+        models = {}
+        for name, side in sides.items():
+            side.activate()
+            models[name] = workloads.load_models(directory, requests)
+        expected = None
+        for name, side in sides.items():  # warm-up: law records, plans, imports
+            rows = side.round(requests, directory, models[name])[1]
+            expected = rows if expected is None else expected
+        times = {name: [] for name in sides}
+        mismatches = 0
+        for i in range(args.rounds):
+            for name in (("base", "change") if i % 2 == 0 else ("change", "base")):
+                seconds, rows = sides[name].round(requests, directory, models[name])
+                times[name].append(seconds)
+                mismatches += rows != expected
+    wins = sum(c < b for b, c in zip(times["base"], times["change"]))
+    result = {
+        "workload": args.workload, "seed": args.seed, "pairs": args.rounds, "rows_identical": mismatches == 0,
+        "round_ms": {name: {k: v * 1e3 for k, v in quartiles(ts).items()} for name, ts in times.items()},
+        "ratio_base_over_change": statistics.median(times["base"]) / statistics.median(times["change"]),
+        "change_wins": wins,
+    }
+    for name in sides:
+        q = result["round_ms"][name]
+        print(f"{name:>6}: median {q['median']:.2f} ms per round (q1 {q['q1']:.2f}, q3 {q['q3']:.2f})")
+    print(f"ratio base/change {result['ratio_base_over_change']:.3f}; change won {wins} of {args.rounds} pairs; "
+          f"rows {'identical' if mismatches == 0 else f'DIFFER in {mismatches} rounds'}")
+    print(json.dumps(result))
+    return 0 if mismatches == 0 else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

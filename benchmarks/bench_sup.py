@@ -10,6 +10,12 @@ the scan of a 5000-law ExplicitPrefix, the IndexedTwoPoint closed form at
 h = 16 (e^16 ~ 8.9 million epochs before its maximum), and, end to end, the
 optimized bound of the bundled two_point_decay model at u = 60.
 
+The kernel benches (test_kernel) time one family's vectorized log-MGF,
+_lmgf_vec, on a 2000-row parameter table, the length of a heavy_sups scan:
+once where every t falls in one branch (every t inside the domain, every
+Uniform argument in the middle branch, every TwoPoint atom of positive
+probability) and, with suffix _branches, where the masked path runs.
+
 Each scan bench comes twice. The warm one calls the same RiskModel every
 round, as the solvers and the optimizer probe one model many times, so it
 reads the probe plans the model keeps. The cold one (suffix _cold) gets a new
@@ -22,11 +28,14 @@ from __future__ import annotations
 import random
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from ruinbounds import (
     ConstantRates,
+    Degenerate,
     ExplicitPrefix,
+    FiniteDiscrete,
     IndexedNormal,
     IndexedTwoPoint,
     Normal,
@@ -104,3 +113,37 @@ def test_bound_optimize_two_point_decay_u60(benchmark):
     model = load_model(str(resources.files("ruinbounds") / "configs" / "two_point_decay.json"))
     b = benchmark(bound_optimize, model, 60.0)
     assert b.certified
+
+
+_ROWS = 2000
+# t = h w along a discounted scan: inside every domain, Uniform arguments in the
+# middle branch; and a sweep that reaches every branch, t >= rate included
+_T = 0.5 * np.exp(-0.001 * np.arange(_ROWS))
+_T_BRANCHES = np.geomspace(1e-9, 40.0, _ROWS)
+
+
+def _cycled(*laws):
+    return [laws[i % len(laws)] for i in range(_ROWS)]
+
+
+_KERNELS = {
+    "normal": (Normal, _cycled(Normal(-0.5, 1.0), Normal(0.25, 2.0)), _T),
+    "uniform": (Uniform, _cycled(Uniform(-2.0, 1.0), Uniform(-3.0, 1.5)), _T),
+    "uniform_branches": (Uniform, _cycled(Uniform(-2.0, 1.0), Uniform(-3.0, 1.5)), _T_BRANCHES),
+    "two_point": (TwoPoint, _cycled(TwoPoint(1.0, 0.2, -1.0), TwoPoint(1.0, 0.35, -1.0)), _T),
+    "two_point_branches": (TwoPoint, _cycled(TwoPoint(1.0, 0.2, -1.0), TwoPoint(1.0, 0.0, -1.0)), _T),
+    "shifted_exponential": (ShiftedExponential, _cycled(ShiftedExponential(0.8, -1.5), ShiftedExponential(1.2, -2.0)), _T),
+    "shifted_exponential_branches": (ShiftedExponential,
+                                     _cycled(ShiftedExponential(0.8, -1.5), ShiftedExponential(1.2, -2.0)), _T_BRANCHES),
+    "degenerate": (Degenerate, _cycled(Degenerate(-1.0), Degenerate(0.5)), _T),
+    "finite_discrete": (FiniteDiscrete, _cycled(FiniteDiscrete(((-2.0, 0.5), (1.0, 0.5))),
+                                                FiniteDiscrete(((-1.0, 0.6), (2.0, 0.3), (0.0, 0.1)))), _T),
+}
+
+
+@pytest.mark.parametrize("name", _KERNELS)
+def test_kernel(benchmark, name):
+    cls, laws, t = _KERNELS[name]
+    params = cls._table(laws)
+    terms = benchmark(cls._lmgf_vec, params, t)
+    assert terms.shape == t.shape and not np.isnan(terms).any()

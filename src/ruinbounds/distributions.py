@@ -67,8 +67,11 @@ def _log_expm1_ratio(x: float) -> float:
 
 def _log_expm1_ratio_vec(x: np.ndarray) -> np.ndarray:
     """_log_expm1_ratio elementwise, with the same three branches."""
+    ax = np.abs(x)
+    if ax.size and 1e-6 <= ax.min() and ax.max() <= 30.0:  # all in the middle branch (a NaN fails both tests)
+        return np.log(np.expm1(x) / x)
     out = np.empty_like(x)
-    small = np.abs(x) < 1e-6
+    small = ax < 1e-6
     high = x > 30.0
     low = x < -30.0
     mid = ~(small | high | low)
@@ -214,17 +217,24 @@ class TwoPoint(IncrementDistribution):
 
     @classmethod
     def _table(cls, laws):
+        # (x1, log p1, x2, log p2), and the masks of the finite log-weights
+        # when some atom has probability zero
         p1 = np.array([d.p1 for d in laws])
         with np.errstate(divide="ignore"):
-            return (np.array([d.x1 for d in laws]), np.log(p1), np.array([d.x2 for d in laws]), np.log1p(-p1))
+            log_p1, log_p2 = np.log(p1), np.log1p(-p1)
+        finite = log_p1 > -INF, log_p2 > -INF
+        params = (np.array([d.x1 for d in laws]), log_p1, np.array([d.x2 for d in laws]), log_p2)
+        return params if finite[0].all() and finite[1].all() else params + finite
 
     @staticmethod
     def _lmgf_vec(params, t):
-        # an atom of probability zero has log-weight -inf and drops out of the
-        # sum, which leaves t * x of the other atom as in _lmgf
-        x1, log_p1, x2, log_p2 = params
-        return np.logaddexp(np.where(log_p1 > -INF, log_p1 + t * x1, -INF),
-                            np.where(log_p2 > -INF, log_p2 + t * x2, -INF))
+        x1, log_p1, x2, log_p2, *finite = params
+        a, b = log_p1 + t * x1, log_p2 + t * x2
+        if finite:
+            # an atom of probability zero has log-weight -inf and drops out of
+            # the sum, which leaves t * x of the other atom as in _lmgf
+            a, b = np.where(finite[0], a, -INF), np.where(finite[1], b, -INF)
+        return np.logaddexp(a, b)
 
     def _domain(self) -> tuple[float, float]:
         return (-INF, INF)
@@ -270,6 +280,8 @@ class ShiftedExponential(IncrementDistribution):
     def _lmgf_vec(params, t):
         rate, shift = params
         inside = t < rate
+        if inside.all():
+            return t * shift + np.log(rate) - np.log(rate - t)
         finite = t * shift + np.log(rate) - np.log(np.where(inside, rate - t, 1.0))
         return np.where(inside, finite, INF)
 

@@ -359,6 +359,11 @@ class RiskModel:
         return self.rates.rate_at(k)
 
     def horizon(self) -> int | None:
+        return self._horizon
+
+    @cached_property
+    def _horizon(self) -> int | None:
+        """horizon(), cached: every probe reads it."""
         hs = []
         h_inc = self.increments.horizon()
         if h_inc is not None:
@@ -488,6 +493,9 @@ class TruncationPolicy:
     def __post_init__(self) -> None:
         if not (isinstance(self.k_max, (int, np.integer)) and self.k_max >= 1):
             raise ValueError(f"k_max must be a positive integer, got {self.k_max!r}")
+
+
+_DEFAULT_POLICY = TruncationPolicy()
 
 
 # a scan's partial sums count as decreasing after this many consecutive terms
@@ -635,7 +643,8 @@ class _Plan:
     gathered from the _layout record's law table. last is the discount
     log v_{K-1}, from which the plan of the next range continues the running
     sum; None when the model has a block, whose terms read no discounts. The
-    arrays are read-only, since every probe shares them.
+    arrays are read-only, since every probe shares them. w_min is the least w:
+    t = h w is monotone in w, so no t is zero unless h * w_min is.
     """
 
     def __init__(self, model: RiskModel, start: int, K: int, prev: float | None) -> None:
@@ -659,6 +668,7 @@ class _Plan:
                     parts.append((cls, sel, tuple(p[rows] for p in params)))
         with np.errstate(all="ignore"):
             self.w = np.minimum(np.exp(c), _FLOAT_MAX)
+        self.w_min = float(self.w.min(initial=INF))
         self.parts = tuple(parts)
         for a in (self.w, *(x for _, sel, params in parts for x in (sel, *params))):
             if isinstance(a, np.ndarray):
@@ -675,7 +685,8 @@ class _Plan:
                 terms = np.empty(len(t))
                 for cls, sel, params in self.parts:
                     terms[sel] = cls._lmgf_vec(params, t[sel])
-        terms[t == 0.0] = 0.0
+        if h * self.w_min == 0.0:
+            terms[t == 0.0] = 0.0
         return terms
 
 
@@ -705,6 +716,8 @@ def log_mgf_terms(model: RiskModel, h: float, K: int, start: int = 0, plan: _Pla
             inc.distribution_at(len(inc.dists) + 1)  # raises ModelIndexError
         return terms
     terms = (_plan(model, start, K) if plan is None else plan).terms(h)
+    if terms.max(initial=-INF) < INF:  # nothing to cut (a NaN takes the search)
+        return terms
     cut = np.flatnonzero(terms == INF)
     return terms[:cut[0] + 1] if cut.size else terms
 
@@ -744,8 +757,9 @@ def cumulative_log_mgf(model: RiskModel, h: float, K: int) -> list[float]:
     if block is not None and K <= len(block.logs):
         sums = list(itertools.accumulate(_walk(h, zip(block.laws, block.logs[:K])), initial=0.0))[1:]
     else:
+        terms = log_mgf_terms(model, h, K)
         with np.errstate(over="ignore"):
-            sums = np.cumsum(log_mgf_terms(model, h, K)).tolist()
+            sums = terms.cumsum().tolist()
     return sums + [INF] * (K - len(sums))
 
 
@@ -761,20 +775,18 @@ def _sup_periodic(block: _Laws, h: float, partial: bool) -> SupLogMgf:
             return SupLogMgf(INF, None, "unbounded", True, "log-MGF grows by a positive amount per period")
         return SupLogMgf(best, arg, "attained", True)
 
-    # contracting tail. Per slot, g(lam t) <= lam * max(g(t), 0) for lam in
-    # [0, 1], so every later term is at most rho times the positive part of the
-    # same slot's term here (the chord), and every later partial sum exceeds the
-    # current one by at most pos_mass * rho / (1 - rho) (the envelope). Once
-    # the envelope is at most the running maximum, that maximum is the sup.
+    # contracting tail: a later term is at most rho times the same slot's term
+    # here (_tail_excess), so the sup of the terms is attained by now or is
+    # their limit zero, and the sup of the partial sums is the running maximum
+    # once no later sum can exceed it
     if not partial:
         if best < 0.0:
             return SupLogMgf(0.0, None, "limit", True, "terms approach zero from below along the contracting tail")
         return SupLogMgf(best, arg, "attained", True)
-    rho_share = math.exp(block.log_ratio) / -math.expm1(block.log_ratio)
     terms = terms[P:]
     b = 0
     while True:
-        excess = sum(filter((0.0).__lt__, terms)) * rho_share
+        excess = _tail_excess(terms, block.log_ratio)
         if g + excess <= best:
             return SupLogMgf(best, arg, "attained", True)
         if excess <= 1e-13 * max(1.0, abs(best), abs(g)):
@@ -787,6 +799,23 @@ def _sup_periodic(block: _Laws, h: float, partial: bool) -> SupLogMgf:
         g, best, arg = _fold(terms, True, P + b * L + 1, g, best, arg)
         if best == INF:
             return SupLogMgf(INF, arg, "unbounded", True, "divergent MGF term")
+
+
+def _tail_excess(terms: list[float], log_ratio: float) -> float:
+    """How far a partial sum in any later period of a contracting tail can
+    exceed the one at the end of the period whose terms are given.
+
+    Per slot, g(lam t) <= lam * g(t) for lam in [0, 1] (g is convex with
+    g(0) = 0), so a term k periods on is at most rho^k times the same slot's
+    term here, of either sign (the chord). Two envelopes follow, and the
+    smaller counts: pos_mass * rho / (1 - rho) from the positive parts, and
+    max(S, 0) * rho / (1 - rho) + rho * max(0, top) from the period's sum S
+    and its largest prefix sum top.
+    """
+    rho = math.exp(log_ratio)
+    share = rho / -math.expm1(log_ratio)
+    sums = list(itertools.accumulate(terms))
+    return min(sum(filter((0.0).__lt__, terms)) * share, max(sums[-1], 0.0) * share + rho * max(max(sums), 0.0))
 
 
 def _sup_indexed_normal(rule: IndexedNormal, h: float, partial: bool) -> SupLogMgf:
@@ -875,14 +904,20 @@ def _scan_certifies_decrease(model: RiskModel, h: float, last_index: int) -> boo
 def _decrease_run(terms: np.ndarray) -> bool:
     """Whether _DECREASE_WINDOW consecutive terms fall below -_MIN_DECREASE."""
     w = _DECREASE_WINDOW
-    runs = np.cumsum(terms < -_MIN_DECREASE)  # runs[i]: how many of terms[:i+1] are below
-    return runs.size >= w and bool(runs[w - 1] == w or (runs[w:] - runs[:-w] == w).any())
+    below = terms < -_MIN_DECREASE
+    if below.size < w:
+        return False
+    if below[-w:].all():  # where the terms keep falling, the run ends the range
+        return True
+    runs = below.cumsum()  # runs[i]: how many of terms[:i+1] are below
+    return bool(runs[w - 1] == w or (runs[w:] - runs[:-w] == w).any())
 
 
 # a scan's first range is the shortest of _SCAN_FIRST * 4^i epochs that the
 # family's proof closes (with room for a run of decreases after it, for partial
-# sums), and the rest of the scan runs to the cap; no range is longer than
-# _SCAN_CHUNK epochs, so a scan holds one chunk at a time
+# sums), and the rest of the scan runs to the cap; no range crosses a multiple
+# of _SCAN_CHUNK epochs, so a scan holds one chunk at a time, and the plans of
+# a first range and the rest of the first chunk fit in _PLAN_EPOCHS together
 _SCAN_FIRST = 64
 _SCAN_CHUNK = 1 << 16
 
@@ -914,15 +949,15 @@ def _sup_scan(model: RiskModel, h: float, policy: TruncationPolicy, partial: boo
     tail = np.empty(0)  # the last terms before the range, for a run across its start
     prev = None  # the last discount of the range before, which the range's plan continues
     while True:
-        end = min(end, cap, start + _SCAN_CHUNK)
+        end = min(end, cap, (start // _SCAN_CHUNK + 1) * _SCAN_CHUNK)
         plan = _plan(model, start, end, prev)
         terms = log_mgf_terms(model, h, end, start, plan)
         prev, plan = plan.last, None  # a plan past the budget goes before the next one is built
         values = terms
         if partial:  # the running sum continues in order from the range before
             with np.errstate(over="ignore"):
-                values = np.cumsum(np.concatenate(([g], terms)))[1:] if start else np.cumsum(terms)
-        i = int(np.argmax(values))  # the first maximum, as _fold keeps it
+                values = np.concatenate(([g], terms)).cumsum()[1:] if start else terms.cumsum()
+        i = int(values.argmax())  # the first maximum, as _fold keeps it
         if values[i] > best:
             best, arg = float(values[i]), start + i + 1
         if best == INF:
@@ -950,7 +985,7 @@ def _sup(model: RiskModel, h: float, policy: TruncationPolicy | None, partial: b
     terms (partial=True) or the terms themselves."""
     if not h >= 0.0:
         raise ValueError(f"h must be >= 0, got {h!r}")
-    policy = policy or TruncationPolicy()
+    policy = policy or _DEFAULT_POLICY
     if h == 0.0:
         return SupLogMgf(0.0, 1, "attained", True)
     if model.horizon() is None:

@@ -1,6 +1,7 @@
 """Property tests: structural identities that every parameter choice must obey."""
 
 import copy
+import itertools
 import json
 import math
 import sys
@@ -43,7 +44,7 @@ from ruinbounds import (
     sup_log_mgf,
 )
 from ruinbounds.adjustment import _domain_cap, _esssup_sums
-from ruinbounds.distributions import mgf_domain_sup, support_bounds
+from ruinbounds.distributions import _log_expm1_ratio_vec, mgf_domain_sup, support_bounds
 from ruinbounds import models as models_module
 from ruinbounds.models import (
     PrefixThenTail,
@@ -51,6 +52,8 @@ from ruinbounds.models import (
     _decrease_run,
     _scan_certifies_decrease,
     _sup_scan,
+    _tail_excess,
+    _walk,
     log_mgf_terms,
 )
 from ruinbounds.serialize import ConfigError, model_from_dict, model_to_dict
@@ -189,6 +192,67 @@ class TestBlockMatchesScan:
             assert periodic.value == pytest.approx(scan.value, rel=1e-9, abs=1e-12)
 
 
+class TestSignedTailEnvelope:
+    """The contracting tail of the periodic block closes with the smaller of
+    the positive-part envelope and the signed one (the period's sum and its
+    largest prefix sum), checked against long unrolled scans of periods whose
+    terms take both signs."""
+
+    PERIODS = 300
+    ups = st.builds(Normal, st.floats(0.05, 1.5), small_pos)
+    downs = st.builds(Normal, st.floats(-3.0, -0.05), small_pos)
+
+    @st.composite
+    def models(draw):
+        cls = TestSignedTailEnvelope
+        cycle = draw(st.permutations([draw(cls.ups), draw(cls.downs), *draw(st.lists(entire_dists, max_size=1))]))
+        prefix = tuple(draw(st.lists(entire_dists, max_size=2)))
+        if draw(st.booleans()):
+            tail, rates = QuasiPeriodicScaled(tuple(cycle), draw(st.floats(0.5, 0.97))), ConstantRates(0.0)
+        else:
+            tail = Periodic(tuple(cycle))
+            rates = draw(st.one_of(st.floats(0.01, 0.3).map(ConstantRates),
+                                   st.lists(st.floats(0.005, 0.2), min_size=1, max_size=2).map(tuple).map(PeriodicRates)))
+        return RiskModel(PrefixThenTail(prefix, tail) if prefix else tail, rates)
+
+    @settings(max_examples=100, deadline=None)
+    @given(models(), st.floats(0.05, 2.0))
+    def test_bounds_the_unrolled_scan(self, model, h):
+        block = model._block
+        assert block is not None and block.log_ratio < 0.0
+        n = len(block.laws) + self.PERIODS * block.length
+        unrolled = RiskModel(ExplicitPrefix(tuple(model.distribution_at(k) for k in range(1, n + 1))),
+                             ExplicitRates(tuple(model.rate_at(k) for k in range(1, n + 1))))
+        periodic, scan = sup_log_mgf(model, h), sup_log_mgf(unrolled, h)
+        assert periodic.certified and scan.certified
+        assert periodic.value >= scan.value - 1e-12 * (1.0 + abs(scan.value))
+        if periodic.status == "attained" and periodic.argmax <= n:
+            assert periodic.value == pytest.approx(scan.value, rel=1e-9, abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(models(), st.floats(0.05, 2.0), st.sampled_from([0, 1, 7]))
+    def test_bounds_every_later_partial_sum(self, model, h, b):
+        # the envelope of period b against the partial sums of the next periods,
+        # relative to the one at the end of period b
+        block = model._block
+        periods = [_walk(h, block.period(i)) for i in range(b, b + self.PERIODS)]
+        excess = _tail_excess(periods[0], block.log_ratio)
+        later = max(itertools.accumulate(itertools.chain.from_iterable(periods[1:])))
+        assert later <= excess + 1e-12 * (1.0 + abs(excess) + sum(map(abs, periods[1])))
+
+    def test_closes_where_the_positive_parts_do_not(self, monkeypatch):
+        # the period's sum is negative and its largest prefix sum is the first
+        # term, so the signed envelope closes after the first period; the
+        # positive parts alone take 25 periods
+        walks = []
+        walk = models_module._walk
+        monkeypatch.setattr(models_module, "_walk", lambda h, epochs: walks.append(h) or walk(h, epochs))
+        s = sup_log_mgf(RiskModel(Periodic((Normal(1.0, 1.0), Normal(-3.0, 1.0))), ConstantRates(0.01)), 0.3)
+        assert (s.argmax, s.status, s.certified) == (1, "attained", True)
+        assert s.value == pytest.approx(0.345, rel=1e-15)
+        assert len(walks) == 1
+
+
 class TestTermKernelParity:
     """log_mgf_terms against one log_mgf_at call per epoch on the epoch's law,
     cut after the first +inf in the same place."""
@@ -309,6 +373,19 @@ class TestStreamedScan:
         assert (got.argmax, got.status, got.certified, got.note) == \
             (expected.argmax, expected.status, expected.certified, expected.note)
 
+    @given(st.lists(st.tuples(st.sampled_from([-1.0, -2e-6, -1e-6, 0.0, 1.0, INF]), st.integers(1, 60)), max_size=8))
+    @example([(-1.0, 49)])
+    @example([(-1.0, 50)])
+    @example([(0.0, 3), (-1.0, 49)])
+    @example([(-1.0, 50), (0.0, 1)])
+    def test_decrease_run_matches_a_scalar_count(self, blocks):
+        terms = [x for x, n in blocks for _ in range(n)]
+        run = longest = 0
+        for x in terms:
+            run = run + 1 if x < -models_module._MIN_DECREASE else 0
+            longest = max(longest, run)
+        assert _decrease_run(np.array(terms)) == (longest >= models_module._DECREASE_WINDOW)
+
     @pytest.mark.parametrize("model", [
         RiskModel(IndexedNormal(-0.5, 0.25), ConstantRates(0.01)),
         RiskModel(IndexedTwoPoint(), PeriodicRates((0.02, 0.0, 0.05))),
@@ -419,6 +496,142 @@ class TestProbePlans:
         plans = _stored_plans(model)
         assert model._memo.epochs == sum(len(p.w) for p in plans) <= models_module._PLAN_EPOCHS
         assert len(plans) < 41
+
+    def test_a_long_scan_keeps_its_first_chunk(self):
+        # ranges after the first end on multiples of _SCAN_CHUNK, so (64, 65536)
+        # fits beside (0, 64) in the budget, and an uncertified probe plans only
+        # the rest of the cap, (65536, 100000), anew
+        model = RiskModel(IndexedTwoPoint(), ConstantRates(0.02))
+        solve_partial_sum(model, policy=TruncationPolicy(100_000))
+        assert ("plan", 0, 64) in model._memo and ("plan", 64, 65536) in model._memo
+        assert model._memo.epochs == models_module._PLAN_EPOCHS
+
+
+def _masked_log_expm1_ratio(x: np.ndarray) -> np.ndarray:
+    """_log_expm1_ratio_vec with its three masks applied on every call."""
+    out = np.empty_like(x)
+    small = np.abs(x) < 1e-6
+    high = x > 30.0
+    low = x < -30.0
+    mid = ~(small | high | low)
+    xs, xh, xl, xm = x[small], x[high], x[low], x[mid]
+    out[small] = xs / 2.0 + xs * xs / 24.0
+    out[high] = xh + np.log1p(-np.exp(-xh)) - np.log(xh)
+    out[low] = np.log1p(-np.exp(xl)) - np.log(-xl)
+    out[mid] = np.log(np.expm1(xm) / xm)
+    return out
+
+
+def _masked_uniform(params, t):
+    lower, upper = params
+    return t * lower + _masked_log_expm1_ratio(t * (upper - lower))
+
+
+def _masked_two_point(params, t):
+    x1, log_p1, x2, log_p2 = params[:4]
+    return np.logaddexp(np.where(log_p1 > -INF, log_p1 + t * x1, -INF),
+                        np.where(log_p2 > -INF, log_p2 + t * x2, -INF))
+
+
+def _masked_shifted_exponential(params, t):
+    rate, shift = params
+    inside = t < rate
+    finite = t * shift + np.log(rate) - np.log(np.where(inside, rate - t, 1.0))
+    return np.where(inside, finite, INF)
+
+
+_MASKED = {Uniform: _masked_uniform, TwoPoint: _masked_two_point, ShiftedExponential: _masked_shifted_exponential}
+
+
+def _masked_terms(plan, h: float) -> np.ndarray:
+    """A probe's terms with every mask applied: the family kernels above, and
+    the zero at t = 0 set wherever t is zero."""
+    with np.errstate(all="ignore"):
+        t = h * plan.w
+        terms = np.empty(len(t))
+        for cls, sel, params in plan.parts:
+            terms[sel] = _MASKED.get(cls, cls._lmgf_vec)(params, t[sel])
+    terms[t == 0.0] = 0.0
+    return terms
+
+
+class TestKernelShortcuts:
+    """The family kernels skip a mask that is all true (no atom of probability
+    zero, every t inside the domain, every x in the middle branch), and a probe
+    sets the zero at t = 0 only when some t is zero. The results must be
+    bitwise those of the masked reference, on inputs that reach every branch."""
+
+    # t = h w >= 0 in a probe, up to +inf where w is clamped at the float
+    # maximum; the kernels themselves take any t
+    ts = st.one_of(st.floats(-50.0, 50.0), st.sampled_from([0.0, -0.0, 1e-9, -1e-9, 1e-300, 40.0, -40.0, 1e308, INF]))
+
+    @staticmethod
+    def _same(got: np.ndarray, expected: np.ndarray) -> None:
+        assert got.tobytes() == expected.tobytes()
+
+    @st.composite
+    def rows(draw, laws, ts=ts):
+        n = draw(st.integers(1, 8))
+        return draw(st.lists(laws, min_size=n, max_size=n)), np.array(draw(st.lists(ts, min_size=n, max_size=n)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows(st.builds(TwoPoint, finite_means, st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), finite_means)))
+    def test_two_point(self, rows):
+        laws, t = rows
+        params = TwoPoint._table(laws)
+        with np.errstate(all="ignore"):
+            self._same(TwoPoint._lmgf_vec(params, t), _masked_two_point(params, t))
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows(st.builds(ShiftedExponential, st.floats(0.5, 3.0), st.floats(-2.0, 2.0)),
+                st.one_of(ts, st.floats(0.0, 0.49))))
+    def test_shifted_exponential(self, rows):
+        laws, t = rows
+        params = ShiftedExponential._table(laws)
+        with np.errstate(all="ignore"):
+            self._same(ShiftedExponential._lmgf_vec(params, t), _masked_shifted_exponential(params, t))
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows(uniforms(), st.one_of(ts, st.floats(0.5, 5.0))))
+    def test_uniform(self, rows):
+        laws, t = rows
+        params = Uniform._table(laws)
+        with np.errstate(all="ignore"):
+            self._same(Uniform._lmgf_vec(params, t), _masked_uniform(params, t))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(-40.0, 40.0), st.floats(-1e-6, 1e-6), st.floats(1e-6, 30.0),
+                              st.sampled_from([0.0, -0.0, 30.0, -30.0, 1e-6, -1e-6, 31.0, -31.0])), max_size=8))
+    def test_log_expm1_ratio(self, xs):
+        x = np.array(xs)
+        with np.errstate(all="ignore"):
+            self._same(_log_expm1_ratio_vec(x), _masked_log_expm1_ratio(x))
+
+    @settings(max_examples=200, deadline=None)
+    @given(TestProbePlans.models(), st.one_of(st.floats(0.0, 20.0), st.sampled_from([1e-30, 1e-300, 5e-324])),
+           st.integers(1, 300))
+    def test_probe_terms(self, model, h, K):
+        K = min(K, model.horizon() or K)
+        plan = models_module._plan(model, 0, K)
+        expected = _masked_terms(plan, h)
+        self._same(plan.terms(h), expected)
+        cut = np.flatnonzero(expected == INF)
+        self._same(log_mgf_terms(model, h, K), expected[:cut[0] + 1] if cut.size else expected)
+
+    def test_underflowing_t_gives_an_exact_zero(self):
+        # w falls below 1e-300 after epoch 51, where h w underflows to zero; at
+        # t = 0 the kernel gives logaddexp(log p, log1p(-p)), not always 0
+        model = RiskModel(IndexedTwoPoint(), ConstantRates(math.expm1(690.0 / 50)))
+        plan = models_module._plan(model, 0, 60)
+        h = 1e-20
+        zero = h * plan.w == 0.0
+        assert plan.w.min() < 1e-300 and zero.any() and not zero.all()
+        terms = plan.terms(h)
+        self._same(terms, _masked_terms(plan, h))
+        assert terms[zero].tobytes() == np.zeros(zero.sum()).tobytes()
+        with np.errstate(all="ignore"):
+            raw = TwoPoint._lmgf_vec(plan.parts[0][2], h * plan.w)
+        assert (raw[zero] != 0.0).any()
 
 
 def _logsumexp(values) -> float:

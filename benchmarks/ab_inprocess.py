@@ -10,11 +10,15 @@ in perfbench/run.py: library calls for heavy_sups and simulate, in-process
 `cli.main` calls for light_curves.
 
 After one warm-up round per side, the rounds alternate between the sides,
-each pair starting with the other side than the pair before. Every round's
-rows must equal the base's first rows (the script exits 1 otherwise). It
-prints each side's median and quartiles of the round time, the ratio of the
-medians (base over change: above 1 when the change is faster) and how many
-pairs the change won, then the same as one JSON line.
+each pair starting with the other side than the pair before. Every round of a
+side must give that side's warm-up rows, and every change row must pass
+perfbench/check.py's comparison against the base row of its request, as a
+row of the frozen reference would: equal to 12 digits, or a certified bound
+that is tighter, or a row that turned certified. The script exits 1
+otherwise. It prints each side's median and quartiles of the round time, the
+ratio of the medians (base over change: above 1 when the change is faster),
+how many pairs the change won and how many rows differ between the sides,
+then the same as one JSON line.
 
 Separate perfbench runs of two checkouts can differ by 30-60% on a shared
 host whose speed drifts; rounds that alternate within one process see the
@@ -37,6 +41,7 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+import check  # noqa: E402  (perfbench/check.py, the same way)
 import workloads  # noqa: E402  (perfbench/workloads.py, found through the path above)
 
 
@@ -75,6 +80,26 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
+def row_failures(requests: list, base: list, change: list) -> tuple[int, list[str]]:
+    """(how many rows differ, why each differing request fails the gate's row
+    comparison) for one round's rows of each side."""
+    differ, failures = 0, []
+    for request, b, c in zip(requests, base, change):
+        if b == c:
+            continue
+        differ += max(len(b), len(c))
+        if len(b) != len(c):
+            why = f"{len(c)} rows, base has {len(b)}"
+        else:
+            try:
+                why = next((w for w in map(check._compare_row, c, b) if w), None)
+            except ValueError:  # a text cell such as a note that differs
+                why = "a text cell differs"
+        if why:
+            failures.append(f"{workloads.key(request)}: {why}")
+    return differ, failures
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("base", type=Path, help="root of the base checkout")
@@ -96,20 +121,20 @@ def main(argv: list[str] | None = None) -> int:
         for name, side in sides.items():
             side.activate()
             models[name] = workloads.load_models(directory, requests)
-        expected = None
-        for name, side in sides.items():  # warm-up: law records, plans, imports
-            rows = side.round(requests, directory, models[name])[1]
-            expected = rows if expected is None else expected
+        # warm-up: law records, plans, imports; each side's rows to repeat
+        expected = {name: side.round(requests, directory, models[name])[1] for name, side in sides.items()}
         times = {name: [] for name in sides}
-        mismatches = 0
+        unrepeated = {name: 0 for name in sides}
         for i in range(args.rounds):
             for name in (("base", "change") if i % 2 == 0 else ("change", "base")):
                 seconds, rows = sides[name].round(requests, directory, models[name])
                 times[name].append(seconds)
-                mismatches += rows != expected
+                unrepeated[name] += rows != expected[name]
+    differ, failures = row_failures(requests, expected["base"], expected["change"])
     wins = sum(c < b for b, c in zip(times["base"], times["change"]))
     result = {
-        "workload": args.workload, "seed": args.seed, "pairs": args.rounds, "rows_identical": mismatches == 0,
+        "workload": args.workload, "seed": args.seed, "pairs": args.rounds, "rows_identical": differ == 0,
+        "rows_differ": differ, "rows_pass_check": not failures, "unrepeated_rounds": unrepeated,
         "round_ms": {name: {k: v * 1e3 for k, v in quartiles(ts).items()} for name, ts in times.items()},
         "ratio_base_over_change": statistics.median(times["base"]) / statistics.median(times["change"]),
         "change_wins": wins,
@@ -118,9 +143,14 @@ def main(argv: list[str] | None = None) -> int:
         q = result["round_ms"][name]
         print(f"{name:>6}: median {q['median']:.2f} ms per round (q1 {q['q1']:.2f}, q3 {q['q3']:.2f})")
     print(f"ratio base/change {result['ratio_base_over_change']:.3f}; change won {wins} of {args.rounds} pairs; "
-          f"rows {'identical' if mismatches == 0 else f'DIFFER in {mismatches} rounds'}")
+          f"{differ} of {sum(map(len, expected['base']))} rows differ between the sides")
+    for name, count in unrepeated.items():
+        if count:
+            print(f"{name} rows DIFFER from its warm-up round in {count} rounds")
+    for why in failures:
+        print(f"change row FAILS the check against the base row: {why}")
     print(json.dumps(result))
-    return 0 if mismatches == 0 else 1
+    return 0 if not failures and not any(unrepeated.values()) else 1
 
 
 if __name__ == "__main__":

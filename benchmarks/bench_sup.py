@@ -6,7 +6,11 @@ Outside the test suite's testpaths, so plain `python -m pytest` skips it. Each
 bench times one call: a truncated scan on the indexed families under
 discounting, capped at 2000 epochs and, on IndexedNormal, at the default
 10,000 (all certified at h = 0.5, so the scan stops after its first range),
-the scan of a 5000-law ExplicitPrefix, the IndexedTwoPoint closed form at
+the IndexedTwoPoint scan at h = 1.4e-6, near its partial-sum root, where
+the terms stay above -1e-6 (certified by the family's proof after its first
+64 epochs), the amplifying QuasiPeriodicScaled model of heavy_sups (a Normal
+period law: +inf at every h > 0, read off the period laws), the scan of a
+5000-law ExplicitPrefix, the IndexedTwoPoint closed form at
 h = 16 (e^16 ~ 8.9 million epochs before its maximum), and, end to end, the
 optimized bound of the bundled two_point_decay model at u = 60.
 
@@ -16,7 +20,7 @@ once where every t falls in one branch (every t inside the domain, every
 Uniform argument in the middle branch, every TwoPoint atom of positive
 probability) and, with suffix _branches, where the masked path runs.
 
-Each scan bench comes twice. The warm one calls the same RiskModel every
+The 2000- and 10,000-epoch scans and the explicit prefix come twice. The warm one calls the same RiskModel every
 round, as the solvers and the optimizer probe one model many times, so it
 reads the probe plans the model keeps. The cold one (suffix _cold) gets a new
 RiskModel of the same rule every round (_fresh), so its time includes what a
@@ -39,6 +43,7 @@ from ruinbounds import (
     IndexedNormal,
     IndexedTwoPoint,
     Normal,
+    QuasiPeriodicScaled,
     RiskModel,
     ShiftedExponential,
     TruncationPolicy,
@@ -91,6 +96,18 @@ def test_scan_2000(benchmark, name, model, k_max):
 def test_scan_2000_cold(benchmark, name, model, k_max):
     s = benchmark.pedantic(sup_log_mgf, setup=_fresh(model, 0.5, TruncationPolicy(k_max)), rounds=1000)
     assert s.value < float("inf")
+
+
+def test_scan_two_point_near_root(benchmark):
+    model = RiskModel(IndexedTwoPoint(), ConstantRates(0.02))
+    s = benchmark(sup_log_mgf, model, 1.4e-6, TruncationPolicy(2000))
+    assert s.value < float("inf")
+
+
+def test_scan_amplifying_2000(benchmark):
+    model = RiskModel(QuasiPeriodicScaled((Normal(-1.0, 1.0),), 1.0005))
+    s = benchmark(sup_log_mgf, model, 0.5, TruncationPolicy(2000))
+    assert s.status in ("undetermined", "unbounded")
 
 
 def test_explicit_prefix_5000(benchmark):

@@ -177,6 +177,13 @@ def _partial_sums_never_blow(model: RiskModel) -> bool:
     return bool(in_block[-1] <= 0.0 and (block.log_ratio <= 0.0 or (in_block <= 0.0).all()))
 
 
+def _never_bounded(model: RiskModel) -> bool:
+    """True when both criteria are +inf at every h > 0, as models._sup finds
+    on an amplifying block with a period law of unbounded support."""
+    block = model._block
+    return block is not None and block.amplifying and block.period_top == INF
+
+
 # ---------------------------------------------------------------------------
 # MGF domain caps (doubling guides; never affect soundness)
 
@@ -202,6 +209,8 @@ def _solve_sup_root(model, tol, policy, flavor: str, sup, never_blows, never_not
     policy = policy or TruncationPolicy()
     if never_blows(model):
         return AdjustmentResult(INF, flavor, None, True, False, never_note)
+    if _never_bounded(model):
+        return AdjustmentResult(0.0, flavor, (0.0, 0.0), True, False, "criterion is +inf at every h > 0")
     uncertain = [False]
 
     def feasible(h: float) -> bool:

@@ -22,6 +22,7 @@ from .adjustment import (
     SLACK,
     _check_period_args,
     _domain_cap,
+    _never_bounded,
     _partial_sums_never_blow,
     solve_kappa,
     solve_per_increment,
@@ -186,6 +187,10 @@ def bound_at_h(model: RiskModel, u: float, h: float, policy: TruncationPolicy | 
     return BoundResult(u, log_bound, h, "fixed_h", Certificate(s.value, h), True, "")
 
 
+def _no_exponent(u: float) -> BoundResult:
+    return BoundResult(u, 0.0, 0.0, "optimized", Certificate(0.0, 0.0), True, "no exponent improves on the trivial bound")
+
+
 def bound_optimize(model: RiskModel, u: float, policy: TruncationPolicy | None = None, *,
                    memo: dict | None = None) -> BoundResult:
     """min over h >= 0 of exp(-h u) * sup_k E exp(h S*_k).
@@ -201,6 +206,8 @@ def bound_optimize(model: RiskModel, u: float, policy: TruncationPolicy | None =
     if _partial_sums_never_blow(model):
         return BoundResult(u, -INF, INF, "optimized", Certificate(0.0, INF), True,
                            "paths never rise above zero a.s.")
+    if _never_bounded(model):
+        return _no_exponent(u)
 
     cache: dict[float, float] = {}
     sups: dict[float, SupLogMgf] = _once(memo, ("sup_log_mgf", policy), dict)
@@ -249,7 +256,7 @@ def bound_optimize(model: RiskModel, u: float, policy: TruncationPolicy | None =
         h_star = 0.0
 
     if h_star == 0.0:
-        return BoundResult(u, 0.0, 0.0, "optimized", Certificate(0.0, 0.0), True, "no exponent improves on the trivial bound")
+        return _no_exponent(u)
     s = sups[h_star]
     log_bound = min(0.0, -h_star * u + s.value)
     if s.status == "undetermined":

@@ -454,7 +454,8 @@ class FiniteDiscrete(IncrementDistribution):
     @classmethod
     def _table(cls, laws):
         # atoms padded to a common count; a padded or zero-probability atom has
-        # log-weight -inf and is skipped, as in _lmgf
+        # log-weight -inf and is skipped, as in _lmgf, by the mask of finite
+        # log-weights that follows when some atom has one
         width = max(len(d.atoms) for d in laws)
         xs = np.zeros((len(laws), width))
         log_ps = np.full((len(laws), width), -INF)
@@ -463,14 +464,19 @@ class FiniteDiscrete(IncrementDistribution):
                 xs[i, a] = x
                 if p > 0.0:
                     log_ps[i, a] = math.log(p)
-        return (xs, log_ps)
+        finite = log_ps > -INF
+        return (xs, log_ps) if finite.all() else (xs, log_ps, finite)
 
     @staticmethod
     def _lmgf_vec(params, t):
-        xs, log_ps = params
-        acc = np.full(len(t), -INF)
-        for x, log_p in zip(xs.T, log_ps.T):
-            acc = np.where(log_p > -INF, np.logaddexp(acc, log_p + t * x), acc)
+        xs, log_ps, *finite = params
+        # the sum starts from the first atom, as logaddexp(-inf, a) == a
+        acc = log_ps[:, 0] + t * xs[:, 0]
+        if finite:
+            acc = np.where(finite[0][:, 0], acc, -INF)
+        for a in range(1, xs.shape[1]):
+            step = np.logaddexp(acc, log_ps[:, a] + t * xs[:, a])
+            acc = np.where(finite[0][:, a], step, acc) if finite else step
         return acc
 
     def _domain(self) -> tuple[float, float]:

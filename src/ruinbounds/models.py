@@ -17,10 +17,12 @@ and each law's esssup and MGF-domain sup, read by the kernel, the solvers'
 support shortcuts, the union series and the simulator's weights. When the
 rates repeat too, the record is the model's block, folded in log space: the
 effective period, each slot's log multiplier log scale_j + log v_{j-1}, and
-log rho, the period-to-period multiplier of h. Exact periods and contracting
-tails then reduce to a few periods of the block, walked one (law, log
-multiplier) pair at a time by _walk; _walk serves only these short walks,
-where a scalar loop beats numpy's fixed cost. Four closed forms cover the
+log rho, the period-to-period multiplier of h. Exact periods, contracting
+tails and amplifying tails whose period laws are all nonpositive then reduce
+to a few periods of the block, walked one (law, log multiplier) pair at a
+time by _walk; _walk serves only these short walks, where a scalar loop beats
+numpy's fixed cost. An amplifying tail with a period law of unbounded support
+has both sups +inf at every h > 0. Four closed forms cover the
 indexed families without interest (the IndexedTwoPoint one in O(1) through
 log-factorials and a power-sum series). Everything else is scanned by
 log_mgf_terms, the vectorized term kernel, on per-family parameter arrays, in
@@ -498,10 +500,6 @@ class TruncationPolicy:
 _DEFAULT_POLICY = TruncationPolicy()
 
 
-# a scan's partial sums count as decreasing after this many consecutive terms
-# below -_MIN_DECREASE
-_DECREASE_WINDOW = 50
-_MIN_DECREASE = 1e-6
 # periods a contracting tail envelope may walk before it gives up
 _BLOCK_CAP = 50_000
 
@@ -599,6 +597,16 @@ class _Laws:
     @cached_property
     def dom(self) -> np.ndarray:
         return np.array([mgf_domain_sup(law) for law in self.laws])
+
+    @cached_property
+    def period_top(self) -> float:
+        """The largest esssup of a period law, +inf also where one has a finite
+        MGF domain. A log-MGF has slope g(t)/t -> esssup Y, so on an amplifying
+        block, where t grows without bound, +inf makes every sup +inf at every
+        h > 0, and a value <= 0 makes every term after the first period
+        nonpositive and at most the same slot's term there (_sup)."""
+        P = self.prefix
+        return INF if (self.dom[P:] < INF).any() else float(self.esssup[P:].max())
 
 
 def _layout(model: RiskModel, K: int, start: int = 0, log_v: np.ndarray | None = None) -> tuple[_Laws, np.ndarray, np.ndarray]:
@@ -769,8 +777,10 @@ def _sup_periodic(block: _Laws, h: float, partial: bool) -> SupLogMgf:
     g, best, arg = _fold(terms, partial, 1, 0.0, -INF, None)
     if best == INF:
         return SupLogMgf(INF, arg, "unbounded", True, "divergent MGF term")
-    if block.exact:
-        # every later block repeats these terms
+    if block.exact or block.amplifying:
+        # every later block repeats these terms, or (amplifying, where _sup
+        # sends only period laws of esssup <= 0) has terms that are nonpositive
+        # and at most the same slot's term here
         if partial and sum(terms[P:]) > 0.0:
             return SupLogMgf(INF, None, "unbounded", True, "log-MGF grows by a positive amount per period")
         return SupLogMgf(best, arg, "attained", True)
@@ -896,28 +906,17 @@ def _scan_certifies_decrease(model: RiskModel, h: float, last_index: int) -> boo
         a_last = inc.intercept + inc.slope * last_index
         return a_last + 0.5 * t_last < 0.0
     if isinstance(inc, IndexedTwoPoint):
-        # term is negative once n exceeds e^{t_n}, and t_n <= h throughout
-        return math.log(last_index) > h
+        # the term log((e^t + n e^{-t}) / (n+1)) is negative exactly when
+        # n > e^t, and n grows while t_n does not
+        return math.log(last_index) > h * math.exp(_log_discount(model, last_index - 1))
     return False
 
 
-def _decrease_run(terms: np.ndarray) -> bool:
-    """Whether _DECREASE_WINDOW consecutive terms fall below -_MIN_DECREASE."""
-    w = _DECREASE_WINDOW
-    below = terms < -_MIN_DECREASE
-    if below.size < w:
-        return False
-    if below[-w:].all():  # where the terms keep falling, the run ends the range
-        return True
-    runs = below.cumsum()  # runs[i]: how many of terms[:i+1] are below
-    return bool(runs[w - 1] == w or (runs[w:] - runs[:-w] == w).any())
-
-
 # a scan's first range is the shortest of _SCAN_FIRST * 4^i epochs that the
-# family's proof closes (with room for a run of decreases after it, for partial
-# sums), and the rest of the scan runs to the cap; no range crosses a multiple
-# of _SCAN_CHUNK epochs, so a scan holds one chunk at a time, and the plans of
-# a first range and the rest of the first chunk fit in _PLAN_EPOCHS together
+# family's proof closes, and the rest of the scan runs to the cap; no range
+# crosses a multiple of _SCAN_CHUNK epochs, so a scan holds one chunk at a
+# time, and the plans of a first range and the rest of the first chunk fit in
+# _PLAN_EPOCHS together
 _SCAN_FIRST = 64
 _SCAN_CHUNK = 1 << 16
 
@@ -926,27 +925,22 @@ def _sup_scan(model: RiskModel, h: float, policy: TruncationPolicy, partial: boo
     """The sup over epochs 1..cap of the running value, scanned in ranges.
 
     The verdict is the full scan's: attained when the family's proof
-    (_scan_certifies_decrease at the cap) holds and, for partial sums, a run of
-    decreases occurs anywhere, else undetermined. Both conditions stay true as
-    the index grows, so once both hold at the end of a range, every later term
-    is negative and the value, argmax and status are already those of the
-    full scan: the scan stops there.
+    (_scan_certifies_decrease at the cap) holds, else undetermined. The proof
+    stays true as the index grows, so once it holds at the end of a range,
+    every later term is negative, every later partial sum falls, and the
+    value, argmax and status are already those of the full scan: the scan
+    stops there.
     """
     horizon = model.horizon()
     cap = horizon if horizon is not None else policy.k_max
-    end, proved = cap, False
+    end, proof = cap, None  # proof: an epoch past which every term is negative
     if horizon is None:
-        room = _DECREASE_WINDOW - 1 if partial else 0
         end = _SCAN_FIRST
-        while end < cap and not _scan_certifies_decrease(model, h, end - room):
+        while end < cap and not _scan_certifies_decrease(model, h, end):
             end *= 4
-        proved = end < cap or _scan_certifies_decrease(model, h, cap)
-    # for partial sums a run of decreases anywhere counts: under discounting the
-    # terms shrink toward zero near the cap, and a longer scan must not lose the
-    # verdict a shorter one reached
-    decreasing = not partial
+        if end < cap or _scan_certifies_decrease(model, h, cap):
+            proof = min(end, cap)
     start, g, best, arg = 0, 0.0, -INF, None
-    tail = np.empty(0)  # the last terms before the range, for a run across its start
     prev = None  # the last discount of the range before, which the range's plan continues
     while True:
         end = min(end, cap, (start // _SCAN_CHUNK + 1) * _SCAN_CHUNK)
@@ -962,18 +956,15 @@ def _sup_scan(model: RiskModel, h: float, policy: TruncationPolicy, partial: boo
             best, arg = float(values[i]), start + i + 1
         if best == INF:
             return SupLogMgf(INF, arg, "unbounded", True, "divergent MGF term")
-        if proved and not decreasing:
-            seen = np.concatenate((tail, terms)) if start else terms
-            decreasing, tail = _decrease_run(seen), seen[1 - _DECREASE_WINDOW:]
         g = values[-1]
         # a per-increment sup below zero scans on: discounted terms rise toward
         # zero, and where t underflows they round to it
-        if end == cap or terms.size < end - start or (proved and decreasing and (partial or best > 0.0)):
+        if end == cap or terms.size < end - start or (proof is not None and end >= proof and (partial or best > 0.0)):
             break
         start, end = end, cap
     if horizon is not None:
         return SupLogMgf(best, arg, "attained", True)
-    if proved and decreasing:
+    if proof is not None:
         if not partial and best < 0.0 and not model.zero_rates():
             return SupLogMgf(0.0, None, "limit", True, "terms approach zero from below under discounting")
         return SupLogMgf(best, arg, "attained", True)
@@ -995,7 +986,12 @@ def _sup(model: RiskModel, h: float, policy: TruncationPolicy | None, partial: b
         if isinstance(inc, IndexedTwoPoint) and model.zero_rates():
             return _sup_indexed_twopoint(inc, h, partial)
         block = model._block
-        if block is not None and not block.amplifying:
+        top = block.period_top if block is not None and block.amplifying else 0.0
+        if top == INF:
+            return SupLogMgf(INF, None, "unbounded", True, "the amplified terms of a period law grow without bound")
+        # an amplifying block whose period laws have finite esssups, some
+        # positive, is scanned
+        if block is not None and top <= 0.0:
             return _sup_periodic(block, h, partial)
     return _sup_scan(model, h, policy, partial)
 

@@ -18,12 +18,15 @@ from ruinbounds import (
     ShiftedExponential,
     TruncationPolicy,
     Uniform,
+    bound_optimize,
     solve_kappa,
     solve_partial_sum,
     solve_per_increment,
     solve_period_root,
     verify_window_exponent,
 )
+from ruinbounds import adjustment as adjustment_module, bounds as bounds_module
+from ruinbounds.bounds import Certificate
 
 
 def alternating_normals():
@@ -119,11 +122,12 @@ class TestSupportShortcuts:
 
 
 class TestUncertainScan:
-    """Discounting can push per-step terms into (-min_decrease, 0) before the
-    run-length test fires; the solver then refuses to certify."""
+    """A truncated scan without a family-level proof that the later terms are
+    negative cannot certify its sup; the solver then refuses to certify."""
 
     def test_partial_sum_lower_estimate(self):
-        m = RiskModel(IndexedNormal(-1.0, 0.0), rates=2.0)
+        # slope zero leaves no family-level decrease proof
+        m = RiskModel(IndexedNormal(0.0, -1.0), rates=2.0)
         r = solve_partial_sum(m, policy=TruncationPolicy(k_max=60))
         assert not r.certified
         assert "lower estimate" in r.note
@@ -135,11 +139,38 @@ class TestUncertainScan:
         r = solve_per_increment(m, policy=TruncationPolicy(k_max=60))
         assert not r.certified and r.value == pytest.approx(0.0, abs=1e-9)
 
+    def test_the_proof_alone_certifies(self):
+        # near the root the discounted terms lie in (-1e-6, 0) from epoch 17
+        # on; the family's proof shows every later one negative
+        m = RiskModel(IndexedNormal(-1.0, 0.0), rates=2.0)
+        r = solve_partial_sum(m, policy=TruncationPolicy(k_max=60))
+        assert r.certified and r.value == pytest.approx(2.0, abs=1e-8)
+
     def test_generous_window_restores_certification(self):
         m = RiskModel(IndexedNormal(-1.0, 0.0), rates=0.2)
         r = solve_partial_sum(m, policy=TruncationPolicy(k_max=400))
         assert r.certified
         assert r.value == pytest.approx(2.0, abs=1e-8)
+
+
+class TestNeverBounded:
+    """An amplifying block with a period law of unbounded support makes both
+    criteria +inf at every h > 0: the solvers return a certified 0 and the
+    optimizer the trivial bound, without probing an h."""
+
+    def test_decided_without_a_probe(self, monkeypatch):
+        def probe(*args):
+            raise AssertionError("probed an h")
+
+        for module in (adjustment_module, bounds_module):
+            monkeypatch.setattr(module, "sup_log_mgf", probe)
+        monkeypatch.setattr(adjustment_module, "per_increment_sup", probe)
+        m = RiskModel(QuasiPeriodicScaled((Normal(-1.0, 1.0),), 1.0005))
+        for solve in (solve_partial_sum, solve_per_increment):
+            r = solve(m, policy=TruncationPolicy(k_max=2000))
+            assert (r.value, r.bracket, r.certified, r.boundary) == (0.0, (0.0, 0.0), True, False)
+        b = bound_optimize(m, 10.0, TruncationPolicy(k_max=2000))
+        assert (b.log_bound, b.h_star, b.certificate, b.certified) == (0.0, 0.0, Certificate(0.0, 0.0), True)
 
 
 class TestPeriodHypotheses:

@@ -219,10 +219,26 @@ class TestSupLogMgf:
         assert s.status == "undetermined" and not s.certified
 
     def test_amplifying_scan_past_the_float_range(self):
-        # 2^k leaves the float range near k = 1024, well inside the scan cap
-        m = RiskModel(QuasiPeriodicScaled((Uniform(-2.0, -1.0),), 2.0))
+        # the period laws' esssups, -1 and 0.5, leave the verdict to the scan;
+        # 2^(k/2) leaves the float range near k = 2048, well inside the scan cap
+        m = RiskModel(QuasiPeriodicScaled((Uniform(-2.0, -1.0), TwoPoint(0.5, 0.1, -3.0)), 2.0))
         s = sup_log_mgf(m, 1.0)
         assert s.status == "undetermined" and not s.certified and s.argmax == 1
+
+    def test_amplified_nonpositive_laws_peak_in_the_first_period(self):
+        m = RiskModel(QuasiPeriodicScaled((Uniform(-2.0, -1.0),), 2.0))
+        for sup in (sup_log_mgf, per_increment_sup):
+            s = sup(m, 1.0)
+            assert (s.status, s.certified, s.argmax) == ("attained", True, 1)
+            assert s.value == log_mgf_at(Uniform(-2.0, -1.0), 1.0)
+
+    @pytest.mark.parametrize("law", [Normal(-1.0, 1.0), ShiftedExponential(2.0, -3.0)], ids=["normal", "shifted_exponential"])
+    def test_amplified_unbounded_law_is_unbounded_at_every_h(self, law):
+        m = RiskModel(PrefixThenTail((Uniform(-2.0, -1.0),), QuasiPeriodicScaled((law, Uniform(-3.0, -1.0)), 1.0005)))
+        for sup in (sup_log_mgf, per_increment_sup):
+            for h in (1e-9, 0.01, 1.0):
+                s = sup(m, h, TruncationPolicy(k_max=10))
+                assert (s.value, s.argmax, s.status, s.certified) == (INF, None, "unbounded", True)
 
     def test_finite_horizon_exact(self):
         m = RiskModel(ExplicitPrefix((Normal(1.0, 1.0), Normal(-5.0, 1.0))))

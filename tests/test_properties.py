@@ -49,7 +49,6 @@ from ruinbounds import models as models_module
 from ruinbounds.models import (
     PrefixThenTail,
     TruncationPolicy,
-    _decrease_run,
     _scan_certifies_decrease,
     _sup_scan,
     _tail_excess,
@@ -253,6 +252,68 @@ class TestSignedTailEnvelope:
         assert len(walks) == 1
 
 
+class TestAmplifyingVerdicts:
+    """On an amplifying block the sups are decided from the period laws'
+    esssups: +inf at every h > 0 when one is +inf (or has a finite MGF
+    domain), attained within the prefix and the first period when every one is
+    <= 0, and otherwise scanned. Each verdict must agree with a long unrolled
+    run of the partial sums or the terms."""
+
+    SCAN = 300
+    nonpositive = st.one_of(st.builds(Degenerate, st.floats(-2.0, 0.0)),
+                            uniforms().map(lambda d: Uniform(d.lower - 3.0, d.upper - 3.0)),
+                            two_points().map(lambda d: TwoPoint(-abs(d.x1), d.p1, -abs(d.x2))))
+    bounded = st.one_of(uniforms(), two_points(), finite_discretes(), degenerates(), nonpositive)
+    unbounded = st.one_of(normals(), st.builds(ShiftedExponential, st.floats(0.5, 3.0), st.floats(-2.0, 0.0)))
+
+    @st.composite
+    def models(draw):
+        kind = draw(st.sampled_from(["unbounded", "nonpositive", "bounded"]))
+        cls = TestAmplifyingVerdicts
+        if kind == "unbounded":
+            cycle = draw(st.permutations(draw(st.lists(cls.bounded, max_size=2)) + [draw(cls.unbounded)]))
+        else:
+            cycle = draw(st.lists(getattr(cls, kind), min_size=1, max_size=3))
+        # every period multiplies h by at least 1.2 / 1.02^3 > 1
+        rule = QuasiPeriodicScaled(tuple(cycle), draw(st.floats(1.2, 2.0)))
+        prefix = draw(st.lists(any_dists, max_size=2))
+        rates = draw(st.sampled_from([ConstantRates(0.0), ConstantRates(0.01), PeriodicRates((0.0, 0.02))]))
+        return RiskModel(PrefixThenTail(tuple(prefix), rule) if prefix else rule, rates)
+
+    @pytest.mark.parametrize("partial", [True, False], ids=["partial", "per_increment"])
+    @settings(max_examples=150, deadline=None)
+    @given(models(), st.floats(0.01, 5.0))
+    def test_verdicts_match_a_long_unrolled_run(self, partial, model, h):
+        block = model._block
+        assert block.amplifying
+        P, L = block.prefix, block.length
+        period = block.laws[P:]
+        # enough periods for h e^c to pass about 1e8, where a Normal term
+        # outgrows the linear ones; far past it the Uniform kernel loses its
+        # log term to cancellation against t * lower
+        K = P + L * math.ceil(math.log(1e8 / h) / block.log_ratio)
+        if partial:
+            values = np.array(cumulative_log_mgf(model, h, K))
+        else:
+            values = log_mgf_terms(model, h, K)
+        s = (sup_log_mgf if partial else per_increment_sup)(model, h, TruncationPolicy(self.SCAN))
+        if any(support_bounds(d)[1] == INF or mgf_domain_sup(d) < INF for d in period):
+            assert (s.value, s.status, s.certified) == (INF, "unbounded", True)
+            assert values.max() > 1e6
+        elif all(support_bounds(d)[1] <= 0.0 for d in period):
+            assert s.certified and s.status in ("attained", "unbounded")
+            if s.value == INF:
+                assert values.max() == INF
+            else:
+                assert s.argmax <= P + L
+                assert values.max() == pytest.approx(s.value, rel=1e-12, abs=1e-12)
+                assert values[s.argmax - 1] == pytest.approx(s.value, rel=1e-12, abs=1e-12)
+        else:
+            e = _full_scan(model, h, self.SCAN, partial)
+            assert (s.value.hex(), s.argmax, s.status, s.certified, s.note) == \
+                (e.value.hex(), e.argmax, e.status, e.certified, e.note)
+
+
 class TestTermKernelParity:
     """log_mgf_terms against one log_mgf_at call per epoch on the epoch's law,
     cut after the first +inf in the same place."""
@@ -315,7 +376,7 @@ def _full_scan(model: RiskModel, h: float, k_max: int, partial: bool) -> SupLogM
         return SupLogMgf(INF, arg, "unbounded", True, "divergent MGF term")
     if horizon is not None:
         return SupLogMgf(best, arg, "attained", True)
-    if (not partial or _decrease_run(terms)) and _scan_certifies_decrease(model, h, cap):
+    if _scan_certifies_decrease(model, h, cap):
         if not partial and best < 0.0 and not model.zero_rates():
             return SupLogMgf(0.0, None, "limit", True, "terms approach zero from below under discounting")
         return SupLogMgf(best, arg, "attained", True)
@@ -324,8 +385,7 @@ def _full_scan(model: RiskModel, h: float, k_max: int, partial: bool) -> SupLogM
 
 class TestStreamedScan:
     """_sup_scan reads the terms in ranges and stops once the family's proof
-    and the decrease run hold; its result must be bitwise the one of a single
-    scan to the cap."""
+    holds; its result must be bitwise the one of a single scan to the cap."""
 
     rates = st.one_of(
         st.just(ConstantRates(0.0)),
@@ -355,11 +415,11 @@ class TestStreamedScan:
            st.sampled_from([None, 64, 100]))
     # discounted per-increment terms that round to zero past epoch 15,000
     @example(RiskModel(IndexedNormal(-0.5, 0.25), ConstantRates(0.05)), 0.3, 20_000, None)
-    # the family's proof holds from epoch 2,000 on, but no run of decreases follows
+    # the family's proof holds from epoch 2,000 on, where the terms lie in (-1e-6, 0)
     @example(RiskModel(IndexedNormal(-0.001, 2.0), ConstantRates(0.01)), 1.0, 5000, None)
-    # the proof holds at epoch 64, the run of decreases starts at epoch 141
+    # the proof holds at epoch 64, and no term falls below -1e-6 before epoch 140
     @example(RiskModel(IndexedNormal(-1e-8, -0.5 + 4e-7)), 1.0, 257, None)
-    # the one run of decreases, epochs 42-92, spans the end of the first range
+    # terms below -1e-6 only in epochs 42-92, across the end of the first range
     @example(RiskModel(IndexedNormal(-1.0, 0.0), ConstantRates(math.expm1(1 / 64))), 4.525e-8, 1024, None)
     # the maximum sits in a later range, under rates that vary
     @example(RiskModel(IndexedNormal(0.01, -0.5), PeriodicRates((0.01, 0.0))), 0.5, 257, 64)
@@ -373,18 +433,14 @@ class TestStreamedScan:
         assert (got.argmax, got.status, got.certified, got.note) == \
             (expected.argmax, expected.status, expected.certified, expected.note)
 
-    @given(st.lists(st.tuples(st.sampled_from([-1.0, -2e-6, -1e-6, 0.0, 1.0, INF]), st.integers(1, 60)), max_size=8))
-    @example([(-1.0, 49)])
-    @example([(-1.0, 50)])
-    @example([(0.0, 3), (-1.0, 49)])
-    @example([(-1.0, 50), (0.0, 1)])
-    def test_decrease_run_matches_a_scalar_count(self, blocks):
-        terms = [x for x, n in blocks for _ in range(n)]
-        run = longest = 0
-        for x in terms:
-            run = run + 1 if x < -models_module._MIN_DECREASE else 0
-            longest = max(longest, run)
-        assert _decrease_run(np.array(terms)) == (longest >= models_module._DECREASE_WINDOW)
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(st.builds(IndexedNormal, st.floats(-1.0, -1e-6), finite_means), st.just(IndexedTwoPoint())),
+           rates, st.floats(0.01, 20.0), st.sampled_from([1, 2, 10, 64, 256, 1024]))
+    def test_the_proof_leaves_no_later_term_positive(self, rule, rates, h, n):
+        model = RiskModel(rule, rates)
+        assume(model.horizon() is None and _scan_certifies_decrease(model, h, n))
+        # up to the rounding of the terms that discounting brings near zero
+        assert log_mgf_terms(model, h, 8 * n + 64)[n - 1:].max() <= 1e-15
 
     @pytest.mark.parametrize("model", [
         RiskModel(IndexedNormal(-0.5, 0.25), ConstantRates(0.01)),
@@ -462,7 +518,8 @@ class TestProbePlans:
         assert warm == cold
 
     @pytest.mark.parametrize("model", [
-        RiskModel(QuasiPeriodicScaled((Normal(-1.0, 1.0),), 1.0005)),
+        # period laws of finite esssups, one positive: scanned
+        RiskModel(QuasiPeriodicScaled((Uniform(-2.0, 1.0), Uniform(-3.0, -0.5)), 1.0005)),
         RiskModel(IndexedNormal(-1e-7, 2.0), PeriodicRates((0.0, 1e-9))),
         RiskModel(ExplicitPrefix((Normal(-1.0, 1.0), Uniform(-2.0, 1.0)) * 40_000)),
     ], ids=["amplifying", "indexed_normal", "explicit"])
@@ -499,10 +556,11 @@ class TestProbePlans:
 
     def test_a_long_scan_keeps_its_first_chunk(self):
         # ranges after the first end on multiples of _SCAN_CHUNK, so (64, 65536)
-        # fits beside (0, 64) in the budget, and an uncertified probe plans only
+        # fits beside (0, 64) in the budget, and a probe that scans on to the
+        # cap (per-increment terms below zero, which rise toward it) plans only
         # the rest of the cap, (65536, 100000), anew
-        model = RiskModel(IndexedTwoPoint(), ConstantRates(0.02))
-        solve_partial_sum(model, policy=TruncationPolicy(100_000))
+        model = RiskModel(IndexedNormal(-0.5, -1.0), ConstantRates(0.02))
+        solve_per_increment(model, policy=TruncationPolicy(100_000))
         assert ("plan", 0, 64) in model._memo and ("plan", 64, 65536) in model._memo
         assert model._memo.epochs == models_module._PLAN_EPOCHS
 
@@ -540,7 +598,16 @@ def _masked_shifted_exponential(params, t):
     return np.where(inside, finite, INF)
 
 
-_MASKED = {Uniform: _masked_uniform, TwoPoint: _masked_two_point, ShiftedExponential: _masked_shifted_exponential}
+def _masked_finite_discrete(params, t):
+    xs, log_ps = params[:2]
+    acc = np.full(len(t), -INF)
+    for x, log_p in zip(xs.T, log_ps.T):
+        acc = np.where(log_p > -INF, np.logaddexp(acc, log_p + t * x), acc)
+    return acc
+
+
+_MASKED = {Uniform: _masked_uniform, TwoPoint: _masked_two_point, ShiftedExponential: _masked_shifted_exponential,
+           FiniteDiscrete: _masked_finite_discrete}
 
 
 def _masked_terms(plan, h: float) -> np.ndarray:
@@ -557,7 +624,8 @@ def _masked_terms(plan, h: float) -> np.ndarray:
 
 class TestKernelShortcuts:
     """The family kernels skip a mask that is all true (no atom of probability
-    zero, every t inside the domain, every x in the middle branch), and a probe
+    zero or padding, every t inside the domain, every x in the middle branch),
+    and a FiniteDiscrete sum starts from its first atom rather than -inf; a probe
     sets the zero at t = 0 only when some t is zero. The results must be
     bitwise those of the masked reference, on inputs that reach every branch."""
 
@@ -581,6 +649,22 @@ class TestKernelShortcuts:
         params = TwoPoint._table(laws)
         with np.errstate(all="ignore"):
             self._same(TwoPoint._lmgf_vec(params, t), _masked_two_point(params, t))
+
+    @st.composite
+    def finite_discretes_with_zeros(draw):
+        n = draw(st.integers(1, 4))
+        xs = draw(st.lists(finite_means, min_size=n, max_size=n))
+        ws = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.1, 1.0)), min_size=n - 1, max_size=n - 1))
+        ws.append(draw(st.floats(0.1, 1.0)))
+        return FiniteDiscrete(tuple((x, w / sum(ws)) for x, w in zip(xs, ws)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows(st.one_of(finite_discretes(), finite_discretes_with_zeros())))
+    def test_finite_discrete(self, rows):
+        laws, t = rows
+        params = FiniteDiscrete._table(laws)
+        with np.errstate(all="ignore"):
+            self._same(FiniteDiscrete._lmgf_vec(params, t), _masked_finite_discrete(params, t))
 
     @settings(max_examples=300, deadline=None)
     @given(rows(st.builds(ShiftedExponential, st.floats(0.5, 3.0), st.floats(-2.0, 2.0)),

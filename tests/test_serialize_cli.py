@@ -623,11 +623,11 @@ class TestCliConfigErrors:
 class TestCliStrictAndDominance:
     @pytest.fixture
     def uncertain_model(self, tmp_path):
-        # strong discounting flattens the scan terms before a certifying run
-        # can accumulate, so the partial-sum coefficient stays a lower estimate
+        # slope zero leaves the scan no family-level decrease proof, so the
+        # partial-sum coefficient stays a lower estimate
         p = tmp_path / "uncertain.json"
         p.write_text(json.dumps({
-            "increments": {"kind": "indexed_normal", "slope": -1.0, "intercept": 0.0},
+            "increments": {"kind": "indexed_normal", "slope": 0.0, "intercept": -1.0},
             "rates": 2.0,
         }), encoding="utf-8")
         return str(p)

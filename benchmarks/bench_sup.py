@@ -25,6 +25,11 @@ round, as the solvers and the optimizer probe one model many times, so it
 reads the probe plans the model keeps. The cold one (suffix _cold) gets a new
 RiskModel of the same rule every round (_fresh), so its time includes what a
 model builds on its first probe: its law record and the plans of its ranges.
+
+The search benches (test_prefix_search) time one whole call of
+bound_optimize (u = 10), solve_partial_sum and solve_per_increment on the
+5000-law prefix, warm, as the heavy_sups benchmark calls them: 35-40 probes
+that share one store of chord references, which each call builds afresh.
 """
 
 from __future__ import annotations
@@ -51,6 +56,8 @@ from ruinbounds import (
     Uniform,
     bound_optimize,
     load_model,
+    solve_partial_sum,
+    solve_per_increment,
     sup_log_mgf,
 )
 from ruinbounds.models import _sup_indexed_twopoint
@@ -119,6 +126,20 @@ def test_explicit_prefix_5000(benchmark):
 def test_explicit_prefix_5000_cold(benchmark):
     s = benchmark.pedantic(sup_log_mgf, setup=_fresh(_mixed_prefix(), 0.3), rounds=100)
     assert s.certified
+
+
+PREFIX = _mixed_prefix()
+_SEARCHES = {
+    "bound_optimize": lambda: bound_optimize(PREFIX, 10.0),
+    "solve_partial_sum": lambda: solve_partial_sum(PREFIX),
+    "solve_per_increment": lambda: solve_per_increment(PREFIX),
+}
+
+
+@pytest.mark.parametrize("name", _SEARCHES)
+def test_prefix_search(benchmark, name):
+    r = benchmark(_SEARCHES[name])
+    assert r.certified
 
 
 def test_indexed_two_point_closed_form_h16(benchmark):

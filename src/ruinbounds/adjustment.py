@@ -177,11 +177,11 @@ def _partial_sums_never_blow(model: RiskModel) -> bool:
     return bool(in_block[-1] <= 0.0 and (block.log_ratio <= 0.0 or (in_block <= 0.0).all()))
 
 
-def _never_bounded(model: RiskModel) -> bool:
-    """True when both criteria are +inf at every h > 0, as models._sup finds
-    on an amplifying block with a period law of unbounded support."""
+def _never_bounded(model: RiskModel, partial: bool) -> bool:
+    """True when the criterion is +inf at every h > 0, as models._sup finds
+    on an amplifying block from its period laws (_Laws.unbounded)."""
     block = model._block
-    return block is not None and block.amplifying and block.period_top == INF
+    return block is not None and bool(block.unbounded(partial))
 
 
 # ---------------------------------------------------------------------------
@@ -204,17 +204,19 @@ def _domain_cap(model: RiskModel, span: int | None = None) -> float:
 
 def _solve_sup_root(model, tol, policy, flavor: str, sup, never_blows, never_note: str) -> AdjustmentResult:
     """sup{h >= 0 : sup(model, h, policy).value <= 0}; never_blows(model)
-    decides the h = +inf case that no finite scan can settle."""
+    decides the h = +inf case that no finite scan can settle. The probes share
+    one store of chord references (models.sup_log_mgf), dropped on return."""
     _check_tol(tol)
     policy = policy or TruncationPolicy()
     if never_blows(model):
         return AdjustmentResult(INF, flavor, None, True, False, never_note)
-    if _never_bounded(model):
+    if _never_bounded(model, flavor == "partial_sum"):
         return AdjustmentResult(0.0, flavor, (0.0, 0.0), True, False, "criterion is +inf at every h > 0")
     uncertain = [False]
+    chords: dict = {}
 
     def feasible(h: float) -> bool:
-        return _feasibility_from_sup(sup(model, h, policy), uncertain)
+        return _feasibility_from_sup(sup(model, h, policy, chords=chords), uncertain)
 
     value, bracket, boundary, exhausted = _grow_and_bisect(feasible, _domain_cap(model), tol)
     note = ""

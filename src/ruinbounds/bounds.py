@@ -199,18 +199,21 @@ def bound_optimize(model: RiskModel, u: float, policy: TruncationPolicy | None =
     convex; exponential bracketing followed by golden-section search finds the
     minimizer. The optimal h may sit far above any adjustment coefficient and
     grows with u for models whose G_k flatten out. Every probed sup is kept,
-    in memo when given, so that no h is evaluated twice.
+    in memo when given, so that no h is evaluated twice, and so is the store
+    of chord references that lets a finite-horizon scan settle a probe from
+    one at a larger h.
     """
     _require_u(u)
     policy = policy or TruncationPolicy()
     if _partial_sums_never_blow(model):
         return BoundResult(u, -INF, INF, "optimized", Certificate(0.0, INF), True,
                            "paths never rise above zero a.s.")
-    if _never_bounded(model):
+    if _never_bounded(model, True):
         return _no_exponent(u)
 
     cache: dict[float, float] = {}
     sups: dict[float, SupLogMgf] = _once(memo, ("sup_log_mgf", policy), dict)
+    chords: dict = _once(memo, ("chords", policy), dict)  # shared by the probes (models.sup_log_mgf)
 
     def f(h: float) -> float:
         if h in cache:
@@ -218,7 +221,7 @@ def bound_optimize(model: RiskModel, u: float, policy: TruncationPolicy | None =
         if h == 0.0:
             val = 0.0
         else:
-            s = _once(sups, h, lambda: sup_log_mgf(model, h, policy))
+            s = _once(sups, h, lambda: sup_log_mgf(model, h, policy, chords=chords))
             val = INF if s.value == INF else -h * u + s.value
         cache[h] = val
         return val

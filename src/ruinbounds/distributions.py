@@ -54,30 +54,24 @@ def _logaddexp(a: float, b: float) -> float:
 
 
 def _log_expm1_ratio(x: float) -> float:
-    """log((exp(x) - 1) / x), continuous through x = 0."""
+    """log((exp(x) - 1) / x) for x <= 30 (Uniform takes larger x on its own),
+    continuous through x = 0."""
     if abs(x) < 1e-6:
         # series keeps relative error below 1e-12 where expm1(x)/x cancels
         return x / 2.0 + x * x / 24.0
-    if x > 30.0:
-        return x + math.log1p(-math.exp(-x)) - math.log(x)
     if x < -30.0:
         return math.log1p(-math.exp(x)) - math.log(-x)
     return math.log(math.expm1(x) / x)
 
 
 def _log_expm1_ratio_vec(x: np.ndarray) -> np.ndarray:
-    """_log_expm1_ratio elementwise, with the same three branches."""
-    ax = np.abs(x)
-    if ax.size and 1e-6 <= ax.min() and ax.max() <= 30.0:  # all in the middle branch (a NaN fails both tests)
-        return np.log(np.expm1(x) / x)
+    """_log_expm1_ratio elementwise, with the same branches."""
     out = np.empty_like(x)
-    small = ax < 1e-6
-    high = x > 30.0
+    small = np.abs(x) < 1e-6
     low = x < -30.0
-    mid = ~(small | high | low)
-    xs, xh, xl, xm = x[small], x[high], x[low], x[mid]
+    mid = ~(small | low)
+    xs, xl, xm = x[small], x[low], x[mid]
     out[small] = xs / 2.0 + xs * xs / 24.0
-    out[high] = xh + np.log1p(-np.exp(-xh)) - np.log(xh)
     out[low] = np.log1p(-np.exp(xl)) - np.log(-xl)
     out[mid] = np.log(np.expm1(xm) / xm)
     return out
@@ -169,8 +163,16 @@ class Uniform(IncrementDistribution):
         if not self.lower < self.upper:
             raise ValueError("Uniform requires lower < upper")
 
+    # Past x = t (upper - lower) = 30 the log-MGF is taken from the upper end,
+    # t upper - log x + log1p(-e^-x), with log x = log t + log(upper - lower) so
+    # that it holds where x leaves the float range: t lower + x would cancel.
+
     def _lmgf(self, t: float) -> float:
-        return t * self.lower + _log_expm1_ratio(t * (self.upper - self.lower))
+        width = self.upper - self.lower
+        x = t * width
+        if x > 30.0:
+            return t * self.upper - (math.log(t) + math.log(width)) + math.log1p(-math.exp(-x))
+        return t * self.lower + _log_expm1_ratio(x)
 
     @classmethod
     def _table(cls, laws):
@@ -179,7 +181,17 @@ class Uniform(IncrementDistribution):
     @staticmethod
     def _lmgf_vec(params, t):
         lower, upper = params
-        return t * lower + _log_expm1_ratio_vec(t * (upper - lower))
+        width = upper - lower
+        x = t * width
+        ax = np.abs(x)
+        if ax.size and 1e-6 <= ax.min() and ax.max() <= 30.0:  # all in the middle branch (a NaN fails both tests)
+            return t * lower + np.log(np.expm1(x) / x)
+        out = t * lower + _log_expm1_ratio_vec(x)
+        high = x > 30.0
+        if high.any():
+            th = t[high]
+            out[high] = th * upper[high] - (np.log(th) + np.log(width[high])) + np.log1p(-np.exp(-x[high]))
+        return out
 
     def _domain(self) -> tuple[float, float]:
         return (-INF, INF)

@@ -21,8 +21,8 @@ log rho, the period-to-period multiplier of h. Exact periods, contracting
 tails and amplifying tails whose period laws are all nonpositive then reduce
 to a few periods of the block, walked one (law, log multiplier) pair at a
 time by _walk; _walk serves only these short walks, where a scalar loop beats
-numpy's fixed cost. An amplifying tail with a period law of unbounded support
-has both sups +inf at every h > 0. Four closed forms cover the
+numpy's fixed cost. Other amplifying tails are +inf at every h > 0 where
+their period laws' esssups say so (_Laws.unbounded). Four closed forms cover the
 indexed families without interest (the IndexedTwoPoint one in O(1) through
 log-factorials and a power-sum series). Everything else is scanned by
 log_mgf_terms, the vectorized term kernel, on per-family parameter arrays, in
@@ -30,6 +30,9 @@ ranges up to a truncation cap; the scan stops early where the family proves
 that every later term is negative. What a range's terms read apart from h,
 its probe plan, is built once and kept on the model (RiskModel._memo, with
 the solvers' support facts), so a probe does only the work that depends on h.
+The probes of one solve or optimization may share a store of chord
+references, which lets a finite-horizon scan below an earlier one read only a
+few epochs (_sup_scan); it lives with the caller, not on the model.
 
 Every longer walk reads one epoch layout, _layout(model, K): each epoch's slot
 in the record's law list and its log multiplier log(scale_j v_{j-1}). Only a
@@ -39,6 +42,7 @@ in closed form) builds laws per epoch, and only when they are read.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -57,6 +61,7 @@ from .distributions import (
     Scaled,
     TwoPoint,
     log_mgf_at,
+    mean,
     mgf_domain_sup,
     support_bounds,
 )
@@ -599,6 +604,15 @@ class _Laws:
         return np.array([mgf_domain_sup(law) for law in self.laws])
 
     @cached_property
+    def sigma(self) -> np.ndarray:
+        """Per law, the largest of |E Y| and the finite ones of |essinf Y| and
+        |esssup Y|: t times it bounds the parts that the law's log-MGF kernel
+        adds up at t, apart from |g(t)| itself and the logs of its parameters
+        (_chord_scale)."""
+        return np.array([max([abs(mean(law)), *(abs(x) for x in support_bounds(law) if abs(x) < INF)])
+                         for law in self.laws])
+
+    @cached_property
     def period_top(self) -> float:
         """The largest esssup of a period law, +inf also where one has a finite
         MGF domain. A log-MGF has slope g(t)/t -> esssup Y, so on an amplifying
@@ -607,6 +621,25 @@ class _Laws:
         nonpositive and at most the same slot's term there (_sup)."""
         P = self.prefix
         return INF if (self.dom[P:] < INF).any() else float(self.esssup[P:].max())
+
+    def unbounded(self, partial: bool) -> str:
+        """Why an amplifying block makes the sup +inf at every h > 0, or "" when
+        the period laws do not decide it so. Along the block t grows without
+        bound, and g(t)/t -> esssup Y: a period law of esssup +inf (or of a
+        finite MGF domain) makes both sups +inf, one of finite esssup > 0 the
+        per-increment sup, and a positive period slope sum_s w_s esssup_s, with
+        w_s = e^{logs} the slot's multiplier of h, the partial-sum sup, as each
+        period's sum of terms grows like t times it. The slope counts as
+        positive only past the rounding of its sum."""
+        top = self.period_top if self.amplifying else 0.0
+        if top == INF or (top > 0.0 and not partial):
+            return "the amplified terms of a period law grow without bound"
+        if top > 0.0:
+            P = self.prefix
+            slopes = np.exp(self.log_array[P:]) * self.esssup[P:]
+            if slopes.sum() > 1e-12 * np.abs(slopes).sum():
+                return "the amplified sums of a period grow without bound"
+        return ""
 
 
 def _layout(model: RiskModel, K: int, start: int = 0, log_v: np.ndarray | None = None) -> tuple[_Laws, np.ndarray, np.ndarray]:
@@ -682,20 +715,46 @@ class _Plan:
             if isinstance(a, np.ndarray):
                 a.flags.writeable = False
 
-    def terms(self, h: float) -> np.ndarray:
-        """log E exp(h e^{c_j} Y*_j) over the range, before the cut at +inf."""
+    def terms(self, h: float, at: np.ndarray | None = None) -> np.ndarray:
+        """log E exp(h e^{c_j} Y*_j) over the range, before the cut at +inf; or
+        only at the epochs of the range whose offsets at (sorted) gives, with
+        the same arithmetic, term by term."""
         with np.errstate(all="ignore"):
-            t = h * self.w
+            t = h * (self.w if at is None else self.w[at])
             if len(self.parts) == 1:  # one family covers the range, in order
                 (cls, _, params), = self.parts
-                terms = cls._lmgf_vec(params, t)
-            else:
+                terms = cls._lmgf_vec(params if at is None else _rows(params, at), t)
+            elif at is None:
                 terms = np.empty(len(t))
                 for cls, sel, params in self.parts:
                     terms[sel] = cls._lmgf_vec(params, t[sel])
+            else:
+                terms = np.empty(len(t))
+                part, row = self.where
+                of = part[at]
+                for p in set(of.tolist()):  # the few parts that a subset reads
+                    cls, _, params = self.parts[p]
+                    sel = np.flatnonzero(of == p)
+                    terms[sel] = cls._lmgf_vec(_rows(params, row[at[sel]]), t[sel])
         if h * self.w_min == 0.0:
             terms[t == 0.0] = 0.0
         return terms
+
+    @cached_property
+    def where(self) -> tuple[np.ndarray, np.ndarray]:
+        """(part, row): epoch i of the range has row row[i] of the arrays of
+        parts[part[i]]; built for the probes that read a subset (terms(h, at))."""
+        part, row = np.empty(len(self.w), dtype=np.intp), np.empty(len(self.w), dtype=np.intp)
+        for p, (_, sel, _) in enumerate(self.parts):
+            part[sel] = p
+            row[sel] = np.arange(len(part[sel]))
+        part.flags.writeable = row.flags.writeable = False
+        return part, row
+
+
+def _rows(params: tuple, rows: np.ndarray) -> tuple:
+    """The given rows of a family's parameter arrays (scalar parameters as they are)."""
+    return tuple(p[rows] if isinstance(p, np.ndarray) else p for p in params)
 
 
 def _plan(model: RiskModel, start: int, K: int, prev: float | None = None) -> _Plan:
@@ -780,8 +839,9 @@ def _sup_periodic(block: _Laws, h: float, partial: bool) -> SupLogMgf:
     if block.exact or block.amplifying:
         # every later block repeats these terms, or (amplifying, where _sup
         # sends only period laws of esssup <= 0) has terms that are nonpositive
-        # and at most the same slot's term here
-        if partial and sum(terms[P:]) > 0.0:
+        # and at most the same slot's term here: a positive period sum there
+        # is rounding (the term of a TwoPoint law at 0 a.s. can round above 0)
+        if partial and sum(terms[P:]) > 0.0 and block.exact:
             return SupLogMgf(INF, None, "unbounded", True, "log-MGF grows by a positive amount per period")
         return SupLogMgf(best, arg, "attained", True)
 
@@ -921,7 +981,7 @@ _SCAN_FIRST = 64
 _SCAN_CHUNK = 1 << 16
 
 
-def _sup_scan(model: RiskModel, h: float, policy: TruncationPolicy, partial: bool) -> SupLogMgf:
+def _sup_scan(model: RiskModel, h: float, policy: TruncationPolicy, partial: bool, chords: dict | None = None) -> SupLogMgf:
     """The sup over epochs 1..cap of the running value, scanned in ranges.
 
     The verdict is the full scan's: attained when the family's proof
@@ -929,10 +989,24 @@ def _sup_scan(model: RiskModel, h: float, policy: TruncationPolicy, partial: boo
     stays true as the index grows, so once it holds at the end of a range,
     every later term is negative, every later partial sum falls, and the
     value, argmax and status are already those of the full scan: the scan
-    stops there.
+    stops there. The scan also stops at the first value that is not a number
+    (a term of t past the float range), and is undetermined then: the terms
+    from there on are unknown.
+
+    Given a store of chord references (chords, which the probes of one solve
+    or one optimization share), a finite horizon of more than _SCAN_FIRST
+    epochs and at most _SCAN_CHUNK (so one range) keeps a reference of each
+    full scan, and a later probe at a smaller h that the chord settles
+    (_chord_probe) reads only a few epochs, with the full scan's result.
     """
     horizon = model.horizon()
     cap = horizon if horizon is not None else policy.k_max
+    held = None
+    if chords is not None and horizon is not None and _SCAN_FIRST < cap <= _SCAN_CHUNK:
+        held = _held(chords, model, partial, cap)
+        s = _chord_probe(model, h, cap, partial, held)
+        if s is not None:
+            return s
     end, proof = cap, None  # proof: an epoch past which every term is negative
     if horizon is None:
         end = _SCAN_FIRST
@@ -949,11 +1023,14 @@ def _sup_scan(model: RiskModel, h: float, policy: TruncationPolicy, partial: boo
         prev, plan = plan.last, None  # a plan past the budget goes before the next one is built
         values = terms
         if partial:  # the running sum continues in order from the range before
-            with np.errstate(over="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"):
                 values = np.concatenate(([g], terms)).cumsum()[1:] if start else terms.cumsum()
-        i = int(values.argmax())  # the first maximum, as _fold keeps it
-        if values[i] > best:
-            best, arg = float(values[i]), start + i + 1
+        i = int(values.argmax())  # the first maximum, as _fold keeps it, or the first NaN
+        top = float(values[i])
+        if top != top:
+            return _stopped(values[:i], start, best, arg)
+        if top > best:
+            best, arg = top, start + i + 1
         if best == INF:
             return SupLogMgf(INF, arg, "unbounded", True, "divergent MGF term")
         g = values[-1]
@@ -963,6 +1040,8 @@ def _sup_scan(model: RiskModel, h: float, policy: TruncationPolicy, partial: boo
             break
         start, end = end, cap
     if horizon is not None:
+        if held is not None and np.isfinite(terms).all():
+            _keep_scan(held, h, terms, values, partial)
         return SupLogMgf(best, arg, "attained", True)
     if proof is not None:
         if not partial and best < 0.0 and not model.zero_rates():
@@ -971,7 +1050,140 @@ def _sup_scan(model: RiskModel, h: float, policy: TruncationPolicy, partial: boo
     return SupLogMgf(best, arg, "undetermined", False, f"scan truncated at k_max={cap}")
 
 
-def _sup(model: RiskModel, h: float, policy: TruncationPolicy | None, partial: bool) -> SupLogMgf:
+def _stopped(values: np.ndarray, start: int, best: float, arg: int | None) -> SupLogMgf:
+    """The verdict of a scan whose value at epoch start + len(values) + 1 is
+    not a number (a term of t past the float range): the values before it
+    count, and the ones from it on are unknown."""
+    if values.size:
+        i = int(values.argmax())
+        if values[i] > best:
+            best, arg = float(values[i]), start + i + 1
+    if best == INF:
+        return SupLogMgf(INF, arg, "unbounded", True, "divergent MGF term")
+    return SupLogMgf(best, arg, "undetermined", False,
+                     f"scan stopped at epoch {start + values.size + 1}, whose value is not a number")
+
+
+# Chord certificates. Every term g_j is convex in h with g_j(0) = 0, so for
+# h <= h0 it obeys the chord inequality g_j(h) <= (h/h0) g_j(h0), and so does
+# every sum of terms. A full finite-horizon scan at h0 is kept as a reference
+# in the caller's store (chords); a later probe at h <= h0 takes the reference
+# of least h0 >= h, with lam = h/h0, and reads only the epochs the chord
+# leaves open:
+# - partial sums: the reference is D = max_{m>n} G_m(h0) - G_n(h0), with
+#   n = _SCAN_FIRST. If G_n(h) + lam D lies below the maximum of G_1..G_n(h)
+#   by the margin, no later partial sum reaches it.
+# - per-increment: the reference is an array U >= g_j(h0). The probe
+#   evaluates the epoch of the largest U (b0), then every epoch with
+#   lam U_j > b0 - margin; each epoch left out is below the result by the
+#   margin, so the first maximum (and the first +inf) is among those read.
+# Either way the value, argmax and status are the full scan's, bitwise: the
+# terms read are the ones the full scan computes, and partial sums through n
+# are the first n of its running sum. A probe that closes keeps lam D, or
+# lam U with its evaluated entries, as its own reference, so references tighten
+# as a search closes in; one that does not runs the full scan. A reference is
+# kept only from a scan whose every term is finite.
+#
+# The margin bounds the rounding of both runs: the computed terms and sums
+# differ from the true ones by at most gamma_N (Higham, Accuracy and Stability
+# of Numerical Algorithms, 2nd ed., section 4.2: recursive summation of N
+# numbers errs by at most gamma_{N-1} times the sum of their magnitudes) times
+# the magnitudes summed, N = 2 cap + 64 counting a few roundings per kernel and
+# per chained reference. A kernel's parts at t are bounded by
+# 2 |g_j(t)| + 3 t s_j + 2 _LOG_RANGE (_chord_scale: s_j from the law's mean
+# and finite support bounds; _LOG_RANGE bounds the log of any positive double,
+# a log-weight or log-rate). For a term that a probe never evaluates,
+# |g_j(h)| <= max(lam |g_j(h0)|, h w_j |E Y_j|): the chord gives the upper side
+# and Jensen's inequality, g_j(h) >= h w_j E Y_j, the lower.
+
+_LOG_RANGE = 746.0
+_EPS = 2.0**-53
+
+
+def _held(chords: dict, model: RiskModel, partial: bool, cap: int) -> list:
+    """The references of model, flavour and cap in the store: (h0, reference)
+    pairs in increasing h0. The entry holds the model, so its id stays its own."""
+    key = (id(model), partial, cap)
+    entry = chords.get(key)
+    if entry is None or entry[0] is not model:
+        entry = chords[key] = (model, [])
+    return entry[1]
+
+
+@_per_model
+def _chord_scale(model: RiskModel, K: int) -> tuple[float, float]:
+    """The sum and the maximum over epochs 1..K of w_j s_j, with w_j = e^{c_j}
+    the epoch's multiplier of h and s_j its law's _Laws.sigma: h w_j s_j bounds
+    |h w_j E Y_j| and the parts of the term's kernel that grow with t."""
+    laws, slot, c = _layout(model, K)
+    with np.errstate(over="ignore"):
+        ws = np.minimum(np.exp(c), _FLOAT_MAX) * laws.sigma[slot]
+    return float(ws.sum()), float(ws.max())
+
+
+def _keep_scan(held: list, h: float, terms: np.ndarray, values: np.ndarray, partial: bool) -> None:
+    """Keep a full scan at h, every term finite, as a reference, unless its
+    sums overflow."""
+    if partial:
+        n = _SCAN_FIRST
+        D, S0 = float(values[n:].max() - values[n - 1]), float(np.abs(terms).sum())
+        if math.isfinite(D) and S0 < INF:
+            _insert(held, h, (D, S0), True)
+    else:
+        _insert(held, h, (terms, int(terms.argmax()), float(np.abs(terms).max())), False)
+
+
+def _insert(held: list, h: float, ref: tuple, partial: bool) -> None:
+    k = bisect.bisect_left(held, h, key=operator.itemgetter(0))
+    if not partial:
+        # a bisection's later probes all lie above the probes below h, so
+        # their arrays are never read again; dropping them keeps the store small
+        del held[:k]
+        k = 0
+    held.insert(k, (h, ref))
+
+
+def _chord_probe(model: RiskModel, h: float, cap: int, partial: bool, held: list) -> SupLogMgf | None:
+    """The full scan's result at h when the reference of least h0 >= h settles
+    it, else None (see the notes above)."""
+    k = bisect.bisect_left(held, h, key=operator.itemgetter(0))
+    if k == len(held):
+        return None
+    h0, ref = held[k]
+    lam = h / h0
+    total, top = _chord_scale(model, cap)
+    count = 2 * cap + 64
+    gamma = count * _EPS / (1.0 - count * _EPS)
+    if partial:
+        D, S0 = ref
+        bound = lam * D
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = log_mgf_terms(model, h, _SCAN_FIRST, 0, _plan(model, 0, _SCAN_FIRST)).cumsum()
+        i = int(values.argmax())
+        best = float(values[i])
+        margin = gamma * (4.0 * lam * S0 + 10.0 * h * total + 4.0 * cap * _LOG_RANGE + abs(bound))
+        if not (-INF < best < INF and margin < INF and values[-1] + bound <= best - margin):
+            return None
+        _insert(held, h, (bound, lam * S0 + h * total), partial)
+        return SupLogMgf(best, i + 1, "attained", True)
+    U, j, largest = ref  # largest: at least every |U_j|
+    plan = _plan(model, 0, cap)
+    b0 = plan.terms(h, np.array([j]))[0]
+    margin = gamma * (4.0 * lam * largest + 6.0 * h * top + 4.0 * _LOG_RANGE)
+    bound = lam * U
+    at = np.flatnonzero(bound > b0 - margin)  # holds j, unless the margin fails or b0 is +inf or NaN
+    if not at.size:
+        return None
+    values = plan.terms(h, at)
+    if not np.isfinite(values).all():  # +inf and NaN are the full scan's to report
+        return None
+    i = int(values.argmax())
+    bound[at] = values
+    _insert(held, h, (bound, int(at[i]), max(lam * largest, float(np.abs(values).max()))), partial)
+    return SupLogMgf(float(values[i]), int(at[i]) + 1, "attained", True)
+
+
+def _sup(model: RiskModel, h: float, policy: TruncationPolicy | None, partial: bool, chords: dict | None = None) -> SupLogMgf:
     """The supremum over epochs of the running value: partial sums of the
     terms (partial=True) or the terms themselves."""
     if not h >= 0.0:
@@ -986,24 +1198,35 @@ def _sup(model: RiskModel, h: float, policy: TruncationPolicy | None, partial: b
         if isinstance(inc, IndexedTwoPoint) and model.zero_rates():
             return _sup_indexed_twopoint(inc, h, partial)
         block = model._block
-        top = block.period_top if block is not None and block.amplifying else 0.0
-        if top == INF:
-            return SupLogMgf(INF, None, "unbounded", True, "the amplified terms of a period law grow without bound")
-        # an amplifying block whose period laws have finite esssups, some
-        # positive, is scanned
-        if block is not None and top <= 0.0:
-            return _sup_periodic(block, h, partial)
-    return _sup_scan(model, h, policy, partial)
+        if block is not None:
+            if not block.amplifying:
+                return _sup_periodic(block, h, partial)
+            why = block.unbounded(partial)
+            if why:
+                return SupLogMgf(INF, None, "unbounded", True, why)
+            # an amplifying block whose period laws have finite esssups, some
+            # positive, is scanned
+            if block.period_top <= 0.0:
+                return _sup_periodic(block, h, partial)
+    return _sup_scan(model, h, policy, partial, chords)
 
 
-def sup_log_mgf(model: RiskModel, h: float, policy: TruncationPolicy | None = None) -> SupLogMgf:
-    """sup_{k>=1} G_k(h), reduced exactly where the sequence structure allows."""
-    return _sup(model, h, policy, partial=True)
+def sup_log_mgf(model: RiskModel, h: float, policy: TruncationPolicy | None = None, *,
+                chords: dict | None = None) -> SupLogMgf:
+    """sup_{k>=1} G_k(h), reduced exactly where the sequence structure allows.
+
+    chords, a dict that the probes of one solve or one optimization share,
+    lets a finite-horizon scan settle a probe from an earlier one at a larger
+    h (_sup_scan); the result is the same without it. It holds values that
+    depend on h, so it must not outlive the caller's search.
+    """
+    return _sup(model, h, policy, True, chords)
 
 
-def per_increment_sup(model: RiskModel, h: float, policy: TruncationPolicy | None = None) -> SupLogMgf:
+def per_increment_sup(model: RiskModel, h: float, policy: TruncationPolicy | None = None, *,
+                      chords: dict | None = None) -> SupLogMgf:
     """sup_{j>=1} log E exp(h v_{j-1} Y*_j), the one-step analogue of sup_log_mgf."""
-    return _sup(model, h, policy, partial=False)
+    return _sup(model, h, policy, False, chords)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from ruinbounds import (
     RiskModel,
     ShiftedExponential,
     TruncationPolicy,
+    TwoPoint,
     Uniform,
     bound_optimize,
     solve_kappa,
@@ -170,6 +171,25 @@ class TestNeverBounded:
             r = solve(m, policy=TruncationPolicy(k_max=2000))
             assert (r.value, r.bracket, r.certified, r.boundary) == (0.0, (0.0, 0.0), True, False)
         b = bound_optimize(m, 10.0, TruncationPolicy(k_max=2000))
+        assert (b.log_bound, b.h_star, b.certificate, b.certified) == (0.0, 0.0, Certificate(0.0, 0.0), True)
+
+    def test_mixed_sign_blocks_decided_without_a_probe(self, monkeypatch):
+        def probe(*args, **kwargs):
+            raise AssertionError("probed an h")
+
+        # a period law of esssup 0.5 > 0: the per-increment criterion is +inf
+        m = RiskModel(QuasiPeriodicScaled((Uniform(-2.0, -1.0), TwoPoint(0.5, 0.1, -3.0)), 2.0))
+        monkeypatch.setattr(adjustment_module, "per_increment_sup", probe)
+        r = solve_per_increment(m)
+        assert (r.value, r.bracket, r.certified, r.boundary) == (0.0, (0.0, 0.0), True, False)
+        # and a positive period slope, 2 - 0.5: the partial-sum criterion too
+        m = RiskModel(QuasiPeriodicScaled((Uniform(-1.0, 2.0), Degenerate(-0.5)), 2.0))
+        for module in (adjustment_module, bounds_module):
+            monkeypatch.setattr(module, "sup_log_mgf", probe)
+        for solve in (solve_partial_sum, solve_per_increment):
+            r = solve(m)
+            assert (r.value, r.bracket, r.certified, r.boundary) == (0.0, (0.0, 0.0), True, False)
+        b = bound_optimize(m, 10.0)
         assert (b.log_bound, b.h_star, b.certificate, b.certified) == (0.0, 0.0, Certificate(0.0, 0.0), True)
 
 

@@ -157,9 +157,9 @@ class TestOptimize:
         probes = []
         sup = bounds.sup_log_mgf
 
-        def recording_sup(m, h, policy=None):
+        def recording_sup(m, h, policy=None, **kwargs):
             probes.append(h)
-            return sup(m, h, policy)
+            return sup(m, h, policy, **kwargs)
 
         monkeypatch.setattr(bounds, "sup_log_mgf", recording_sup)
         for u in (1.0, 2.5, 5.0, 10.0, 20.0, 40.0):

@@ -66,6 +66,19 @@ class TestLogMgfValues:
         assert math.isfinite(log_mgf(d, 700.0))
         assert log_mgf_at(d, -100.0) == pytest.approx(-math.log(100.0) + math.log1p(-math.exp(-100.0)), rel=1e-13)
 
+    def test_uniform_huge_argument_from_the_upper_end(self):
+        # t lower + log((e^x - 1)/x) cancels once x = t (upper - lower) passes ~1e15
+        assert log_mgf_at(Uniform(-3.0, 0.0), 1e20) == pytest.approx(-math.log(3e20), rel=1e-15)
+        # x past the float range: t upper - log t - log(upper - lower)
+        t = 1.5e308
+        assert log_mgf_at(Uniform(-3.0, 0.5), t) == pytest.approx(0.5 * t, rel=1e-15)
+        laws = [Uniform(-3.0, 0.0), Uniform(-3.0, 0.5), Uniform(-2.0, -1.0), Uniform(0.0, 1.0)]
+        ts = np.array([1e20, t, t, 100.0])
+        with np.errstate(all="ignore"):  # as in a probe
+            vec = Uniform._lmgf_vec(Uniform._table(laws), ts)
+        assert vec.tolist() == [log_mgf_at(d, x) for d, x in zip(laws, ts.tolist())]
+        assert np.isfinite(vec).all()
+
     def test_two_point(self):
         d = TwoPoint(1.0, 0.25, -1.0)
         t = 0.7

@@ -225,6 +225,30 @@ class TestSupLogMgf:
         s = sup_log_mgf(m, 1.0)
         assert s.status == "undetermined" and not s.certified and s.argmax == 1
 
+    def test_a_scan_stops_at_a_value_that_is_not_a_number(self):
+        # at h = 2 the amplified t = h e^c passes the float range near epoch
+        # 2049, where the Uniform(-3, 0.5) term is inf - inf; the running
+        # maximum G_1 = 3 stands, undetermined
+        m = RiskModel(PrefixThenTail((Normal(0.5, 1.0),), QuasiPeriodicScaled((Uniform(-2.0, -1.0), Uniform(-3.0, 0.5)), 2.0)))
+        s = sup_log_mgf(m, 2.0)
+        assert (s.value, s.argmax, s.status, s.certified) == (3.0, 1, "undetermined", False)
+        assert "epoch 2049" in s.note and "not a number" in s.note
+        b = bound_optimize(m, 10.0)
+        assert -INF < b.log_bound < 0.0 and not b.certified
+
+    def test_amplified_mixed_sign_laws(self):
+        # esssups -1 and 0.5: the per-increment sup is +inf; the period slope
+        # -1 + 0.5 leaves the partial sums to the scan
+        m = RiskModel(QuasiPeriodicScaled((Uniform(-2.0, -1.0), TwoPoint(0.5, 0.1, -3.0)), 2.0))
+        s = per_increment_sup(m, 1.0)
+        assert (s.value, s.argmax, s.status, s.certified) == (INF, None, "unbounded", True)
+        assert sup_log_mgf(m, 1.0).status == "undetermined"
+        # esssups 2 and -0.5: the period slope is positive, and so both sups are +inf
+        m = RiskModel(QuasiPeriodicScaled((Uniform(-1.0, 2.0), Degenerate(-0.5)), 2.0))
+        for sup in (sup_log_mgf, per_increment_sup):
+            s = sup(m, 1e-9)
+            assert (s.value, s.argmax, s.status, s.certified) == (INF, None, "unbounded", True)
+
     def test_amplified_nonpositive_laws_peak_in_the_first_period(self):
         m = RiskModel(QuasiPeriodicScaled((Uniform(-2.0, -1.0),), 2.0))
         for sup in (sup_log_mgf, per_increment_sup):

@@ -256,8 +256,11 @@ class TestAmplifyingVerdicts:
     """On an amplifying block the sups are decided from the period laws'
     esssups: +inf at every h > 0 when one is +inf (or has a finite MGF
     domain), attained within the prefix and the first period when every one is
-    <= 0, and otherwise scanned. Each verdict must agree with a long unrolled
-    run of the partial sums or the terms."""
+    <= 0; with finite esssups of both signs, the per-increment sup is +inf and
+    the partial-sum sup is +inf where the period slope is positive, and
+    otherwise scanned. Each verdict must agree with a long unrolled run of the
+    partial sums or the terms (TestMixedSignAmplifying unrolls the mixed-sign
+    verdicts)."""
 
     SCAN = 300
     nonpositive = st.one_of(st.builds(Degenerate, st.floats(-2.0, 0.0)),
@@ -283,14 +286,15 @@ class TestAmplifyingVerdicts:
     @pytest.mark.parametrize("partial", [True, False], ids=["partial", "per_increment"])
     @settings(max_examples=150, deadline=None)
     @given(models(), st.floats(0.01, 5.0))
+    # a law at 0 a.s. whose computed term rounds to 5.6e-17, not 0
+    @example(RiskModel(QuasiPeriodicScaled((TwoPoint(-0.0, 0.25, -0.0),), 2.0)), 1.0)
     def test_verdicts_match_a_long_unrolled_run(self, partial, model, h):
         block = model._block
         assert block.amplifying
         P, L = block.prefix, block.length
         period = block.laws[P:]
         # enough periods for h e^c to pass about 1e8, where a Normal term
-        # outgrows the linear ones; far past it the Uniform kernel loses its
-        # log term to cancellation against t * lower
+        # outgrows the linear ones
         K = P + L * math.ceil(math.log(1e8 / h) / block.log_ratio)
         if partial:
             values = np.array(cumulative_log_mgf(model, h, K))
@@ -308,10 +312,75 @@ class TestAmplifyingVerdicts:
                 assert s.argmax <= P + L
                 assert values.max() == pytest.approx(s.value, rel=1e-12, abs=1e-12)
                 assert values[s.argmax - 1] == pytest.approx(s.value, rel=1e-12, abs=1e-12)
+        elif block.unbounded(partial):
+            assert (s.value, s.argmax, s.status, s.certified) == (INF, None, "unbounded", True)
         else:
             e = _full_scan(model, h, self.SCAN, partial)
             assert (s.value.hex(), s.argmax, s.status, s.certified, s.note) == \
                 (e.value.hex(), e.argmax, e.status, e.certified, e.note)
+
+
+class TestMixedSignAmplifying:
+    """Period laws of finite esssups, some positive and some negative, on an
+    amplifying block: a positive esssup makes the per-increment sup +inf, and a
+    positive period slope (each slot's multiplier of h times its law's esssup,
+    summed over the period) the partial-sum sup; a negative slope leaves the
+    partial sums to the scan. Every esssup here is at least 0.1 away from zero
+    and the slope at least 5% of its scale, so that an unrolled run of
+    log_mgf_terms to h e^c = 1e10 shows the growth."""
+
+    positive = st.one_of(st.builds(Degenerate, st.floats(0.1, 2.0)),
+                         st.builds(lambda lo, hi: Uniform(lo, lo + hi), st.floats(-3.0, 0.05), st.floats(0.1, 3.0))
+                         .filter(lambda d: d.upper >= 0.1),
+                         st.builds(TwoPoint, st.floats(0.1, 2.0), st.floats(1e-6, 1.0), finite_means))
+    negative = st.one_of(st.builds(Degenerate, st.floats(-2.0, -0.1)),
+                         st.builds(lambda hi, w: Uniform(hi - w, hi), st.floats(-2.0, -0.1), st.floats(0.01, 2.0)),
+                         st.builds(TwoPoint, st.floats(-2.0, -0.1), st.floats(0.0, 1.0), st.floats(-2.0, -0.1)))
+
+    @st.composite
+    def models(draw):
+        cls = TestMixedSignAmplifying
+        cycle = draw(st.permutations([draw(cls.positive), draw(cls.negative),
+                                      *draw(st.lists(st.one_of(cls.positive, cls.negative), max_size=1))]))
+        rule = QuasiPeriodicScaled(tuple(cycle), draw(st.floats(1.2, 2.0)))
+        prefix = draw(st.lists(any_dists, max_size=2))
+        rates = draw(st.sampled_from([ConstantRates(0.0), ConstantRates(0.01), PeriodicRates((0.0, 0.02))]))
+        return RiskModel(PrefixThenTail(tuple(prefix), rule) if prefix else rule, rates)
+
+    @staticmethod
+    def _slope(model: RiskModel) -> tuple[float, float]:
+        """The period slope and its scale, from the laws of the block's first
+        period and their discounts, epoch by epoch."""
+        block = model._block
+        P, L = block.prefix, block.length
+        v = np.exp(model.log_discounts(P + L - 1))
+        parts = [v[j - 1] * support_bounds(model.distribution_at(j))[1] for j in range(P + 1, P + L + 1)]
+        return math.fsum(parts), math.fsum(map(abs, parts))
+
+    @settings(max_examples=150, deadline=None)
+    @given(models(), st.floats(0.01, 5.0))
+    def test_verdicts_match_a_long_unrolled_run(self, model, h):
+        block = model._block
+        assert block.amplifying
+        P, L = block.prefix, block.length
+        K = P + L * (1 + math.ceil(math.log(1e10 / (h * np.exp(min(block.logs)))) / block.log_ratio))
+        terms = log_mgf_terms(model, h, K)
+        s = per_increment_sup(model, h, TruncationPolicy(300))
+        assert (s.value, s.argmax, s.status, s.certified) == (INF, None, "unbounded", True)
+        assert terms.max() > 1e6
+        slope, scale = self._slope(model)
+        assume(abs(slope) >= 0.05 * scale)
+        s = sup_log_mgf(model, h, TruncationPolicy(300))
+        if slope > 0.0:
+            assert (s.value, s.argmax, s.status, s.certified) == (INF, None, "unbounded", True)
+            assert np.cumsum(terms).max() > 1e6
+        else:
+            e = _full_scan(model, h, 300, True)
+            assert (s.value.hex(), s.argmax, s.status, s.certified, s.note) == \
+                (e.value.hex(), e.argmax, e.status, e.certified, e.note)
+            # from period to period, the partial sums fall by the slope times a
+            # growing t (unless a prefix term diverges, where the run stops)
+            assert terms.sum() < -1e6 if terms.size == K else terms[-1] == INF
 
 
 class TestTermKernelParity:
@@ -518,8 +587,9 @@ class TestProbePlans:
         assert warm == cold
 
     @pytest.mark.parametrize("model", [
-        # period laws of finite esssups, one positive: scanned
-        RiskModel(QuasiPeriodicScaled((Uniform(-2.0, 1.0), Uniform(-3.0, -0.5)), 1.0005)),
+        # period laws of finite esssups, one positive, and a negative period
+        # slope: the partial sums are scanned
+        RiskModel(QuasiPeriodicScaled((Uniform(-2.0, 0.5), Uniform(-3.0, -1.0)), 1.0005)),
         RiskModel(IndexedNormal(-1e-7, 2.0), PeriodicRates((0.0, 1e-9))),
         RiskModel(ExplicitPrefix((Normal(-1.0, 1.0), Uniform(-2.0, 1.0)) * 40_000)),
     ], ids=["amplifying", "indexed_normal", "explicit"])
@@ -565,24 +635,128 @@ class TestProbePlans:
         assert model._memo.epochs == models_module._PLAN_EPOCHS
 
 
+class TestChordCertificates:
+    """Probes of one solve or optimization share a store of chord references
+    (models._sup_scan): a finite-horizon probe at h below an earlier full scan
+    reads only the epochs that the chord inequality leaves open. Every sup must
+    be bitwise the one of a full scan without a store, and the store is the
+    only place that holds anything that depends on h."""
+
+    @st.composite
+    def models(draw):
+        h_top = draw(st.floats(0.05, 2.0))
+        # a rate just above h_top puts the term of an undiscounted epoch at the
+        # domain edge of its law at the largest probe
+        edge = st.sampled_from([1e-12, 1e-6, 1e-2]).map(lambda eps: h_top * (1.0 + eps))
+        laws = st.one_of(
+            st.builds(Normal, st.floats(-1.5, 0.3), st.floats(0.1, 2.0)),
+            st.builds(lambda lo, w: Uniform(lo, lo + w), st.floats(-3.0, -0.5), st.floats(0.01, 3.0)),
+            st.builds(TwoPoint, st.floats(0.0, 1.5), st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 0.5)),
+                      st.floats(-2.0, -0.5)),
+            st.builds(ShiftedExponential, st.one_of(edge, st.floats(1.0, 3.0)), st.floats(-3.0, -1.0)),
+            st.builds(Degenerate, st.floats(-2.0, 0.2)),
+            finite_discretes(),
+            st.builds(Scaled, st.floats(0.5, 2.0), st.builds(Normal, st.floats(-1.0, 0.0), st.floats(0.1, 1.0))),
+        )
+        # laws of negative mean whose variances differ: every term is negative
+        # at small h, and the epoch of the largest term moves as h grows
+        drifting = st.one_of(
+            st.builds(Normal, st.floats(-1.5, -0.05), st.floats(0.05, 4.0)),
+            st.builds(lambda lo, w: Uniform(lo, lo + w), st.floats(-3.0, -0.5), st.floats(0.01, 0.9)),
+            st.builds(Degenerate, st.floats(-2.0, -0.05)),
+        )
+        # n epochs drawn from a pool of laws, so that equal terms tie
+        pool = draw(st.lists(draw(st.sampled_from([laws, drifting])), min_size=1, max_size=12))
+        n = draw(st.integers(65, 300))
+        pick = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, len(pool), n)
+        dists = tuple(pool[i] for i in pick)
+        rates = draw(st.one_of(
+            st.just(ConstantRates(0.0)),
+            st.floats(0.001, 0.2).map(ConstantRates),
+            st.lists(st.floats(0.0, 0.2), min_size=n, max_size=n).map(tuple).map(ExplicitRates),
+        ))
+        hs = draw(st.lists(st.floats(-7.0, 0.0).map(lambda x: h_top * math.exp(x)), min_size=1, max_size=8))
+        if draw(st.booleans()):  # as a bisection or golden search closes in from above
+            hs = [h_top] + sorted(hs, reverse=True)
+        return RiskModel(ExplicitPrefix(dists), rates), hs
+
+    @settings(max_examples=200, deadline=None)
+    @given(models())
+    def test_probes_match_full_scans(self, case):
+        model, hs = case
+        store: dict = {}
+        for h in hs:
+            for partial, sup in ((True, sup_log_mgf), (False, per_increment_sup)):
+                got = sup(model, h, chords=store)
+                e = _full_scan(model, h, 10_000, partial)
+                assert (got.value.hex(), got.argmax, got.status, got.certified, got.note) == \
+                    (e.value.hex(), e.argmax, e.status, e.certified, e.note)
+        # the model keeps only what does not depend on h: plans and facts keyed
+        # by epochs, and its cached records
+        assert all(isinstance(x, int) for key in model._memo for x in key[1:])
+        assert set(vars(model)) <= {"increments", "rates", "label", "_memo", "_horizon", "_laws", "_block"}
+
+    @pytest.mark.parametrize("flavor", ["partial", "per_increment"])
+    @settings(max_examples=40, deadline=None)
+    @given(models(), st.floats(1.0, 40.0))
+    def test_solvers_and_optimizer_match_a_storeless_run(self, flavor, case, u):
+        model, _ = case
+        fresh = RiskModel(model.increments, model.rates)
+        if flavor == "partial":
+            def run(m):
+                return solve_partial_sum(m), bound_optimize(m, u)
+        else:
+            def run(m):
+                return solve_per_increment(m)
+        got = run(model)
+        with patch.object(models_module, "_chord_probe", lambda *args: None):
+            expected = run(fresh)
+        assert repr(got) == repr(expected)
+
+    def test_probes_below_a_full_scan_read_few_epochs(self, monkeypatch):
+        # 2000 laws of negative drift: the partial sums peak within the first
+        # 64 epochs, and the per-increment sup at one epoch
+        rng = np.random.default_rng(7)
+        model = RiskModel(ExplicitPrefix(tuple(Normal(float(m), 1.0) for m in rng.uniform(-1.2, -0.3, 2000))))
+        full = []
+        terms = models_module.log_mgf_terms
+
+        def recording(model, h, K, start=0, plan=None):
+            full.append(K == 2000)
+            return terms(model, h, K, start, plan)
+
+        monkeypatch.setattr(models_module, "log_mgf_terms", recording)
+        for solve in (solve_partial_sum, solve_per_increment):  # 36 and 35 probes
+            full.clear()
+            solve(model)
+            assert 0 < sum(full) <= 4
+        full.clear()
+        bound_optimize(model, 10.0)  # 40 probes
+        assert 0 < sum(full) <= 10
+
+
 def _masked_log_expm1_ratio(x: np.ndarray) -> np.ndarray:
-    """_log_expm1_ratio_vec with its three masks applied on every call."""
+    """_log_expm1_ratio_vec with its masks applied on every call."""
     out = np.empty_like(x)
     small = np.abs(x) < 1e-6
-    high = x > 30.0
     low = x < -30.0
-    mid = ~(small | high | low)
-    xs, xh, xl, xm = x[small], x[high], x[low], x[mid]
+    mid = ~(small | low)
+    xs, xl, xm = x[small], x[low], x[mid]
     out[small] = xs / 2.0 + xs * xs / 24.0
-    out[high] = xh + np.log1p(-np.exp(-xh)) - np.log(xh)
     out[low] = np.log1p(-np.exp(xl)) - np.log(-xl)
     out[mid] = np.log(np.expm1(xm) / xm)
     return out
 
 
 def _masked_uniform(params, t):
+    # past x = 30 from the upper end, as Uniform._lmgf_vec
     lower, upper = params
-    return t * lower + _masked_log_expm1_ratio(t * (upper - lower))
+    x = t * (upper - lower)
+    out = t * lower + _masked_log_expm1_ratio(x)
+    high = x > 30.0
+    th = t[high]
+    out[high] = th * upper[high] - (np.log(th) + np.log((upper - lower)[high])) + np.log1p(-np.exp(-x[high]))
+    return out
 
 
 def _masked_two_point(params, t):

@@ -23,6 +23,18 @@ then the same as one JSON line.
 Separate perfbench runs of two checkouts can differ by 30-60% on a shared
 host whose speed drifts; rounds that alternate within one process see the
 same drift on both sides.
+
+    python3 benchmarks/ab_inprocess.py BASE [CHANGE] --workload probes --rounds 20
+
+times single warm probes instead (PROBES): each case calls sup_log_mgf or
+per_increment_sup on one model at a fixed list of h, the model built by each
+side from its own package and probed once before timing. A case with a chord
+store runs a full scan at a larger h into a fresh store before each timed
+probe, and times only the probe below it. The rounds alternate between the
+sides per case, and every result must be bitwise the other side's (value,
+argmax, status, certified, note), else the script exits 1. It prints each
+side's median time per probe and the ratio per case, then the same as one
+JSON line.
 """
 
 from __future__ import annotations
@@ -31,6 +43,7 @@ import argparse
 import importlib
 import importlib.util
 import json
+import random
 import statistics
 import sys
 import tempfile
@@ -100,16 +113,115 @@ def row_failures(requests: list, base: list, change: list) -> tuple[int, list[st
     return differ, failures
 
 
+def _mixed_prefix(rb, n: int = 5000, seed: int = 1):
+    """n laws with negative drift, a quarter of each of four families (as
+    benchmarks/bench_sup._mixed_prefix), built from the package rb."""
+    rng = random.Random(seed)
+    laws = []
+    for i in range(n):
+        kind = i % 4
+        if kind == 0:
+            laws.append(rb.Normal(-0.3 - 0.9 * rng.random(), 0.5 + rng.random()))
+        elif kind == 1:
+            laws.append(rb.Uniform(-2.0 - rng.random(), 1.0 + 0.5 * rng.random()))
+        elif kind == 2:
+            laws.append(rb.TwoPoint(1.0, 0.2 + 0.15 * rng.random(), -1.0))
+        else:
+            laws.append(rb.ShiftedExponential(0.8 + 0.4 * rng.random(), -1.5 - rng.random()))
+    rng.shuffle(laws)
+    return rb.RiskModel(rb.ExplicitPrefix(tuple(laws)))
+
+
+# name: (model from the package rb, k_max or None, sup function name, the h
+# probed, and the h of the full scan that fills a fresh chord store before each
+# probe, or None for no store)
+_HS = (0.05, 0.2, 0.5, 1.0, 2.0)
+PROBES = {
+    "indexed_normal_1pct/sup": (lambda rb: rb.RiskModel(rb.IndexedNormal(-0.5, 0.25), rb.ConstantRates(0.01)),
+                                2000, "sup_log_mgf", _HS, None),
+    "indexed_normal_1pct/per_increment": (lambda rb: rb.RiskModel(rb.IndexedNormal(-0.5, 0.25), rb.ConstantRates(0.01)),
+                                          2000, "per_increment_sup", _HS, None),
+    "indexed_two_point_2pct/sup": (lambda rb: rb.RiskModel(rb.IndexedTwoPoint(), rb.ConstantRates(0.02)),
+                                   2000, "sup_log_mgf", (1.4e-6, 0.05, 0.5, 2.0, 8.0), None),
+    "prefix_5000/sup": (_mixed_prefix, None, "sup_log_mgf", (0.1, 0.3), None),
+    "prefix_5000/per_increment": (_mixed_prefix, None, "per_increment_sup", (0.1, 0.3), None),
+    "prefix_5000_chords/sup": (_mixed_prefix, None, "sup_log_mgf", (0.1, 0.25), 0.3),
+    "prefix_5000_chords/per_increment": (_mixed_prefix, None, "per_increment_sup", (0.1, 0.25), 0.3),
+    "contracting_block/sup": (lambda rb: rb.RiskModel(rb.QuasiPeriodicScaled(
+        (rb.Normal(-0.5, 1.0), rb.Normal(0.25, 1.0)), 0.95)), None, "sup_log_mgf", (0.1, 0.5, 1.0), None),
+}
+
+
+def _probe_case(side: Side, case: tuple):
+    """(run, results): run() makes the case's timed probes on side's model and
+    returns their total time in seconds; results, the first run's SupLogMgf as
+    tuples."""
+    build, k_max, fn_name, hs, h_store = case
+    rb = side.modules["ruinbounds"]
+    models = side.modules["ruinbounds.models"]
+    model = build(rb)
+    policy = models.TruncationPolicy(k_max) if k_max else None
+    fn = getattr(models, fn_name)
+    out = []
+
+    def run() -> float:
+        total = 0.0
+        out.clear()
+        for h in hs:
+            store = None
+            if h_store is not None:
+                store = {}
+                fn(model, h_store, policy, chords=store)
+            t0 = time.perf_counter()
+            s = fn(model, h, policy, chords=store)
+            total += time.perf_counter() - t0
+            out.append((s.value.hex(), s.argmax, s.status, s.certified, s.note))
+        return total
+
+    run()  # warm: the law record, the plans, the route
+    return run, list(out)
+
+
+def probe_main(args) -> int:
+    sides = {"base": Side(args.base.resolve(), "ruinbounds_ab_base"),
+             "change": Side(args.change.resolve(), "ruinbounds_ab_change")}
+    result, differ = {"workload": "probes", "pairs": args.rounds, "cases": {}}, 0
+    for name, case in PROBES.items():
+        runs, expected = {}, {}
+        for side_name, side in sides.items():
+            runs[side_name], expected[side_name] = _probe_case(side, case)
+        same = expected["base"] == expected["change"]
+        differ += not same
+        times = {side_name: [] for side_name in sides}
+        repeat = 20  # probes per timed round and h, so that a round outlasts the clock's resolution
+        for i in range(args.rounds):
+            for side_name in (("base", "change") if i % 2 == 0 else ("change", "base")):
+                times[side_name].append(sum(runs[side_name]() for _ in range(repeat)) / (repeat * len(case[3])))
+        wins = sum(c < b for b, c in zip(times["base"], times["change"]))
+        ratio = statistics.median(times["change"]) / statistics.median(times["base"])
+        result["cases"][name] = {"us_per_probe": {k: {q: v * 1e6 for q, v in quartiles(ts).items()} for k, ts in times.items()},
+                                 "ratio_change_over_base": ratio, "change_wins": wins, "bitwise_equal": same}
+        print(f"{name:>36}: base {statistics.median(times['base']) * 1e6:8.1f} us, change "
+              f"{statistics.median(times['change']) * 1e6:8.1f} us per probe, ratio change/base {ratio:.3f}, "
+              f"change won {wins} of {args.rounds}{'' if same else ', results DIFFER'}")
+    result["cases_differ"] = differ
+    print(json.dumps(result))
+    return 0 if not differ else 1
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("base", type=Path, help="root of the base checkout")
     ap.add_argument("change", type=Path, nargs="?", default=ROOT, help="root of the changed checkout (default: this one)")
-    ap.add_argument("--workload", choices=workloads.WORKLOADS, default="heavy_sups")
+    ap.add_argument("--workload", choices=(*workloads.WORKLOADS, "probes"), default="heavy_sups",
+                    help="a perfbench workload, or probes: single warm sup probes (PROBES)")
     ap.add_argument("--seed", type=int, default=workloads.DEFAULT_SEED)
     ap.add_argument("--rounds", type=int, default=20, help="rounds per side, alternating (default 20)")
     args = ap.parse_args(argv)
     if args.rounds < 2:
         ap.error("--rounds must be at least 2")
+    if args.workload == "probes":
+        return probe_main(args)
 
     configs, requests = workloads.build(args.workload, args.seed)
     sides = {"base": Side(args.base.resolve(), "ruinbounds_ab_base"),

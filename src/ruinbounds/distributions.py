@@ -133,12 +133,13 @@ class Normal(IncrementDistribution):
 
     @classmethod
     def _table(cls, laws):
-        return (np.array([d.mean for d in laws]), np.array([d.variance for d in laws]))
+        # (mean, variance / 2): the product 0.5 * variance that _lmgf takes first
+        return (np.array([d.mean for d in laws]), 0.5 * np.array([d.variance for d in laws]))
 
     @staticmethod
     def _lmgf_vec(params, t):
-        mean, variance = params
-        return t * mean + 0.5 * variance * t * t
+        mean, half_variance = params
+        return t * mean + half_variance * t * t
 
     def _domain(self) -> tuple[float, float]:
         return (-INF, INF)
@@ -176,21 +177,24 @@ class Uniform(IncrementDistribution):
 
     @classmethod
     def _table(cls, laws):
-        return (np.array([d.lower for d in laws]), np.array([d.upper for d in laws]))
+        # (lower, upper, upper - lower, log(upper - lower))
+        lower, upper = np.array([d.lower for d in laws]), np.array([d.upper for d in laws])
+        width = upper - lower
+        return lower, upper, width, np.log(width)
 
     @staticmethod
     def _lmgf_vec(params, t):
-        lower, upper = params
-        width = upper - lower
+        lower, upper, width, log_width = params
         x = t * width
-        ax = np.abs(x)
-        if ax.size and 1e-6 <= ax.min() and ax.max() <= 30.0:  # all in the middle branch (a NaN fails both tests)
+        # all in the middle branch: 1e-6 <= x <= 30 (a NaN fails both tests;
+        # x in [-30, -1e-6] takes the masked path, with the same values)
+        if x.size and 1e-6 <= x.min() and x.max() <= 30.0:
             return t * lower + np.log(np.expm1(x) / x)
         out = t * lower + _log_expm1_ratio_vec(x)
         high = x > 30.0
         if high.any():
             th = t[high]
-            out[high] = th * upper[high] - (np.log(th) + np.log(width[high])) + np.log1p(-np.exp(-x[high]))
+            out[high] = th * upper[high] - (np.log(th) + log_width[high]) + np.log1p(-np.exp(-x[high]))
         return out
 
     def _domain(self) -> tuple[float, float]:
@@ -286,15 +290,17 @@ class ShiftedExponential(IncrementDistribution):
 
     @classmethod
     def _table(cls, laws):
-        return (np.array([d.rate for d in laws]), np.array([d.shift for d in laws]))
+        # (rate, shift, log rate)
+        rate = np.array([d.rate for d in laws])
+        return rate, np.array([d.shift for d in laws]), np.log(rate)
 
     @staticmethod
     def _lmgf_vec(params, t):
-        rate, shift = params
+        rate, shift, log_rate = params
         inside = t < rate
         if inside.all():
-            return t * shift + np.log(rate) - np.log(rate - t)
-        finite = t * shift + np.log(rate) - np.log(np.where(inside, rate - t, 1.0))
+            return t * shift + log_rate - np.log(rate - t)
+        finite = t * shift + log_rate - np.log(np.where(inside, rate - t, 1.0))
         return np.where(inside, finite, INF)
 
     def _domain(self) -> tuple[float, float]:
@@ -467,7 +473,8 @@ class FiniteDiscrete(IncrementDistribution):
     def _table(cls, laws):
         # atoms padded to a common count; a padded or zero-probability atom has
         # log-weight -inf and is skipped, as in _lmgf, by the mask of finite
-        # log-weights that follows when some atom has one
+        # log-weights, applied only to the atom columns that hold such an atom
+        # (masked, their indices)
         width = max(len(d.atoms) for d in laws)
         xs = np.zeros((len(laws), width))
         log_ps = np.full((len(laws), width), -INF)
@@ -477,18 +484,19 @@ class FiniteDiscrete(IncrementDistribution):
                 if p > 0.0:
                     log_ps[i, a] = math.log(p)
         finite = log_ps > -INF
-        return (xs, log_ps) if finite.all() else (xs, log_ps, finite)
+        masked = frozenset(np.flatnonzero(~finite.all(axis=0)).tolist())
+        return xs, log_ps, finite, masked
 
     @staticmethod
     def _lmgf_vec(params, t):
-        xs, log_ps, *finite = params
+        xs, log_ps, finite, masked = params
         # the sum starts from the first atom, as logaddexp(-inf, a) == a
         acc = log_ps[:, 0] + t * xs[:, 0]
-        if finite:
-            acc = np.where(finite[0][:, 0], acc, -INF)
+        if 0 in masked:
+            acc = np.where(finite[:, 0], acc, -INF)
         for a in range(1, xs.shape[1]):
             step = np.logaddexp(acc, log_ps[:, a] + t * xs[:, a])
-            acc = np.where(finite[0][:, a], step, acc) if finite else step
+            acc = np.where(finite[:, a], step, acc) if a in masked else step
         return acc
 
     def _domain(self) -> tuple[float, float]:

@@ -27,9 +27,9 @@ indexed families without interest (the IndexedTwoPoint one in O(1) through
 log-factorials and a power-sum series). Everything else is scanned by
 log_mgf_terms, the vectorized term kernel, on per-family parameter arrays, in
 ranges up to a truncation cap; the scan stops early where the family proves
-that every later term is negative. What a range's terms read apart from h,
-its probe plan, is built once and kept on the model (RiskModel._memo, with
-the solvers' support facts), so a probe does only the work that depends on h.
+that every later term is negative. What a probe reads apart from h (its route,
+_route, and each range's probe plan) is built once and kept on the model
+(RiskModel._memo, with the solvers' support facts).
 The probes of one solve or optimization may share a store of chord
 references, which lets a finite-horizon scan below an earlier one read only a
 few epochs (_sup_scan); it lives with the caller, not on the model.
@@ -454,21 +454,18 @@ class RiskModel:
 
 class _Memo(dict):
     """A model's facts that do not depend on h, by key: the support facts of
-    _per_model functions and the probe plans (_plan). The stored plans span
-    at most _PLAN_EPOCHS epochs in all (self.epochs counts them); a plan past
-    that is built, used and dropped, so what a model keeps does not grow with
-    the scan cap."""
+    _per_model functions and the probe plans (_plan), each kept (keep) after a
+    lookup that missed. The stored plans span at most _PLAN_EPOCHS epochs in
+    all (self.epochs counts them); a plan past that is built, used and
+    dropped, so what a model keeps does not grow with the scan cap."""
 
     epochs = 0
 
-    def get_or_build(self, key: tuple, build, epochs: int = 0):
-        value = self.get(key, _MISSING)
-        if value is _MISSING:
-            value = build()
-            with _MEMO_LOCK:  # threads probing one model count each stored plan once
-                if key not in self and self.epochs + epochs <= _PLAN_EPOCHS:
-                    self[key] = value
-                    self.epochs += epochs
+    def keep(self, key: tuple, value, epochs: int = 0):
+        with _MEMO_LOCK:  # threads probing one model count each stored plan once
+            if key not in self and self.epochs + epochs <= _PLAN_EPOCHS:
+                self[key] = value
+                self.epochs += epochs
         return value
 
 
@@ -480,9 +477,13 @@ def _per_model(fn):
     """fn(model, *args), kept in the model's memo: the model is immutable, and
     fn does not depend on h."""
 
+    name = fn.__name__
+
     @functools.wraps(fn)
     def once(model: RiskModel, *args):
-        return model._memo.get_or_build((fn.__name__, *args), lambda: fn(model, *args))
+        key = (name, *args)
+        value = model._memo.get(key, _MISSING)
+        return model._memo.keep(key, fn(model, *args)) if value is _MISSING else value
 
     return once
 
@@ -509,7 +510,7 @@ _DEFAULT_POLICY = TruncationPolicy()
 _BLOCK_CAP = 50_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SupLogMgf:
     """sup_k G_k(h) together with how the value was established.
 
@@ -527,6 +528,9 @@ class SupLogMgf:
     status: str
     certified: bool
     note: str = ""
+
+    def __init__(self, value, argmax, status, certified, note=""):  # one write for five frozen fields: every probe builds one
+        self.__dict__.update(value=value, argmax=argmax, status=status, certified=certified, note=note)
 
 
 def _prefix_and_tail(inc: SequenceRule) -> tuple[tuple[IncrementDistribution, ...], SequenceRule]:
@@ -693,8 +697,8 @@ class _Plan:
         log_v = None if model._block is not None else model.log_discounts(K - 1, start, prev)
         self.last = None if log_v is None else log_v[-1]
         every = slice(None)
-        if isinstance(inc, IndexedNormal):
-            c, parts = log_v, [(Normal, every, (inc.intercept + inc.slope * (np.arange(start, K) + 1.0), 1.0))]
+        if isinstance(inc, IndexedNormal):  # unit variance: Normal's table holds half of it
+            c, parts = log_v, [(Normal, every, (inc.intercept + inc.slope * (np.arange(start, K) + 1.0), 0.5))]
         elif isinstance(inc, IndexedTwoPoint):
             p1 = 1.0 / (np.arange(start, K) + 2.0)
             c, parts = log_v, [(TwoPoint, every, (1.0, np.log(p1), -1.0, np.log1p(-p1)))]
@@ -706,7 +710,7 @@ class _Plan:
                 sel = every if family is None else np.flatnonzero(family == f)
                 rows = row[slot[sel]]
                 if rows.size:
-                    parts.append((cls, sel, tuple(p[rows] for p in params)))
+                    parts.append((cls, sel, _rows(params, rows)))
         with np.errstate(all="ignore"):
             self.w = np.minimum(np.exp(c), _FLOAT_MAX)
         self.w_min = float(self.w.min(initial=INF))
@@ -716,29 +720,28 @@ class _Plan:
                 a.flags.writeable = False
 
     def terms(self, h: float, at: np.ndarray | None = None) -> np.ndarray:
-        """log E exp(h e^{c_j} Y*_j) over the range, before the cut at +inf; or
-        only at the epochs of the range whose offsets at (sorted) gives, with
-        the same arithmetic, term by term."""
-        with np.errstate(all="ignore"):
-            t = h * (self.w if at is None else self.w[at])
-            if len(self.parts) == 1:  # one family covers the range, in order
-                (cls, _, params), = self.parts
-                terms = cls._lmgf_vec(params if at is None else _rows(params, at), t)
-            elif at is None:
-                terms = np.empty(len(t))
-                for cls, sel, params in self.parts:
-                    terms[sel] = cls._lmgf_vec(params, t[sel])
-            else:
-                terms = np.empty(len(t))
-                part, row = self.where
-                of = part[at]
-                for p in set(of.tolist()):  # the few parts that a subset reads
-                    cls, _, params = self.parts[p]
-                    sel = np.flatnonzero(of == p)
-                    terms[sel] = cls._lmgf_vec(_rows(params, row[at[sel]]), t[sel])
+        """log E exp(h e^{c_j} Y*_j) over the range, uncut at +inf, or only at
+        the epochs whose offsets at (sorted) gives, with the same arithmetic,
+        under the caller's np.errstate(all="ignore")."""
+        t = h * (self.w if at is None else self.w[at])
+        parts = self.parts if at is None else self._subset(at)
+        if len(parts) == 1:  # one family covers the epochs, in order
+            (cls, _, params), = parts
+            terms = cls._lmgf_vec(params, t)
+        else:
+            terms = np.empty(len(t))
+            for cls, sel, params in parts:
+                terms[sel] = cls._lmgf_vec(params, t[sel])
         if h * self.w_min == 0.0:
             terms[t == 0.0] = 0.0
         return terms
+
+    def _subset(self, at: np.ndarray) -> tuple:
+        """parts for the epochs at (sorted offsets): sel indexes at, params hold their rows."""
+        part, row = self.where
+        read = set((of := part[at]).tolist())  # the few parts that a subset reads
+        return tuple((self.parts[p][0], sel, _rows(self.parts[p][2], row[at[sel]]))
+                     for p in read for sel in [np.flatnonzero(of == p) if len(read) > 1 else slice(None)])
 
     @cached_property
     def where(self) -> tuple[np.ndarray, np.ndarray]:
@@ -762,15 +765,17 @@ def _plan(model: RiskModel, start: int, K: int, prev: float | None = None) -> _P
     the last discount of the range that ends at start (its plan's last),
     continues the running sum; without it a plan that reads discounts sums
     them from v_0."""
-    return model._memo.get_or_build(("plan", start, K), lambda: _Plan(model, start, K, prev), K - start)
+    key = ("plan", start, K)
+    plan = model._memo.get(key)
+    return plan if plan is not None else model._memo.keep(key, _Plan(model, start, K, prev), K - start)
 
 
-def log_mgf_terms(model: RiskModel, h: float, K: int, start: int = 0, plan: _Plan | None = None) -> np.ndarray:
+def log_mgf_terms(model: RiskModel, h: float, K: int, start: int = 0) -> np.ndarray:
     """The terms log E exp(h e^{c_j} Y*_j) for epochs j = start+1..K, through
     the first +inf, where e^{c_j} is the scale times the discount v_{j-1}.
 
-    Everything but h comes from the range's probe plan (_plan), the model's
-    own unless the caller passes it. The arithmetic is _walk's: exact 0 at
+    Everything but h comes from the range's probe plan (_plan), which the
+    scans read directly (_sup_scan). The arithmetic is _walk's: exact 0 at
     t = 0, a cut after the first +inf, and e^c clamped at the float maximum.
     Every term depends on its own epoch only, so consecutive ranges give the
     terms of one call.
@@ -782,9 +787,8 @@ def log_mgf_terms(model: RiskModel, h: float, K: int, start: int = 0, plan: _Pla
         if terms[-1] != INF:
             inc.distribution_at(len(inc.dists) + 1)  # raises ModelIndexError
         return terms
-    terms = (_plan(model, start, K) if plan is None else plan).terms(h)
-    if terms.max(initial=-INF) < INF:  # nothing to cut (a NaN takes the search)
-        return terms
+    with np.errstate(all="ignore"):
+        terms = _plan(model, start, K).terms(h)
     cut = np.flatnonzero(terms == INF)
     return terms[:cut[0] + 1] if cut.size else terms
 
@@ -837,11 +841,11 @@ def _sup_periodic(block: _Laws, h: float, partial: bool) -> SupLogMgf:
     if best == INF:
         return SupLogMgf(INF, arg, "unbounded", True, "divergent MGF term")
     if block.exact or block.amplifying:
-        # every later block repeats these terms, or (amplifying, where _sup
+        # every later block repeats these terms, or (amplifying, where _route
         # sends only period laws of esssup <= 0) has terms that are nonpositive
-        # and at most the same slot's term here: a positive period sum there
-        # is rounding (the term of a TwoPoint law at 0 a.s. can round above 0)
-        if partial and sum(terms[P:]) > 0.0 and block.exact:
+        # and at most the same slot's term here; with no period law above 0, a positive
+        # period sum is rounding (a TwoPoint law at 0 a.s. can round above 0)
+        if partial and block.exact and block.period_top > 0.0 and sum(terms[P:]) > 0.0:
             return SupLogMgf(INF, None, "unbounded", True, "log-MGF grows by a positive amount per period")
         return SupLogMgf(best, arg, "attained", True)
 
@@ -853,10 +857,10 @@ def _sup_periodic(block: _Laws, h: float, partial: bool) -> SupLogMgf:
         if best < 0.0:
             return SupLogMgf(0.0, None, "limit", True, "terms approach zero from below along the contracting tail")
         return SupLogMgf(best, arg, "attained", True)
-    terms = terms[P:]
-    b = 0
+    terms, b, rho = terms[P:], 0, math.exp(block.log_ratio)
+    share = rho / -math.expm1(block.log_ratio)  # _tail_excess reads both, once per sup
     while True:
-        excess = _tail_excess(terms, block.log_ratio)
+        excess = _tail_excess(terms, rho, share)
         if g + excess <= best:
             return SupLogMgf(best, arg, "attained", True)
         if excess <= 1e-13 * max(1.0, abs(best), abs(g)):
@@ -871,7 +875,7 @@ def _sup_periodic(block: _Laws, h: float, partial: bool) -> SupLogMgf:
             return SupLogMgf(INF, arg, "unbounded", True, "divergent MGF term")
 
 
-def _tail_excess(terms: list[float], log_ratio: float) -> float:
+def _tail_excess(terms: list[float], rho: float, share: float) -> float:
     """How far a partial sum in any later period of a contracting tail can
     exceed the one at the end of the period whose terms are given.
 
@@ -880,10 +884,8 @@ def _tail_excess(terms: list[float], log_ratio: float) -> float:
     term here, of either sign (the chord). Two envelopes follow, and the
     smaller counts: pos_mass * rho / (1 - rho) from the positive parts, and
     max(S, 0) * rho / (1 - rho) + rho * max(0, top) from the period's sum S
-    and its largest prefix sum top.
+    and its largest prefix sum top; share is rho / (1 - rho).
     """
-    rho = math.exp(log_ratio)
-    share = rho / -math.expm1(log_ratio)
     sums = list(itertools.accumulate(terms))
     return min(sum(filter((0.0).__lt__, terms)) * share, max(sums[-1], 0.0) * share + rho * max(max(sums), 0.0))
 
@@ -902,6 +904,8 @@ def _sup_indexed_normal(rule: IndexedNormal, h: float, partial: bool) -> SupLogM
         # B <= 0: nonincreasing in n
         return SupLogMgf(B, 1, "attained", True) if B < 0.0 else SupLogMgf(0.0, 1, "attained", True)
     vertex = -B / (2.0 * A)
+    if vertex == INF:  # a slope so close to zero that the maximizing n is past the float range
+        return SupLogMgf(B * B / (-4.0 * A), None, "limit", True, "maximum over real n; its n is past the float range")
     candidates = {1, max(1, math.floor(vertex)), max(1, math.ceil(vertex))}
     best, arg = -INF, None
     for n in sorted(candidates):
@@ -952,24 +956,23 @@ def _twopoint_partial_sum(h: float, eh: float, m: int) -> float:
 
 
 @_per_model
-def _log_discount(model: RiskModel, k: int) -> float:
-    """log v_k, which the scan's proof reads at the same few indices on every probe."""
-    return float(model.log_discounts(k, k)[0])
+def _proof_facts(model: RiskModel, n: int) -> tuple[float, float, float] | None:
+    """(a, b, w), w = v_{n-1}: every term past epoch n is negative if a + b h w < 0
+    (None: no proof). IndexedNormal of negative slope: the term t(a_n + t/2) with
+    a_n falling and t = h v_{n-1} not growing; IndexedTwoPoint: the term
+    log((e^t + n e^{-t}) / (n+1)), negative when t - log n < 0, n grows, t does not."""
+    inc = model.increments
+    normal = isinstance(inc, IndexedNormal) and inc.slope < 0.0
+    if not (normal or isinstance(inc, IndexedTwoPoint)):
+        return None
+    w = math.exp(float(model.log_discounts(n - 1, n - 1)[0]))
+    return (inc.intercept + inc.slope * n, 0.5, w) if normal else (-math.log(n), 1.0, w)
 
 
 def _scan_certifies_decrease(model: RiskModel, h: float, last_index: int) -> bool:
     """Family-level proof that every term beyond last_index stays negative."""
-    inc = model.increments
-    if isinstance(inc, IndexedNormal) and inc.slope < 0.0:
-        # per-step term t(a_n + t/2) with a_n decreasing and t nonincreasing
-        t_last = h * math.exp(_log_discount(model, last_index - 1))
-        a_last = inc.intercept + inc.slope * last_index
-        return a_last + 0.5 * t_last < 0.0
-    if isinstance(inc, IndexedTwoPoint):
-        # the term log((e^t + n e^{-t}) / (n+1)) is negative exactly when
-        # n > e^t, and n grows while t_n does not
-        return math.log(last_index) > h * math.exp(_log_discount(model, last_index - 1))
-    return False
+    facts = _proof_facts(model, last_index)
+    return facts is not None and facts[0] + facts[1] * (h * facts[2]) < 0.0
 
 
 # a scan's first range is the shortest of _SCAN_FIRST * 4^i epochs that the
@@ -993,55 +996,53 @@ def _sup_scan(model: RiskModel, h: float, policy: TruncationPolicy, partial: boo
     (a term of t past the float range), and is undetermined then: the terms
     from there on are unknown.
 
-    Given a store of chord references (chords, which the probes of one solve
-    or one optimization share), a finite horizon of more than _SCAN_FIRST
-    epochs and at most _SCAN_CHUNK (so one range) keeps a reference of each
-    full scan, and a later probe at a smaller h that the chord settles
-    (_chord_probe) reads only a few epochs, with the full scan's result.
+    A probe computes, in one np.errstate block, the plan's terms, their running sum
+    and its first maximum, which also settles the cut at +inf and the stop at a NaN
+    (argmax finds the first NaN, else the first +inf; a running +inf stays +inf or NaN).
+
+    Given a store of chord references (chords), a finite horizon of one range
+    of more than _SCAN_FIRST epochs keeps a reference of each full scan, and a
+    later probe below one reads only a few epochs (_chord_probe).
     """
-    horizon = model.horizon()
+    horizon, held, proof = model._horizon, None, None  # proof: an epoch past which every term is negative
     cap = horizon if horizon is not None else policy.k_max
-    held = None
-    if chords is not None and horizon is not None and _SCAN_FIRST < cap <= _SCAN_CHUNK:
-        held = _held(chords, model, partial, cap)
-        s = _chord_probe(model, h, cap, partial, held)
-        if s is not None:
-            return s
-    end, proof = cap, None  # proof: an epoch past which every term is negative
-    if horizon is None:
-        end = _SCAN_FIRST
-        while end < cap and not _scan_certifies_decrease(model, h, end):
-            end *= 4
-        if end < cap or _scan_certifies_decrease(model, h, cap):
-            proof = min(end, cap)
-    start, g, best, arg = 0, 0.0, -INF, None
-    prev = None  # the last discount of the range before, which the range's plan continues
-    while True:
-        end = min(end, cap, (start // _SCAN_CHUNK + 1) * _SCAN_CHUNK)
-        plan = _plan(model, start, end, prev)
-        terms = log_mgf_terms(model, h, end, start, plan)
-        prev, plan = plan.last, None  # a plan past the budget goes before the next one is built
-        values = terms
-        if partial:  # the running sum continues in order from the range before
-            with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):  # t past the float range, and sums of infinities
+        if horizon is None:
+            n = _SCAN_FIRST
+            while n < cap and not _scan_certifies_decrease(model, h, n):
+                n *= 4
+            if n < cap or _scan_certifies_decrease(model, h, cap):
+                proof = min(n, cap)
+        if chords is not None and horizon is not None and _SCAN_FIRST < cap <= _SCAN_CHUNK:
+            held, consts = _held(chords, model, partial, cap)
+            s = _chord_probe(model, h, partial, held, consts)
+            if s is not None:
+                return s
+        start, end, g, best, arg, prev = 0, proof or cap, 0.0, -INF, None, None  # prev: see _plan
+        while True:
+            end = min(end, cap, (start // _SCAN_CHUNK + 1) * _SCAN_CHUNK)
+            plan = _plan(model, start, end, prev)
+            terms = plan.terms(h)
+            prev, plan = plan.last, None  # a plan past the budget goes before the next one is built
+            values = terms
+            if partial:  # the running sum continues in order from the range before
                 values = np.concatenate(([g], terms)).cumsum()[1:] if start else terms.cumsum()
-        i = int(values.argmax())  # the first maximum, as _fold keeps it, or the first NaN
-        top = float(values[i])
-        if top != top:
-            return _stopped(values[:i], start, best, arg)
-        if top > best:
-            best, arg = top, start + i + 1
-        if best == INF:
-            return SupLogMgf(INF, arg, "unbounded", True, "divergent MGF term")
-        g = values[-1]
-        # a per-increment sup below zero scans on: discounted terms rise toward
-        # zero, and where t underflows they round to it
-        if end == cap or terms.size < end - start or (proof is not None and end >= proof and (partial or best > 0.0)):
-            break
-        start, end = end, cap
-    if horizon is not None:
+            i = int(values.argmax())  # the first NaN, else the first maximum, as _fold keeps it
+            top = float(values[i])
+            if top != top:
+                return _stopped(values[:i], start, best, arg)
+            if top > best:
+                best, arg = top, start + i + 1
+            if best == INF:
+                return SupLogMgf(INF, arg, "unbounded", True, "divergent MGF term")
+            # a per-increment sup below zero scans on: discounted terms rise toward
+            # zero, and where t underflows they round to it
+            if end == cap or (proof is not None and end >= proof and (partial or best > 0.0)):
+                break
+            start, end, g = end, cap, values[-1]
         if held is not None and np.isfinite(terms).all():
             _keep_scan(held, h, terms, values, partial)
+    if horizon is not None:
         return SupLogMgf(best, arg, "attained", True)
     if proof is not None:
         if not partial and best < 0.0 and not model.zero_rates():
@@ -1052,8 +1053,7 @@ def _sup_scan(model: RiskModel, h: float, policy: TruncationPolicy, partial: boo
 
 def _stopped(values: np.ndarray, start: int, best: float, arg: int | None) -> SupLogMgf:
     """The verdict of a scan whose value at epoch start + len(values) + 1 is
-    not a number (a term of t past the float range): the values before it
-    count, and the ones from it on are unknown."""
+    not a number (t past the float range): only the values before it count."""
     if values.size:
         i = int(values.argmax())
         if values[i] > best:
@@ -1100,25 +1100,26 @@ _LOG_RANGE = 746.0
 _EPS = 2.0**-53
 
 
-def _held(chords: dict, model: RiskModel, partial: bool, cap: int) -> list:
-    """The references of model, flavour and cap in the store: (h0, reference)
-    pairs in increasing h0. The entry holds the model, so its id stays its own."""
+def _held(chords: dict, model: RiskModel, partial: bool, cap: int) -> tuple[list, tuple]:
+    """The references (h0, reference) of model, flavour and cap in the store, in
+    increasing h0, and its _chord_scale; the entry holds the model, so its id stays its own."""
     key = (id(model), partial, cap)
     entry = chords.get(key)
     if entry is None or entry[0] is not model:
-        entry = chords[key] = (model, [])
-    return entry[1]
+        entry = chords[key] = (model, [], _chord_scale(model, cap))
+    return entry[1], entry[2]
 
 
 @_per_model
-def _chord_scale(model: RiskModel, K: int) -> tuple[float, float]:
-    """The sum and the maximum over epochs 1..K of w_j s_j, with w_j = e^{c_j}
-    the epoch's multiplier of h and s_j its law's _Laws.sigma: h w_j s_j bounds
-    |h w_j E Y_j| and the parts of the term's kernel that grow with t."""
+def _chord_scale(model: RiskModel, K: int) -> tuple[float, float, float, float]:
+    """What a chord probe's margin reads apart from h: gamma_N (N = 2K + 64), the sum
+    and the maximum over epochs 1..K of w_j s_j, w_j = e^{c_j} and s_j = _Laws.sigma
+    (h w_j s_j bounds |h w_j E Y_j| and the kernel's parts that grow with t), 4 K _LOG_RANGE."""
     laws, slot, c = _layout(model, K)
     with np.errstate(over="ignore"):
         ws = np.minimum(np.exp(c), _FLOAT_MAX) * laws.sigma[slot]
-    return float(ws.sum()), float(ws.max())
+    count = 2 * K + 64
+    return count * _EPS / (1.0 - count * _EPS), float(ws.sum()), float(ws.max()), 4.0 * K * _LOG_RANGE
 
 
 def _keep_scan(held: list, h: float, terms: np.ndarray, values: np.ndarray, partial: bool) -> None:
@@ -1130,7 +1131,7 @@ def _keep_scan(held: list, h: float, terms: np.ndarray, values: np.ndarray, part
         if math.isfinite(D) and S0 < INF:
             _insert(held, h, (D, S0), True)
     else:
-        _insert(held, h, (terms, int(terms.argmax()), float(np.abs(terms).max())), False)
+        _insert(held, h, (terms, terms.argmax(keepdims=True), float(np.abs(terms).max())), False)
 
 
 def _insert(held: list, h: float, ref: tuple, partial: bool) -> None:
@@ -1143,32 +1144,29 @@ def _insert(held: list, h: float, ref: tuple, partial: bool) -> None:
     held.insert(k, (h, ref))
 
 
-def _chord_probe(model: RiskModel, h: float, cap: int, partial: bool, held: list) -> SupLogMgf | None:
+def _chord_probe(model: RiskModel, h: float, partial: bool, held: list, consts: tuple) -> SupLogMgf | None:
     """The full scan's result at h when the reference of least h0 >= h settles
-    it, else None (see the notes above)."""
+    it, else None (see the notes above). Runs inside the scan's np.errstate."""
     k = bisect.bisect_left(held, h, key=operator.itemgetter(0))
     if k == len(held):
         return None
     h0, ref = held[k]
     lam = h / h0
-    total, top = _chord_scale(model, cap)
-    count = 2 * cap + 64
-    gamma = count * _EPS / (1.0 - count * _EPS)
+    gamma, total, top, log_room = consts
     if partial:
         D, S0 = ref
         bound = lam * D
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = log_mgf_terms(model, h, _SCAN_FIRST, 0, _plan(model, 0, _SCAN_FIRST)).cumsum()
+        values = _plan(model, 0, _SCAN_FIRST).terms(h).cumsum()
         i = int(values.argmax())
         best = float(values[i])
-        margin = gamma * (4.0 * lam * S0 + 10.0 * h * total + 4.0 * cap * _LOG_RANGE + abs(bound))
+        margin = gamma * (4.0 * lam * S0 + 10.0 * h * total + log_room + abs(bound))
         if not (-INF < best < INF and margin < INF and values[-1] + bound <= best - margin):
             return None
         _insert(held, h, (bound, lam * S0 + h * total), partial)
         return SupLogMgf(best, i + 1, "attained", True)
-    U, j, largest = ref  # largest: at least every |U_j|
-    plan = _plan(model, 0, cap)
-    b0 = plan.terms(h, np.array([j]))[0]
+    U, j, largest = ref  # j: the epoch of the largest U, as an array; largest: at least every |U_j|
+    plan = _plan(model, 0, len(U))
+    b0 = plan.terms(h, j)[0]
     margin = gamma * (4.0 * lam * largest + 6.0 * h * top + 4.0 * _LOG_RANGE)
     bound = lam * U
     at = np.flatnonzero(bound > b0 - margin)  # holds j, unless the margin fails or b0 is +inf or NaN
@@ -1179,36 +1177,38 @@ def _chord_probe(model: RiskModel, h: float, cap: int, partial: bool, held: list
         return None
     i = int(values.argmax())
     bound[at] = values
-    _insert(held, h, (bound, int(at[i]), max(lam * largest, float(np.abs(values).max()))), partial)
+    _insert(held, h, (bound, at[i:i + 1], max(lam * largest, float(np.abs(values).max()))), partial)
     return SupLogMgf(float(values[i]), int(at[i]) + 1, "attained", True)
+
+
+@_per_model
+def _route(model: RiskModel, partial: bool):
+    """The reduction of the model's sups of one flavour at every h > 0, decided
+    once from what does not depend on h: a function of (h, partial) for the
+    closed forms of the indexed families without interest, the periodic block
+    and the amplifying verdict (_Laws.unbounded); None for the scan."""
+    inc, block = model.increments, model._block
+    if model.horizon() is not None:
+        return None
+    if model.zero_rates() and isinstance(inc, (IndexedNormal, IndexedTwoPoint)):
+        return functools.partial(_sup_indexed_normal if isinstance(inc, IndexedNormal) else _sup_indexed_twopoint, inc)
+    if block is not None and block.unbounded(partial):
+        verdict = SupLogMgf(INF, None, "unbounded", True, block.unbounded(partial))
+        return lambda h, partial: verdict
+    if block is not None and (not block.amplifying or block.period_top <= 0.0):
+        return functools.partial(_sup_periodic, block)
+    return None
 
 
 def _sup(model: RiskModel, h: float, policy: TruncationPolicy | None, partial: bool, chords: dict | None = None) -> SupLogMgf:
     """The supremum over epochs of the running value: partial sums of the
-    terms (partial=True) or the terms themselves."""
+    terms (partial=True) or the terms themselves, by the model's route."""
     if not h >= 0.0:
         raise ValueError(f"h must be >= 0, got {h!r}")
-    policy = policy or _DEFAULT_POLICY
     if h == 0.0:
         return SupLogMgf(0.0, 1, "attained", True)
-    if model.horizon() is None:
-        inc = model.increments
-        if isinstance(inc, IndexedNormal) and model.zero_rates():
-            return _sup_indexed_normal(inc, h, partial)
-        if isinstance(inc, IndexedTwoPoint) and model.zero_rates():
-            return _sup_indexed_twopoint(inc, h, partial)
-        block = model._block
-        if block is not None:
-            if not block.amplifying:
-                return _sup_periodic(block, h, partial)
-            why = block.unbounded(partial)
-            if why:
-                return SupLogMgf(INF, None, "unbounded", True, why)
-            # an amplifying block whose period laws have finite esssups, some
-            # positive, is scanned
-            if block.period_top <= 0.0:
-                return _sup_periodic(block, h, partial)
-    return _sup_scan(model, h, policy, partial, chords)
+    route = _route(model, partial)
+    return route(h, partial) if route else _sup_scan(model, h, policy or _DEFAULT_POLICY, partial, chords)
 
 
 def sup_log_mgf(model: RiskModel, h: float, policy: TruncationPolicy | None = None, *,

@@ -25,6 +25,7 @@ from ruinbounds import (
     TruncationPolicy,
     TwoPoint,
     Uniform,
+    bound_at_h,
     bound_optimize,
     bound_union,
     cumulative_log_mgf,
@@ -255,6 +256,24 @@ class TestSupLogMgf:
             s = sup(m, 1.0)
             assert (s.status, s.certified, s.argmax) == ("attained", True, 1)
             assert s.value == log_mgf_at(Uniform(-2.0, -1.0), 1.0)
+
+    def test_indexed_normal_vertex_past_the_float_range(self):
+        # slope -2.2e-308: the partial sums peak near n = 1.8e308, which is not
+        # a float; the closed form returns its maximum over real n
+        s = sup_log_mgf(RiskModel(IndexedNormal(-2.2250738585072014e-308, 0.0)), 8.0)
+        assert (s.value, s.argmax, s.status, s.certified) == (INF, None, "limit", True)
+
+    def test_exact_block_rounded_above_zero_stays_bounded(self):
+        # every G_k is 0, but the term logaddexp(log 0.25, log 0.75) rounds to
+        # 5.6e-17 and so the computed period sum is positive: with every period
+        # law of esssup <= 0 that is rounding, and the sup is the first pass's
+        m = RiskModel(Periodic((TwoPoint(0.0, 0.25, 0.0),)))
+        for sup in (sup_log_mgf, per_increment_sup):
+            s = sup(m, 1.0)
+            assert (s.status, s.certified, s.argmax) == ("attained", True, 1)
+            assert 0.0 <= s.value < 1e-15
+        b = bound_at_h(m, 5.0, 1.0)
+        assert b.certified and b.certificate is not None and b.log_bound == pytest.approx(-5.0)
 
     @pytest.mark.parametrize("law", [Normal(-1.0, 1.0), ShiftedExponential(2.0, -3.0)], ids=["normal", "shifted_exponential"])
     def test_amplified_unbounded_law_is_unbounded_at_every_h(self, law):

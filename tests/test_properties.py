@@ -235,7 +235,8 @@ class TestSignedTailEnvelope:
         # relative to the one at the end of period b
         block = model._block
         periods = [_walk(h, block.period(i)) for i in range(b, b + self.PERIODS)]
-        excess = _tail_excess(periods[0], block.log_ratio)
+        rho = math.exp(block.log_ratio)
+        excess = _tail_excess(periods[0], rho, rho / -math.expm1(block.log_ratio))
         later = max(itertools.accumulate(itertools.chain.from_iterable(periods[1:])))
         assert later <= excess + 1e-12 * (1.0 + abs(excess) + sum(map(abs, periods[1])))
 
@@ -517,13 +518,13 @@ class TestStreamedScan:
     ], ids=["indexed_normal", "indexed_two_point"])
     def test_certified_scan_stops_early(self, model, monkeypatch):
         read = []
-        terms = models_module.log_mgf_terms
+        terms = models_module._Plan.terms
 
-        def recording(model, h, K, start=0, log_v=None):
-            read.append(K - start)
-            return terms(model, h, K, start, log_v)
+        def recording(plan, h, at=None):
+            read.append(len(plan.w) if at is None else len(at))
+            return terms(plan, h, at)
 
-        monkeypatch.setattr(models_module, "log_mgf_terms", recording)
+        monkeypatch.setattr(models_module._Plan, "terms", recording)
         s = sup_log_mgf(model, 1.0, TruncationPolicy(10_000))
         assert s.status == "attained" and s.certified
         assert sum(read) <= 320
@@ -719,13 +720,13 @@ class TestChordCertificates:
         rng = np.random.default_rng(7)
         model = RiskModel(ExplicitPrefix(tuple(Normal(float(m), 1.0) for m in rng.uniform(-1.2, -0.3, 2000))))
         full = []
-        terms = models_module.log_mgf_terms
+        terms = models_module._Plan.terms
 
-        def recording(model, h, K, start=0, plan=None):
-            full.append(K == 2000)
-            return terms(model, h, K, start, plan)
+        def recording(plan, h, at=None):
+            full.append(at is None and len(plan.w) == 2000)
+            return terms(plan, h, at)
 
-        monkeypatch.setattr(models_module, "log_mgf_terms", recording)
+        monkeypatch.setattr(models_module._Plan, "terms", recording)
         for solve in (solve_partial_sum, solve_per_increment):  # 36 and 35 probes
             full.clear()
             solve(model)
@@ -750,7 +751,7 @@ def _masked_log_expm1_ratio(x: np.ndarray) -> np.ndarray:
 
 def _masked_uniform(params, t):
     # past x = 30 from the upper end, as Uniform._lmgf_vec
-    lower, upper = params
+    lower, upper = params[:2]
     x = t * (upper - lower)
     out = t * lower + _masked_log_expm1_ratio(x)
     high = x > 30.0
@@ -766,7 +767,7 @@ def _masked_two_point(params, t):
 
 
 def _masked_shifted_exponential(params, t):
-    rate, shift = params
+    rate, shift = params[:2]
     inside = t < rate
     finite = t * shift + np.log(rate) - np.log(np.where(inside, rate - t, 1.0))
     return np.where(inside, finite, INF)
@@ -780,20 +781,99 @@ def _masked_finite_discrete(params, t):
     return acc
 
 
-_MASKED = {Uniform: _masked_uniform, TwoPoint: _masked_two_point, ShiftedExponential: _masked_shifted_exponential,
-           FiniteDiscrete: _masked_finite_discrete}
+def _masked_normal(params, t):
+    mean, variance = params
+    return t * mean + 0.5 * variance * t * t
 
 
-def _masked_terms(plan, h: float) -> np.ndarray:
-    """A probe's terms with every mask applied: the family kernels above, and
-    the zero at t = 0 set wherever t is zero."""
-    with np.errstate(all="ignore"):
-        t = h * plan.w
-        terms = np.empty(len(t))
-        for cls, sel, params in plan.parts:
-            terms[sel] = _MASKED.get(cls, cls._lmgf_vec)(params, t[sel])
+def _padded_atoms(laws) -> tuple:
+    xs = np.zeros((len(laws), max(len(d.atoms) for d in laws)))
+    log_ps = np.full(xs.shape, -INF)
+    for i, d in enumerate(laws):
+        for a, (x, p) in enumerate(d.atoms):
+            xs[i, a] = x
+            if p > 0.0:
+                log_ps[i, a] = math.log(p)
+    return xs, log_ps
+
+
+# per family: the masked reference kernel and its raw parameter arrays, read
+# off the law objects (no family table, no plan); other families evaluate each
+# law's scalar log-MGF
+_MASKED = {
+    Normal: (_masked_normal, lambda laws: (np.array([d.mean for d in laws]), np.array([d.variance for d in laws]))),
+    Uniform: (_masked_uniform, lambda laws: (np.array([d.lower for d in laws]), np.array([d.upper for d in laws]))),
+    TwoPoint: (_masked_two_point, lambda laws: (np.array([d.x1 for d in laws]), np.log(np.array([d.p1 for d in laws])),
+                                                np.array([d.x2 for d in laws]), np.log1p(-np.array([d.p1 for d in laws])))),
+    ShiftedExponential: (_masked_shifted_exponential,
+                         lambda laws: (np.array([d.rate for d in laws]), np.array([d.shift for d in laws]))),
+    FiniteDiscrete: (_masked_finite_discrete, _padded_atoms),
+    Degenerate: (lambda params, t: t * params[0], lambda laws: (np.array([d.value for d in laws]),)),
+}
+
+
+def _reference_terms(model: RiskModel, h: float, K: int) -> np.ndarray:
+    """The terms of epochs 1..K, uncut, from each epoch's law object and the
+    epoch layout: the masked kernels above on parameters read off the laws,
+    and the zero at t = 0 set wherever t is zero. The reference of the probe
+    plans, whose tables hold constants computed once per model."""
+    laws, slot, c = models_module._layout(model, K)
+    t = h * np.minimum(np.exp(c), sys.float_info.max)
+    epochs = [laws.laws[i] for i in slot.tolist()]
+    terms = np.empty(K)
+    for cls in {type(law) for law in epochs}:
+        sel = np.array([i for i, law in enumerate(epochs) if type(law) is cls])
+        group = [epochs[i] for i in sel]
+        if cls in _MASKED:
+            kernel, params = _MASKED[cls]
+            terms[sel] = kernel(params(group), t[sel])
+        else:
+            terms[sel] = [law._lmgf(x) for law, x in zip(group, t[sel].tolist())]
     terms[t == 0.0] = 0.0
     return terms
+
+
+def _reference_sup(model: RiskModel, h: float, k_max: int, partial: bool) -> SupLogMgf:
+    """sup_log_mgf (partial) or per_increment_sup as a scan to the cap settles
+    it, with the reduction chosen here on every call and the terms of
+    _reference_terms: cut after the first +inf, stopped at the first value that
+    is not a number, certified by the family's proof at the cap."""
+    if h == 0.0:
+        return SupLogMgf(0.0, 1, "attained", True)
+    horizon = model.horizon()
+    inc, block = model.increments, model._block
+    if horizon is None:
+        if model.zero_rates() and isinstance(inc, IndexedNormal):
+            return models_module._sup_indexed_normal(inc, h, partial)
+        if model.zero_rates() and isinstance(inc, IndexedTwoPoint):
+            return models_module._sup_indexed_twopoint(inc, h, partial)
+        if block is not None and block.amplifying and block.unbounded(partial):
+            return SupLogMgf(INF, None, "unbounded", True, block.unbounded(partial))
+        if block is not None and (not block.amplifying or block.period_top <= 0.0):
+            return models_module._sup_periodic(block, h, partial)
+    cap = horizon if horizon is not None else k_max
+    with np.errstate(all="ignore"):
+        terms = _reference_terms(model, h, cap)
+        cut = np.flatnonzero(terms == INF)
+        terms = terms[:cut[0] + 1] if cut.size else terms
+        values = np.cumsum(terms) if partial else terms
+    nan = np.flatnonzero(np.isnan(values))
+    if nan.size:  # the values before the first NaN count
+        values = values[:nan[0]]
+    i = int(np.argmax(values)) if values.size else None
+    best = float(values[i]) if values.size else -INF
+    arg = i + 1 if values.size else None
+    if best == INF:
+        return SupLogMgf(INF, arg, "unbounded", True, "divergent MGF term")
+    if nan.size:
+        return SupLogMgf(best, arg, "undetermined", False, f"scan stopped at epoch {nan[0] + 1}, whose value is not a number")
+    if horizon is not None:
+        return SupLogMgf(best, arg, "attained", True)
+    if _scan_certifies_decrease(model, h, cap):
+        if not partial and best < 0.0 and not model.zero_rates():
+            return SupLogMgf(0.0, None, "limit", True, "terms approach zero from below under discounting")
+        return SupLogMgf(best, arg, "attained", True)
+    return SupLogMgf(best, arg, "undetermined", False, f"scan truncated at k_max={cap}")
 
 
 class TestKernelShortcuts:
@@ -871,10 +951,71 @@ class TestKernelShortcuts:
     def test_probe_terms(self, model, h, K):
         K = min(K, model.horizon() or K)
         plan = models_module._plan(model, 0, K)
-        expected = _masked_terms(plan, h)
-        self._same(plan.terms(h), expected)
+        with np.errstate(all="ignore"):  # as in a probe
+            expected = _reference_terms(model, h, K)
+            self._same(plan.terms(h), expected)
         cut = np.flatnonzero(expected == INF)
         self._same(log_mgf_terms(model, h, K), expected[:cut[0] + 1] if cut.size else expected)
+
+    @st.composite
+    def routed_models(draw):
+        """(model, hs): a model of every route (closed forms, exact, contracting
+        and amplifying blocks, amplifying verdicts, scans with and without a
+        family proof, finite horizons) under zero, constant, periodic or
+        explicit rates, and the h it is probed at."""
+        laws = st.one_of(TestTermKernelParity.laws, TestKernelShortcuts.finite_discretes_with_zeros())
+        pool = draw(st.lists(laws, min_size=1, max_size=4))
+        cycle = tuple(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3)))
+        n = draw(st.integers(1, 300))
+        rates = draw(st.one_of(
+            st.just(ConstantRates(0.0)),
+            st.floats(0.001, 0.3).map(ConstantRates),
+            st.lists(st.one_of(st.just(0.0), st.floats(0.001, 0.3)), min_size=1, max_size=3).map(tuple).map(PeriodicRates),
+            st.lists(st.floats(0.0, 0.3), min_size=n, max_size=n).map(tuple).map(ExplicitRates),
+        ))
+        kind = draw(st.sampled_from(["indexed_normal", "indexed_two_point", "explicit", "periodic",
+                                     "amplifying", "contracting", "past_the_float_range"]))
+        if kind == "indexed_normal":
+            rule = IndexedNormal(draw(st.floats(-1.0, 0.05)), draw(finite_means))
+        elif kind == "indexed_two_point":
+            rule = IndexedTwoPoint()
+        elif kind == "explicit":
+            rule = ExplicitPrefix(tuple(draw(st.sampled_from(pool)) for _ in range(n)))
+        elif kind == "periodic":
+            rule = Periodic(cycle)
+        elif kind == "amplifying":
+            rule = QuasiPeriodicScaled(cycle, draw(st.floats(1.0001, 1.05)))
+        elif kind == "contracting":
+            rule = QuasiPeriodicScaled(cycle, draw(st.floats(0.5, 0.97)))
+        else:
+            # finite esssups of both signs and a negative period slope: the
+            # partial sums are scanned, and past epoch ~2049 t = h e^c leaves
+            # the float range, where the second law's term is inf - inf
+            tail = QuasiPeriodicScaled((Uniform(draw(st.floats(-3.0, -2.0)), draw(st.floats(-1.5, -0.5))),
+                                        Uniform(-3.0, draw(st.floats(0.05, 0.4)))), 2.0)
+            rule, rates = PrefixThenTail((draw(laws),), tail), ConstantRates(0.0)
+        hs = draw(st.lists(st.floats(0.01, 20.0), min_size=1, max_size=4))
+        if draw(st.booleans()):  # as a search closes in from above
+            hs = sorted(hs, reverse=True)
+        return RiskModel(rule, rates), hs
+
+    @settings(max_examples=150, deadline=None)
+    @given(routed_models(), st.sampled_from([1, 2, 63, 64, 65, 255, 256, 257, 1025, 2100]),
+           st.sampled_from([None, 64, 100]), st.booleans())
+    @example((RiskModel(PrefixThenTail((Normal(0.5, 1.0),), QuasiPeriodicScaled((Uniform(-2.0, -1.0), Uniform(-3.0, 0.5)), 2.0))),
+              [2.0]), 2100, None, False)
+    @example((RiskModel(Periodic((TwoPoint(0.0, 0.25, 0.0),))), [1.0]), 64, None, False)
+    def test_probes_match_the_reference_scan(self, case, k_max, chunk, chords):
+        # one model after another through the model's own route, its plans and
+        # (chords) one store of references; bitwise the reference's result
+        model, hs = case
+        policy, store = TruncationPolicy(k_max), {} if chords else None
+        with patch.object(models_module, "_SCAN_CHUNK", chunk or models_module._SCAN_CHUNK):
+            for h in hs:
+                for partial, sup in ((True, sup_log_mgf), (False, per_increment_sup)):
+                    got, e = sup(model, h, policy, chords=store), _reference_sup(model, h, k_max, partial)
+                    assert (got.value.hex(), got.argmax, got.status, got.certified, got.note) == \
+                        (e.value.hex(), e.argmax, e.status, e.certified, e.note)
 
     def test_underflowing_t_gives_an_exact_zero(self):
         # w falls below 1e-300 after epoch 51, where h w underflows to zero; at
@@ -884,11 +1025,11 @@ class TestKernelShortcuts:
         h = 1e-20
         zero = h * plan.w == 0.0
         assert plan.w.min() < 1e-300 and zero.any() and not zero.all()
-        terms = plan.terms(h)
-        self._same(terms, _masked_terms(plan, h))
-        assert terms[zero].tobytes() == np.zeros(zero.sum()).tobytes()
         with np.errstate(all="ignore"):
+            terms = plan.terms(h)
+            self._same(terms, _reference_terms(model, h, 60))
             raw = TwoPoint._lmgf_vec(plan.parts[0][2], h * plan.w)
+        assert terms[zero].tobytes() == np.zeros(zero.sum()).tobytes()
         assert (raw[zero] != 0.0).any()
 
 

@@ -30,7 +30,9 @@ times single warm probes instead (PROBES): each case calls sup_log_mgf or
 per_increment_sup on one model at a fixed list of h, the model built by each
 side from its own package and probed once before timing. A case with a chord
 store runs a full scan at a larger h into a fresh store before each timed
-probe, and times only the probe below it. The rounds alternate between the
+probe, and times only the probe below it; in the cases at the cap, that h is
+the model's MGF-domain cap (adjustment._domain_cap), where a term is +inf,
+and the probes are at the given fractions of it. The rounds alternate between the
 sides per case, and every result must be bitwise the other side's (value,
 argmax, status, certified, note), else the script exits 1. It prints each
 side's median time per probe and the ratio per case, then the same as one
@@ -134,7 +136,9 @@ def _mixed_prefix(rb, n: int = 5000, seed: int = 1):
 
 # name: (model from the package rb, k_max or None, sup function name, the h
 # probed, and the h of the full scan that fills a fresh chord store before each
-# probe, or None for no store)
+# probe, or None for no store, or CAP: the model's MGF-domain cap, the h probed
+# then being fractions of it)
+CAP = "cap"
 _HS = (0.05, 0.2, 0.5, 1.0, 2.0)
 PROBES = {
     "indexed_normal_1pct/sup": (lambda rb: rb.RiskModel(rb.IndexedNormal(-0.5, 0.25), rb.ConstantRates(0.01)),
@@ -147,6 +151,10 @@ PROBES = {
     "prefix_5000/per_increment": (_mixed_prefix, None, "per_increment_sup", (0.1, 0.3), None),
     "prefix_5000_chords/sup": (_mixed_prefix, None, "sup_log_mgf", (0.1, 0.25), 0.3),
     "prefix_5000_chords/per_increment": (_mixed_prefix, None, "per_increment_sup", (0.1, 0.25), 0.3),
+    # a search that climbs toward the cap: every probe lies above the earlier ones
+    "prefix_5000_cap/sup": (_mixed_prefix, None, "sup_log_mgf", (0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.98), CAP),
+    # the reference's top epoch is the only one the chord leaves open
+    "prefix_5000_one_open/per_increment": (_mixed_prefix, None, "per_increment_sup", (0.2997, 0.29997), 0.3),
     "contracting_block/sup": (lambda rb: rb.RiskModel(rb.QuasiPeriodicScaled(
         (rb.Normal(-0.5, 1.0), rb.Normal(0.25, 1.0)), 0.95)), None, "sup_log_mgf", (0.1, 0.5, 1.0), None),
 }
@@ -160,6 +168,9 @@ def _probe_case(side: Side, case: tuple):
     rb = side.modules["ruinbounds"]
     models = side.modules["ruinbounds.models"]
     model = build(rb)
+    if h_store == CAP:
+        h_store = side.modules["ruinbounds.adjustment"]._domain_cap(model)
+        hs = [f * h_store for f in hs]
     policy = models.TruncationPolicy(k_max) if k_max else None
     fn = getattr(models, fn_name)
     out = []

@@ -30,6 +30,9 @@ The search benches (test_prefix_search) time one whole call of
 bound_optimize (u = 10), solve_partial_sum and solve_per_increment on the
 5000-law prefix, warm, as the heavy_sups benchmark calls them: 35-40 probes
 that share one store of chord references, which each call builds afresh.
+solve_partial_sum_at_cap is the search of another draw of the prefix
+(seed 3) whose root is the MGF-domain cap (0.80072): every probe is feasible,
+each lies above the ones before, and the probe at the cap is +inf.
 """
 
 from __future__ import annotations
@@ -129,10 +132,12 @@ def test_explicit_prefix_5000_cold(benchmark):
 
 
 PREFIX = _mixed_prefix()
+PREFIX_AT_CAP = _mixed_prefix(seed=3)
 _SEARCHES = {
     "bound_optimize": lambda: bound_optimize(PREFIX, 10.0),
     "solve_partial_sum": lambda: solve_partial_sum(PREFIX),
     "solve_per_increment": lambda: solve_per_increment(PREFIX),
+    "solve_partial_sum_at_cap": lambda: solve_partial_sum(PREFIX_AT_CAP),
 }
 
 

@@ -19,9 +19,10 @@ rates repeat too, the record is the model's block, folded in log space: the
 effective period, each slot's log multiplier log scale_j + log v_{j-1}, and
 log rho, the period-to-period multiplier of h. Exact periods, contracting
 tails and amplifying tails whose period laws are all nonpositive then reduce
-to a few periods of the block, walked one (law, log multiplier) pair at a
-time by _walk; _walk serves only these short walks, where a scalar loop beats
-numpy's fixed cost. Other amplifying tails are +inf at every h > 0 where
+to a few periods of the block, walked one (law, multiplier of h) pair at a
+time by _walk, the multipliers of the first periods kept on the record;
+_walk serves only these short walks, where a scalar loop beats numpy's fixed
+cost. Other amplifying tails are +inf at every h > 0 where
 their period laws' esssups say so (_Laws.unbounded). Four closed forms cover the
 indexed families without interest (the IndexedTwoPoint one in O(1) through
 log-factorials and a power-sum series). Everything else is scanned by
@@ -31,8 +32,9 @@ that every later term is negative. What a probe reads apart from h (its route,
 _route, and each range's probe plan) is built once and kept on the model
 (RiskModel._memo, with the solvers' support facts).
 The probes of one solve or optimization may share a store of chord
-references, which lets a finite-horizon scan below an earlier one read only a
-few epochs (_sup_scan); it lives with the caller, not on the model.
+references, which lets a finite-horizon scan below an earlier one, the scan
+at the MGF-domain cap included, read only a few epochs (_sup_scan); it lives
+with the caller, not on the model.
 
 Every longer walk reads one epoch layout, _layout(model, K): each epoch's slot
 in the record's law list and its log multiplier log(scale_j v_{j-1}). Only a
@@ -558,6 +560,7 @@ class _Laws:
 
     def __init__(self, laws, prefix: int = 0, log_ratio: float = 0.0, logs: tuple[float, ...] | None = None) -> None:
         self._source, self.prefix, self.log_ratio, self.logs = laws, prefix, log_ratio, logs
+        self._kept: dict[int, tuple[float, ...]] = {}  # weights(b) of the first periods
 
     @property
     def length(self) -> int:
@@ -572,8 +575,26 @@ class _Laws:
         return self.log_ratio > _RATIO_TOL
 
     def period(self, b: int):
-        """(law, log multiplier) over the b-th period of a block after the prefix."""
-        return zip(self.laws[self.prefix:], map((b * self.log_ratio).__add__, self.logs[self.prefix:]))
+        """(law, multiplier of h) over the b-th period of a block after the prefix."""
+        return zip(self.laws[self.prefix:], self.weights(b))
+
+    @cached_property
+    def head(self) -> tuple[float, ...]:
+        """The multiplier of h, e^c clamped at the float maximum (_weight), at
+        each epoch of a block's prefix and first period."""
+        return tuple(map(_weight, self.logs))
+
+    def weights(self, b: int) -> tuple[float, ...]:
+        """The multipliers of h over the b-th period after the prefix,
+        exp(b log_ratio + c) per slot; they do not depend on h, so those of the
+        first periods, up to _WALK_KEPT epochs, are kept."""
+        w = self._kept.get(b)
+        if w is None:
+            shift = b * self.log_ratio
+            w = tuple(_weight(shift + c) for c in self.logs[self.prefix:])
+            if b * self.length <= _WALK_KEPT:
+                self._kept[b] = w
+        return w
 
     @cached_property
     def log_array(self) -> np.ndarray:
@@ -688,8 +709,9 @@ class _Plan:
     gathered from the _layout record's law table. last is the discount
     log v_{K-1}, from which the plan of the next range continues the running
     sum; None when the model has a block, whose terms read no discounts. The
-    arrays are read-only, since every probe shares them. w_min is the least w:
-    t = h w is monotone in w, so no t is zero unless h * w_min is.
+    arrays are read-only, since every probe shares them. w_min is the least w
+    (a subset keeps its range's): t = h w is monotone in w, so no t is zero
+    unless h * w_min is.
     """
 
     def __init__(self, model: RiskModel, start: int, K: int, prev: float | None) -> None:
@@ -719,34 +741,37 @@ class _Plan:
             if isinstance(a, np.ndarray):
                 a.flags.writeable = False
 
-    def terms(self, h: float, at: np.ndarray | None = None) -> np.ndarray:
-        """log E exp(h e^{c_j} Y*_j) over the range, uncut at +inf, or only at
-        the epochs whose offsets at (sorted) gives, with the same arithmetic,
-        under the caller's np.errstate(all="ignore")."""
-        t = h * (self.w if at is None else self.w[at])
-        parts = self.parts if at is None else self._subset(at)
-        if len(parts) == 1:  # one family covers the epochs, in order
-            (cls, _, params), = parts
+    def terms(self, h: float) -> np.ndarray:
+        """log E exp(h e^{c_j} Y*_j) over the range, uncut at +inf, under the
+        caller's np.errstate(all="ignore")."""
+        t = h * self.w
+        if len(self.parts) == 1:  # one family covers the epochs, in order
+            (cls, _, params), = self.parts
             terms = cls._lmgf_vec(params, t)
         else:
             terms = np.empty(len(t))
-            for cls, sel, params in parts:
+            for cls, sel, params in self.parts:
                 terms[sel] = cls._lmgf_vec(params, t[sel])
         if h * self.w_min == 0.0:
             terms[t == 0.0] = 0.0
         return terms
 
-    def _subset(self, at: np.ndarray) -> tuple:
-        """parts for the epochs at (sorted offsets): sel indexes at, params hold their rows."""
+    def subset(self, at: np.ndarray) -> _Plan:
+        """The plan of the epochs whose offsets at gives, in that order: its terms
+        are the range's at those epochs, with the same arithmetic. Chord
+        references keep such plans of the few epochs their probes read."""
         part, row = self.where
         read = set((of := part[at]).tolist())  # the few parts that a subset reads
-        return tuple((self.parts[p][0], sel, _rows(self.parts[p][2], row[at[sel]]))
-                     for p in read for sel in [np.flatnonzero(of == p) if len(read) > 1 else slice(None)])
+        sub = object.__new__(_Plan)
+        sub.w, sub.w_min, sub.last = self.w[at], self.w_min, None
+        sub.parts = tuple((self.parts[p][0], sel, _rows(self.parts[p][2], row[at[sel]]))
+                          for p in read for sel in [np.flatnonzero(of == p) if len(read) > 1 else slice(None)])
+        return sub
 
     @cached_property
     def where(self) -> tuple[np.ndarray, np.ndarray]:
         """(part, row): epoch i of the range has row row[i] of the arrays of
-        parts[part[i]]; built for the probes that read a subset (terms(h, at))."""
+        parts[part[i]]; built for the plans of a few epochs (subset)."""
         part, row = np.empty(len(self.w), dtype=np.intp), np.empty(len(self.w), dtype=np.intp)
         for p, (_, sel, _) in enumerate(self.parts):
             part[sel] = p
@@ -793,15 +818,25 @@ def log_mgf_terms(model: RiskModel, h: float, K: int, start: int = 0) -> np.ndar
     return terms[:cut[0] + 1] if cut.size else terms
 
 
+def _weight(c: float) -> float:
+    """e^c, clamped at the float maximum past the float range, as
+    QuasiPeriodicScaled.distribution_at clamps its factor."""
+    try:
+        return math.exp(c)
+    except OverflowError:
+        return _FLOAT_MAX
+
+
+# a block keeps the multipliers of its first periods up to this many epochs (_Laws.weights)
+_WALK_KEPT = 1 << 12
+
+
 def _walk(h: float, epochs) -> list[float]:
-    """The terms log E exp(h e^c Y) for (Y, c) in epochs, through the first +inf."""
+    """The terms log E exp(h w Y) for (Y, w) in epochs, through the first +inf;
+    w is the epoch's multiplier of h (_Laws.head, _Laws.weights)."""
     terms = []
-    for law, c in epochs:
-        try:
-            t = h * math.exp(c)
-        except OverflowError:  # past the float range: clamp as QuasiPeriodicScaled.distribution_at does
-            t = h * sys.float_info.max
-        term = log_mgf_at(law, t)
+    for law, w in epochs:
+        term = log_mgf_at(law, h * w)
         terms.append(term)
         if term == INF:
             break
@@ -826,7 +861,7 @@ def cumulative_log_mgf(model: RiskModel, h: float, K: int) -> list[float]:
         raise ValueError("K must be >= 1")
     block = model._block
     if block is not None and K <= len(block.logs):
-        sums = list(itertools.accumulate(_walk(h, zip(block.laws, block.logs[:K])), initial=0.0))[1:]
+        sums = list(itertools.accumulate(_walk(h, zip(block.laws, block.head[:K])), initial=0.0))[1:]
     else:
         terms = log_mgf_terms(model, h, K)
         with np.errstate(over="ignore"):
@@ -836,7 +871,7 @@ def cumulative_log_mgf(model: RiskModel, h: float, K: int) -> list[float]:
 
 def _sup_periodic(block: _Laws, h: float, partial: bool) -> SupLogMgf:
     P, L = block.prefix, block.length
-    terms = _walk(h, zip(block.laws, block.logs))
+    terms = _walk(h, zip(block.laws, block.head))
     g, best, arg = _fold(terms, partial, 1, 0.0, -INF, None)
     if best == INF:
         return SupLogMgf(INF, arg, "unbounded", True, "divergent MGF term")
@@ -1001,7 +1036,8 @@ def _sup_scan(model: RiskModel, h: float, policy: TruncationPolicy, partial: boo
     (argmax finds the first NaN, else the first +inf; a running +inf stays +inf or NaN).
 
     Given a store of chord references (chords), a finite horizon of one range
-    of more than _SCAN_FIRST epochs keeps a reference of each full scan, and a
+    of more than _SCAN_FIRST epochs keeps a reference of each full scan whose
+    terms are finite or +inf (_keep_scan), "unbounded" ones included, and a
     later probe below one reads only a few epochs (_chord_probe).
     """
     horizon, held, proof = model._horizon, None, None  # proof: an epoch past which every term is negative
@@ -1023,6 +1059,8 @@ def _sup_scan(model: RiskModel, h: float, policy: TruncationPolicy, partial: boo
             end = min(end, cap, (start // _SCAN_CHUNK + 1) * _SCAN_CHUNK)
             plan = _plan(model, start, end, prev)
             terms = plan.terms(h)
+            if held is not None:  # the scan's one range
+                _keep_scan(held, model, h, plan, terms, partial)
             prev, plan = plan.last, None  # a plan past the budget goes before the next one is built
             values = terms
             if partial:  # the running sum continues in order from the range before
@@ -1040,8 +1078,6 @@ def _sup_scan(model: RiskModel, h: float, policy: TruncationPolicy, partial: boo
             if end == cap or (proof is not None and end >= proof and (partial or best > 0.0)):
                 break
             start, end, g = end, cap, values[-1]
-        if held is not None and np.isfinite(terms).all():
-            _keep_scan(held, h, terms, values, partial)
     if horizon is not None:
         return SupLogMgf(best, arg, "attained", True)
     if proof is not None:
@@ -1066,23 +1102,43 @@ def _stopped(values: np.ndarray, start: int, best: float, arg: int | None) -> Su
 
 # Chord certificates. Every term g_j is convex in h with g_j(0) = 0, so for
 # h <= h0 it obeys the chord inequality g_j(h) <= (h/h0) g_j(h0), and so does
-# every sum of terms. A full finite-horizon scan at h0 is kept as a reference
-# in the caller's store (chords); a later probe at h <= h0 takes the reference
-# of least h0 >= h, with lam = h/h0, and reads only the epochs the chord
-# leaves open:
-# - partial sums: the reference is D = max_{m>n} G_m(h0) - G_n(h0), with
-#   n = _SCAN_FIRST. If G_n(h) + lam D lies below the maximum of G_1..G_n(h)
-#   by the margin, no later partial sum reaches it.
-# - per-increment: the reference is an array U >= g_j(h0). The probe
-#   evaluates the epoch of the largest U (b0), then every epoch with
-#   lam U_j > b0 - margin; each epoch left out is below the result by the
-#   margin, so the first maximum (and the first +inf) is among those read.
+# every sum of terms. A full finite-horizon scan at h0 whose terms are finite
+# or +inf is kept as a reference in the caller's store (chords), the scan at
+# the MGF-domain cap included; a later probe at h <= h0 takes the reference of
+# least h0 >= h, with lam = h/h0, and reads only the epochs the chord leaves
+# open. The epochs whose terms were +inf at h0 (J, at most _DIVERGENT_MAX of
+# them, else the scan is not kept) are always open, read at h (past the head,
+# in one pass with it):
+# - partial sums: with n = _SCAN_FIRST and F_m the sum of the finite terms of
+#   epochs n+1..m at h0 and p_1 < ... < p_k the epochs of J past the head
+#   (k >= 0), the reference is D_l = the maximum of F_m over p_l <= m < p_{l+1}
+#   (p_0 = n+1, p_{k+1} past the horizon), with one plan of the head, epochs
+#   1..n, then of J past the head and in it. The probe evaluates that plan, so
+#   G_m(h) - G_n(h) <= lam D_l + g_{p_1}(h) + ... + g_{p_l}(h) for m from p_l
+#   on. If G_n(h) plus the largest of these lies below the maximum of
+#   G_1..G_n(h) by the margin, no later partial sum reaches it; a term of J
+#   that is not finite at h sends the probe to the full scan.
+# - per-increment: the reference is an array U >= g_j(h0), +inf where the
+#   term was, kept as s U with a scale s, with its first largest entry (top,
+#   with the plan of its epoch) and the largest of the others (runner-up). A
+#   probe that read several epochs leaves both of its reference to the first
+#   probe that reads it, since a bisection drops about half of these unread.
+#   The probe evaluates the top epoch (b0). If lam times the runner-up is at
+#   most b0 - margin, every other epoch is closed (multiplying by lam >= 0
+#   keeps the order of floats), and the sup is b0 there. Otherwise it reads
+#   every epoch with lam s U_j > b0 - margin; each epoch left out is below the
+#   result by the margin, so the first maximum (and the first +inf) is among
+#   those read.
 # Either way the value, argmax and status are the full scan's, bitwise: the
 # terms read are the ones the full scan computes, and partial sums through n
-# are the first n of its running sum. A probe that closes keeps lam D, or
-# lam U with its evaluated entries, as its own reference, so references tighten
-# as a search closes in; one that does not runs the full scan. A reference is
-# kept only from a scan whose every term is finite.
+# are the first n of its running sum. A probe that closes keeps what it proved
+# as its own reference, every entry finite: the bound on G_m(h) - G_n(h) as its
+# one D, with the head's plan; lam s as the scale, with the same top and lam
+# times the runner-up, when only the top epoch was open; else lam s U with the
+# epochs read put in.
+# So references tighten as a search closes in, and a search that climbs to
+# the cap settles below the cap's scan. A probe that does not close runs the
+# full scan.
 #
 # The margin bounds the rounding of both runs: the computed terms and sums
 # differ from the true ones by at most gamma_N (Higham, Accuracy and Stability
@@ -1094,10 +1150,13 @@ def _stopped(values: np.ndarray, start: int, best: float, arg: int | None) -> Su
 # and finite support bounds; _LOG_RANGE bounds the log of any positive double,
 # a log-weight or log-rate). For a term that a probe never evaluates,
 # |g_j(h)| <= max(lam |g_j(h0)|, h w_j |E Y_j|): the chord gives the upper side
-# and Jensen's inequality, g_j(h) >= h w_j E Y_j, the lower.
+# and Jensen's inequality, g_j(h) >= h w_j E Y_j, the lower. A term of J has no
+# chord; its magnitude at h, read, joins the margin.
 
 _LOG_RANGE = 746.0
 _EPS = 2.0**-53
+# a scan with more terms of +inf than this is not kept as a reference
+_DIVERGENT_MAX = 64
 
 
 def _held(chords: dict, model: RiskModel, partial: bool, cap: int) -> tuple[list, tuple]:
@@ -1122,19 +1181,38 @@ def _chord_scale(model: RiskModel, K: int) -> tuple[float, float, float, float]:
     return count * _EPS / (1.0 - count * _EPS), float(ws.sum()), float(ws.max()), 4.0 * K * _LOG_RANGE
 
 
-def _keep_scan(held: list, h: float, terms: np.ndarray, values: np.ndarray, partial: bool) -> None:
-    """Keep a full scan at h, every term finite, as a reference, unless its
-    sums overflow."""
+def _keep_scan(held: list, model: RiskModel, h: float, plan: _Plan, terms: np.ndarray, partial: bool) -> None:
+    """Keep the full scan at h, whose terms over plan's range are given, as a
+    reference, unless a term is NaN or -inf, more than _DIVERGENT_MAX are +inf,
+    or its sums overflow."""
+    fin = np.isfinite(terms)
+    J = np.flatnonzero(~fin)  # the epochs of the terms that are not finite
+    if J.size > _DIVERGENT_MAX or (terms[J] != INF).any():
+        return
+    finite = np.where(fin, terms, 0.0) if J.size else terms
     if partial:
         n = _SCAN_FIRST
-        D, S0 = float(values[n:].max() - values[n - 1]), float(np.abs(terms).sum())
-        if math.isfinite(D) and S0 < INF:
-            _insert(held, h, (D, S0), True)
+        k = int(np.searchsorted(J, n))  # J[k:] lie past the head
+        rest, S0 = finite[n:].cumsum(), float(np.abs(finite).sum())
+        D = np.maximum.reduceat(rest, np.concatenate(([0], J[k:] - n))).tolist()  # one per stretch
+        if np.isfinite(D).all() and S0 < INF:  # a probe reads the head, then J past it and in it
+            read = plan.subset(np.concatenate((np.arange(n), J[k:], J[:k]))) if J.size else _plan(model, 0, n)
+            _insert(held, h, (D, S0, read), True)
     else:
-        _insert(held, h, (terms, terms.argmax(keepdims=True), float(np.abs(terms).max())), False)
+        j = int(terms.argmax())
+        _insert(held, h, [terms, 1.0, j, plan.subset(np.array([j])), _runner_up(terms, j),
+                          float(np.abs(finite).max())], False)
 
 
-def _insert(held: list, h: float, ref: tuple, partial: bool) -> None:
+def _runner_up(U: np.ndarray, j: int) -> float:
+    """The largest entry of U apart from entry j (set aside, then put back)."""
+    top, U[j] = U[j], -INF
+    runner = float(U.max())
+    U[j] = top
+    return runner
+
+
+def _insert(held: list, h: float, ref: tuple | list, partial: bool) -> None:
     k = bisect.bisect_left(held, h, key=operator.itemgetter(0))
     if not partial:
         # a bisection's later probes all lie above the probes below h, so
@@ -1154,30 +1232,46 @@ def _chord_probe(model: RiskModel, h: float, partial: bool, held: list, consts: 
     lam = h / h0
     gamma, total, top, log_room = consts
     if partial:
-        D, S0 = ref
-        bound = lam * D
-        values = _plan(model, 0, _SCAN_FIRST).terms(h).cumsum()
+        D, S0, plan = ref  # plan: the head, then the epochs of J past it and in it
+        terms = plan.terms(h)
+        values = terms[:_SCAN_FIRST].cumsum()
         i = int(values.argmax())
         best = float(values[i])
-        margin = gamma * (4.0 * lam * S0 + 10.0 * h * total + log_room + abs(bound))
+        g = terms[_SCAN_FIRST:].tolist()  # the terms of J, a few: Python floats
+        if not all(map(math.isfinite, g)):
+            return None
+        bound, run = lam * D[0], 0.0
+        for d, x in zip(D[1:], g):  # the terms of J past the head up to each stretch
+            run += x
+            bound = max(bound, lam * d + run)
+        mag = sum(map(abs, g), 0.0)
+        margin = gamma * (4.0 * (lam * S0 + mag) + 10.0 * h * total + log_room + abs(bound))
         if not (-INF < best < INF and margin < INF and values[-1] + bound <= best - margin):
             return None
-        _insert(held, h, (bound, lam * S0 + h * total), partial)
+        _insert(held, h, ([bound], lam * S0 + h * total + mag, _plan(model, 0, _SCAN_FIRST)), partial)
         return SupLogMgf(best, i + 1, "attained", True)
-    U, j, largest = ref  # j: the epoch of the largest U, as an array; largest: at least every |U_j|
-    plan = _plan(model, 0, len(U))
-    b0 = plan.terms(h, j)[0]
+    U, s, j, at_top, runner, largest = ref  # the reference is s U; at_top: the plan of its top epoch j
+    if at_top is None:  # a reference kept by a probe that read several epochs: built on first read
+        at_top = ref[3] = _plan(model, 0, len(U)).subset(np.array([j]))
+    b0 = at_top.terms(h)[0]
     margin = gamma * (4.0 * lam * largest + 6.0 * h * top + 4.0 * _LOG_RANGE)
-    bound = lam * U
+    if b0 < INF:
+        if runner is None:  # then s is 1
+            runner = ref[4] = _runner_up(U, j)
+        if lam * runner <= b0 - margin:  # every epoch but j is closed
+            _insert(held, h, [U, lam * s, j, at_top, lam * runner, lam * largest], partial)
+            return SupLogMgf(float(b0), j + 1, "attained", True)
+    bound = (lam * s) * U
     at = np.flatnonzero(bound > b0 - margin)  # holds j, unless the margin fails or b0 is +inf or NaN
     if not at.size:
         return None
-    values = plan.terms(h, at)
+    values = _plan(model, 0, len(U)).subset(at).terms(h)
     if not np.isfinite(values).all():  # +inf and NaN are the full scan's to report
         return None
     i = int(values.argmax())
     bound[at] = values
-    _insert(held, h, (bound, at[i:i + 1], max(lam * largest, float(np.abs(values).max()))), partial)
+    largest = max(lam * largest, float(np.abs(values).max()))
+    _insert(held, h, [bound, 1.0, int(at[i]), at_top if at[i] == j else None, None, largest], partial)
     return SupLogMgf(float(values[i]), int(at[i]) + 1, "attained", True)
 
 
@@ -1216,9 +1310,12 @@ def sup_log_mgf(model: RiskModel, h: float, policy: TruncationPolicy | None = No
     """sup_{k>=1} G_k(h), reduced exactly where the sequence structure allows.
 
     chords, a dict that the probes of one solve or one optimization share,
-    lets a finite-horizon scan settle a probe from an earlier one at a larger
-    h (_sup_scan); the result is the same without it. It holds values that
-    depend on h, so it must not outlive the caller's search.
+    lets a finite-horizon scan settle a probe from an earlier full scan at a
+    larger h whose terms were finite or +inf, the scan at the MGF-domain cap
+    included; the probe reads the first 64 epochs and the epochs that were
+    +inf, or, per increment, the epochs the chord leaves open (_sup_scan and
+    the chord notes above _held). The result is the same without it. It
+    holds values that depend on h, so it must not outlive the caller's search.
     """
     return _sup(model, h, policy, True, chords)
 

@@ -520,9 +520,9 @@ class TestStreamedScan:
         read = []
         terms = models_module._Plan.terms
 
-        def recording(plan, h, at=None):
-            read.append(len(plan.w) if at is None else len(at))
-            return terms(plan, h, at)
+        def recording(plan, h):
+            read.append(len(plan.w))
+            return terms(plan, h)
 
         monkeypatch.setattr(models_module._Plan, "terms", recording)
         s = sup_log_mgf(model, 1.0, TruncationPolicy(10_000))
@@ -719,21 +719,190 @@ class TestChordCertificates:
         # 64 epochs, and the per-increment sup at one epoch
         rng = np.random.default_rng(7)
         model = RiskModel(ExplicitPrefix(tuple(Normal(float(m), 1.0) for m in rng.uniform(-1.2, -0.3, 2000))))
-        full = []
+        read = self._scans(monkeypatch)
+        for solve, most in ((solve_partial_sum, 3), (solve_per_increment, 1)):  # 36 and 35 probes
+            read.clear()
+            solve(model)
+            assert 0 < read.count(2000) <= most
+        read.clear()
+        bound_optimize(model, 10.0)  # 40 probes, the first ones doubling h
+        assert 0 < read.count(2000) <= 8
+
+    @staticmethod
+    def _scans(monkeypatch) -> list:
+        """The number of epochs of each _Plan.terms call from here on."""
+        read = []
         terms = models_module._Plan.terms
 
-        def recording(plan, h, at=None):
-            full.append(at is None and len(plan.w) == 2000)
-            return terms(plan, h, at)
+        def recording(plan, h):
+            read.append(len(plan.w))
+            return terms(plan, h)
 
         monkeypatch.setattr(models_module._Plan, "terms", recording)
-        for solve in (solve_partial_sum, solve_per_increment):  # 36 and 35 probes
-            full.clear()
-            solve(model)
-            assert 0 < sum(full) <= 4
-        full.clear()
-        bound_optimize(model, 10.0)  # 40 probes
-        assert 0 < sum(full) <= 10
+        return read
+
+    @staticmethod
+    def _same(got: SupLogMgf, model: RiskModel, h: float, partial: bool) -> None:
+        e = _full_scan(model, h, 10_000, partial)
+        assert (got.value.hex(), got.argmax, got.status, got.certified, got.note) == \
+            (e.value.hex(), e.argmax, e.status, e.certified, e.note)
+
+    @st.composite
+    def capped(draw):
+        """A model of models() whose laws at a few epochs, in the head (the
+        first 64) and past it, are replaced by ShiftedExponential laws of one
+        rate, at most the rest's MGF-domain cap: at the cap their terms are
+        +inf, all of them under zero rates, and probes below read them."""
+        model, _ = draw(TestChordCertificates.models())
+        dists = list(model.increments.dists)
+        rate = min(draw(st.floats(0.3, 3.0)), _domain_cap(model))
+        shift = draw(st.one_of(st.floats(-3.0, -0.5), st.floats(-0.5, 0.5)))
+        for j in draw(st.lists(st.one_of(st.integers(1, 64), st.integers(65, len(dists))), min_size=1, max_size=5)):
+            dists[j - 1] = ShiftedExponential(rate, shift)
+        model = RiskModel(ExplicitPrefix(tuple(dists)), draw(st.sampled_from([ConstantRates(0.0), model.rates])))
+        fractions = draw(st.lists(st.floats(0.3, 1.0, exclude_max=True), min_size=1, max_size=6))
+        if draw(st.booleans()):  # as a search climbs toward the cap
+            fractions.sort()
+        return model, fractions
+
+    @settings(max_examples=150, deadline=None)
+    @given(capped())
+    def test_probes_below_the_cap_match_full_scans(self, case):
+        model, fractions = case
+        cap, n = _domain_cap(model), model.horizon()
+        with np.errstate(all="ignore"):
+            divergent = int((_reference_terms(model, cap, n) == INF).sum())
+        store: dict = {}
+        for partial, sup in ((True, sup_log_mgf), (False, per_increment_sup)):
+            got = sup(model, cap, chords=store)
+            self._same(got, model, cap, partial)
+            held, _ = models_module._held(store, model, partial, n)
+            # kept, "unbounded" or not, unless too many terms are +inf
+            assert [h0 for h0, _ in held] == ([cap] if divergent <= models_module._DIVERGENT_MAX else [])
+            for f in fractions:
+                self._same(sup(model, f * cap, chords=store), model, f * cap, partial)
+
+    @pytest.mark.parametrize("head, past", [
+        # the term of epoch 101 at h = 0.99 is about 4.1: the sup is there
+        ((Degenerate(1.0),) + (Degenerate(-0.01),) * 63, (Degenerate(-0.01),) * 36 + (ShiftedExponential(1.0, -0.5),)),
+        # it is about -500 at h = 0.5, after partial sums that pass the head's
+        # maximum: it counts only for the sums from epoch 101 on
+        ((Degenerate(1.0),) + (Degenerate(-0.01),) * 63, (Degenerate(0.05),) * 36 + (ShiftedExponential(1.0, -1000.0),)),
+        # the terms of epochs 101 and 102 are about 0.7 each at h = 0.99: only
+        # their sum takes G_102 above the head's maximum
+        ((Degenerate(-0.01),) * 64, (Degenerate(-0.01),) * 36 + (ShiftedExponential(1.0, -3.944),) * 2),
+        # divergent epochs in the head and past it
+        ((Degenerate(-0.2),) * 9 + (ShiftedExponential(1.0, -0.5),) + (Degenerate(-0.2),) * 54,
+         (Degenerate(-0.01),) * 36 + (ShiftedExponential(1.0, -0.5),) * 2),
+    ], ids=["past_head", "negative_past_head", "two_past_head", "head_and_past"])
+    def test_divergent_terms_are_read_at_the_probe(self, head, past):
+        model = RiskModel(ExplicitPrefix(head + past + (Degenerate(-1.0),) * 99))
+        for partial, sup in ((True, sup_log_mgf), (False, per_increment_sup)):
+            store: dict = {}
+            self._same(sup(model, 1.0, chords=store), model, 1.0, partial)  # the cap: +inf, kept
+            for h in (0.99, 0.5, 0.25):
+                self._same(sup(model, h, chords=store), model, h, partial)
+
+    @pytest.mark.parametrize("share, closes", [(13.0, False), (30.0, True)])
+    @pytest.mark.parametrize("at", [64, 2], ids=["past_head", "in_head"])
+    def test_the_margin_counts_the_divergent_terms(self, monkeypatch, share, closes, at):
+        # at h = 0.5 the terms of epochs at + 1 and at + 2 are -X/2 and X/2 + log 2,
+        # the second divergent at h = 1, and the head's maximum G_1 = 0 lies above
+        # G_64 plus the bound on later sums by share X gamma. The margin is about
+        # 14 X gamma with the magnitude of the divergent term and 12 X gamma
+        # without it, so only the larger share closes, whether the divergent
+        # epoch lies past the head or in it; the full scan gives the same sup
+        X = 1e12
+        gamma = models_module._chord_scale(RiskModel(ExplicitPrefix((Degenerate(0.0),) * 100)), 100)[0]
+        laws = [Degenerate(0.0)] * 100
+        laws[1] = Degenerate(-2.0 * (math.log(2.0) + share * X * gamma))
+        laws[at], laws[at + 1] = Degenerate(-X), ShiftedExponential(1.0, X)
+        model = RiskModel(ExplicitPrefix(tuple(laws)))
+        store: dict = {}
+        sup_log_mgf(model, 1.0, chords=store)
+        read = self._scans(monkeypatch)
+        got = sup_log_mgf(model, 0.5, chords=store)
+        assert (got.value, got.argmax) == (0.0, 1)
+        assert (100 not in read) == closes
+        self._same(got, model, 0.5, True)
+
+    def test_a_scan_with_a_nan_term_is_not_kept(self):
+        # the scaled Uniform's term is NaN at h = 1e10 (t past the float range,
+        # times an upper end of 0) and about -691.9 at h = 1, where it is the sup
+        laws = [Normal(-1000.0, 1.0)] * 100
+        laws[79] = Scaled(1e300, Uniform(-3.0, 0.0))
+        model = RiskModel(ExplicitPrefix(tuple(laws)))
+        for partial, sup in ((True, sup_log_mgf), (False, per_increment_sup)):
+            store: dict = {}
+            got = sup(model, 1e10, chords=store)
+            assert got.status == "undetermined"
+            assert models_module._held(store, model, partial, 100)[0] == []
+            got = sup(model, 1.0, chords=store)
+            self._same(got, model, 1.0, partial)
+        assert got.argmax == 80
+
+    def test_single_open_epoch_and_its_fallback(self, monkeypatch):
+        # epoch 70 (Normal(-1, 1)) has the largest term at h = 1.6 and 1.2, and
+        # epoch 80 (Degenerate(-0.5)) the runner-up at 1.6 and the largest at 0.8
+        laws = [Degenerate(-5.0)] * 100
+        laws[69], laws[79] = Normal(-1.0, 1.0), Degenerate(-0.5)
+        model = RiskModel(ExplicitPrefix(tuple(laws)))
+        store: dict = {}
+        per_increment_sup(model, 1.6, chords=store)
+        read = self._scans(monkeypatch)
+        got = per_increment_sup(model, 1.2, chords=store)  # 0.75 * -0.8 <= -0.48: only epoch 70 is open
+        assert read == [1] and got.argmax == 70
+        self._same(got, model, 1.2, False)
+        read.clear()
+        # (0.8 / 1.2) times the runner-up scaled to 1.2, -0.6, is -0.4 > -0.48: epoch 80 is open
+        got = per_increment_sup(model, 0.8, chords=store)
+        assert read == [1, 2] and got.argmax == 80
+        self._same(got, model, 0.8, False)
+        read.clear()
+        # the reference kept at 0.8 has epoch 80 on top and epoch 70's -0.48 as
+        # the runner-up, both built at the next probe that reads it: at 0.79 only
+        # epoch 80 is open
+        got = per_increment_sup(model, 0.79, chords=store)
+        assert read == [1] and got.argmax == 80
+        self._same(got, model, 0.79, False)
+
+    def test_a_reference_kept_by_a_probe_that_read_several_epochs(self):
+        # at h = 1.25 epoch 97 (Normal(-1.26, 0.76)) has the largest term and
+        # epoch 68 (Normal(-1.17, 0.49)) the runner-up, -1.08. The probe at 0.74
+        # reads both and keeps epoch 97 on top; the runner-up of its reference,
+        # built at 0.44, is epoch 68's -0.73, which leaves epoch 68 open there,
+        # and its term, -0.467, passes epoch 97's, -0.481
+        laws = [Degenerate(-5.0)] * 100
+        laws[67], laws[96], laws[98] = Normal(-1.17, 0.49), Normal(-1.26, 0.76), Degenerate(-1.1)
+        model = RiskModel(ExplicitPrefix(tuple(laws)))
+        store: dict = {}
+        for h in (1.25, 0.74, 0.44):
+            got = per_increment_sup(model, h, chords=store)
+            self._same(got, model, h, False)
+        assert got.argmax == 68
+
+    @pytest.mark.parametrize("seed", [2, 5])
+    def test_a_search_below_the_cap_scans_twice(self, monkeypatch, seed):
+        # 2000 laws of negative drift whose ShiftedExponential rates put the
+        # MGF-domain cap near 0.8; the probe at the cap is +inf. Seed 2: the
+        # root (0.757) and the optimum at u = 10 (0.755) lie just below the cap
+        # (0.8005). Seed 5: the root is the cap (0.8025), and every probe below
+        # it lies above the ones before
+        rng = np.random.default_rng(seed)
+        make = (lambda: Normal(-0.3 - 0.9 * rng.random(), 0.5 + rng.random()),
+                lambda: Uniform(-2.0 - rng.random(), 1.0 + 0.5 * rng.random()),
+                lambda: TwoPoint(1.0, 0.2 + 0.15 * rng.random(), -1.0),
+                lambda: ShiftedExponential(0.8 + 0.4 * rng.random(), -1.5 - rng.random()))
+        laws = [make[i % 4]() for i in range(2000)]
+        model = RiskModel(ExplicitPrefix(tuple(laws[i] for i in rng.permutation(2000))))
+        fresh = RiskModel(model.increments)
+        read = self._scans(monkeypatch)
+        for search in (solve_partial_sum, lambda m: bound_optimize(m, 10.0)):
+            read.clear()
+            got = search(model)
+            assert read.count(2000) <= 2
+            with patch.object(models_module, "_chord_probe", lambda *args: None):
+                assert repr(got) == repr(search(fresh))
 
 
 def _masked_log_expm1_ratio(x: np.ndarray) -> np.ndarray:

@@ -332,7 +332,8 @@ def bound_periodic(
         return BoundResult(None, min(0.0, cert.log_c), cert.exponent, variant, cert, certified,
                            (note + "; " if note else "") + "certificate-only")
 
-    h_star, f_min = _golden(lambda h: -h * u + _window_max(model, ks, h), 0.0, cert.exponent)
+    windows: dict[float, float] = _once(memo, ("window", ks), dict)  # the searches of one u-grid share most of their h
+    h_star, f_min = _golden(lambda h: -h * u + _once(windows, h, lambda: _window_max(model, ks, h)), 0.0, cert.exponent)
     log_bound = min(0.0, min(f_min, cert.log_bound_at(u)))
     return BoundResult(u, log_bound, h_star, variant, cert, certified, note)
 

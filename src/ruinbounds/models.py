@@ -845,12 +845,17 @@ def _walk(h: float, epochs) -> list[float]:
 
 def _fold(terms: list[float], partial: bool, start: int, g: float, best: float, arg: int | None):
     """Fold the terms of epochs start, start+1, ... into the running value g
-    (the partial sum, or the term itself) and its maximum best at epoch arg."""
+    (the partial sum, or the term itself) and its maximum best at epoch arg.
+    Returns (g, best, arg, j): the fold stops at the first value that is not a
+    number, at epoch j (None if there is none), since the values from there on
+    are unknown, as in a scan."""
     for j, term in enumerate(terms, start):
         g = g + term if partial else term
         if g > best:
             best, arg = g, j
-    return g, best, arg
+        elif g != g:
+            return g, best, arg, j
+    return g, best, arg, None
 
 
 def cumulative_log_mgf(model: RiskModel, h: float, K: int) -> list[float]:
@@ -872,7 +877,9 @@ def cumulative_log_mgf(model: RiskModel, h: float, K: int) -> list[float]:
 def _sup_periodic(block: _Laws, h: float, partial: bool) -> SupLogMgf:
     P, L = block.prefix, block.length
     terms = _walk(h, zip(block.laws, block.head))
-    g, best, arg = _fold(terms, partial, 1, 0.0, -INF, None)
+    g, best, arg, nan = _fold(terms, partial, 1, 0.0, -INF, None)
+    if nan is not None:
+        return _stopped(np.empty(0), nan - 1, best, arg)
     if best == INF:
         return SupLogMgf(INF, arg, "unbounded", True, "divergent MGF term")
     if block.exact or block.amplifying:
@@ -905,7 +912,9 @@ def _sup_periodic(block: _Laws, h: float, partial: bool) -> SupLogMgf:
         if b >= _BLOCK_CAP:
             return SupLogMgf(g + excess, None, "undetermined", False, f"tail envelope did not converge within {_BLOCK_CAP} periods")
         terms = _walk(h, block.period(b))
-        g, best, arg = _fold(terms, True, P + b * L + 1, g, best, arg)
+        # a later term is at most as far from 0 as the same slot's in the head,
+        # where a value that is not a number has stopped the sup
+        g, best, arg, _ = _fold(terms, True, P + b * L + 1, g, best, arg)
         if best == INF:
             return SupLogMgf(INF, arg, "unbounded", True, "divergent MGF term")
 
@@ -938,7 +947,7 @@ def _sup_indexed_normal(rule: IndexedNormal, h: float, partial: bool) -> SupLogM
     if A == 0.0:
         # B <= 0: nonincreasing in n
         return SupLogMgf(B, 1, "attained", True) if B < 0.0 else SupLogMgf(0.0, 1, "attained", True)
-    vertex = -B / (2.0 * A)
+    vertex = max(-B / (2.0 * A), 1.0)  # -inf where a subnormal A meets B < 0: the sums fall from n = 1 on
     if vertex == INF:  # a slope so close to zero that the maximizing n is past the float range
         return SupLogMgf(B * B / (-4.0 * A), None, "limit", True, "maximum over real n; its n is past the float range")
     candidates = {1, max(1, math.floor(vertex)), max(1, math.ceil(vertex))}

@@ -232,6 +232,21 @@ class TestGridMemo:
         assert [call(m, u, memo) for u in self.GRID] == alone
         assert len(solves) == 1
 
+    def test_grid_shares_the_window_maxima(self, monkeypatch):
+        # one memo for both variants, whose windows differ (k = 1..l against
+        # k = 0..l-1): each finds the maximum of G_k over its window once per
+        # h, apart from the root, where both its certificate and its searches
+        # read it
+        windows = self._record(monkeypatch, "_window_max")
+        m = alternating_normals()
+        calls = [lambda u, memo: bound_periodic(m, 2, "periodic", u=u, memo=memo),
+                 lambda u, memo: bound_periodic(m, 2, "scaled_periodic", u=u, memo=memo)]
+        alone = [call(u, None) for call in calls for u in self.GRID]
+        windows.clear()
+        memo = {}
+        assert [call(u, memo) for call in calls for u in self.GRID] == alone
+        assert len(windows) == len(set(windows)) + len(calls)
+
     def test_no_cache_between_calls(self, monkeypatch):
         probes = self._record(monkeypatch, "sup_log_mgf")
         solves = self._record(monkeypatch, "solve_per_increment")

@@ -237,6 +237,25 @@ class TestSupLogMgf:
         b = bound_optimize(m, 10.0)
         assert -INF < b.log_bound < 0.0 and not b.certified
 
+    def test_a_block_stops_at_a_value_that_is_not_a_number(self):
+        # at h = 1e9 the prefix terms are -inf and +inf, so G_2 = -inf + inf is
+        # not a number: the block stops there, undetermined, as a scan does
+        m = RiskModel(PrefixThenTail((Degenerate(-1e300), Normal(1e300, 3.0)), Periodic((Degenerate(0.0),))),
+                      PeriodicRates((0.01, 0.0)))
+        s = sup_log_mgf(m, 1e9)
+        assert (s.value, s.argmax, s.status, s.certified) == (-INF, None, "undetermined", False)
+        assert s.note == "scan stopped at epoch 2, whose value is not a number"
+
+    def test_a_contracting_tail_gives_up_after_the_period_cap(self):
+        # at a rate of 1e-6 the partial sums rise for about 10^6 periods; the
+        # tail stops after 50,000, undetermined at the last period's envelope
+        # (the true sup is about 62,500.5)
+        m = RiskModel(Periodic((Normal(-0.25, 1.0), Normal(-0.75, 1.0))), ConstantRates(1e-6))
+        s = sup_log_mgf(m, 1.5)
+        assert (s.argmax, s.status, s.certified) == (None, "undetermined", False)
+        assert s.note == "tail envelope did not converge within 50000 periods"
+        assert s.value == pytest.approx(273038.569548447, rel=1e-9)
+
     def test_amplified_mixed_sign_laws(self):
         # esssups -1 and 0.5: the per-increment sup is +inf; the period slope
         # -1 + 0.5 leaves the partial sums to the scan
@@ -262,6 +281,12 @@ class TestSupLogMgf:
         # a float; the closed form returns its maximum over real n
         s = sup_log_mgf(RiskModel(IndexedNormal(-2.2250738585072014e-308, 0.0)), 8.0)
         assert (s.value, s.argmax, s.status, s.certified) == (INF, None, "limit", True)
+
+    def test_indexed_normal_vertex_below_the_float_range(self):
+        # slope -2.2e-313 and falling sums: -B / (2 A) overflows to -inf, and
+        # the partial sums peak at n = 1
+        s = sup_log_mgf(RiskModel(IndexedNormal(-2.2250738585e-313, -1.0)), 1.0)
+        assert (s.value, s.argmax, s.status, s.certified) == (-0.5, 1, "attained", True)
 
     def test_exact_block_rounded_above_zero_stays_bounded(self):
         # every G_k is 0, but the term logaddexp(log 0.25, log 0.75) rounds to

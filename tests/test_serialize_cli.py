@@ -429,6 +429,20 @@ class TestCliAdjustment:
         assert "kappa" not in flavors
         assert "period_root" in flavors
 
+    def test_a_sum_that_is_not_a_number_is_no_traceback(self, tmp_path, capsys):
+        # at large h the prefix terms are -inf and +inf, and their sum is not a
+        # number: those probes are undetermined, and the command still exits
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps({
+            "increments": {"kind": "prefix_tail",
+                           "prefix": [{"family": "degenerate", "value": -1e300},
+                                      {"family": "normal", "mean": 1e300, "variance": 3.0}],
+                           "tail": {"kind": "periodic", "cycle": [{"family": "degenerate", "value": 0.0}]}},
+            "rates": {"kind": "periodic", "values": [0.01, 0.0]},
+        }), encoding="utf-8")
+        rc, out, err = run_cli(["adjustment", "--model", str(p)], capsys)
+        assert rc in (0, 2) and "Traceback" not in err
+
 
 class TestCliCompare:
     def test_winner_is_the_row_minimum(self, capsys):

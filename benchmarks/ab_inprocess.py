@@ -30,7 +30,10 @@ times single warm probes instead (PROBES): each case calls sup_log_mgf or
 per_increment_sup on one model at a fixed list of h, the model built by each
 side from its own package and probed once before timing. A case with a chord
 store runs a full scan at a larger h into a fresh store before each timed
-probe, and times only the probe below it; in the cases at the cap, that h is
+probe, and times only the probe below it. The store is a fresh search record
+(models.Search, probed through Search.sup) on a side whose package has one,
+else a dict passed as the keyword chords= of the sup function, as the package
+before the record took it; in the cases at the cap, that h is
 the model's MGF-domain cap (adjustment._domain_cap), where a term is +inf,
 and the probes are at the given fractions of it. The rounds alternate between the
 sides per case, and every result must be bitwise the other side's (value,
@@ -172,19 +175,29 @@ def _probe_case(side: Side, case: tuple):
         h_store = side.modules["ruinbounds.adjustment"]._domain_cap(model)
         hs = [f * h_store for f in hs]
     policy = models.TruncationPolicy(k_max) if k_max else None
-    fn = getattr(models, fn_name)
+    fn, partial = getattr(models, fn_name), fn_name == "sup_log_mgf"
+
+    def prepared(h):
+        """The timed probe at h, after the full scan that fills its store."""
+        if h_store is None:
+            return lambda: fn(model, h, policy)
+        if hasattr(models, "Search"):
+            search = models.Search(model, policy)
+            search.sup(h_store, partial)
+            return lambda: search.sup(h, partial)
+        store = {}
+        fn(model, h_store, policy, chords=store)
+        return lambda: fn(model, h, policy, chords=store)
+
     out = []
 
     def run() -> float:
         total = 0.0
         out.clear()
         for h in hs:
-            store = None
-            if h_store is not None:
-                store = {}
-                fn(model, h_store, policy, chords=store)
+            probe = prepared(h)
             t0 = time.perf_counter()
-            s = fn(model, h, policy, chords=store)
+            s = probe()
             total += time.perf_counter() - t0
             out.append((s.value.hex(), s.argmax, s.status, s.certified, s.note))
         return total

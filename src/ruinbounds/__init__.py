@@ -55,6 +55,7 @@ from .models import (
     PrefixThenTail,
     QuasiPeriodicScaled,
     RiskModel,
+    Search,
     SupLogMgf,
     TruncationPolicy,
     cumulative_log_mgf,

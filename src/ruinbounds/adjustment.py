@@ -28,13 +28,12 @@ from .models import (
     Periodic,
     QuasiPeriodicScaled,
     RiskModel,
+    Search,
     TruncationPolicy,
     _layout,
     _per_model,
     _walk,
     cumulative_log_mgf,
-    per_increment_sup,
-    sup_log_mgf,
 )
 
 __all__ = [
@@ -202,21 +201,21 @@ def _domain_cap(model: RiskModel, span: int | None = None) -> float:
 # solvers
 
 
-def _solve_sup_root(model, tol, policy, flavor: str, sup, never_blows, never_note: str) -> AdjustmentResult:
-    """sup{h >= 0 : sup(model, h, policy).value <= 0}; never_blows(model)
-    decides the h = +inf case that no finite scan can settle. The probes share
-    one store of chord references (models.sup_log_mgf), dropped on return."""
+def _solve_sup_root(model, tol, policy, partial: bool, never_blows, never_note: str) -> AdjustmentResult:
+    """sup{h >= 0 : sup_log_mgf (partial) or per_increment_sup <= 0}; never_blows(model)
+    decides the h = +inf case that no finite scan can settle. The probes share one search
+    record (models.Search), dropped on return."""
     _check_tol(tol)
-    policy = policy or TruncationPolicy()
+    flavor = "partial_sum" if partial else "per_increment"
     if never_blows(model):
         return AdjustmentResult(INF, flavor, None, True, False, never_note)
-    if _never_bounded(model, flavor == "partial_sum"):
+    if _never_bounded(model, partial):
         return AdjustmentResult(0.0, flavor, (0.0, 0.0), True, False, "criterion is +inf at every h > 0")
     uncertain = [False]
-    chords: dict = {}
+    search = Search(model, policy)
 
     def feasible(h: float) -> bool:
-        return _feasibility_from_sup(sup(model, h, policy, chords=chords), uncertain)
+        return _feasibility_from_sup(search.sup(h, partial), uncertain)
 
     value, bracket, boundary, exhausted = _grow_and_bisect(feasible, _domain_cap(model), tol)
     note = ""
@@ -231,14 +230,12 @@ def _solve_sup_root(model, tol, policy, flavor: str, sup, never_blows, never_not
 
 def solve_per_increment(model: RiskModel, tol: float = 1e-10, policy: TruncationPolicy | None = None) -> AdjustmentResult:
     """sup{h >= 0 : sup_j E exp(h v_{j-1} Y*_j) <= 1}, the one-step coefficient."""
-    return _solve_sup_root(model, tol, policy, "per_increment", per_increment_sup, _per_increment_never_blows,
-                           "every increment is nonpositive a.s.")
+    return _solve_sup_root(model, tol, policy, False, _per_increment_never_blows, "every increment is nonpositive a.s.")
 
 
 def solve_partial_sum(model: RiskModel, tol: float = 1e-10, policy: TruncationPolicy | None = None) -> AdjustmentResult:
     """sup{h >= 0 : sup_k E exp(h S*_k) <= 1}, the partial-sum coefficient."""
-    return _solve_sup_root(model, tol, policy, "partial_sum", sup_log_mgf, _partial_sums_never_blow,
-                           "every partial sum is nonpositive a.s.")
+    return _solve_sup_root(model, tol, policy, True, _partial_sums_never_blow, "every partial sum is nonpositive a.s.")
 
 
 def _check_period_args(model: RiskModel, l: int) -> None:

@@ -6,9 +6,10 @@ representation. Results clamp at 1 since psi is a probability.
 
 The sups, roots and certificates behind a bound do not depend on u. The bounds
 that find them (bound_optimize, bound_per_increment, bound_periodic) take a
-memo, a dict that the calls for one model over a u-grid share: each such value
-is then found once per grid. A memo serves one model; without one, every call
-starts afresh.
+search record (models.Search) that the calls for one model over a u-grid
+share: each such value is then found once per grid, and the optimizer's probes
+share their chord references. A record serves one model and one policy, and a
+call refuses a record of another; without one, every call starts afresh.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .models import (
     PeriodHypothesisError,
     Periodic,
     RiskModel,
-    SupLogMgf,
+    Search,
     TruncationPolicy,
     cumulative_log_mgf,
     iid_base,
@@ -106,13 +107,13 @@ def _require_h(h: float) -> None:
         raise ValueError(f"h must be a nonnegative real, got {h!r}")
 
 
-def _once(memo: dict | None, key, compute):
-    """compute(), kept in memo under key when a memo is given."""
-    if memo is None:
-        return compute()
-    if key not in memo:
-        memo[key] = compute()
-    return memo[key]
+def _checked(search: Search | None, model: RiskModel, policy: TruncationPolicy | None = None) -> Search:
+    """search, or a fresh record; one of another model or policy holds values that are not this call's."""
+    if search is None:
+        return Search(model, policy)
+    if search.model is not model or (policy is not None and search.policy != policy):
+        raise ValueError("the search record belongs to another model or policy")
+    return search
 
 
 def _logsumexp(values) -> float:
@@ -192,39 +193,30 @@ def _no_exponent(u: float) -> BoundResult:
 
 
 def bound_optimize(model: RiskModel, u: float, policy: TruncationPolicy | None = None, *,
-                   memo: dict | None = None) -> BoundResult:
+                   search: Search | None = None) -> BoundResult:
     """min over h >= 0 of exp(-h u) * sup_k E exp(h S*_k).
 
     The objective -hu + sup_k G_k(h) is a supremum of convex functions, hence
     convex; exponential bracketing followed by golden-section search finds the
     minimizer. The optimal h may sit far above any adjustment coefficient and
-    grows with u for models whose G_k flatten out. Every probed sup is kept,
-    in memo when given, so that no h is evaluated twice, and so is the store
-    of chord references that lets a finite-horizon scan settle a probe from
-    one at a larger h.
+    grows with u for models whose G_k flatten out. Every probed sup is kept
+    in the search record, so that no h is evaluated twice.
     """
     _require_u(u)
-    policy = policy or TruncationPolicy()
+    search = _checked(search, model, policy or TruncationPolicy())
     if _partial_sums_never_blow(model):
         return BoundResult(u, -INF, INF, "optimized", Certificate(0.0, INF), True,
                            "paths never rise above zero a.s.")
     if _never_bounded(model, True):
         return _no_exponent(u)
 
-    cache: dict[float, float] = {}
-    sups: dict[float, SupLogMgf] = _once(memo, ("sup_log_mgf", policy), dict)
-    chords: dict = _once(memo, ("chords", policy), dict)  # shared by the probes (models.sup_log_mgf)
+    cache: dict[float, float] = {}  # this call's probes: h_star is the best of them
 
     def f(h: float) -> float:
-        if h in cache:
-            return cache[h]
-        if h == 0.0:
-            val = 0.0
-        else:
-            s = _once(sups, h, lambda: sup_log_mgf(model, h, policy, chords=chords))
-            val = INF if s.value == INF else -h * u + s.value
-        cache[h] = val
-        return val
+        if h not in cache:
+            value = search.sup(h).value if h else 0.0
+            cache[h] = INF if value == INF else -h * u + value
+        return cache[h]
 
     cap = _domain_cap(model)
     h = 1.0 if cap == INF else 0.5 * cap
@@ -260,7 +252,7 @@ def bound_optimize(model: RiskModel, u: float, policy: TruncationPolicy | None =
 
     if h_star == 0.0:
         return _no_exponent(u)
-    s = sups[h_star]
+    s = search.sup(h_star)
     log_bound = min(0.0, -h_star * u + s.value)
     if s.status == "undetermined":
         return BoundResult(u, log_bound, h_star, "optimized", None, False,
@@ -270,13 +262,15 @@ def bound_optimize(model: RiskModel, u: float, policy: TruncationPolicy | None =
 
 
 def bound_per_increment(model: RiskModel, u: float, tol: float = 1e-10, policy: TruncationPolicy | None = None, *,
-                        memo: dict | None = None) -> BoundResult:
+                        search: Search | None = None) -> BoundResult:
     """One-step coefficient bound: below the per-increment root every factor of
     E exp(h S*_k) is at most 1, so the first factor alone bounds the sup. The
-    root is kept in memo when given."""
+    root is kept in the search record."""
     _require_u(u)
-    policy = policy or TruncationPolicy()
-    r = _once(memo, ("per_increment", tol, policy), lambda: solve_per_increment(model, tol, policy))
+    search = _checked(search, model, policy or TruncationPolicy())
+    if tol not in search.roots:
+        search.roots[tol] = solve_per_increment(model, tol, search.policy)
+    r = search.roots[tol]
     L = r.value
     if L == INF:
         return BoundResult(u, -INF, INF, "per_increment", Certificate(0.0, INF), r.certified, r.note)
@@ -302,7 +296,7 @@ def bound_periodic(
     at_h: float | None = None,
     tol: float = 1e-10,
     *,
-    memo: dict | None = None,
+    search: Search | None = None,
 ) -> BoundResult:
     """Constant-times-exponential certificates from one period's structure.
 
@@ -316,15 +310,17 @@ def bound_periodic(
 
     With a concrete u the bound also minimizes exp(-h u) * max_k E exp(h S*_k)
     over h in [0, exponent], which can only improve on the certificate. The
-    certificate does not depend on u, and is kept in memo when given.
+    search record keeps the certificate, which does not depend on u, and the window maxima.
     """
     if variant not in _VARIANTS:
         raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
     if u is not None:
         _require_u(u)
-    cert, ks, certified, note = _once(
-        memo, ("periodic", l, variant, start_index, exponent, at_h, tol),
-        lambda: _periodic_certificate(model, l, variant, start_index, exponent, at_h, tol))
+    search = _checked(search, model)
+    key = (l, variant, start_index, exponent, at_h, tol)
+    if key not in search.certificates:
+        search.certificates[key] = _periodic_certificate(search, *key)
+    cert, ks, certified, note = search.certificates[key]
     if ks is None:  # the root is +inf
         lb = -INF if u is not None else 0.0
         return BoundResult(u, lb, INF, variant, cert, certified, note or "one period is nonpositive a.s.")
@@ -332,16 +328,16 @@ def bound_periodic(
         return BoundResult(None, min(0.0, cert.log_c), cert.exponent, variant, cert, certified,
                            (note + "; " if note else "") + "certificate-only")
 
-    windows: dict[float, float] = _once(memo, ("window", ks), dict)  # the searches of one u-grid share most of their h
-    h_star, f_min = _golden(lambda h: -h * u + _once(windows, h, lambda: _window_max(model, ks, h)), 0.0, cert.exponent)
+    h_star, f_min = _golden(lambda h: -h * u + _window(search, ks, h), 0.0, cert.exponent)
     log_bound = min(0.0, min(f_min, cert.log_bound_at(u)))
     return BoundResult(u, log_bound, h_star, variant, cert, certified, note)
 
 
-def _periodic_certificate(model: RiskModel, l: int, variant: str, start_index: int, exponent: float | None,
+def _periodic_certificate(search: Search, l: int, variant: str, start_index: int, exponent: float | None,
                           at_h: float | None, tol: float) -> tuple[Certificate, range | None, bool, str]:
-    """(certificate, window of k, certified, note) of bound_periodic; the
-    window is None when the period root is +inf."""
+    """(certificate, window of k, certified, note) of bound_periodic on the
+    record's model; the window is None when the period root is +inf."""
+    model = search.model
     if variant == "shift_window":
         if exponent is None:
             raise ValueError("shift_window needs an exponent to verify")
@@ -375,7 +371,14 @@ def _periodic_certificate(model: RiskModel, l: int, variant: str, start_index: i
         if L == INF:
             return Certificate(0.0, INF), None, certified, note
         ks = range(1, l + 1) if variant == "periodic" else range(0, l)
-    return Certificate(_window_max(model, ks, L), L), ks, certified, note
+    return Certificate(_window(search, ks, L), L), ks, certified, note
+
+
+def _window(search: Search, ks: range, h: float) -> float:
+    """_window_max of the record's model, found once per record and h."""
+    if (ks, h) not in search.windows:
+        search.windows[ks, h] = _window_max(search.model, ks, h)
+    return search.windows[ks, h]
 
 
 def _window_max(model: RiskModel, ks: range, h: float) -> float:

@@ -37,6 +37,7 @@ from .models import (
     Periodic,
     QuasiPeriodicScaled,
     RiskModel,
+    Search,
     TruncationPolicy,
     iid_base,
     reduce_event_model,
@@ -193,23 +194,23 @@ def cmd_adjustment(args) -> int:
 
 
 # each bound method: the flags of _BOUND_FLAGS it reads, the one of them it
-# needs (None if it needs none), and its call on (model, u, args, policy, memo).
+# needs (None if it needs none), and its call on (search, u, args), search
+# being the request's record (models.Search) of its model and policy.
 # The calls look the bound functions up by their names in this module.
 _BOUND_FLAGS = ("h", "l", "m", "lstar")
 _BOUND_METHODS = {
-    "optimized": ((), None, lambda model, u, a, policy, memo: bound_optimize(model, u, policy, memo=memo)),
-    "fixed_h": (("h",), "h", lambda model, u, a, policy, memo: bound_at_h(model, u, a.h, policy)),
-    "per_increment": ((), None, lambda model, u, a, policy, memo: bound_per_increment(
-        model, u, a.tol, policy, memo=memo)),
-    "periodic": (("l", "h"), None, lambda model, u, a, policy, memo: bound_periodic(
-        model, _infer_l(model, a), "periodic", u=u, at_h=a.h, tol=a.tol, memo=memo)),
-    "scaled_periodic": (("l", "h"), None, lambda model, u, a, policy, memo: bound_periodic(
-        model, _infer_l(model, a), "scaled_periodic", u=u, at_h=a.h, tol=a.tol, memo=memo)),
-    "shift_window": (("l", "m", "lstar"), "lstar", lambda model, u, a, policy, memo: bound_periodic(
-        model, _infer_l(model, a), "shift_window", u=u, start_index=1 if a.m is None else a.m,
-        exponent=a.lstar, tol=a.tol, memo=memo)),
-    "kappa": ((), None, lambda model, u, a, policy, memo: bound_kappa(model, u, a.tol)),
-    "union": (("h",), "h", lambda model, u, a, policy, memo: bound_union(model, u, a.h, policy)),
+    "optimized": ((), None, lambda s, u, a: bound_optimize(s.model, u, s.policy, search=s)),
+    "fixed_h": (("h",), "h", lambda s, u, a: bound_at_h(s.model, u, a.h, s.policy)),
+    "per_increment": ((), None, lambda s, u, a: bound_per_increment(s.model, u, a.tol, s.policy, search=s)),
+    "periodic": (("l", "h"), None, lambda s, u, a: bound_periodic(
+        s.model, _infer_l(s.model, a), "periodic", u=u, at_h=a.h, tol=a.tol, search=s)),
+    "scaled_periodic": (("l", "h"), None, lambda s, u, a: bound_periodic(
+        s.model, _infer_l(s.model, a), "scaled_periodic", u=u, at_h=a.h, tol=a.tol, search=s)),
+    "shift_window": (("l", "m", "lstar"), "lstar", lambda s, u, a: bound_periodic(
+        s.model, _infer_l(s.model, a), "shift_window", u=u, start_index=1 if a.m is None else a.m,
+        exponent=a.lstar, tol=a.tol, search=s)),
+    "kappa": ((), None, lambda s, u, a: bound_kappa(s.model, u, a.tol)),
+    "union": (("h",), "h", lambda s, u, a: bound_union(s.model, u, a.h, s.policy)),
 }
 
 
@@ -225,12 +226,11 @@ def _check_bound_flags(args, option: str, method: str) -> None:
         raise ConfigError(f"{option} {method} does not read {', '.join(unread)}", path=None)
 
 
-def _bound_grid(model, us, args, policy, method: str) -> list:
-    """The method's bound at every u of the grid. The u share one memo, so the
-    sups, roots and certificates that do not depend on u are found once."""
+def _bound_grid(search: Search, us, args, method: str) -> list:
+    """The method's bound at every u of the grid. The u share the request's record,
+    so the sups, roots and certificates that do not depend on u are found once."""
     call = _BOUND_METHODS[method][2]
-    memo: dict = {}
-    return [call(model, u, args, policy, memo) for u in us]
+    return [call(search, u, args) for u in us]
 
 
 def _bound_row(b) -> dict:
@@ -247,9 +247,8 @@ def _bound_row(b) -> dict:
 def cmd_bound(args) -> int:
     model = _load(args)
     us = _check_u_grid(_parse_u_spec(args.u))
-    policy = _policy(args, us)
     _check_bound_flags(args, "--method", args.method)
-    bounds = _bound_grid(model, us, args, policy, args.method)
+    bounds = _bound_grid(Search(model, _policy(args, us)), us, args, args.method)
     _emit([_bound_row(b) for b in bounds], ["u", "method", "h_star", "log10_bound", "C", "L", "certified"], args)
     uncertified = [b for b in bounds if not b.certified]
     if uncertified:
@@ -270,7 +269,7 @@ def cmd_simulate(args) -> int:
     sims = simulate_ruin_grid(model, us, cfg)
     bounds = None
     if args.bound_method != "none":
-        bounds = _bound_grid(model, us, args, _policy(args, us), args.bound_method)
+        bounds = _bound_grid(Search(model, _policy(args, us)), us, args, args.bound_method)
     rows = []
     violated = False
     for i, s in enumerate(sims):
@@ -305,8 +304,9 @@ def cmd_compare(args) -> int:
     policy = _policy(args, us)
     cfg = SimConfig(n_paths=args.paths, horizon=args.horizon, seed=args.seed, stop_gap=args.stop_gap)
     sims = simulate_ruin_grid(model, us, cfg)
-    opts = _bound_grid(model, us, args, policy, "optimized")
-    pers = _bound_grid(model, us, args, policy, "per_increment")
+    search = Search(model, policy)
+    opts = _bound_grid(search, us, args, "optimized")
+    pers = _bound_grid(search, us, args, "per_increment")
     rows = []
     for u, sim, opt, per in zip(us, sims, opts, pers):
         uni = bound_union(model, u, opt.h_star if opt.h_star not in (0.0, INF) else 1.0, policy)

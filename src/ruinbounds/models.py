@@ -31,10 +31,9 @@ ranges up to a truncation cap; the scan stops early where the family proves
 that every later term is negative. What a probe reads apart from h (its route,
 _route, and each range's probe plan) is built once and kept on the model
 (RiskModel._memo, with the solvers' support facts).
-The probes of one solve or optimization may share a store of chord
-references, which lets a finite-horizon scan below an earlier one, the scan
-at the MGF-domain cap included, read only a few epochs (_sup_scan); it lives
-with the caller, not on the model.
+What depends on h lives with the caller, in one record per search (Search):
+the sups probed, and the chord references that let a finite-horizon scan
+below an earlier one, at the MGF-domain cap too, read a few epochs (_sup_scan).
 
 Every longer walk reads one epoch layout, _layout(model, K): each epoch's slot
 in the record's law list and its log multiplier log(scale_j v_{j-1}). Only a
@@ -86,6 +85,7 @@ __all__ = [
     "EventModel",
     "TruncationPolicy",
     "SupLogMgf",
+    "Search",
     "cumulative_log_mgf",
     "sup_log_mgf",
     "per_increment_sup",
@@ -447,11 +447,6 @@ class RiskModel:
         if prev is None:
             prev = functools.reduce(operator.add, steps(1, start - 1), 0.0)
         return np.cumsum([prev, *steps(start, K)])[1:]
-
-    def discount_factor(self, k: int) -> float:
-        if k < 0:
-            raise ValueError("discount index must be >= 0")
-        return float(math.exp(self.log_discounts(k)[k]))
 
 
 class _Memo(dict):
@@ -1028,7 +1023,7 @@ _SCAN_FIRST = 64
 _SCAN_CHUNK = 1 << 16
 
 
-def _sup_scan(model: RiskModel, h: float, policy: TruncationPolicy, partial: bool, chords: dict | None = None) -> SupLogMgf:
+def _sup_scan(model: RiskModel, h: float, policy: TruncationPolicy, partial: bool, search: Search | None = None) -> SupLogMgf:
     """The sup over epochs 1..cap of the running value, scanned in ranges.
 
     The verdict is the full scan's: attained when the family's proof
@@ -1044,10 +1039,10 @@ def _sup_scan(model: RiskModel, h: float, policy: TruncationPolicy, partial: boo
     and its first maximum, which also settles the cut at +inf and the stop at a NaN
     (argmax finds the first NaN, else the first +inf; a running +inf stays +inf or NaN).
 
-    Given a store of chord references (chords), a finite horizon of one range
-    of more than _SCAN_FIRST epochs keeps a reference of each full scan whose
-    terms are finite or +inf (_keep_scan), "unbounded" ones included, and a
-    later probe below one reads only a few epochs (_chord_probe).
+    Given a search record, a finite horizon of one range of more than
+    _SCAN_FIRST epochs keeps in it a reference of each full scan whose terms
+    are finite or +inf (_keep_scan), "unbounded" ones included, and a later
+    probe below one reads only a few epochs (_chord_probe).
     """
     horizon, held, proof = model._horizon, None, None  # proof: an epoch past which every term is negative
     cap = horizon if horizon is not None else policy.k_max
@@ -1058,8 +1053,10 @@ def _sup_scan(model: RiskModel, h: float, policy: TruncationPolicy, partial: boo
                 n *= 4
             if n < cap or _scan_certifies_decrease(model, h, cap):
                 proof = min(n, cap)
-        if chords is not None and horizon is not None and _SCAN_FIRST < cap <= _SCAN_CHUNK:
-            held, consts = _held(chords, model, partial, cap)
+        if search is not None and horizon is not None and _SCAN_FIRST < cap <= _SCAN_CHUNK:
+            if partial not in search.chords:
+                search.chords[partial] = ([], _chord_scale(model, cap))
+            held, consts = search.chords[partial]
             s = _chord_probe(model, h, partial, held, consts)
             if s is not None:
                 return s
@@ -1112,7 +1109,7 @@ def _stopped(values: np.ndarray, start: int, best: float, arg: int | None) -> Su
 # Chord certificates. Every term g_j is convex in h with g_j(0) = 0, so for
 # h <= h0 it obeys the chord inequality g_j(h) <= (h/h0) g_j(h0), and so does
 # every sum of terms. A full finite-horizon scan at h0 whose terms are finite
-# or +inf is kept as a reference in the caller's store (chords), the scan at
+# or +inf is kept as a reference in the search record (Search), the scan at
 # the MGF-domain cap included; a later probe at h <= h0 takes the reference of
 # least h0 >= h, with lam = h/h0, and reads only the epochs the chord leaves
 # open. The epochs whose terms were +inf at h0 (J, at most _DIVERGENT_MAX of
@@ -1166,16 +1163,6 @@ _LOG_RANGE = 746.0
 _EPS = 2.0**-53
 # a scan with more terms of +inf than this is not kept as a reference
 _DIVERGENT_MAX = 64
-
-
-def _held(chords: dict, model: RiskModel, partial: bool, cap: int) -> tuple[list, tuple]:
-    """The references (h0, reference) of model, flavour and cap in the store, in
-    increasing h0, and its _chord_scale; the entry holds the model, so its id stays its own."""
-    key = (id(model), partial, cap)
-    entry = chords.get(key)
-    if entry is None or entry[0] is not model:
-        entry = chords[key] = (model, [], _chord_scale(model, cap))
-    return entry[1], entry[2]
 
 
 @_per_model
@@ -1303,7 +1290,7 @@ def _route(model: RiskModel, partial: bool):
     return None
 
 
-def _sup(model: RiskModel, h: float, policy: TruncationPolicy | None, partial: bool, chords: dict | None = None) -> SupLogMgf:
+def _sup(model: RiskModel, h: float, policy: TruncationPolicy | None, partial: bool, search: Search | None = None) -> SupLogMgf:
     """The supremum over epochs of the running value: partial sums of the
     terms (partial=True) or the terms themselves, by the model's route."""
     if not h >= 0.0:
@@ -1311,28 +1298,39 @@ def _sup(model: RiskModel, h: float, policy: TruncationPolicy | None, partial: b
     if h == 0.0:
         return SupLogMgf(0.0, 1, "attained", True)
     route = _route(model, partial)
-    return route(h, partial) if route else _sup_scan(model, h, policy or _DEFAULT_POLICY, partial, chords)
+    return route(h, partial) if route else _sup_scan(model, h, policy or _DEFAULT_POLICY, partial, search)
 
 
-def sup_log_mgf(model: RiskModel, h: float, policy: TruncationPolicy | None = None, *,
-                chords: dict | None = None) -> SupLogMgf:
-    """sup_{k>=1} G_k(h), reduced exactly where the sequence structure allows.
-
-    chords, a dict that the probes of one solve or one optimization share,
-    lets a finite-horizon scan settle a probe from an earlier full scan at a
-    larger h whose terms were finite or +inf, the scan at the MGF-domain cap
-    included; the probe reads the first 64 epochs and the epochs that were
-    +inf, or, per increment, the epochs the chord leaves open (_sup_scan and
-    the chord notes above _held). The result is the same without it. It
-    holds values that depend on h, so it must not outlive the caller's search.
-    """
-    return _sup(model, h, policy, True, chords)
+def sup_log_mgf(model: RiskModel, h: float, policy: TruncationPolicy | None = None) -> SupLogMgf:
+    """sup_{k>=1} G_k(h), reduced exactly where the sequence structure allows."""
+    return _sup(model, h, policy, True)
 
 
-def per_increment_sup(model: RiskModel, h: float, policy: TruncationPolicy | None = None, *,
-                      chords: dict | None = None) -> SupLogMgf:
+def per_increment_sup(model: RiskModel, h: float, policy: TruncationPolicy | None = None) -> SupLogMgf:
     """sup_{j>=1} log E exp(h v_{j-1} Y*_j), the one-step analogue of sup_log_mgf."""
-    return _sup(model, h, policy, False, chords)
+    return _sup(model, h, policy, False)
+
+
+class Search:
+    """What the probes of one model's searches over h share, under one policy:
+    the sups, each found once by sup(), the entry for shared probes; chord
+    references by flavour (_sup_scan); and the bounds' values apart from u
+    (bounds.py). It holds values that depend on h, so it lives as long as its
+    searches: the rows of one u-grid, or the probes of one solve."""
+
+    def __init__(self, model: RiskModel, policy: TruncationPolicy | None = None) -> None:
+        self.model, self.policy = model, policy or _DEFAULT_POLICY
+        self.sups = ({}, {})  # by h, per increment and of the partial sums: sups[partial]
+        self.chords = {}  # by partial: the references (h0, reference) in increasing h0, and _chord_scale
+        self.roots, self.certificates, self.windows = {}, {}, {}  # bounds': by tol, arguments, (ks, h)
+
+    def sup(self, h: float, partial: bool = True) -> SupLogMgf:
+        """sup_log_mgf (partial) or per_increment_sup of the record's model at h, found once."""
+        sups = self.sups[partial]
+        s = sups.get(h)
+        if s is None:
+            s = sups[h] = _sup(self.model, h, self.policy, partial, self)
+        return s
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from ruinbounds import (
     solve_period_root,
     verify_window_exponent,
 )
-from ruinbounds import adjustment as adjustment_module, bounds as bounds_module
+from ruinbounds import models as models_module
 from ruinbounds.bounds import Certificate
 
 
@@ -159,13 +159,15 @@ class TestNeverBounded:
     criteria +inf at every h > 0: the solvers return a certified 0 and the
     optimizer the trivial bound, without probing an h."""
 
-    def test_decided_without_a_probe(self, monkeypatch):
+    @staticmethod
+    def _refuse_probes(monkeypatch):
         def probe(*args):
             raise AssertionError("probed an h")
 
-        for module in (adjustment_module, bounds_module):
-            monkeypatch.setattr(module, "sup_log_mgf", probe)
-        monkeypatch.setattr(adjustment_module, "per_increment_sup", probe)
+        monkeypatch.setattr(models_module, "_sup", probe)  # every sup, shared by a search record or not
+
+    def test_decided_without_a_probe(self, monkeypatch):
+        self._refuse_probes(monkeypatch)
         m = RiskModel(QuasiPeriodicScaled((Normal(-1.0, 1.0),), 1.0005))
         for solve in (solve_partial_sum, solve_per_increment):
             r = solve(m, policy=TruncationPolicy(k_max=2000))
@@ -174,18 +176,13 @@ class TestNeverBounded:
         assert (b.log_bound, b.h_star, b.certificate, b.certified) == (0.0, 0.0, Certificate(0.0, 0.0), True)
 
     def test_mixed_sign_blocks_decided_without_a_probe(self, monkeypatch):
-        def probe(*args, **kwargs):
-            raise AssertionError("probed an h")
-
+        self._refuse_probes(monkeypatch)
         # a period law of esssup 0.5 > 0: the per-increment criterion is +inf
         m = RiskModel(QuasiPeriodicScaled((Uniform(-2.0, -1.0), TwoPoint(0.5, 0.1, -3.0)), 2.0))
-        monkeypatch.setattr(adjustment_module, "per_increment_sup", probe)
         r = solve_per_increment(m)
         assert (r.value, r.bracket, r.certified, r.boundary) == (0.0, (0.0, 0.0), True, False)
         # and a positive period slope, 2 - 0.5: the partial-sum criterion too
         m = RiskModel(QuasiPeriodicScaled((Uniform(-1.0, 2.0), Degenerate(-0.5)), 2.0))
-        for module in (adjustment_module, bounds_module):
-            monkeypatch.setattr(module, "sup_log_mgf", probe)
         for solve in (solve_partial_sum, solve_per_increment):
             r = solve(m)
             assert (r.value, r.bracket, r.certified, r.boundary) == (0.0, (0.0, 0.0), True, False)

@@ -18,6 +18,7 @@ from ruinbounds import (
     PrefixThenTail,
     QuasiPeriodicScaled,
     RiskModel,
+    Search,
     ShiftedExponential,
     TruncationPolicy,
     Uniform,
@@ -29,7 +30,7 @@ from ruinbounds import (
     bound_union,
     cumulative_log_mgf,
 )
-from ruinbounds import bounds
+from ruinbounds import bounds, models
 
 
 def alternating_normals():
@@ -50,6 +51,20 @@ def two_point_decay():
 
 def classical():
     return RiskModel(Periodic((CompoundIncrement(ShiftedExponential(1.0), 1.0, ShiftedExponential(0.5)),)))
+
+
+def record_probes(monkeypatch) -> list:
+    """The (h, partial) of every sup evaluated from here on, whichever call or
+    record asks for it (models._sup)."""
+    probes = []
+    sup = models._sup
+
+    def recording(model, h, policy, partial, search=None):
+        probes.append((h, partial))
+        return sup(model, h, policy, partial, search)
+
+    monkeypatch.setattr(models, "_sup", recording)
+    return probes
 
 
 class TestCertificate:
@@ -154,14 +169,7 @@ class TestOptimize:
                                        two_point_decay, classical])
     def test_no_exponent_is_probed_twice(self, model, monkeypatch):
         # the result reuses the sup of the probe at h_star
-        probes = []
-        sup = bounds.sup_log_mgf
-
-        def recording_sup(m, h, policy=None, **kwargs):
-            probes.append(h)
-            return sup(m, h, policy, **kwargs)
-
-        monkeypatch.setattr(bounds, "sup_log_mgf", recording_sup)
+        probes = record_probes(monkeypatch)
         for u in (1.0, 2.5, 5.0, 10.0, 20.0, 40.0):
             probes.clear()
             r = bound_optimize(model(), u)
@@ -186,8 +194,9 @@ class TestOptimize:
 
 
 class TestGridMemo:
-    """One memo over a u-grid: the sups and roots that do not depend on u are
-    found once per grid, and nothing is kept between calls without it."""
+    """One search record over a u-grid: the sups and roots that do not depend
+    on u are found once per grid, and nothing is kept between calls without
+    it. A record serves one model and one policy."""
 
     GRID = (1.0, 2.5, 5.0, 10.0, 20.0)
 
@@ -207,20 +216,20 @@ class TestGridMemo:
                                        lambda: RiskModel(IndexedNormal(-0.5, 0.25), rates=0.01)],
                              ids=["alternating_normals", "linear_drift", "indexed_normal_1pct"])
     def test_grid_probes_fewer_sups(self, model, monkeypatch):
-        probes = self._record(monkeypatch, "sup_log_mgf")
+        probes = record_probes(monkeypatch)
         m = model()
         alone = [bound_optimize(m, u) for u in self.GRID]
         per_u = len(probes)
         probes.clear()
-        memo = {}
-        shared = [bound_optimize(m, u, memo=memo) for u in self.GRID]
+        search = Search(m)
+        shared = [bound_optimize(m, u, search=search) for u in self.GRID]
         assert shared == alone
         assert len(probes) == len(set(probes)) < per_u
 
     @pytest.mark.parametrize("solver, call", [
-        ("solve_per_increment", lambda m, u, memo: bound_per_increment(m, u, memo=memo)),
-        ("solve_period_root", lambda m, u, memo: bound_periodic(m, 2, "periodic", u=u, memo=memo)),
-        ("solve_period_root", lambda m, u, memo: bound_periodic(m, 2, "scaled_periodic", u=u, memo=memo)),
+        ("solve_per_increment", lambda m, u, search: bound_per_increment(m, u, search=search)),
+        ("solve_period_root", lambda m, u, search: bound_periodic(m, 2, "periodic", u=u, search=search)),
+        ("solve_period_root", lambda m, u, search: bound_periodic(m, 2, "scaled_periodic", u=u, search=search)),
     ], ids=["per_increment", "periodic", "scaled_periodic"])
     def test_grid_solves_the_root_once(self, solver, call, monkeypatch):
         solves = self._record(monkeypatch, solver)
@@ -228,27 +237,26 @@ class TestGridMemo:
         alone = [call(m, u, None) for u in self.GRID]
         assert len(solves) == len(self.GRID)
         solves.clear()
-        memo = {}
-        assert [call(m, u, memo) for u in self.GRID] == alone
+        search = Search(m)
+        assert [call(m, u, search) for u in self.GRID] == alone
         assert len(solves) == 1
 
     def test_grid_shares_the_window_maxima(self, monkeypatch):
-        # one memo for both variants, whose windows differ (k = 1..l against
+        # one record for both variants, whose windows differ (k = 1..l against
         # k = 0..l-1): each finds the maximum of G_k over its window once per
-        # h, apart from the root, where both its certificate and its searches
-        # read it
+        # h, the root's included, where its certificate and its searches read it
         windows = self._record(monkeypatch, "_window_max")
         m = alternating_normals()
-        calls = [lambda u, memo: bound_periodic(m, 2, "periodic", u=u, memo=memo),
-                 lambda u, memo: bound_periodic(m, 2, "scaled_periodic", u=u, memo=memo)]
+        calls = [lambda u, search: bound_periodic(m, 2, "periodic", u=u, search=search),
+                 lambda u, search: bound_periodic(m, 2, "scaled_periodic", u=u, search=search)]
         alone = [call(u, None) for call in calls for u in self.GRID]
         windows.clear()
-        memo = {}
-        assert [call(u, memo) for call in calls for u in self.GRID] == alone
-        assert len(windows) == len(set(windows)) + len(calls)
+        search = Search(m)
+        assert [call(u, search) for call in calls for u in self.GRID] == alone
+        assert len(windows) == len(set(windows))
 
     def test_no_cache_between_calls(self, monkeypatch):
-        probes = self._record(monkeypatch, "sup_log_mgf")
+        probes = record_probes(monkeypatch)
         solves = self._record(monkeypatch, "solve_per_increment")
         m = alternating_normals()
         counts = []
@@ -259,6 +267,38 @@ class TestGridMemo:
             bound_per_increment(m, 5.0)
             counts.append((len(probes), len(solves)))
         assert counts[0] == counts[1] and counts[0][0] > 0 and counts[0][1] == 1
+
+    @pytest.mark.parametrize("rule, call", [
+        (ExplicitPrefix, lambda m, search: bound_optimize(m, 5.0, search=search)),
+        (ExplicitPrefix, lambda m, search: bound_per_increment(m, 5.0, search=search)),
+        (Periodic, lambda m, search: bound_periodic(m, 200, "periodic", u=5.0, search=search)),
+    ], ids=["optimized", "per_increment", "periodic"])
+    def test_a_record_of_another_model_is_refused(self, rule, call):
+        # a record read for another model would give it the first one's sups,
+        # roots and certificates: the optimized bound of the 200 laws of mean
+        # -0.5 certifies log10 psi(5) <= -2.17 at h = 1, where the bound of the
+        # laws of mean -0.1 is +32.6 (their own optimum is -0.43)
+        m1, m2 = (RiskModel(rule((Normal(mean, 1.0),) * 200)) for mean in (-0.5, -0.1))
+        search = Search(m1)
+        first = call(m1, search)
+        with pytest.raises(ValueError, match="another model"):
+            call(m2, search)
+        with pytest.raises(ValueError, match="another model"):  # equal, but another object
+            call(RiskModel(m1.increments, m1.rates), search)
+        assert call(m1, search) == first == call(m1, None)
+        assert call(m2, Search(m2)) == call(m2, None) != first
+
+    @pytest.mark.parametrize("call", [
+        lambda m, policy, search: bound_optimize(m, 5.0, policy, search=search),
+        lambda m, policy, search: bound_per_increment(m, 5.0, policy=policy, search=search),
+    ], ids=["optimized", "per_increment"])
+    def test_a_record_of_another_policy_is_refused(self, call):
+        m = linear_drift()
+        assert call(m, None, Search(m, TruncationPolicy())) == call(m, TruncationPolicy(), Search(m))
+        with pytest.raises(ValueError, match="policy"):
+            call(m, TruncationPolicy(k_max=100), Search(m))
+        with pytest.raises(ValueError, match="policy"):
+            call(m, None, Search(m, TruncationPolicy(k_max=100)))
 
 
 class TestPerIncrement:

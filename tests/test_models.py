@@ -112,8 +112,8 @@ class TestRates:
         v = np.exp(m.log_discounts(4))
         expect = np.cumprod([1.0] + [1.0 / (1.0 + r) for r in rates])
         assert np.allclose(v, expect, rtol=1e-14)
-        assert m.discount_factor(0) == 1.0
-        assert m.discount_factor(4) == pytest.approx(expect[4], rel=1e-14)
+        assert m.log_discounts(0).tolist() == [0.0]
+        assert math.exp(m.log_discounts(4, 4)[0]) == pytest.approx(expect[4], rel=1e-14)
 
     def test_rates_extend_explicit_increment_horizon_by_one(self):
         # rates fixing v_0..v_M support increments through epoch M+1

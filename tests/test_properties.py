@@ -28,6 +28,7 @@ from ruinbounds import (
     QuasiPeriodicScaled,
     RiskModel,
     Scaled,
+    Search,
     SupLogMgf,
     ShiftedExponential,
     TwoPoint,
@@ -637,11 +638,12 @@ class TestProbePlans:
 
 
 class TestChordCertificates:
-    """Probes of one solve or optimization share a store of chord references
-    (models._sup_scan): a finite-horizon probe at h below an earlier full scan
-    reads only the epochs that the chord inequality leaves open. Every sup must
-    be bitwise the one of a full scan without a store, and the store is the
-    only place that holds anything that depends on h."""
+    """Probes of one solve or optimization share the chord references of one
+    search record (models.Search, models._sup_scan): a finite-horizon probe at
+    h below an earlier full scan reads only the epochs that the chord
+    inequality leaves open. Every sup must be bitwise the one of a full scan
+    without a record, and the record is the only place that holds anything
+    that depends on h."""
 
     @st.composite
     def models(draw):
@@ -685,10 +687,10 @@ class TestChordCertificates:
     @given(models())
     def test_probes_match_full_scans(self, case):
         model, hs = case
-        store: dict = {}
+        search = Search(model)
         for h in hs:
-            for partial, sup in ((True, sup_log_mgf), (False, per_increment_sup)):
-                got = sup(model, h, chords=store)
+            for partial in (True, False):
+                got = search.sup(h, partial)
                 e = _full_scan(model, h, 10_000, partial)
                 assert (got.value.hex(), got.argmax, got.status, got.certified, got.note) == \
                     (e.value.hex(), e.argmax, e.status, e.certified, e.note)
@@ -772,15 +774,15 @@ class TestChordCertificates:
         cap, n = _domain_cap(model), model.horizon()
         with np.errstate(all="ignore"):
             divergent = int((_reference_terms(model, cap, n) == INF).sum())
-        store: dict = {}
-        for partial, sup in ((True, sup_log_mgf), (False, per_increment_sup)):
-            got = sup(model, cap, chords=store)
+        search = Search(model)
+        for partial in (True, False):
+            got = search.sup(cap, partial)
             self._same(got, model, cap, partial)
-            held, _ = models_module._held(store, model, partial, n)
+            held, _ = search.chords[partial]
             # kept, "unbounded" or not, unless too many terms are +inf
             assert [h0 for h0, _ in held] == ([cap] if divergent <= models_module._DIVERGENT_MAX else [])
             for f in fractions:
-                self._same(sup(model, f * cap, chords=store), model, f * cap, partial)
+                self._same(search.sup(f * cap, partial), model, f * cap, partial)
 
     @pytest.mark.parametrize("head, past", [
         # the term of epoch 101 at h = 0.99 is about 4.1: the sup is there
@@ -797,11 +799,11 @@ class TestChordCertificates:
     ], ids=["past_head", "negative_past_head", "two_past_head", "head_and_past"])
     def test_divergent_terms_are_read_at_the_probe(self, head, past):
         model = RiskModel(ExplicitPrefix(head + past + (Degenerate(-1.0),) * 99))
-        for partial, sup in ((True, sup_log_mgf), (False, per_increment_sup)):
-            store: dict = {}
-            self._same(sup(model, 1.0, chords=store), model, 1.0, partial)  # the cap: +inf, kept
+        for partial in (True, False):
+            search = Search(model)
+            self._same(search.sup(1.0, partial), model, 1.0, partial)  # the cap: +inf, kept
             for h in (0.99, 0.5, 0.25):
-                self._same(sup(model, h, chords=store), model, h, partial)
+                self._same(search.sup(h, partial), model, h, partial)
 
     @pytest.mark.parametrize("share, closes", [(13.0, False), (30.0, True)])
     @pytest.mark.parametrize("at", [64, 2], ids=["past_head", "in_head"])
@@ -818,10 +820,10 @@ class TestChordCertificates:
         laws[1] = Degenerate(-2.0 * (math.log(2.0) + share * X * gamma))
         laws[at], laws[at + 1] = Degenerate(-X), ShiftedExponential(1.0, X)
         model = RiskModel(ExplicitPrefix(tuple(laws)))
-        store: dict = {}
-        sup_log_mgf(model, 1.0, chords=store)
+        search = Search(model)
+        search.sup(1.0)
         read = self._scans(monkeypatch)
-        got = sup_log_mgf(model, 0.5, chords=store)
+        got = search.sup(0.5)
         assert (got.value, got.argmax) == (0.0, 1)
         assert (100 not in read) == closes
         self._same(got, model, 0.5, True)
@@ -832,12 +834,12 @@ class TestChordCertificates:
         laws = [Normal(-1000.0, 1.0)] * 100
         laws[79] = Scaled(1e300, Uniform(-3.0, 0.0))
         model = RiskModel(ExplicitPrefix(tuple(laws)))
-        for partial, sup in ((True, sup_log_mgf), (False, per_increment_sup)):
-            store: dict = {}
-            got = sup(model, 1e10, chords=store)
+        for partial in (True, False):
+            search = Search(model)
+            got = search.sup(1e10, partial)
             assert got.status == "undetermined"
-            assert models_module._held(store, model, partial, 100)[0] == []
-            got = sup(model, 1.0, chords=store)
+            assert search.chords[partial][0] == []
+            got = search.sup(1.0, partial)
             self._same(got, model, 1.0, partial)
         assert got.argmax == 80
 
@@ -847,22 +849,22 @@ class TestChordCertificates:
         laws = [Degenerate(-5.0)] * 100
         laws[69], laws[79] = Normal(-1.0, 1.0), Degenerate(-0.5)
         model = RiskModel(ExplicitPrefix(tuple(laws)))
-        store: dict = {}
-        per_increment_sup(model, 1.6, chords=store)
+        search = Search(model)
+        search.sup(1.6, False)
         read = self._scans(monkeypatch)
-        got = per_increment_sup(model, 1.2, chords=store)  # 0.75 * -0.8 <= -0.48: only epoch 70 is open
+        got = search.sup(1.2, False)  # 0.75 * -0.8 <= -0.48: only epoch 70 is open
         assert read == [1] and got.argmax == 70
         self._same(got, model, 1.2, False)
         read.clear()
         # (0.8 / 1.2) times the runner-up scaled to 1.2, -0.6, is -0.4 > -0.48: epoch 80 is open
-        got = per_increment_sup(model, 0.8, chords=store)
+        got = search.sup(0.8, False)
         assert read == [1, 2] and got.argmax == 80
         self._same(got, model, 0.8, False)
         read.clear()
         # the reference kept at 0.8 has epoch 80 on top and epoch 70's -0.48 as
         # the runner-up, both built at the next probe that reads it: at 0.79 only
         # epoch 80 is open
-        got = per_increment_sup(model, 0.79, chords=store)
+        got = search.sup(0.79, False)
         assert read == [1] and got.argmax == 80
         self._same(got, model, 0.79, False)
 
@@ -875,9 +877,9 @@ class TestChordCertificates:
         laws = [Degenerate(-5.0)] * 100
         laws[67], laws[96], laws[98] = Normal(-1.17, 0.49), Normal(-1.26, 0.76), Degenerate(-1.1)
         model = RiskModel(ExplicitPrefix(tuple(laws)))
-        store: dict = {}
+        search = Search(model)
         for h in (1.25, 0.74, 0.44):
-            got = per_increment_sup(model, h, chords=store)
+            got = search.sup(h, False)
             self._same(got, model, h, False)
         assert got.argmax == 68
 
@@ -1176,13 +1178,15 @@ class TestKernelShortcuts:
     @example((RiskModel(Periodic((TwoPoint(0.0, 0.25, 0.0),))), [1.0]), 64, None, False)
     def test_probes_match_the_reference_scan(self, case, k_max, chunk, chords):
         # one model after another through the model's own route, its plans and
-        # (chords) one store of references; bitwise the reference's result
+        # (chords) one search record's references; bitwise the reference's result
         model, hs = case
-        policy, store = TruncationPolicy(k_max), {} if chords else None
+        policy = TruncationPolicy(k_max)
+        search = Search(model, policy) if chords else None
         with patch.object(models_module, "_SCAN_CHUNK", chunk or models_module._SCAN_CHUNK):
             for h in hs:
                 for partial, sup in ((True, sup_log_mgf), (False, per_increment_sup)):
-                    got, e = sup(model, h, policy, chords=store), _reference_sup(model, h, k_max, partial)
+                    got = search.sup(h, partial) if chords else sup(model, h, policy)
+                    e = _reference_sup(model, h, k_max, partial)
                     assert (got.value.hex(), got.argmax, got.status, got.certified, got.note) == \
                         (e.value.hex(), e.argmax, e.status, e.certified, e.note)
 

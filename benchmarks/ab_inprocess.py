@@ -31,9 +31,9 @@ per_increment_sup on one model at a fixed list of h, the model built by each
 side from its own package and probed once before timing. A case with a chord
 store runs a full scan at a larger h into a fresh store before each timed
 probe, and times only the probe below it. The store is a fresh search record
-(models.Search, probed through Search.sup) on a side whose package has one,
-else a dict passed as the keyword chords= of the sup function, as the package
-before the record took it; in the cases at the cap, that h is
+(models.Search, passed to the sup function in place of the model) on a side
+whose package has one, else a dict passed as the keyword chords= of the sup
+function, as the package before the record took it; in the cases at the cap, that h is
 the model's MGF-domain cap (adjustment._domain_cap), where a term is +inf,
 and the probes are at the given fractions of it. The rounds alternate between the
 sides per case, and every result must be bitwise the other side's (value,
@@ -175,7 +175,7 @@ def _probe_case(side: Side, case: tuple):
         h_store = side.modules["ruinbounds.adjustment"]._domain_cap(model)
         hs = [f * h_store for f in hs]
     policy = models.TruncationPolicy(k_max) if k_max else None
-    fn, partial = getattr(models, fn_name), fn_name == "sup_log_mgf"
+    fn = getattr(models, fn_name)
 
     def prepared(h):
         """The timed probe at h, after the full scan that fills its store."""
@@ -183,8 +183,8 @@ def _probe_case(side: Side, case: tuple):
             return lambda: fn(model, h, policy)
         if hasattr(models, "Search"):
             search = models.Search(model, policy)
-            search.sup(h_store, partial)
-            return lambda: search.sup(h, partial)
+            fn(search, h_store)
+            return lambda: fn(search, h)
         store = {}
         fn(model, h_store, policy, chords=store)
         return lambda: fn(model, h, policy, chords=store)

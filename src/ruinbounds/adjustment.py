@@ -34,6 +34,8 @@ from .models import (
     _per_model,
     _walk,
     cumulative_log_mgf,
+    per_increment_sup,
+    sup_log_mgf,
 )
 
 __all__ = [
@@ -204,7 +206,7 @@ def _domain_cap(model: RiskModel, span: int | None = None) -> float:
 def _solve_sup_root(model, tol, policy, partial: bool, never_blows, never_note: str) -> AdjustmentResult:
     """sup{h >= 0 : sup_log_mgf (partial) or per_increment_sup <= 0}; never_blows(model)
     decides the h = +inf case that no finite scan can settle. The probes share one search
-    record (models.Search), dropped on return."""
+    record (models.Search) for its chord references, dropped on return."""
     _check_tol(tol)
     flavor = "partial_sum" if partial else "per_increment"
     if never_blows(model):
@@ -212,10 +214,10 @@ def _solve_sup_root(model, tol, policy, partial: bool, never_blows, never_note: 
     if _never_bounded(model, partial):
         return AdjustmentResult(0.0, flavor, (0.0, 0.0), True, False, "criterion is +inf at every h > 0")
     uncertain = [False]
-    search = Search(model, policy)
+    search, sup = Search(model, policy), sup_log_mgf if partial else per_increment_sup
 
     def feasible(h: float) -> bool:
-        return _feasibility_from_sup(search.sup(h, partial), uncertain)
+        return _feasibility_from_sup(sup(search, h), uncertain)
 
     value, bracket, boundary, exhausted = _grow_and_bisect(feasible, _domain_cap(model), tol)
     note = ""

@@ -116,6 +116,13 @@ def _checked(search: Search | None, model: RiskModel, policy: TruncationPolicy |
     return search
 
 
+def _kept(search: Search, key, compute):
+    """compute(), found once per search record and kept in it under key."""
+    if key not in search.kept:
+        search.kept[key] = compute()
+    return search.kept[key]
+
+
 def _logsumexp(values) -> float:
     """log sum_i exp(values_i), shifted by the maximum; -inf for no mass, +inf
     when a value is +inf."""
@@ -211,10 +218,13 @@ def bound_optimize(model: RiskModel, u: float, policy: TruncationPolicy | None =
         return _no_exponent(u)
 
     cache: dict[float, float] = {}  # this call's probes: h_star is the best of them
+    sups = _kept(search, "sup_log_mgf", dict)  # by h, the probes of every call on the record
 
     def f(h: float) -> float:
         if h not in cache:
-            value = search.sup(h).value if h else 0.0
+            if h and h not in sups:
+                sups[h] = sup_log_mgf(search, h)
+            value = sups[h].value if h else 0.0
             cache[h] = INF if value == INF else -h * u + value
         return cache[h]
 
@@ -252,7 +262,7 @@ def bound_optimize(model: RiskModel, u: float, policy: TruncationPolicy | None =
 
     if h_star == 0.0:
         return _no_exponent(u)
-    s = search.sup(h_star)
+    s = sups[h_star]
     log_bound = min(0.0, -h_star * u + s.value)
     if s.status == "undetermined":
         return BoundResult(u, log_bound, h_star, "optimized", None, False,
@@ -268,9 +278,7 @@ def bound_per_increment(model: RiskModel, u: float, tol: float = 1e-10, policy: 
     root is kept in the search record."""
     _require_u(u)
     search = _checked(search, model, policy or TruncationPolicy())
-    if tol not in search.roots:
-        search.roots[tol] = solve_per_increment(model, tol, search.policy)
-    r = search.roots[tol]
+    r = _kept(search, ("per_increment", tol), lambda: solve_per_increment(model, tol, search.policy))
     L = r.value
     if L == INF:
         return BoundResult(u, -INF, INF, "per_increment", Certificate(0.0, INF), r.certified, r.note)
@@ -317,10 +325,8 @@ def bound_periodic(
     if u is not None:
         _require_u(u)
     search = _checked(search, model)
-    key = (l, variant, start_index, exponent, at_h, tol)
-    if key not in search.certificates:
-        search.certificates[key] = _periodic_certificate(search, *key)
-    cert, ks, certified, note = search.certificates[key]
+    cert, ks, certified, note = _kept(search, ("periodic", l, variant, start_index, exponent, at_h, tol),
+                                      lambda: _periodic_certificate(search, l, variant, start_index, exponent, at_h, tol))
     if ks is None:  # the root is +inf
         lb = -INF if u is not None else 0.0
         return BoundResult(u, lb, INF, variant, cert, certified, note or "one period is nonpositive a.s.")
@@ -328,7 +334,8 @@ def bound_periodic(
         return BoundResult(None, min(0.0, cert.log_c), cert.exponent, variant, cert, certified,
                            (note + "; " if note else "") + "certificate-only")
 
-    h_star, f_min = _golden(lambda h: -h * u + _window(search, ks, h), 0.0, cert.exponent)
+    h_star, f_min = _golden(lambda h: -h * u + _kept(search, ("window", ks, h), lambda: _window_max(model, ks, h)),
+                            0.0, cert.exponent)
     log_bound = min(0.0, min(f_min, cert.log_bound_at(u)))
     return BoundResult(u, log_bound, h_star, variant, cert, certified, note)
 
@@ -371,14 +378,7 @@ def _periodic_certificate(search: Search, l: int, variant: str, start_index: int
         if L == INF:
             return Certificate(0.0, INF), None, certified, note
         ks = range(1, l + 1) if variant == "periodic" else range(0, l)
-    return Certificate(_window(search, ks, L), L), ks, certified, note
-
-
-def _window(search: Search, ks: range, h: float) -> float:
-    """_window_max of the record's model, found once per record and h."""
-    if (ks, h) not in search.windows:
-        search.windows[ks, h] = _window_max(search.model, ks, h)
-    return search.windows[ks, h]
+    return Certificate(_kept(search, ("window", ks, L), lambda: _window_max(model, ks, L)), L), ks, certified, note
 
 
 def _window_max(model: RiskModel, ks: range, h: float) -> float:

@@ -32,8 +32,8 @@ that every later term is negative. What a probe reads apart from h (its route,
 _route, and each range's probe plan) is built once and kept on the model
 (RiskModel._memo, with the solvers' support facts).
 What depends on h lives with the caller, in one record per search (Search):
-the sups probed, and the chord references that let a finite-horizon scan
-below an earlier one, at the MGF-domain cap too, read a few epochs (_sup_scan).
+the chord references that let a finite-horizon scan below an earlier one, at
+the MGF-domain cap too, read a few epochs (_sup_scan), and what bounds keeps.
 
 Every longer walk reads one epoch layout, _layout(model, K): each epoch's slot
 in the record's law list and its log multiplier log(scale_j v_{j-1}). Only a
@@ -1290,9 +1290,15 @@ def _route(model: RiskModel, partial: bool):
     return None
 
 
-def _sup(model: RiskModel, h: float, policy: TruncationPolicy | None, partial: bool, search: Search | None = None) -> SupLogMgf:
+def _sup(model: RiskModel | Search, h: float, policy: TruncationPolicy | None, partial: bool) -> SupLogMgf:
     """The supremum over epochs of the running value: partial sums of the
-    terms (partial=True) or the terms themselves, by the model's route."""
+    terms (partial=True) or the terms themselves, by the model's route; given
+    a search record, of its model under its policy, with its chord references."""
+    search = None
+    if isinstance(model, Search):
+        if policy is not None and policy != model.policy:
+            raise ValueError("a probe of a search record runs under the record's policy")
+        search, model, policy = model, model.model, model.policy
     if not h >= 0.0:
         raise ValueError(f"h must be >= 0, got {h!r}")
     if h == 0.0:
@@ -1301,36 +1307,27 @@ def _sup(model: RiskModel, h: float, policy: TruncationPolicy | None, partial: b
     return route(h, partial) if route else _sup_scan(model, h, policy or _DEFAULT_POLICY, partial, search)
 
 
-def sup_log_mgf(model: RiskModel, h: float, policy: TruncationPolicy | None = None) -> SupLogMgf:
-    """sup_{k>=1} G_k(h), reduced exactly where the sequence structure allows."""
+def sup_log_mgf(model: RiskModel | Search, h: float, policy: TruncationPolicy | None = None) -> SupLogMgf:
+    """sup_{k>=1} G_k(h), reduced exactly where the sequence structure allows.
+    Probes that pass one search record (Search) in place of the model share it."""
     return _sup(model, h, policy, True)
 
 
-def per_increment_sup(model: RiskModel, h: float, policy: TruncationPolicy | None = None) -> SupLogMgf:
+def per_increment_sup(model: RiskModel | Search, h: float, policy: TruncationPolicy | None = None) -> SupLogMgf:
     """sup_{j>=1} log E exp(h v_{j-1} Y*_j), the one-step analogue of sup_log_mgf."""
     return _sup(model, h, policy, False)
 
 
 class Search:
     """What the probes of one model's searches over h share, under one policy:
-    the sups, each found once by sup(), the entry for shared probes; chord
-    references by flavour (_sup_scan); and the bounds' values apart from u
-    (bounds.py). It holds values that depend on h, so it lives as long as its
-    searches: the rows of one u-grid, or the probes of one solve."""
+    the chord references (_sup_scan) of the probes passed the record in place
+    of the model, and the values that bounds keeps apart from u. They depend
+    on h, so a record lives as long as its searches: one u-grid, or one solve."""
 
     def __init__(self, model: RiskModel, policy: TruncationPolicy | None = None) -> None:
         self.model, self.policy = model, policy or _DEFAULT_POLICY
-        self.sups = ({}, {})  # by h, per increment and of the partial sums: sups[partial]
         self.chords = {}  # by partial: the references (h0, reference) in increasing h0, and _chord_scale
-        self.roots, self.certificates, self.windows = {}, {}, {}  # bounds': by tol, arguments, (ks, h)
-
-    def sup(self, h: float, partial: bool = True) -> SupLogMgf:
-        """sup_log_mgf (partial) or per_increment_sup of the record's model at h, found once."""
-        sups = self.sups[partial]
-        s = sups.get(h)
-        if s is None:
-            s = sups[h] = _sup(self.model, h, self.policy, partial, self)
-        return s
+        self.kept = {}  # bounds': its values apart from u, by its keys
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,8 @@ from ruinbounds import (
     bound_periodic,
     bound_union,
     cumulative_log_mgf,
+    per_increment_sup,
+    sup_log_mgf,
 )
 from ruinbounds import bounds, models
 
@@ -59,9 +61,9 @@ def record_probes(monkeypatch) -> list:
     probes = []
     sup = models._sup
 
-    def recording(model, h, policy, partial, search=None):
+    def recording(model, h, policy, partial):
         probes.append((h, partial))
-        return sup(model, h, policy, partial, search)
+        return sup(model, h, policy, partial)
 
     monkeypatch.setattr(models, "_sup", recording)
     return probes
@@ -299,6 +301,16 @@ class TestGridMemo:
             call(m, TruncationPolicy(k_max=100), Search(m))
         with pytest.raises(ValueError, match="policy"):
             call(m, None, Search(m, TruncationPolicy(k_max=100)))
+
+    def test_a_probe_of_a_record_runs_under_its_policy(self):
+        # a positive drift that a scan of 60 epochs leaves undetermined
+        m = RiskModel(IndexedNormal(0.5, 0.0), rates=0.2)
+        short = TruncationPolicy(k_max=60)
+        search = Search(m, short)
+        for sup in (sup_log_mgf, per_increment_sup):
+            assert sup(search, 0.5) == sup(search, 0.5, short) == sup(m, 0.5, short) != sup(m, 0.5)
+            with pytest.raises(ValueError, match="policy"):
+                sup(search, 0.5, TruncationPolicy())
 
 
 class TestPerIncrement:

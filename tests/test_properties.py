@@ -637,6 +637,11 @@ class TestProbePlans:
         assert model._memo.epochs == models_module._PLAN_EPOCHS
 
 
+def shared(search: Search, h: float, partial: bool = True):
+    """A probe that shares the record's chord references."""
+    return (sup_log_mgf if partial else per_increment_sup)(search, h)
+
+
 class TestChordCertificates:
     """Probes of one solve or optimization share the chord references of one
     search record (models.Search, models._sup_scan): a finite-horizon probe at
@@ -690,7 +695,7 @@ class TestChordCertificates:
         search = Search(model)
         for h in hs:
             for partial in (True, False):
-                got = search.sup(h, partial)
+                got = shared(search, h, partial)
                 e = _full_scan(model, h, 10_000, partial)
                 assert (got.value.hex(), got.argmax, got.status, got.certified, got.note) == \
                     (e.value.hex(), e.argmax, e.status, e.certified, e.note)
@@ -776,13 +781,13 @@ class TestChordCertificates:
             divergent = int((_reference_terms(model, cap, n) == INF).sum())
         search = Search(model)
         for partial in (True, False):
-            got = search.sup(cap, partial)
+            got = shared(search, cap, partial)
             self._same(got, model, cap, partial)
             held, _ = search.chords[partial]
             # kept, "unbounded" or not, unless too many terms are +inf
             assert [h0 for h0, _ in held] == ([cap] if divergent <= models_module._DIVERGENT_MAX else [])
             for f in fractions:
-                self._same(search.sup(f * cap, partial), model, f * cap, partial)
+                self._same(shared(search, f * cap, partial), model, f * cap, partial)
 
     @pytest.mark.parametrize("head, past", [
         # the term of epoch 101 at h = 0.99 is about 4.1: the sup is there
@@ -801,9 +806,9 @@ class TestChordCertificates:
         model = RiskModel(ExplicitPrefix(head + past + (Degenerate(-1.0),) * 99))
         for partial in (True, False):
             search = Search(model)
-            self._same(search.sup(1.0, partial), model, 1.0, partial)  # the cap: +inf, kept
+            self._same(shared(search, 1.0, partial), model, 1.0, partial)  # the cap: +inf, kept
             for h in (0.99, 0.5, 0.25):
-                self._same(search.sup(h, partial), model, h, partial)
+                self._same(shared(search, h, partial), model, h, partial)
 
     @pytest.mark.parametrize("share, closes", [(13.0, False), (30.0, True)])
     @pytest.mark.parametrize("at", [64, 2], ids=["past_head", "in_head"])
@@ -821,9 +826,9 @@ class TestChordCertificates:
         laws[at], laws[at + 1] = Degenerate(-X), ShiftedExponential(1.0, X)
         model = RiskModel(ExplicitPrefix(tuple(laws)))
         search = Search(model)
-        search.sup(1.0)
+        shared(search, 1.0)
         read = self._scans(monkeypatch)
-        got = search.sup(0.5)
+        got = shared(search, 0.5)
         assert (got.value, got.argmax) == (0.0, 1)
         assert (100 not in read) == closes
         self._same(got, model, 0.5, True)
@@ -836,10 +841,10 @@ class TestChordCertificates:
         model = RiskModel(ExplicitPrefix(tuple(laws)))
         for partial in (True, False):
             search = Search(model)
-            got = search.sup(1e10, partial)
+            got = shared(search, 1e10, partial)
             assert got.status == "undetermined"
             assert search.chords[partial][0] == []
-            got = search.sup(1.0, partial)
+            got = shared(search, 1.0, partial)
             self._same(got, model, 1.0, partial)
         assert got.argmax == 80
 
@@ -850,21 +855,21 @@ class TestChordCertificates:
         laws[69], laws[79] = Normal(-1.0, 1.0), Degenerate(-0.5)
         model = RiskModel(ExplicitPrefix(tuple(laws)))
         search = Search(model)
-        search.sup(1.6, False)
+        shared(search, 1.6, False)
         read = self._scans(monkeypatch)
-        got = search.sup(1.2, False)  # 0.75 * -0.8 <= -0.48: only epoch 70 is open
+        got = shared(search, 1.2, False)  # 0.75 * -0.8 <= -0.48: only epoch 70 is open
         assert read == [1] and got.argmax == 70
         self._same(got, model, 1.2, False)
         read.clear()
         # (0.8 / 1.2) times the runner-up scaled to 1.2, -0.6, is -0.4 > -0.48: epoch 80 is open
-        got = search.sup(0.8, False)
+        got = shared(search, 0.8, False)
         assert read == [1, 2] and got.argmax == 80
         self._same(got, model, 0.8, False)
         read.clear()
         # the reference kept at 0.8 has epoch 80 on top and epoch 70's -0.48 as
         # the runner-up, both built at the next probe that reads it: at 0.79 only
         # epoch 80 is open
-        got = search.sup(0.79, False)
+        got = shared(search, 0.79, False)
         assert read == [1] and got.argmax == 80
         self._same(got, model, 0.79, False)
 
@@ -879,7 +884,7 @@ class TestChordCertificates:
         model = RiskModel(ExplicitPrefix(tuple(laws)))
         search = Search(model)
         for h in (1.25, 0.74, 0.44):
-            got = search.sup(h, False)
+            got = shared(search, h, False)
             self._same(got, model, h, False)
         assert got.argmax == 68
 
@@ -1185,7 +1190,7 @@ class TestKernelShortcuts:
         with patch.object(models_module, "_SCAN_CHUNK", chunk or models_module._SCAN_CHUNK):
             for h in hs:
                 for partial, sup in ((True, sup_log_mgf), (False, per_increment_sup)):
-                    got = search.sup(h, partial) if chords else sup(model, h, policy)
+                    got = sup(search, h) if chords else sup(model, h, policy)
                     e = _reference_sup(model, h, k_max, partial)
                     assert (got.value.hex(), got.argmax, got.status, got.certified, got.note) == \
                         (e.value.hex(), e.argmax, e.status, e.certified, e.note)

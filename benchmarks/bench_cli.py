@@ -8,6 +8,8 @@ In process, without the interpreter's start:
 - main() of `bound` on the bundled alternating_normals config over a 5-point
   u-grid: parse the arguments, load the config, five optimized bounds, and
   the CSV written to a discarded stdout;
+- main() of `adjustment` on the bundled alternating_normals config: parse the
+  arguments, load the config, and every coefficient that applies to it;
 - _emit of 200 bound rows, as CSV and as JSON, the formatting alone;
 - main() of `bound --u 1:200:1` on the two scan models, IndexedNormal(-0.5,
   0.25) under a 1% rate and IndexedTwoPoint under 2%: 200 optimized bounds
@@ -42,6 +44,11 @@ def _main(argv: list[str]) -> int:
 
 def test_main_bound_5_point_grid(benchmark):
     code = benchmark(_main, ["bound", "--model", "alternating_normals", "--u", "1,2.5,5,10,20"])
+    assert code == 0
+
+
+def test_main_adjustment(benchmark):
+    code = benchmark(_main, ["adjustment", "--model", "alternating_normals"])
     assert code == 0
 
 

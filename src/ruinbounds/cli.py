@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -125,7 +126,10 @@ def _load(args) -> RiskModel:
 def _policy(args, us=None) -> TruncationPolicy:
     policy = TruncationPolicy() if args.kmax is None else TruncationPolicy(k_max=args.kmax)
     if us:
-        return TruncationPolicy(k_max=max(policy.k_max, int(10 * max(us))))
+        k_max = 10.0 * max(us)
+        if k_max == INF:
+            raise ConfigError(f"--u {max(us):g} is too large: the truncation index 10 u is not finite", path=None)
+        return TruncationPolicy(k_max=max(policy.k_max, int(k_max)))
     return policy
 
 
@@ -266,10 +270,9 @@ def cmd_simulate(args) -> int:
         stop_gap=args.stop_gap, workers=None,
     )
     _check_bound_flags(args, "--bound-method", args.bound_method)
+    search = None if args.bound_method == "none" else Search(model, _policy(args, us))
     sims = simulate_ruin_grid(model, us, cfg)
-    bounds = None
-    if args.bound_method != "none":
-        bounds = _bound_grid(Search(model, _policy(args, us)), us, args, args.bound_method)
+    bounds = None if search is None else _bound_grid(search, us, args, args.bound_method)
     rows = []
     violated = False
     for i, s in enumerate(sims):
@@ -334,7 +337,13 @@ def cmd_compare(args) -> int:
 # argument parsing
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built on the first call and shared by every
+    later one in the process. Parsing keeps nothing on the parser: each call
+    reads its argv into a fresh Namespace, and usage and help are formatted
+    per call, at the terminal width of that call. Two threads that both make
+    the first call may each build one; the cache keeps one, and they are equal."""
     parser = argparse.ArgumentParser(
         prog="ruinbounds",
         description="Lundberg-type ruin probability bounds for non-homogeneous discrete-time risk models.",

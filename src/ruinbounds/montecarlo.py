@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -279,6 +278,9 @@ def _map_batches(cfg: SimConfig, run) -> list:
     workers = _resolve_workers(cfg, len(sizes))
     if workers == 1:
         return [batch(b) for b in range(len(sizes))]
+    # imported here: a package import that never runs the pool leaves concurrent.futures unloaded
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(batch, range(len(sizes))))
 

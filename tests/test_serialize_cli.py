@@ -1,11 +1,13 @@
 """Config round-trips, error diagnostics, and the command-line surface."""
 
+import argparse
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -51,6 +53,12 @@ def run_cli(argv, capsys):
     rc = cli.main(argv)
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def src_env():
+    """The environment of a fresh interpreter that imports this checkout's package."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 # ---------------------------------------------------------------------------
@@ -383,17 +391,21 @@ class TestCliBound:
         assert row[6] == "true" and float(row[3]) < -100.0
 
     def test_bound_path_does_not_import_scipy(self):
-        src = os.path.dirname(os.path.dirname(cli.__file__))
         code = ("import sys, ruinbounds; from ruinbounds import cli; "
                 "assert cli.main(['bound', '--model', 'alternating_normals', '--u', '1,2']) == 0; "
                 "assert 'scipy' not in sys.modules, 'scipy was imported'")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        proc = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_package_import_leaves_the_thread_pool_unloaded(self):
+        # the simulator imports its pool where more than one worker runs
+        code = ("import sys, ruinbounds; "
+                "assert 'concurrent.futures' not in sys.modules, 'concurrent.futures was imported'")
+        proc = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
 
     def test_simulator_paths_do_not_import_scipy(self):
         # the intervals are computed without scipy, so no path of the package imports it
-        src = os.path.dirname(os.path.dirname(cli.__file__))
         mc = "'--paths', '2000', '--horizon', '200', '--stop-gap', '60'"
         code = ("import sys, ruinbounds; from ruinbounds import cli, SimConfig, simulate_ruin_grid, load_model; "
                 "model = load_model(cli._resolve_model_path('classical_poisson_exponential')); "
@@ -402,8 +414,7 @@ class TestCliBound:
                 f"assert cli.main(['simulate', '--model', 'classical_poisson_exponential', '--u', '1,2', {mc}]) == 0; "
                 f"assert cli.main(['compare', '--model', 'classical_poisson_exponential', '--u', '2', {mc}]) == 0; "
                 "assert 'scipy' not in sys.modules, 'scipy was imported'")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        proc = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
 
 
@@ -617,6 +628,16 @@ class TestCliConfigErrors:
         rc, out, err = run_cli(["bound", "--model", "alternating_normals", *argv], capsys)
         assert (rc, out, err) == (2, "", f"config error: {line}\n")
 
+    @pytest.mark.parametrize("command", [
+        ["bound"],
+        ["simulate", "--paths", "100", "--horizon", "10"],
+        ["compare", "--paths", "100", "--horizon", "10"],
+    ])
+    def test_a_u_whose_truncation_index_overflows_exits_two(self, command, capsys):
+        # 10 u, the grid's truncation index, is inf as a float
+        rc, out, err = run_cli([*command, "--model", "alternating_normals", "--u", "1e308"], capsys)
+        assert (rc, out, err) == (2, "", "config error: --u 1e+308 is too large: the truncation index 10 u is not finite\n")
+
     def test_rates_without_period_need_l(self, tmp_path, capsys):
         p = tmp_path / "m.json"
         p.write_text(json.dumps({
@@ -632,6 +653,85 @@ class TestCliConfigErrors:
                      encoding="utf-8")
         rc, out, err = run_cli(["bound", "--model", str(p), "--u", "1"], capsys)
         assert (rc, out, err) == (2, "", "config error: $.increments.cycle[0]: missing required key 'variance'\n")
+
+
+class TestCliSharedParser:
+    """main() parses every call with one parser per process and keeps no state
+    between calls."""
+
+    ARGVS = (
+        ["bound", "--model", "alternating_normals", "--u", "1,2", "--method", "union", "--h", "0.5",
+         "--strict", "--format", "json"],
+        ["bound", "--model", "alternating_normals", "--u", "1,2", "--method", "optimized"],
+        ["adjustment", "--model", "classical_poisson_exponential", "--format", "json"],
+        ["adjustment", "--model", "classical_poisson_exponential"],
+        ["bound", "--model", "alternating_normals", "--u", "1", "--method", "fixed_h"],
+    )
+
+    def test_calls_in_one_process_print_what_fresh_processes_print(self, capsys):
+        code = "import sys; from ruinbounds import cli; sys.exit(cli.main(sys.argv[1:]))"
+        for argv in self.ARGVS:
+            fresh = subprocess.run([sys.executable, "-c", code, *argv], env=src_env(),
+                                   capture_output=True, text=True, timeout=120)
+            assert run_cli(argv, capsys) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+    def test_usage_errors_and_help_leave_the_next_call_unchanged(self, capsys):
+        argv = self.ARGVS[1]
+        before = run_cli(argv, capsys)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bound", "--model", "alternating_normals", "--u", "1", "--h", "x", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "invalid float value" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bound", "--help"])
+        assert exc.value.code == 0
+        shared_help = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            cli._build_parser.__wrapped__().parse_args(["bound", "--help"])
+        assert shared_help == capsys.readouterr().out
+        assert "--method" in shared_help
+        assert run_cli(argv, capsys) == before
+
+    def test_threads_write_the_files_of_sequential_calls(self, tmp_path, capsys):
+        argvs = [[*argv, "--out", None] for argv in self.ARGVS[:4]] * 3
+        argvs += [["simulate", "--model", "uniform_exponential_cycle", "--u", "2,5", "--paths", "2000",
+                   "--horizon", "100", "--stop-gap", "60", "--out", None]] * 2
+
+        def run(side, i):
+            argv = list(argvs[i])
+            argv[-1] = str(tmp_path / f"{side}-{i}.out")
+            return cli.main(argv)
+
+        sequential = [run("sequential", i) for i in range(len(argvs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(run, "threaded", i) for i in range(len(argvs))]
+                threaded = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        capsys.readouterr()
+        assert threaded == sequential
+        for i in range(len(argvs)):
+            assert (tmp_path / f"threaded-{i}.out").read_bytes() == (tmp_path / f"sequential-{i}.out").read_bytes()
+
+    def test_the_parser_is_built_once(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli._build_parser.cache_clear()
+        run_cli(self.ARGVS[0], capsys)
+        once = list(built)
+        assert len(once) == 5  # the program's parser and one per subcommand
+        for argv in self.ARGVS:
+            run_cli(argv, capsys)
+        assert built == once
 
 
 class TestCliStrictAndDominance:

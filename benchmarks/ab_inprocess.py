@@ -22,7 +22,11 @@ then the same as one JSON line.
 
 Separate perfbench runs of two checkouts can differ by 30-60% on a shared
 host whose speed drifts; rounds that alternate within one process see the
-same drift on both sides.
+same drift on both sides. They still do not resolve a few percent on
+light_curves: one checkout against a copy of itself (seed 1, 16 pairs, a
+shared 2-core host) read ratios of 1.018, 0.998 and 1.017, winning 7, 10 and
+9 pairs, and earlier 1.085 (12 of 16 pairs) and 1.005. So a light_curves
+ratio within about 10% of 1 shows no change.
 
     python3 benchmarks/ab_inprocess.py BASE [CHANGE] --workload probes --rounds 20
 
@@ -31,11 +35,10 @@ per_increment_sup on one model at a fixed list of h, the model built by each
 side from its own package and probed once before timing. A case with a chord
 store runs a full scan at a larger h into a fresh store before each timed
 probe, and times only the probe below it. The store is a fresh search record
-(models.Search, passed to the sup function in place of the model) on a side
-whose package has one, else a dict passed as the keyword chords= of the sup
-function, as the package before the record took it; in the cases at the cap, that h is
-the model's MGF-domain cap (adjustment._domain_cap), where a term is +inf,
-and the probes are at the given fractions of it. The rounds alternate between the
+(models.Search, passed to the sup function in place of the model); in the
+cases at the cap, that h is the model's MGF-domain cap
+(adjustment._domain_cap), where a term is +inf, and the probes are at the
+given fractions of it. The rounds alternate between the
 sides per case, and every result must be bitwise the other side's (value,
 argmax, status, certified, note), else the script exits 1. It prints each
 side's median time per probe and the ratio per case, then the same as one
@@ -181,13 +184,9 @@ def _probe_case(side: Side, case: tuple):
         """The timed probe at h, after the full scan that fills its store."""
         if h_store is None:
             return lambda: fn(model, h, policy)
-        if hasattr(models, "Search"):
-            search = models.Search(model, policy)
-            fn(search, h_store)
-            return lambda: fn(search, h)
-        store = {}
-        fn(model, h_store, policy, chords=store)
-        return lambda: fn(model, h, policy, chords=store)
+        search = models.Search(model, policy)
+        fn(search, h_store)
+        return lambda: fn(search, h)
 
     out = []
 

@@ -3,8 +3,8 @@
 Each coefficient is the supremum of h >= 0 keeping a log-MGF criterion at or
 below zero. Every criterion here is a supremum of convex functions vanishing
 at h = 0, so its feasible set is an interval [0, L]; the solvers locate L by
-doubling and bisection, with support-based shortcuts deciding the h = +inf
-cases that no finite scan can settle.
+doubling and bisection. The esssups decide once per model, for the sup routes
+too, where a criterion holds at every h or at none (models._settled).
 """
 
 from __future__ import annotations
@@ -30,8 +30,12 @@ from .models import (
     RiskModel,
     Search,
     TruncationPolicy,
+    _esssup_sums,
+    _examined_span,
+    _is_int,
     _layout,
     _per_model,
+    _settled,
     _walk,
     cumulative_log_mgf,
     per_increment_sup,
@@ -127,65 +131,6 @@ def _feasibility_from_sup(sup, uncertain_flag: list) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# support-based shortcuts for the +inf cases
-
-
-def _examined_span(model: RiskModel) -> int | None:
-    """How many leading indices decide the sign structure, when finitely many do."""
-    horizon = model.horizon()
-    if horizon is not None:
-        return horizon
-    block = model._block
-    return None if block is None else block.prefix + block.length
-
-
-@_per_model
-def _per_increment_never_blows(model: RiskModel) -> bool:
-    """True when every increment has esssup <= 0, making the one-step criterion
-    hold at every h; positive scale factors and discounts preserve the signs."""
-    span = _examined_span(model)
-    if span is None:
-        return False
-    laws, slot, _ = _layout(model, span)
-    return bool((laws.esssup[slot] <= 0.0).all())
-
-
-@_per_model
-def _esssup_sums(model: RiskModel, K: int) -> np.ndarray | None:
-    """esssup(S*_k) = sum_{j<=k} v_{j-1} esssup Y*_j for k = 1..K, the esssup of
-    a sum of independent terms being the sum of esssups; None if one is +inf."""
-    laws, slot, c = _layout(model, K)
-    hi = laws.esssup[slot]
-    return None if (hi == INF).any() else np.cumsum(np.exp(c) * hi)
-
-
-@_per_model
-def _partial_sums_never_blow(model: RiskModel) -> bool:
-    """True when esssup(S*_k) <= 0 for all k."""
-    span = _examined_span(model)
-    if span is None:
-        return False
-    sums = _esssup_sums(model, span)
-    if sums is None or (sums > 0.0).any():
-        return False
-    if model.horizon() is not None:
-        return True
-    # eventually periodic: block sums scale by a positive factor per block, so
-    # sign patterns established over the prefix plus one full block persist;
-    # amplified in-block partials must be nonpositive on their own
-    block = model._block
-    in_block = sums[block.prefix:] - (sums[block.prefix - 1] if block.prefix else 0.0)
-    return bool(in_block[-1] <= 0.0 and (block.log_ratio <= 0.0 or (in_block <= 0.0).all()))
-
-
-def _never_bounded(model: RiskModel, partial: bool) -> bool:
-    """True when the criterion is +inf at every h > 0, as models._sup finds
-    on an amplifying block from its period laws (_Laws.unbounded)."""
-    block = model._block
-    return block is not None and bool(block.unbounded(partial))
-
-
-# ---------------------------------------------------------------------------
 # MGF domain caps (doubling guides; never affect soundness)
 
 
@@ -203,15 +148,17 @@ def _domain_cap(model: RiskModel, span: int | None = None) -> float:
 # solvers
 
 
-def _solve_sup_root(model, tol, policy, partial: bool, never_blows, never_note: str) -> AdjustmentResult:
-    """sup{h >= 0 : sup_log_mgf (partial) or per_increment_sup <= 0}; never_blows(model)
-    decides the h = +inf case that no finite scan can settle. The probes share one search
+def _solve_sup_root(model, tol, policy, partial: bool) -> AdjustmentResult:
+    """sup{h >= 0 : sup_log_mgf (partial) or per_increment_sup <= 0}, +inf or 0
+    where the esssups settle it (models._settled). The probes share one search
     record (models.Search) for its chord references, dropped on return."""
     _check_tol(tol)
     flavor = "partial_sum" if partial else "per_increment"
-    if never_blows(model):
-        return AdjustmentResult(INF, flavor, None, True, False, never_note)
-    if _never_bounded(model, partial):
+    settled = _settled(model, partial)
+    if settled is None:
+        return AdjustmentResult(INF, flavor, None, True, False,
+                                f"every {'partial sum' if partial else 'increment'} is nonpositive a.s.")
+    if settled:
         return AdjustmentResult(0.0, flavor, (0.0, 0.0), True, False, "criterion is +inf at every h > 0")
     uncertain = [False]
     search, sup = Search(model, policy), sup_log_mgf if partial else per_increment_sup
@@ -232,12 +179,12 @@ def _solve_sup_root(model, tol, policy, partial: bool, never_blows, never_note: 
 
 def solve_per_increment(model: RiskModel, tol: float = 1e-10, policy: TruncationPolicy | None = None) -> AdjustmentResult:
     """sup{h >= 0 : sup_j E exp(h v_{j-1} Y*_j) <= 1}, the one-step coefficient."""
-    return _solve_sup_root(model, tol, policy, False, _per_increment_never_blows, "every increment is nonpositive a.s.")
+    return _solve_sup_root(model, tol, policy, False)
 
 
 def solve_partial_sum(model: RiskModel, tol: float = 1e-10, policy: TruncationPolicy | None = None) -> AdjustmentResult:
     """sup{h >= 0 : sup_k E exp(h S*_k) <= 1}, the partial-sum coefficient."""
-    return _solve_sup_root(model, tol, policy, True, _partial_sums_never_blow, "every partial sum is nonpositive a.s.")
+    return _solve_sup_root(model, tol, policy, True)
 
 
 def _check_period_args(model: RiskModel, l: int) -> None:
@@ -246,17 +193,22 @@ def _check_period_args(model: RiskModel, l: int) -> None:
     if not isinstance(inc, (Periodic, QuasiPeriodicScaled)):
         raise PeriodHypothesisError("period root requires Periodic or QuasiPeriodicScaled increments")
     cycle_len = len(inc.cycle)
-    if not (isinstance(l, (int, np.integer)) and l >= 1 and l % cycle_len == 0):
+    if not (_is_int(l) and l >= 1 and l % cycle_len == 0):
         raise PeriodHypothesisError(f"l={l!r} is not a multiple of the cycle length {cycle_len}")
     rate_period = model.rates.period()
     if rate_period is None or l % rate_period != 0:
         raise PeriodHypothesisError("rates must repeat with a period dividing l")
     # l is a multiple of the block length, so the block's rho decides contraction
+    if unfit := _block_unfit(model):
+        raise PeriodHypothesisError(unfit)
+
+
+def _block_unfit(model: RiskModel) -> str:
+    """Why the model's block fails the periodic reductions' hypotheses, or ""."""
     block = model._block
     if block is None:
-        raise PeriodHypothesisError("the effective period is too long to reduce")
-    if block.amplifying:
-        raise PeriodHypothesisError(f"scale times discount over one period is exp({block.log_ratio:.6g}) > 1")
+        return "the effective period is too long to reduce"
+    return f"scale times discount over one period is exp({block.log_ratio:.6g}) > 1" if block.amplifying else ""
 
 
 def solve_period_root(model: RiskModel, l: int, tol: float = 1e-10) -> AdjustmentResult:
@@ -298,8 +250,8 @@ def verify_window_exponent(model: RiskModel, l: int, m: int, exponent: float) ->
     periodicity, or a contracting tail whose terms have all turned nonpositive).
     Otherwise the check reports ok=False with reason "unverifiable-tail".
     """
-    if not (l >= 1 and m >= 1 and exponent >= 0.0):
-        raise ValueError("verify_window_exponent needs l >= 1, m >= 1, exponent >= 0")
+    if not (_is_int(l) and _is_int(m) and l >= 1 and m >= 1 and exponent >= 0.0):
+        raise ValueError(f"verify_window_exponent needs integers l, m >= 1 and exponent >= 0, got {l!r}, {m!r}, {exponent!r}")
     horizon = model.horizon()
     if horizon is not None:
         n_hi = horizon - l
@@ -310,9 +262,9 @@ def verify_window_exponent(model: RiskModel, l: int, m: int, exponent: float) ->
         worst = max(deltas)
         return WindowCheck(worst <= SLACK, "finite horizon, exhaustive", worst, horizon)
 
-    block = model._block
-    if block is None or block.amplifying:
+    if _block_unfit(model):
         return WindowCheck(False, "unverifiable-tail", INF, 0)
+    block = model._block
     prefix_len, L = block.prefix, block.length
 
     # windows starting at n cover one effective block of phases once n passes

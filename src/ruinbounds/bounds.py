@@ -23,8 +23,6 @@ from .adjustment import (
     SLACK,
     _check_period_args,
     _domain_cap,
-    _never_bounded,
-    _partial_sums_never_blow,
     solve_kappa,
     solve_per_increment,
     solve_period_root,
@@ -39,6 +37,8 @@ from .models import (
     RiskModel,
     Search,
     TruncationPolicy,
+    _is_int,
+    _settled,
     cumulative_log_mgf,
     iid_base,
     log_mgf_terms,
@@ -211,10 +211,11 @@ def bound_optimize(model: RiskModel, u: float, policy: TruncationPolicy | None =
     """
     _require_u(u)
     search = _checked(search, model, policy or TruncationPolicy())
-    if _partial_sums_never_blow(model):
+    settled = _settled(model, True)
+    if settled is None:
         return BoundResult(u, -INF, INF, "optimized", Certificate(0.0, INF), True,
                            "paths never rise above zero a.s.")
-    if _never_bounded(model, True):
+    if settled:
         return _no_exponent(u)
 
     cache: dict[float, float] = {}  # this call's probes: h_star is the best of them
@@ -350,7 +351,7 @@ def _periodic_certificate(search: Search, l: int, variant: str, start_index: int
             raise ValueError("shift_window needs an exponent to verify")
         if at_h is not None:
             raise ValueError("at_h applies only to the root-based variants")
-        if not (isinstance(start_index, (int, np.integer)) and start_index >= 1):
+        if not (_is_int(start_index) and start_index >= 1):
             raise ValueError(f"start_index must be a positive integer, got {start_index!r}")
         check = verify_window_exponent(model, l, start_index, exponent)
         if not check.ok:

@@ -21,7 +21,7 @@ import os
 import sys
 from importlib import resources
 
-from .adjustment import solve_kappa, solve_partial_sum, solve_per_increment, solve_period_root
+from .adjustment import _block_unfit, solve_kappa, solve_partial_sum, solve_per_increment, solve_period_root
 from .bounds import (
     bound_at_h,
     bound_kappa,
@@ -85,6 +85,8 @@ def _parse_u_spec(spec: str) -> list[float]:
                 v = start + k * step
                 if v > stop + 1e-12 * max(1.0, abs(stop)):
                     break
+                if out and v <= out[-1]:  # a step below the float spacing at v
+                    raise ValueError("--u values must be strictly increasing")
                 out.append(v)
                 k += 1
             return out
@@ -176,7 +178,9 @@ def cmd_adjustment(args) -> int:
     model = _load(args)
     policy = _policy(args)
     results = [solve_per_increment(model, args.tol, policy), solve_partial_sum(model, args.tol, policy)]
-    if isinstance(model.increments, (Periodic, QuasiPeriodicScaled)) and model.rates.period() is not None:
+    # without --l, the period root only where the block meets its hypotheses
+    if isinstance(model.increments, (Periodic, QuasiPeriodicScaled)) and model.rates.period() is not None \
+            and (args.l is not None or not _block_unfit(model)):
         results.append(solve_period_root(model, _infer_l(model, args), args.tol))
     base = iid_base(model)
     if base is not None:

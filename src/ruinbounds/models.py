@@ -13,8 +13,8 @@ partial-sum criterion) or of the terms themselves (per_increment_sup).
 
 Each model caches one structural record, RiskModel._laws: its finite law
 list (an explicit prefix, or a prefix and one period) with the parameter table
-and each law's esssup and MGF-domain sup, read by the kernel, the solvers'
-support shortcuts, the union series and the simulator's weights. When the
+and each law's esssup and MGF-domain sup, read by the kernel, the esssup
+verdicts (_settled), the union series and the simulator's weights. When the
 rates repeat too, the record is the model's block, folded in log space: the
 effective period, each slot's log multiplier log scale_j + log v_{j-1}, and
 log rho, the period-to-period multiplier of h. Exact periods, contracting
@@ -22,15 +22,17 @@ tails and amplifying tails whose period laws are all nonpositive then reduce
 to a few periods of the block, walked one (law, multiplier of h) pair at a
 time by _walk, the multipliers of the first periods kept on the record;
 _walk serves only these short walks, where a scalar loop beats numpy's fixed
-cost. Other amplifying tails are +inf at every h > 0 where
-their period laws' esssups say so (_Laws.unbounded). Four closed forms cover the
+cost. One function, _settled, reads the esssups once per model and flavour
+for the verdicts that no search over h reaches: a criterion that holds at
+every h, and one that an amplifying block makes +inf at every h > 0; the
+routes, the solvers and the optimizer all read it. Four closed forms cover the
 indexed families without interest (the IndexedTwoPoint one in O(1) through
 log-factorials and a power-sum series). Everything else is scanned by
 log_mgf_terms, the vectorized term kernel, on per-family parameter arrays, in
 ranges up to a truncation cap; the scan stops early where the family proves
 that every later term is negative. What a probe reads apart from h (its route,
 _route, and each range's probe plan) is built once and kept on the model
-(RiskModel._memo, with the solvers' support facts).
+(RiskModel._memo, with the esssup verdicts).
 What depends on h lives with the caller, in one record per search (Search):
 the chord references that let a finite-horizon scan below an earlier one, at
 the MGF-domain cap too, read a few epochs (_sup_scan), and what bounds keeps.
@@ -466,6 +468,10 @@ class _Memo(dict):
         return value
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 _MISSING = object()
 _MEMO_LOCK = threading.Lock()
 
@@ -635,31 +641,11 @@ class _Laws:
     @cached_property
     def period_top(self) -> float:
         """The largest esssup of a period law, +inf also where one has a finite
-        MGF domain. A log-MGF has slope g(t)/t -> esssup Y, so on an amplifying
-        block, where t grows without bound, +inf makes every sup +inf at every
-        h > 0, and a value <= 0 makes every term after the first period
-        nonpositive and at most the same slot's term there (_sup)."""
+        MGF domain (_settled). On an amplifying block a value <= 0 makes every
+        term after the first period nonpositive and at most the same slot's
+        term there (_sup_periodic)."""
         P = self.prefix
         return INF if (self.dom[P:] < INF).any() else float(self.esssup[P:].max())
-
-    def unbounded(self, partial: bool) -> str:
-        """Why an amplifying block makes the sup +inf at every h > 0, or "" when
-        the period laws do not decide it so. Along the block t grows without
-        bound, and g(t)/t -> esssup Y: a period law of esssup +inf (or of a
-        finite MGF domain) makes both sups +inf, one of finite esssup > 0 the
-        per-increment sup, and a positive period slope sum_s w_s esssup_s, with
-        w_s = e^{logs} the slot's multiplier of h, the partial-sum sup, as each
-        period's sum of terms grows like t times it. The slope counts as
-        positive only past the rounding of its sum."""
-        top = self.period_top if self.amplifying else 0.0
-        if top == INF or (top > 0.0 and not partial):
-            return "the amplified terms of a period law grow without bound"
-        if top > 0.0:
-            P = self.prefix
-            slopes = np.exp(self.log_array[P:]) * self.esssup[P:]
-            if slopes.sum() > 1e-12 * np.abs(slopes).sum():
-                return "the amplified sums of a period grow without bound"
-        return ""
 
 
 def _layout(model: RiskModel, K: int, start: int = 0, log_v: np.ndarray | None = None) -> tuple[_Laws, np.ndarray, np.ndarray]:
@@ -689,6 +675,62 @@ def _layout(model: RiskModel, K: int, start: int = 0, log_v: np.ndarray | None =
     slot = np.where(j < P, j, P + past % n)
     c = laws.log_array[slot] if laws.logs is not None else discounts()
     return laws, slot, c + (past // n) * laws.log_ratio if laws.log_ratio else c
+
+
+def _examined_span(model: RiskModel) -> int | None:
+    """How many leading indices decide the sign structure, when finitely many do."""
+    horizon = model.horizon()
+    if horizon is not None:
+        return horizon
+    block = model._block
+    return None if block is None else block.prefix + block.length
+
+
+@_per_model
+def _esssup_sums(model: RiskModel, K: int) -> np.ndarray | None:
+    """esssup(S*_k) = sum_{j<=k} v_{j-1} esssup Y*_j for k = 1..K, the esssup of
+    a sum of independent terms being the sum of esssups; None if one is +inf."""
+    laws, slot, c = _layout(model, K)
+    hi = laws.esssup[slot]
+    return None if (hi == INF).any() else np.cumsum(np.exp(c) * hi)
+
+
+@_per_model
+def _settled(model: RiskModel, partial: bool) -> str | None:
+    """The esssups' verdict on one criterion (partial sums, or single terms)
+    at every h > 0: None where it holds at every h, every partial sum (or term)
+    being nonpositive a.s.; the reason where an amplifying block makes it +inf;
+    "" where only a search over h decides.
+
+    On an amplifying block t grows without bound and g(t)/t -> esssup Y, so a
+    period law of esssup +inf (period_top) makes both sups +inf, one above 0 the
+    per-increment sup, and a period slope E_L > 0 the partial-sum sup. Here
+    E_r = sum_{s<=r} w_s esssup_s are the period's own partial sums, w_s the
+    slot's multiplier of h, and the slope counts only past its rounding. The
+    partial sums hold where the esssups of S*_k through the first period and
+    E_L are <= 0, and, where the multiplier grows, every E_r: both read one E.
+    """
+    span = _examined_span(model)
+    if span is None:
+        return ""
+    block = model._block
+    top = block.period_top if block is not None and block.amplifying else 0.0
+    if top == INF or (top > 0.0 and not partial):
+        return "the amplified terms of a period law grow without bound"
+    laws, slot, c = _layout(model, span)
+    hi = laws.esssup[slot]
+    if not partial:
+        return None if (hi <= 0.0).all() else ""
+    P = block.prefix if block is not None else 0
+    if (hi[P:] == INF).any():  # e^c * inf is not formed: e^c may be 0
+        return ""
+    slopes = np.exp(c[P:]) * hi[P:]
+    E = np.cumsum(slopes)  # without a block, the esssups of S*_k themselves
+    if top > 0.0 and E[-1] > 1e-12 * np.abs(slopes).sum():
+        return "the amplified sums of a period grow without bound"
+    sums, grows = _esssup_sums(model, span), block is not None and block.log_ratio > 0.0
+    holds = sums is not None and (sums <= 0.0).all() and E[-1] <= 0.0 and not (grows and (E > 0.0).any())
+    return None if holds else ""
 
 
 _FLOAT_MAX = sys.float_info.max
@@ -1276,14 +1318,14 @@ def _route(model: RiskModel, partial: bool):
     """The reduction of the model's sups of one flavour at every h > 0, decided
     once from what does not depend on h: a function of (h, partial) for the
     closed forms of the indexed families without interest, the periodic block
-    and the amplifying verdict (_Laws.unbounded); None for the scan."""
+    and the amplifying verdict (_settled); None for the scan."""
     inc, block = model.increments, model._block
     if model.horizon() is not None:
         return None
     if model.zero_rates() and isinstance(inc, (IndexedNormal, IndexedTwoPoint)):
         return functools.partial(_sup_indexed_normal if isinstance(inc, IndexedNormal) else _sup_indexed_twopoint, inc)
-    if block is not None and block.unbounded(partial):
-        verdict = SupLogMgf(INF, None, "unbounded", True, block.unbounded(partial))
+    if reason := _settled(model, partial):
+        verdict = SupLogMgf(INF, None, "unbounded", True, reason)
         return lambda h, partial: verdict
     if block is not None and (not block.amplifying or block.period_top <= 0.0):
         return functools.partial(_sup_periodic, block)

@@ -20,6 +20,7 @@ from .models import (
     EventModel,
     ExplicitPrefix,
     RiskModel,
+    _is_int,
     _layout,
     reduce_event_model,
     sup_log_mgf,
@@ -132,10 +133,6 @@ def clopper_pearson(x: int, n: int, confidence: float = 0.99) -> tuple[float, fl
     else:  # P[Bin(n, p) <= x] = P[Bin(n, 1-p) >= n-x]
         hi = _logistic(-_solve_upper_tail(n - x, n, tail))
     return lo, hi
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +438,8 @@ def check_maximal_inequality(dists, h: float, w: float, n: int, cfg: SimConfig) 
     """
     if not (_is_int(n) and n >= 1):
         raise ValueError(f"n must be a positive integer, got {n!r}")
+    if not len(dists):
+        raise ValueError("dists must hold at least one law")
     if not (h >= 0.0):
         raise ValueError(f"h must be nonnegative, got {h!r}")
     model = RiskModel(ExplicitPrefix(tuple(dists[i % len(dists)] for i in range(n))))

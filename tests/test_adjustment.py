@@ -5,6 +5,7 @@ import pytest
 from ruinbounds import (
     INF,
     CompoundIncrement,
+    ConstantRates,
     Degenerate,
     ExplicitPrefix,
     IndexedNormal,
@@ -13,9 +14,11 @@ from ruinbounds import (
     Periodic,
     PeriodHypothesisError,
     PeriodicRates,
+    PrefixThenTail,
     QuasiPeriodicScaled,
     RiskModel,
     ShiftedExponential,
+    SimConfig,
     TruncationPolicy,
     TwoPoint,
     Uniform,
@@ -24,6 +27,8 @@ from ruinbounds import (
     solve_partial_sum,
     solve_per_increment,
     solve_period_root,
+    simulate_ruin,
+    sup_log_mgf,
     verify_window_exponent,
 )
 from ruinbounds import models as models_module
@@ -189,6 +194,45 @@ class TestNeverBounded:
         b = bound_optimize(m, 10.0)
         assert (b.log_bound, b.h_star, b.certificate, b.certified) == (0.0, 0.0, Certificate(0.0, 0.0), True)
 
+    def test_a_period_slope_behind_a_large_prefix(self):
+        # the period slope is 1e-11 > 0, which a running sum that carries the
+        # prefix's -1e6 rounds to 0: the verdict reads the period's own sums,
+        # so the solver, the optimizer and the sup agree that the criterion is
+        # +inf at every h > 0, where a certified +inf root and a certified
+        # -inf bound were reported before
+        m = RiskModel(PrefixThenTail((Degenerate(-1e6),),
+                                     QuasiPeriodicScaled((Degenerate(-1.0), Degenerate(1.0 + 1e-11)), 2.0)))
+        s = sup_log_mgf(m, 1.0)
+        assert (s.value, s.status, s.certified) == (INF, "unbounded", True)
+        r = solve_partial_sum(m)
+        assert (r.value, r.bracket, r.certified) == (0.0, (0.0, 0.0), True)
+        b = bound_optimize(m, 5.0)
+        assert (b.log_bound, b.h_star, b.certificate, b.certified) == (0.0, 0.0, Certificate(0.0, 0.0), True)
+        # the one path passes u = 5 at epoch 115
+        sim = simulate_ruin(m, 5.0, SimConfig(n_paths=100, horizon=150, seed=1))
+        assert sim.ruin_count == 100
+
+
+class TestHoldsAtEveryH:
+    """Where every partial sum (or every increment) is nonpositive a.s., the
+    solver returns a certified +inf and the optimizer the -inf bound, from the
+    esssups alone, without probing an h."""
+
+    NONPOSITIVE_CYCLE = RiskModel(Periodic((Uniform(-2.0, -1.0), Degenerate(-0.5))))
+    # esssups -1 then 0.5: the partial sums stay <= 0, the increments do not
+    PREFIX = RiskModel(ExplicitPrefix((Degenerate(-1.0), Uniform(-3.0, 0.5), TwoPoint(-0.5, 0.3, -2.0))))
+    CONTRACTING = RiskModel(QuasiPeriodicScaled((Degenerate(-1.0), Uniform(-1.0, 0.5)), 0.5), ConstantRates(0.05))
+
+    @pytest.mark.parametrize("model, per_increment", [(NONPOSITIVE_CYCLE, True), (PREFIX, False),
+                                                      (CONTRACTING, False)], ids=["cycle", "prefix", "contracting"])
+    def test_decided_without_a_probe(self, model, per_increment, monkeypatch):
+        TestNeverBounded._refuse_probes(monkeypatch)
+        for solve in (solve_partial_sum, solve_per_increment) if per_increment else (solve_partial_sum,):
+            r = solve(model)
+            assert (r.value, r.bracket, r.certified, r.boundary) == (INF, None, True, False)
+        b = bound_optimize(model, 3.0)
+        assert (b.log_bound, b.h_star, b.certificate, b.certified) == (-INF, INF, Certificate(0.0, INF), True)
+
 
 class TestPeriodHypotheses:
     def test_requires_cyclic_increments(self):
@@ -264,6 +308,10 @@ class TestWindowExponent:
             verify_window_exponent(alternating_normals(), 2, 0, 1.0)
         with pytest.raises(ValueError):
             verify_window_exponent(alternating_normals(), 2, 1, -0.5)
+        # indices that are not integers, where a window would be sliced by them
+        for l, m in ((2.5, 1), (2, 1.5), (True, 1), (2, True)):
+            with pytest.raises(ValueError, match="integers"):
+                verify_window_exponent(alternating_normals(), l, m, 0.5)
 
 
 class TestResultInvariants:

@@ -420,6 +420,12 @@ class TestPeriodicVariants:
         with pytest.raises(ValueError):
             bound_periodic(alternating_normals(), 2, "windowed")
 
+    @pytest.mark.parametrize("l", [2.5, True])
+    def test_shift_window_needs_an_integer_period(self, l):
+        m = RiskModel(Periodic((Normal(-0.5, 1.0),)))
+        with pytest.raises(ValueError, match="integers"):
+            bound_periodic(m, l, "shift_window", u=1.0, exponent=0.5)
+
 
 class TestKappa:
     def test_classical(self):

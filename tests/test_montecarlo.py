@@ -314,6 +314,8 @@ class TestMaximalInequality:
             check_maximal_inequality([Normal(0.0, 1.0)], 1.0, 1.0, 0, cfg)
         with pytest.raises(ValueError):
             check_maximal_inequality([Normal(0.0, 1.0)], -1.0, 1.0, 5, cfg)
+        with pytest.raises(ValueError, match="at least one law"):
+            check_maximal_inequality([], 1.0, 1.0, 5, cfg)
 
 
 class TestDiscountOrdering:

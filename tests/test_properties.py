@@ -314,12 +314,54 @@ class TestAmplifyingVerdicts:
                 assert s.argmax <= P + L
                 assert values.max() == pytest.approx(s.value, rel=1e-12, abs=1e-12)
                 assert values[s.argmax - 1] == pytest.approx(s.value, rel=1e-12, abs=1e-12)
-        elif block.unbounded(partial):
+        elif models_module._settled(model, partial):
             assert (s.value, s.argmax, s.status, s.certified) == (INF, None, "unbounded", True)
         else:
             e = _full_scan(model, h, self.SCAN, partial)
             assert (s.value.hex(), s.argmax, s.status, s.certified, s.note) == \
                 (e.value.hex(), e.argmax, e.status, e.certified, e.note)
+
+
+class TestSettledVerdicts:
+    """models._settled, the esssups' verdict on each criterion, against the
+    sups it stands for: where it holds at every h, the sup is <= 0 and
+    certified at every h probed, unless a scan to the cap leaves it
+    undetermined (an amplifying block with period esssups of both signs);
+    where it names a reason, the sup is +inf. The two verdicts read one set of
+    period sums, so a criterion that holds for the increments holds for the
+    partial sums, and one that is +inf for the partial sums is +inf for the
+    increments."""
+
+    @st.composite
+    def models(draw):
+        cls = TestAmplifyingVerdicts
+        laws = st.one_of(cls.nonpositive, cls.bounded, cls.unbounded)
+        prefix = tuple(draw(st.lists(st.one_of(cls.nonpositive, cls.bounded), max_size=2)))
+        if draw(st.booleans()) and prefix:
+            return RiskModel(ExplicitPrefix(prefix), ExplicitRates((0.01,) * len(prefix)))
+        tail = QuasiPeriodicScaled(tuple(draw(st.lists(laws, min_size=1, max_size=3))),
+                                   draw(st.sampled_from([0.5, 1.0, 1.5])))
+        rates = draw(st.sampled_from([ConstantRates(0.0), ConstantRates(0.01), PeriodicRates((0.0, 0.02))]))
+        return RiskModel(PrefixThenTail(prefix, tail) if prefix else tail, rates)
+
+    @settings(max_examples=200, deadline=None)
+    @given(models())
+    @example(RiskModel(QuasiPeriodicScaled((Degenerate(-1.0), Uniform(0.0, 1.0)), 1.5)))
+    @example(RiskModel(PrefixThenTail((Degenerate(-1e6),),
+                                      QuasiPeriodicScaled((Degenerate(-1.0), Degenerate(1.0 + 1e-11)), 2.0))))
+    @example(RiskModel(QuasiPeriodicScaled((Uniform(-2.0, -1.0), Degenerate(-0.5)), 1.5)))
+    def test_verdicts_agree_with_the_sups(self, model):
+        verdicts = {partial: models_module._settled(model, partial) for partial in (True, False)}
+        assert verdicts[False] is not None or verdicts[True] is None
+        assert not verdicts[True] or verdicts[False]
+        for partial, sup in ((True, sup_log_mgf), (False, per_increment_sup)):
+            scanned = model.horizon() is None and models_module._route(model, partial) is None
+            for h in (0.1, 1.0, 7.0):
+                s = sup(model, h, TruncationPolicy(300))
+                if verdicts[partial] is None:
+                    assert (s.certified and s.value <= 1e-12) or (scanned and s.status == "undetermined")
+                elif verdicts[partial]:
+                    assert (s.value, s.status, s.certified) == (INF, "unbounded", True)
 
 
 class TestMixedSignAmplifying:
@@ -1023,8 +1065,8 @@ def _reference_sup(model: RiskModel, h: float, k_max: int, partial: bool) -> Sup
             return models_module._sup_indexed_normal(inc, h, partial)
         if model.zero_rates() and isinstance(inc, IndexedTwoPoint):
             return models_module._sup_indexed_twopoint(inc, h, partial)
-        if block is not None and block.amplifying and block.unbounded(partial):
-            return SupLogMgf(INF, None, "unbounded", True, block.unbounded(partial))
+        if block is not None and block.amplifying and models_module._settled(model, partial):
+            return SupLogMgf(INF, None, "unbounded", True, models_module._settled(model, partial))
         if block is not None and (not block.amplifying or block.period_top <= 0.0):
             return models_module._sup_periodic(block, h, partial)
     cap = horizon if horizon is not None else k_max

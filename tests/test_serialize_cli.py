@@ -454,6 +454,27 @@ class TestCliAdjustment:
         rc, out, err = run_cli(["adjustment", "--model", str(p)], capsys)
         assert rc in (0, 2) and "Traceback" not in err
 
+    @pytest.mark.parametrize("increments, rates, l, why", [
+        # scale 1.0005 per period: both coefficients are a certified 0
+        ({"kind": "quasi_periodic", "cycle": [{"family": "normal", "mean": -1.0, "variance": 1.0}], "scale": 1.0005},
+         {"kind": "constant", "rate": 0.0}, 1, "scale times discount over one period"),
+        # an effective period of lcm(317, 331) epochs, past the block limit
+        ({"kind": "periodic", "cycle": [{"family": "normal", "mean": -0.5, "variance": 1.0}] * 317},
+         {"kind": "periodic", "values": [0.01] * 331}, 317 * 331, "the effective period is too long to reduce"),
+    ], ids=["amplifying", "long_period"])
+    def test_period_root_only_where_its_hypotheses_hold(self, increments, rates, l, why, tmp_path, capsys):
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps({"increments": increments, "rates": rates}), encoding="utf-8")
+        rc, out, _ = run_cli(["adjustment", "--model", str(p)], capsys)
+        rows = out.strip().split("\n")[1:]
+        assert rc == 0
+        assert [row.split(",")[0] for row in rows] == ["per_increment", "partial_sum"]
+        if increments["kind"] == "quasi_periodic":
+            assert [row.split(",", 1)[1] for row in rows] == ["0,true,0,0,false,criterion is +inf at every h > 0"] * 2
+        # an explicit --l still asks for the period root, and its hypotheses fail
+        rc, out, err = run_cli(["adjustment", "--model", str(p), "--l", str(l)], capsys)
+        assert (rc, out) == (2, "") and why in err
+
 
 class TestCliCompare:
     def test_winner_is_the_row_minimum(self, capsys):
@@ -627,6 +648,14 @@ class TestCliConfigErrors:
     def test_command_line_errors_name_no_config_position(self, argv, line, capsys):
         rc, out, err = run_cli(["bound", "--model", "alternating_normals", *argv], capsys)
         assert (rc, out, err) == (2, "", f"config error: {line}\n")
+
+    def test_a_range_step_below_the_float_spacing_fails_at_the_first_repeat(self):
+        # 1e18 + 1 == 1e18: the range repeats its start; it fails there, not
+        # after about 1e6 copies of it
+        t0 = time.perf_counter()
+        with pytest.raises(ConfigError, match="strictly increasing"):
+            cli._parse_u_spec("1e18:1e18:1")
+        assert time.perf_counter() - t0 < 0.2
 
     @pytest.mark.parametrize("command", [
         ["bound"],

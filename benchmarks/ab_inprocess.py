@@ -163,6 +163,15 @@ PROBES = {
     "prefix_5000_one_open/per_increment": (_mixed_prefix, None, "per_increment_sup", (0.2997, 0.29997), 0.3),
     "contracting_block/sup": (lambda rb: rb.RiskModel(rb.QuasiPeriodicScaled(
         (rb.Normal(-0.5, 1.0), rb.Normal(0.25, 1.0)), 0.95)), None, "sup_log_mgf", (0.1, 0.5, 1.0), None),
+    # contracting tails whose partial sums rise for 3 to about 900 periods
+    # before the envelope closes (bench_sup.py's blocks)
+    "contracting_block_tail/sup": (lambda rb: rb.RiskModel(rb.QuasiPeriodicScaled(
+        (rb.Normal(-0.5, 1.0), rb.Normal(0.25, 1.0)), 0.95)), None, "sup_log_mgf", (1.0, 2.0, 4.0), None),
+    "prefix_then_tail_1pct/sup": (lambda rb: rb.RiskModel(rb.PrefixThenTail(
+        (rb.Normal(0.5, 1.0), rb.Uniform(-1.0, 2.0), rb.TwoPoint(2.0, 0.3, -1.0)), rb.Periodic((rb.Normal(-0.5, 1.0),))),
+        rb.ConstantRates(0.01)), None, "sup_log_mgf", (2.0, 4.0), None),
+    "two_normals_1e-4/sup": (lambda rb: rb.RiskModel(rb.Periodic((rb.Normal(-0.25, 1.0), rb.Normal(-0.75, 1.0))),
+                                                     rb.ConstantRates(1e-4)), None, "sup_log_mgf", (1.2,), None),
 }
 
 

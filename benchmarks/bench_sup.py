@@ -40,8 +40,10 @@ QuasiPeriodicScaled cycle, alternating Normals under periodic rates, a prefix
 of three families before a Normal tail at a 1% rate, a FiniteDiscrete cycle)
 and on the contracting tail Periodic((Normal(-0.25, 1), Normal(-0.75, 1)))
 under a constant rate of 1e-2 and 1e-4. At h = 0.3 both tails close after
-their first period; at h = 1.2 (suffix @1.2) the partial sums rise for about
-10 and 900 periods before the tail envelope closes.
+their first period; at h = 1.2 the partial sums rise for about 10 and 900
+periods before the tail envelope closes. The contracting QuasiPeriodicScaled
+cycle at h = 1, 2 and 4 walks 29, 42 and 56 periods, and the prefixed tail at
+h = 2 and 4 walks 68 and 138, as the optimizer's larger probes on them do.
 """
 
 from __future__ import annotations
@@ -218,7 +220,9 @@ _BLOCKS = {
 
 
 @pytest.mark.parametrize("name, h", [*((name, 0.3) for name in _BLOCKS),
-                                     ("two_normals_1e-2", 1.2), ("two_normals_1e-4", 1.2)])
+                                     ("contracting_quasi_periodic", 1.0), ("contracting_quasi_periodic", 2.0),
+                                     ("contracting_quasi_periodic", 4.0), ("prefix_then_tail_1pct", 2.0),
+                                     ("prefix_then_tail_1pct", 4.0), ("two_normals_1e-2", 1.2), ("two_normals_1e-4", 1.2)])
 def test_block(benchmark, name, h):
     model = _BLOCKS[name]
     sup_log_mgf(model, h)  # what the model keeps, built once

@@ -1,0 +1,134 @@
+"""Mutation checks: small edits of the package that named tests must catch.
+
+    python3 benchmarks/mutants.py [--only NAME ...] [--timeout SECONDS]
+
+Outside the test suite's testpaths, so plain `python -m pytest` skips it.
+Each entry of MUTANTS is (name, file under src/ruinbounds, edits, pytest node
+ids), where each edit is (exact old text, new text). A mutant is applied in a
+temporary copy of src/, tests/ and pyproject.toml, never in the checkout: every
+occurrence of each old text is replaced, and the named tests run there with -x,
+a fixed Hypothesis seed and a time limit. The mutant is
+
+- killed when the tests fail (or run past the time limit),
+- survived when they pass: a test is missing, or the edit changes nothing,
+- stale when an old text is not in the file: the code it mutates has moved,
+  and the entry must follow it.
+
+The named tests first run once on an unmutated copy; if they fail there, no
+verdict means anything, and the script exits 2. Otherwise it prints one line
+per mutant and then the verdicts as one JSON line, and exits 0 only if every
+mutant is killed.
+
+A change that adds a certificate, a shortcut or a cache adds the mutants
+that its tests must kill; a change that moves mutated code updates the
+entries that went stale.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+_ONE_PASS = ("tests/test_properties.py::TestOnePassBlockSup", "tests/test_properties.py::TestSignedTailEnvelope",
+             "tests/test_models.py::TestSupLogMgf")
+_CACHE = ("tests/test_serialize_cli.py::TestCliModelCache",)
+
+# name: (file, ((old, new), ...), node ids)
+MUTANTS = {
+    # models._sup_periodic, the one-pass block sup and its tail envelope
+    "envelope_positive_mass_unfiltered": ("models.py", (
+        ("if term > 0.0:\n                    pos += term", "if True:\n                    pos += term"),), _ONE_PASS),
+    "envelope_top_carried_across_periods": ("models.py", (
+        ("g, best, arg, j, b, epochs = 0.0, -INF, None, 0, 0,", "g, best, arg, j, b, top, epochs = 0.0, -INF, None, 0, 0, -INF,"),
+        ("pos, total, top = 0.0, -0.0, -INF", "pos, total = 0.0, -0.0")), _ONE_PASS),
+    "tail_overflow_check_dropped": ("models.py", (
+        ("        if best == INF:  # a +inf term", "        if best == INF and not b:  # a +inf term"),), _ONE_PASS),
+    "head_nan_stop_dropped": ("models.py", (("elif g != g and not b:", "elif False:"),), _ONE_PASS),
+    "period_sum_over_the_prefix": ("models.py", (("            if j > P:\n", "            if j > 0:\n"),), _ONE_PASS),
+    # cli._load, the models kept per process
+    "cache_keyed_by_path": ("cli.py", (
+        ("_MODELS.get(raw)", "_MODELS.get(path)"),
+        ("_MODELS.move_to_end(raw)", "_MODELS.move_to_end(path)"),
+        ("_MODELS[raw] = model", "_MODELS[path] = model")), _CACHE),
+    "cache_keeps_errors": ("cli.py", (
+        ("    model = load_model(path)\n",
+         "    try:\n        model = load_model(path)\n    except ConfigError as e:\n"
+         "        _MODELS[raw] = e\n        raise\n"),), _CACHE),
+}
+
+
+def _copy(directory: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, directory / name, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", directory / "pyproject.toml")
+
+
+def _pytest(directory: Path, node_ids, timeout: float) -> str | None:
+    """None if the tests pass in the copy, else what failed: the first failing
+    test, or the time limit."""
+    env = dict(os.environ, PYTHONPATH=str(directory / "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-rf", "-p", "no:cacheprovider", "--hypothesis-seed=0",
+           *node_ids]
+    try:
+        done = subprocess.run(cmd, cwd=directory, env=env, capture_output=True, text=True, timeout=timeout)
+    except subprocess.TimeoutExpired:
+        return f"the time limit of {timeout:g} s"
+    if done.returncode == 0:
+        return None
+    failed = [line.split()[1] for line in done.stdout.splitlines() if line.startswith("FAILED ")]
+    return failed[0] if failed else f"pytest exit code {done.returncode}"
+
+
+def run_mutant(name: str, timeout: float) -> tuple[str, str | None]:
+    """(verdict, the failure that killed the mutant, or None)."""
+    file, edits, node_ids = MUTANTS[name]
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        directory = Path(tmp)
+        _copy(directory)
+        path = directory / "src" / "ruinbounds" / file
+        text = path.read_text(encoding="utf-8")
+        for old, new in edits:
+            if old not in text:
+                return "stale", None
+            text = text.replace(old, new)
+        path.write_text(text, encoding="utf-8")
+        failure = _pytest(directory, node_ids, timeout)
+        return ("killed" if failure else "survived"), failure
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--only", nargs="+", choices=tuple(MUTANTS), help="run only these mutants")
+    ap.add_argument("--timeout", type=float, default=300.0, help="seconds per test run (default 300)")
+    args = ap.parse_args(argv)
+    names = args.only or list(MUTANTS)
+    with tempfile.TemporaryDirectory(prefix="mutant-base-") as tmp:
+        _copy(Path(tmp))
+        node_ids = list(dict.fromkeys(node for name in names for node in MUTANTS[name][2]))
+        failure = _pytest(Path(tmp), node_ids, args.timeout)
+        if failure:
+            print(f"without a mutant the named tests fail ({failure}); no verdict is possible")
+            return 2
+    verdicts = {}
+    for name in names:
+        t0 = time.perf_counter()
+        verdicts[name], failure = run_mutant(name, args.timeout)
+        by = f" by {failure}" if failure else ""
+        print(f"{name:>36}: {verdicts[name]}{by} ({time.perf_counter() - t0:.1f} s)", flush=True)
+    print(json.dumps({"verdicts": verdicts, "killed": sum(v == "killed" for v in verdicts.values()),
+                      "mutants": len(verdicts)}))
+    return 0 if all(v == "killed" for v in verdicts.values()) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

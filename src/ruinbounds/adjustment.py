@@ -35,6 +35,7 @@ from .models import (
     _is_int,
     _layout,
     _per_model,
+    _reduced,
     _settled,
     _walk,
     cumulative_log_mgf,
@@ -153,6 +154,7 @@ def _solve_sup_root(model, tol, policy, partial: bool) -> AdjustmentResult:
     where the esssups settle it (models._settled). The probes share one search
     record (models.Search) for its chord references, dropped on return."""
     _check_tol(tol)
+    _reduced(model)
     flavor = "partial_sum" if partial else "per_increment"
     settled = _settled(model, partial)
     if settled is None:
@@ -189,6 +191,7 @@ def solve_partial_sum(model: RiskModel, tol: float = 1e-10, policy: TruncationPo
 
 def _check_period_args(model: RiskModel, l: int) -> None:
     """Validate the periodic-reduction hypotheses."""
+    _reduced(model)
     inc = model.increments
     if not isinstance(inc, (Periodic, QuasiPeriodicScaled)):
         raise PeriodHypothesisError("period root requires Periodic or QuasiPeriodicScaled increments")
@@ -250,6 +253,7 @@ def verify_window_exponent(model: RiskModel, l: int, m: int, exponent: float) ->
     periodicity, or a contracting tail whose terms have all turned nonpositive).
     Otherwise the check reports ok=False with reason "unverifiable-tail".
     """
+    _reduced(model)
     if not (_is_int(l) and _is_int(m) and l >= 1 and m >= 1 and exponent >= 0.0):
         raise ValueError(f"verify_window_exponent needs integers l, m >= 1 and exponent >= 0, got {l!r}, {m!r}, {exponent!r}")
     horizon = model.horizon()

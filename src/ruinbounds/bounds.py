@@ -38,6 +38,7 @@ from .models import (
     Search,
     TruncationPolicy,
     _is_int,
+    _reduced,
     _settled,
     cumulative_log_mgf,
     iid_base,
@@ -393,6 +394,7 @@ def bound_kappa(model: RiskModel, u: float, tol: float = 1e-10) -> BoundResult:
     """Classical one-distribution root bound, valid with interest and geometric
     scaling down: discount factors in (0, 1] shrink the root criterion, since
     log E exp(t Y) is convex and zero at t = 0."""
+    _reduced(model)
     _require_u(u)
     base = iid_base(model)
     if base is None:
@@ -449,6 +451,7 @@ def bound_union(model: RiskModel, u: float, h: float, policy: TruncationPolicy |
     When the series diverges or its tail cannot be certified, the result is
     the trivial bound 1.
     """
+    _reduced(model)
     _require_u(u)
     _require_h(h)
     policy = policy or TruncationPolicy()

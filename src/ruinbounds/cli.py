@@ -7,6 +7,11 @@ externally published reference curves, and a simulation estimate).
 
 Exit codes: 0 success, 2 configuration error, 3 uncertified results under
 --strict, 4 a simulated estimate escaped above its bound.
+
+In one process, main() keeps two things between calls: the argument parser,
+and the models of the last configs read, by the bytes of their files (_load).
+Neither depends on h or u: each call makes its own search record, so it
+prints what a fresh process prints.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ import json
 import math
 import os
 import sys
+import threading
+from collections import OrderedDict
 from importlib import resources
 
 from .adjustment import _block_unfit, solve_kappa, solve_partial_sum, solve_per_increment, solve_period_root
@@ -118,10 +125,41 @@ def _resolve_model_path(name: str) -> str:
     raise ConfigError(f"model file not found: {name}", path=None)
 
 
+# the models of the configs read last, by the bytes of their files (_load)
+_MODELS: OrderedDict[bytes, RiskModel] = OrderedDict()
+_MODELS_KEPT = 32
+_MODELS_LOCK = threading.Lock()
+
+
+def _read(path: str) -> bytes | None:
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError:  # load_model reports it
+        return None
+
+
 def _load(args) -> RiskModel:
-    model = load_model(_resolve_model_path(args.model))
+    """The request's model, an event model reduced. The models of the
+    _MODELS_KEPT configs used last are kept by the bytes of their files, so an
+    edited file gets a new model. A model keeps only what does not depend on
+    h or u (its law record, routes, verdicts and probe plans); every request
+    makes its own search record. A config that fails is never kept."""
+    path = _resolve_model_path(args.model)
+    raw = _read(path)
+    with _MODELS_LOCK:
+        model = _MODELS.get(raw)
+        if model is not None:
+            _MODELS.move_to_end(raw)
+            return model
+    model = load_model(path)
     if isinstance(model, EventModel):
         model = reduce_event_model(model)
+    if raw is not None and _read(path) == raw:  # the file did not change while it was loaded
+        with _MODELS_LOCK:
+            _MODELS[raw] = model
+            if len(_MODELS) > _MODELS_KEPT:
+                _MODELS.popitem(last=False)
     return model
 
 

@@ -19,10 +19,9 @@ rates repeat too, the record is the model's block, folded in log space: the
 effective period, each slot's log multiplier log scale_j + log v_{j-1}, and
 log rho, the period-to-period multiplier of h. Exact periods, contracting
 tails and amplifying tails whose period laws are all nonpositive then reduce
-to a few periods of the block, walked one (law, multiplier of h) pair at a
-time by _walk, the multipliers of the first periods kept on the record;
-_walk serves only these short walks, where a scalar loop beats numpy's fixed
-cost. One function, _settled, reads the esssups once per model and flavour
+to a few periods of the block, read in one scalar pass (_sup_periodic) that
+folds each term into the running sum, its maximum and the tail envelope as it
+comes; on such short walks a scalar loop beats numpy's fixed cost. One function, _settled, reads the esssups once per model and flavour
 for the verdicts that no search over h reaches: a criterion that holds at
 every h, and one that an amplifying block makes +inf at every h > 0; the
 routes, the solvers and the optimizer all read it. Four closed forms cover the
@@ -869,8 +868,7 @@ _WALK_KEPT = 1 << 12
 
 
 def _walk(h: float, epochs) -> list[float]:
-    """The terms log E exp(h w Y) for (Y, w) in epochs, through the first +inf;
-    w is the epoch's multiplier of h (_Laws.head, _Laws.weights)."""
+    """The terms log E exp(h w Y), w the multiplier of h, for (Y, w) in epochs, through the first +inf."""
     terms = []
     for law, w in epochs:
         term = log_mgf_at(law, h * w)
@@ -880,23 +878,9 @@ def _walk(h: float, epochs) -> list[float]:
     return terms
 
 
-def _fold(terms: list[float], partial: bool, start: int, g: float, best: float, arg: int | None):
-    """Fold the terms of epochs start, start+1, ... into the running value g
-    (the partial sum, or the term itself) and its maximum best at epoch arg.
-    Returns (g, best, arg, j): the fold stops at the first value that is not a
-    number, at epoch j (None if there is none), since the values from there on
-    are unknown, as in a scan."""
-    for j, term in enumerate(terms, start):
-        g = g + term if partial else term
-        if g > best:
-            best, arg = g, j
-        elif g != g:
-            return g, best, arg, j
-    return g, best, arg, None
-
-
 def cumulative_log_mgf(model: RiskModel, h: float, K: int) -> list[float]:
     """G_k(h) = sum_{j<=k} log E exp(h v_{j-1} Y*_j) for k = 1..K; +inf is absorbing."""
+    _reduced(model)
     if not h >= 0.0:
         raise ValueError(f"h must be >= 0, got {h!r}")
     if K < 1:
@@ -912,34 +896,51 @@ def cumulative_log_mgf(model: RiskModel, h: float, K: int) -> list[float]:
 
 
 def _sup_periodic(block: _Laws, h: float, partial: bool) -> SupLogMgf:
-    P, L = block.prefix, block.length
-    terms = _walk(h, zip(block.laws, block.head))
-    g, best, arg, nan = _fold(terms, partial, 1, 0.0, -INF, None)
-    if nan is not None:
-        return _stopped(np.empty(0), nan - 1, best, arg)
-    if best == INF:
-        return SupLogMgf(INF, arg, "unbounded", True, "divergent MGF term")
-    if block.exact or block.amplifying:
-        # every later block repeats these terms, or (amplifying, where _route
-        # sends only period laws of esssup <= 0) has terms that are nonpositive
-        # and at most the same slot's term here; with no period law above 0, a positive
-        # period sum is rounding (a TwoPoint law at 0 a.s. can round above 0)
-        if partial and block.exact and block.period_top > 0.0 and sum(terms[P:]) > 0.0:
-            return SupLogMgf(INF, None, "unbounded", True, "log-MGF grows by a positive amount per period")
-        return SupLogMgf(best, arg, "attained", True)
-
-    # contracting tail: a later term is at most rho times the same slot's term
-    # here (_tail_excess), so the sup of the terms is attained by now or is
-    # their limit zero, and the sup of the partial sums is the running maximum
-    # once no later sum can exceed it
-    if not partial:
-        if best < 0.0:
-            return SupLogMgf(0.0, None, "limit", True, "terms approach zero from below along the contracting tail")
-        return SupLogMgf(best, arg, "attained", True)
-    terms, b, rho = terms[P:], 0, math.exp(block.log_ratio)
-    share = rho / -math.expm1(block.log_ratio)  # _tail_excess reads both, once per sup
+    """The sup over the head (prefix and first period), then, on a contracting tail,
+    over periods b = 1, 2, ... until the envelope closes, in one pass: each term goes
+    at once into the running value g (the partial sum, or the term), its first maximum
+    best at epoch arg, and the period's positive mass, sum and largest prefix sum
+    (_tail_excess). As in a scan, a period stops after its first +inf term, and the
+    head at the first value that is not a number."""
+    P = block.prefix
+    g, best, arg, j, b, epochs = 0.0, -INF, None, 0, 0, zip(block.laws, block.head)
     while True:
-        excess = _tail_excess(terms, rho, share)
+        pos, total, top = 0.0, -0.0, -INF  # from -0.0, total adds the terms as accumulate does
+        for law, w in epochs:
+            term = log_mgf_at(law, h * w)
+            j += 1
+            g = g + term if partial else term
+            if g > best:
+                best, arg = g, j
+            elif g != g and not b:  # only in the head: a later term is no further from 0
+                return _stopped(np.empty(0), j - 1, best, arg)
+            if j > P:
+                if term > 0.0:
+                    pos += term
+                total += term
+                if total > top:
+                    top = total
+            if term == INF:
+                break
+        if best == INF:  # a +inf term, or finite terms whose sum overflows
+            return SupLogMgf(INF, arg, "unbounded", True, "divergent MGF term")
+        if not b and (block.exact or block.amplifying):
+            # every later period repeats these terms, or (amplifying: _route sends only period laws
+            # of esssup <= 0) has nonpositive terms at most the same slot's here; with no period law
+            # above 0, a positive period sum is rounding (a TwoPoint law at 0 a.s. can round above 0)
+            if partial and block.exact and block.period_top > 0.0 and total > 0.0:
+                return SupLogMgf(INF, None, "unbounded", True, "log-MGF grows by a positive amount per period")
+            return SupLogMgf(best, arg, "attained", True)
+        # contracting tail: a later term is at most rho times the same slot's term here
+        # (_tail_excess), so the sup of the terms is attained by now or is their limit
+        # zero, and that of the partial sums is the running maximum once no later sum can exceed it
+        if not partial:
+            if best < 0.0:
+                return SupLogMgf(0.0, None, "limit", True, "terms approach zero from below along the contracting tail")
+            return SupLogMgf(best, arg, "attained", True)
+        if not b:  # _tail_excess reads rho and share, found once per sup
+            share = (rho := math.exp(block.log_ratio)) / -math.expm1(block.log_ratio)
+        excess = _tail_excess(pos, total, top, rho, share)
         if g + excess <= best:
             return SupLogMgf(best, arg, "attained", True)
         if excess <= 1e-13 * max(1.0, abs(best), abs(g)):
@@ -948,27 +949,17 @@ def _sup_periodic(block: _Laws, h: float, partial: bool) -> SupLogMgf:
         b += 1
         if b >= _BLOCK_CAP:
             return SupLogMgf(g + excess, None, "undetermined", False, f"tail envelope did not converge within {_BLOCK_CAP} periods")
-        terms = _walk(h, block.period(b))
-        # a later term is at most as far from 0 as the same slot's in the head,
-        # where a value that is not a number has stopped the sup
-        g, best, arg, _ = _fold(terms, True, P + b * L + 1, g, best, arg)
-        if best == INF:
-            return SupLogMgf(INF, arg, "unbounded", True, "divergent MGF term")
+        epochs = block.period(b)
 
 
-def _tail_excess(terms: list[float], rho: float, share: float) -> float:
-    """How far a partial sum in any later period of a contracting tail can
-    exceed the one at the end of the period whose terms are given.
-
-    Per slot, g(lam t) <= lam * g(t) for lam in [0, 1] (g is convex with
-    g(0) = 0), so a term k periods on is at most rho^k times the same slot's
-    term here, of either sign (the chord). Two envelopes follow, and the
-    smaller counts: pos_mass * rho / (1 - rho) from the positive parts, and
-    max(S, 0) * rho / (1 - rho) + rho * max(0, top) from the period's sum S
-    and its largest prefix sum top; share is rho / (1 - rho).
-    """
-    sums = list(itertools.accumulate(terms))
-    return min(sum(filter((0.0).__lt__, terms)) * share, max(sums[-1], 0.0) * share + rho * max(max(sums), 0.0))
+def _tail_excess(pos: float, total: float, top: float, rho: float, share: float) -> float:
+    """How far a partial sum in a later period of a contracting tail can exceed the one at
+    the end of a period whose positive terms sum to pos, whose terms sum to total and whose
+    largest prefix sum is top. Per slot g(lam t) <= lam g(t) for lam in [0, 1] (g is convex,
+    g(0) = 0), so a term k periods on is at most rho^k times its slot's here, of either sign.
+    The smaller of two envelopes counts: pos share from the positive parts, and
+    max(total, 0) share + rho max(top, 0); share is rho / (1 - rho)."""
+    return min(pos * share, max(total, 0.0) * share + rho * max(top, 0.0))
 
 
 def _sup_indexed_normal(rule: IndexedNormal, h: float, partial: bool) -> SupLogMgf:
@@ -1341,6 +1332,8 @@ def _sup(model: RiskModel | Search, h: float, policy: TruncationPolicy | None, p
         if policy is not None and policy != model.policy:
             raise ValueError("a probe of a search record runs under the record's policy")
         search, model, policy = model, model.model, model.policy
+    else:
+        _reduced(model)
     if not h >= 0.0:
         raise ValueError(f"h must be >= 0, got {h!r}")
     if h == 0.0:
@@ -1367,6 +1360,7 @@ class Search:
     on h, so a record lives as long as its searches: one u-grid, or one solve."""
 
     def __init__(self, model: RiskModel, policy: TruncationPolicy | None = None) -> None:
+        _reduced(model)
         self.model, self.policy = model, policy or _DEFAULT_POLICY
         self.chords = {}  # by partial: the references (h0, reference) in increasing h0, and _chord_scale
         self.kept = {}  # bounds': its values apart from u, by its keys
@@ -1433,6 +1427,12 @@ class EventModel:
     @staticmethod
     def _base_dists(rule: SequenceRule):
         return rule.cycle if isinstance(rule, Periodic) else rule.dists
+
+
+def _reduced(model) -> None:
+    """Refuse an EventModel: a model reduced per call would rebuild its memo each time."""
+    if isinstance(model, EventModel):
+        raise TypeError("an EventModel must be reduced to a RiskModel first: pass reduce_event_model(model)")
 
 
 def reduce_event_model(em: EventModel) -> RiskModel:

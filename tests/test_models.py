@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import ruinbounds
 from ruinbounds import (
     INF,
     CompoundIncrement,
@@ -490,6 +491,33 @@ class TestEventModelReduction:
         m = reduce_event_model(em)
         assert isinstance(m.increments, Periodic)
         assert len(m.increments.cycle) == 6
+
+    # each entry point on a model m (the bounds at u = 2, the sups at h = 0.1)
+    ENTRY_POINTS = {
+        "bound_optimize": lambda m: ruinbounds.bound_optimize(m, 2.0),
+        "bound_per_increment": lambda m: ruinbounds.bound_per_increment(m, 2.0),
+        "bound_at_h": lambda m: ruinbounds.bound_at_h(m, 2.0, 0.1),
+        "bound_union": lambda m: ruinbounds.bound_union(m, 2.0, 0.1),
+        "bound_periodic": lambda m: ruinbounds.bound_periodic(m, 1, "scaled_periodic", u=2.0),
+        "bound_kappa": lambda m: ruinbounds.bound_kappa(m, 2.0),
+        "solve_partial_sum": ruinbounds.solve_partial_sum,
+        "solve_per_increment": ruinbounds.solve_per_increment,
+        "solve_period_root": lambda m: ruinbounds.solve_period_root(m, 1),
+        "verify_window_exponent": lambda m: ruinbounds.verify_window_exponent(m, 1, 1, 0.1),
+        "sup_log_mgf": lambda m: ruinbounds.sup_log_mgf(m, 0.1),
+        "per_increment_sup": lambda m: ruinbounds.per_increment_sup(m, 0.1),
+        "cumulative_log_mgf": lambda m: ruinbounds.cumulative_log_mgf(m, 0.1, 3),
+        "Search": ruinbounds.Search,
+    }
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    def test_entry_points_name_the_reduction(self, name):
+        # an event model is reduced once by the caller: each entry point refuses
+        # one, naming reduce_event_model, and runs on the reduced model
+        em = EventModel(claim=Periodic((ShiftedExponential(1.0),)), interarrival=Periodic((ShiftedExponential(1.2),)))
+        with pytest.raises(TypeError, match=r"reduce_event_model\(model\)"):
+            self.ENTRY_POINTS[name](em)
+        self.ENTRY_POINTS[name](reduce_event_model(em))
 
     def test_validation(self):
         with pytest.raises(ValueError):

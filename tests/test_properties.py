@@ -236,22 +236,135 @@ class TestSignedTailEnvelope:
         # relative to the one at the end of period b
         block = model._block
         periods = [_walk(h, block.period(i)) for i in range(b, b + self.PERIODS)]
-        rho = math.exp(block.log_ratio)
-        excess = _tail_excess(periods[0], rho, rho / -math.expm1(block.log_ratio))
+        rho, sums = math.exp(block.log_ratio), list(itertools.accumulate(periods[0]))
+        excess = _tail_excess(sum(t for t in periods[0] if t > 0.0), sums[-1], max(sums), rho,
+                              rho / -math.expm1(block.log_ratio))
         later = max(itertools.accumulate(itertools.chain.from_iterable(periods[1:])))
         assert later <= excess + 1e-12 * (1.0 + abs(excess) + sum(map(abs, periods[1])))
 
     def test_closes_where_the_positive_parts_do_not(self, monkeypatch):
         # the period's sum is negative and its largest prefix sum is the first
-        # term, so the signed envelope closes after the first period; the
-        # positive parts alone take 25 periods
-        walks = []
-        walk = models_module._walk
-        monkeypatch.setattr(models_module, "_walk", lambda h, epochs: walks.append(h) or walk(h, epochs))
+        # term, so the signed envelope closes after the first period: the sup
+        # reads the two terms of the head and no tail period; the positive
+        # parts alone take 25 periods
+        read = []
+        monkeypatch.setattr(models_module, "log_mgf_at", lambda law, t: read.append(t) or log_mgf_at(law, t))
         s = sup_log_mgf(RiskModel(Periodic((Normal(1.0, 1.0), Normal(-3.0, 1.0))), ConstantRates(0.01)), 0.3)
         assert (s.argmax, s.status, s.certified) == (1, "attained", True)
         assert s.value == pytest.approx(0.345, rel=1e-15)
-        assert len(walks) == 1
+        assert len(read) == 2
+
+
+def _fold(terms, partial, start, g, best, arg):
+    """The walk's fold of the terms of epochs start, start+1, ... into the
+    running value g and its first maximum best at epoch arg, stopped at the
+    first value that is not a number, at epoch j: (g, best, arg, j or None)."""
+    for j, term in enumerate(terms, start):
+        g = g + term if partial else term
+        if g > best:
+            best, arg = g, j
+        elif g != g:
+            return g, best, arg, j
+    return g, best, arg, None
+
+
+def _list_excess(terms, rho, share):
+    """The tail envelope read off a period's list of terms."""
+    sums = list(itertools.accumulate(terms))
+    return min(sum(filter((0.0).__lt__, terms)) * share, max(sums[-1], 0.0) * share + rho * max(max(sums), 0.0))
+
+
+def _walked_sup_periodic(block, h, partial):
+    """The block sup as a walk computes it: each period's terms walked into a
+    list (_walk), folded (_fold), and the tail envelope read off the list
+    (_list_excess); the oracle of the one-pass _sup_periodic."""
+    P, L = block.prefix, block.length
+    terms = _walk(h, zip(block.laws, block.head))
+    g, best, arg, nan = _fold(terms, partial, 1, 0.0, -INF, None)
+    if nan is not None:
+        return models_module._stopped(np.empty(0), nan - 1, best, arg)
+    if best == INF:
+        return SupLogMgf(INF, arg, "unbounded", True, "divergent MGF term")
+    if block.exact or block.amplifying:
+        if partial and block.exact and block.period_top > 0.0 and sum(terms[P:]) > 0.0:
+            return SupLogMgf(INF, None, "unbounded", True, "log-MGF grows by a positive amount per period")
+        return SupLogMgf(best, arg, "attained", True)
+    if not partial:
+        if best < 0.0:
+            return SupLogMgf(0.0, None, "limit", True, "terms approach zero from below along the contracting tail")
+        return SupLogMgf(best, arg, "attained", True)
+    terms, b, rho = terms[P:], 0, math.exp(block.log_ratio)
+    share = rho / -math.expm1(block.log_ratio)
+    cap = models_module._BLOCK_CAP
+    while True:
+        excess = _list_excess(terms, rho, share)
+        if g + excess <= best:
+            return SupLogMgf(best, arg, "attained", True)
+        if excess <= 1e-13 * max(1.0, abs(best), abs(g)):
+            return SupLogMgf(g + excess, None, "limit", True,
+                             "supremum approached along the contracting tail; value is a tight upper envelope")
+        b += 1
+        if b >= cap:
+            return SupLogMgf(g + excess, None, "undetermined", False, f"tail envelope did not converge within {cap} periods")
+        terms = _walk(h, block.period(b))
+        g, best, arg, _ = _fold(terms, True, P + b * L + 1, g, best, arg)
+        if best == INF:
+            return SupLogMgf(INF, arg, "unbounded", True, "divergent MGF term")
+
+
+class TestOnePassBlockSup:
+    """_sup_periodic reads each term once and folds it at once into the
+    running value, its maximum and the period's envelope sums. It must give
+    bitwise what walking each period into a list, folding it and reading the
+    envelope off the list gives (_walked_sup_periodic): value, argmax, status,
+    certified and note, on prefixed, exact, contracting and nonpositive
+    amplifying blocks, at h up to 1e300, where terms are +inf or not a number
+    and finite terms overflow their sum, and where the tail hits the period
+    cap."""
+
+    nonpositive = st.one_of(st.builds(Degenerate, st.floats(-3.0, 0.0)),
+                            st.builds(lambda lo, w: Uniform(lo, lo + w), st.floats(-3.0, -0.5), st.floats(0.01, 0.5)),
+                            st.builds(TwoPoint, st.floats(-2.0, 0.0), st.floats(0.0, 1.0), st.floats(-2.0, 0.0)))
+    laws = st.one_of(entire_dists, any_dists, st.builds(Normal, st.sampled_from([-1e300, 1e300, 1e150]), small_pos),
+                     st.builds(Degenerate, st.sampled_from([-1e300, 1e300, -1e200])))
+
+    @st.composite
+    def blocks(draw):
+        cls = TestOnePassBlockSup
+        kind = draw(st.sampled_from(["exact", "contracting", "amplifying"]))
+        cycle = tuple(draw(st.lists(cls.nonpositive if kind == "amplifying" else cls.laws, min_size=1, max_size=3)))
+        prefix = tuple(draw(st.lists(cls.laws, max_size=2)))
+        if kind == "exact":
+            tail, rates = Periodic(cycle), draw(st.one_of(st.just(ConstantRates(0.0)),
+                                                          st.floats(0.0, 0.3).map(lambda r: PeriodicRates((r, 0.0)))))
+        elif kind == "contracting":
+            tail = QuasiPeriodicScaled(cycle, draw(st.floats(0.3, 0.999))) if draw(st.booleans()) else Periodic(cycle)
+            rates = draw(st.one_of(st.floats(1e-4, 0.3).map(ConstantRates),
+                                   st.lists(st.floats(1e-3, 0.2), min_size=1, max_size=2).map(tuple).map(PeriodicRates)))
+        else:
+            tail, rates = QuasiPeriodicScaled(cycle, draw(st.floats(1.05, 2.0))), ConstantRates(0.0)
+        model = RiskModel(PrefixThenTail(prefix, tail) if prefix else tail, rates)
+        assume(model._block is not None)
+        return model._block
+
+    @staticmethod
+    def _fields(s):
+        return repr(s.value), s.argmax, s.status, s.certified, s.note
+
+    @settings(max_examples=400, deadline=None)
+    @given(blocks(), st.one_of(st.floats(1e-3, 4.0), st.floats(-3.0, 300.0).map(lambda e: 10.0 ** e)),
+           st.booleans(), st.sampled_from([models_module._BLOCK_CAP, 1, 2, 5]))
+    @example(RiskModel(PrefixThenTail((Degenerate(-1e300), Normal(1e300, 3.0)), Periodic((Degenerate(0.0),))),
+                       PeriodicRates((0.01, 0.0)))._block, 1e9, True, models_module._BLOCK_CAP)
+    @example(RiskModel(Periodic((Normal(-0.25, 1.0), Normal(-0.75, 1.0))), ConstantRates(1e-4))._block,
+             1.2, True, 5)
+    # the head's one term is 1e308, and the first tail period's sum overflows
+    @example(RiskModel(Periodic((Degenerate(1e300),)), ConstantRates(0.01))._block, 1e8, True, models_module._BLOCK_CAP)
+    def test_equals_the_walk(self, block, h, partial, cap):
+        with patch.object(models_module, "_BLOCK_CAP", cap):
+            expected = _walked_sup_periodic(block, h, partial)
+            got = models_module._sup_periodic(block, h, partial)
+        assert self._fields(got) == self._fields(expected)
 
 
 class TestAmplifyingVerdicts:

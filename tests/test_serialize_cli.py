@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -685,8 +686,8 @@ class TestCliConfigErrors:
 
 
 class TestCliSharedParser:
-    """main() parses every call with one parser per process and keeps no state
-    between calls."""
+    """main() parses every call with one parser per process and keeps nothing
+    between calls but the parser and the models of the configs it read."""
 
     ARGVS = (
         ["bound", "--model", "alternating_normals", "--u", "1,2", "--method", "union", "--h", "0.5",
@@ -761,6 +762,119 @@ class TestCliSharedParser:
         for argv in self.ARGVS:
             run_cli(argv, capsys)
         assert built == once
+
+
+class TestCliModelCache:
+    """main() keeps the model of each config it read, by the bytes of the
+    file, up to a fixed number of configs; a config that fails is not kept."""
+
+    NORMALS = {"increments": {"kind": "periodic", "cycle": [{"family": "normal", "mean": -0.5, "variance": 1.0}]}}
+    SHIFTED = {"increments": {"kind": "periodic", "cycle": [{"family": "normal", "mean": -1.0, "variance": 1.0}]}}
+    EVENTS = {"claim": {"kind": "periodic", "cycle": [{"family": "shifted_exponential", "rate": 1.0}]},
+              "interarrival": {"kind": "periodic", "cycle": [{"family": "shifted_exponential", "rate": 0.5}]},
+              "premium_rate": {"kind": "periodic", "values": [1.0, 1.2]}}
+
+    @pytest.fixture(autouse=True)
+    def cold(self, monkeypatch):
+        """An empty cache for each test, whatever ran before; the calls of
+        load_model (the builds) and of reduce_event_model, counted."""
+        monkeypatch.setattr(cli, "_MODELS", OrderedDict())
+        self.loads, self.reductions = [], []
+        load, reduce = cli.load_model, cli.reduce_event_model
+        monkeypatch.setattr(cli, "load_model", lambda path: self.loads.append(path) or load(path))
+        monkeypatch.setattr(cli, "reduce_event_model", lambda em: self.reductions.append(em) or reduce(em))
+
+    @staticmethod
+    def write(path, config):
+        path.write_text(json.dumps(config), encoding="utf-8")
+        return str(path)
+
+    def bound(self, path, capsys):
+        return run_cli(["bound", "--model", path, "--u", "1,2,5"], capsys)
+
+    def test_one_file_builds_one_model(self, tmp_path, capsys):
+        path = self.write(tmp_path / "m.json", self.NORMALS)
+        first = self.bound(path, capsys)
+        assert first[0] == 0
+        for _ in range(3):
+            assert self.bound(path, capsys) == first
+        assert run_cli(["adjustment", "--model", path], capsys)[0] == 0
+        assert self.loads == [path]
+        # the same bytes at another path are the same model
+        other = self.write(tmp_path / "copy.json", self.NORMALS)
+        assert self.bound(other, capsys) == first
+        assert self.loads == [path]
+
+    def test_a_rewritten_file_gets_a_new_model(self, tmp_path, capsys):
+        path = self.write(tmp_path / "m.json", self.NORMALS)
+        before = self.bound(path, capsys)
+        self.write(tmp_path / "m.json", self.SHIFTED)
+        after = self.bound(path, capsys)
+        assert self.loads == [path, path]
+        assert after[0] == 0 and after[1] != before[1]
+        cli._MODELS.clear()
+        assert self.bound(path, capsys) == after
+
+    def test_an_event_model_is_reduced_once(self, tmp_path, capsys):
+        path = self.write(tmp_path / "events.json", self.EVENTS)
+        first = self.bound(path, capsys)
+        assert first[0] == 0 and self.bound(path, capsys) == first
+        assert run_cli(["adjustment", "--model", path], capsys)[0] == 0
+        assert len(self.loads) == len(self.reductions) == 1
+        assert isinstance(next(iter(cli._MODELS.values())), RiskModel)
+
+    @pytest.mark.parametrize("text", ["{", json.dumps({"increments": {"kind": "periodic", "cycle": []}})])
+    def test_a_bad_config_fails_every_time_and_is_not_kept(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError) as exc:
+            load_model(str(path))
+        for _ in range(2):
+            assert self.bound(str(path), capsys) == (2, "", f"config error: {exc.value}\n")
+        assert len(self.loads) == 2 and not cli._MODELS
+
+    def test_a_missing_file_is_not_kept(self, tmp_path, capsys):
+        path = str(tmp_path / "absent.json")
+        assert self.bound(path, capsys) == (2, "", f"config error: model file not found: {path}\n")
+        assert not self.loads and not cli._MODELS
+
+    def test_the_least_recently_used_model_goes(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_MODELS_KEPT", 2)
+        paths = [self.write(tmp_path / f"m{i}.json", {**self.NORMALS, "label": f"m{i}"}) for i in range(3)]
+        self.bound(paths[0], capsys)
+        self.bound(paths[1], capsys)
+        self.bound(paths[0], capsys)  # m1 is now the least recently used
+        self.bound(paths[2], capsys)
+        assert [m.label for m in cli._MODELS.values()] == ["m0", "m2"]
+        self.bound(paths[0], capsys)
+        self.bound(paths[1], capsys)
+        assert self.loads == [paths[0], paths[1], paths[2], paths[1]]
+        assert len(cli._MODELS) == 2
+
+    def test_threads_that_miss_and_evict_print_what_one_thread_prints(self, tmp_path, capsys, monkeypatch):
+        # three configs through a cache of two: the threads build, hit and evict
+        # models concurrently, and each call writes what it writes alone
+        monkeypatch.setattr(cli, "_MODELS_KEPT", 2)
+        paths = [self.write(tmp_path / f"{name}.json", config)
+                 for name, config in (("n", self.NORMALS), ("s", self.SHIFTED), ("e", self.EVENTS))]
+
+        def run(side, i):
+            out = str(tmp_path / f"{side}-{i}.csv")
+            return cli.main(["bound", "--model", paths[i % 3], "--u", "1,2,5", "--out", out])
+
+        sequential = [run("sequential", i) for i in range(24)]
+        cli._MODELS.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(6) as pool:
+                threaded = [f.result(timeout=120) for f in [pool.submit(run, "threaded", i) for i in range(24)]]
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == sequential == [0] * 24
+        for i in range(24):
+            assert (tmp_path / f"threaded-{i}.csv").read_bytes() == (tmp_path / f"sequential-{i}.csv").read_bytes()
+        assert len(cli._MODELS) == 2
 
 
 class TestCliStrictAndDominance:

@@ -21,7 +21,8 @@ mutant is killed.
 
 A change that adds a certificate, a shortcut or a cache adds the mutants
 that its tests must kill; a change that moves mutated code updates the
-entries that went stale.
+entries that went stale, which tests/test_mutants.py finds without running
+a mutant.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ ROOT = Path(__file__).resolve().parent.parent
 _ONE_PASS = ("tests/test_properties.py::TestOnePassBlockSup", "tests/test_properties.py::TestSignedTailEnvelope",
              "tests/test_models.py::TestSupLogMgf")
 _CACHE = ("tests/test_serialize_cli.py::TestCliModelCache",)
+_CHORDS = ("tests/test_properties.py::TestChordCertificates",)
+_RECORD = ("tests/test_bounds.py::TestGridMemo",)
 
 # name: (file, ((old, new), ...), node ids)
 MUTANTS = {
@@ -63,6 +66,27 @@ MUTANTS = {
         ("    model = load_model(path)\n",
          "    try:\n        model = load_model(path)\n    except ConfigError as e:\n"
          "        _MODELS[raw] = e\n        raise\n"),), _CACHE),
+    # models._keep_scan and _chord_probe, the chord certificates of finite-horizon scans
+    "chord_lam_one": ("models.py", (("    lam = h / h0\n", "    lam = 1.0\n"),), _CHORDS),
+    "chord_without_lam_d": ("models.py", (
+        ("values[-1] + bound <= best - margin", "values[-1] <= best - margin"),), _CHORDS),
+    "chord_margin_of_the_wrong_sign": ("models.py", (
+        ("values[-1] + bound <= best - margin", "values[-1] + bound <= best + margin"),
+        ("lam * runner <= b0 - margin", "lam * runner <= b0 + margin"),
+        ("bound > b0 - margin)", "bound > b0 + margin)")), _CHORDS),
+    "chord_shifted_d": ("models.py", (("rest, S0 = finite[n:].cumsum()", "rest, S0 = finite[n:].cumsum() - finite[n]"),),
+                        _CHORDS),
+    "chord_understated_evaluated_entries": ("models.py", (("    bound[at] = values\n", "    bound[at] = values - 1.0\n"),),
+                                            _CHORDS),
+    "chord_wrong_subset_rows": ("models.py", (
+        ("plan.subset(np.array([j]))", "plan.subset(np.array([max(j - 1, 0)]))"),), _CHORDS),
+    # models._unpacked and the searches that take a record in place of the model
+    "record_policy_check_dropped": ("models.py", (
+        ("if policy is not None and policy != model.policy:", "if False:"),), _RECORD),
+    "bound_makes_a_fresh_record": ("bounds.py", (
+        ("search = search or Search(model, policy)", "search = Search(model, policy)"),), _RECORD),
+    "solve_ignores_its_record": ("adjustment.py", (
+        ("search, sup = search or Search(model, policy),", "search, sup = Search(model, policy),"),), _RECORD),
 }
 
 

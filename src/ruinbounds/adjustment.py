@@ -37,6 +37,7 @@ from .models import (
     _per_model,
     _reduced,
     _settled,
+    _unpacked,
     _walk,
     cumulative_log_mgf,
     per_increment_sup,
@@ -151,10 +152,10 @@ def _domain_cap(model: RiskModel, span: int | None = None) -> float:
 
 def _solve_sup_root(model, tol, policy, partial: bool) -> AdjustmentResult:
     """sup{h >= 0 : sup_log_mgf (partial) or per_increment_sup <= 0}, +inf or 0
-    where the esssups settle it (models._settled). The probes share one search
-    record (models.Search) for its chord references, dropped on return."""
+    where the esssups settle it (models._settled). The probes share the search
+    record (models.Search) given in place of the model, or a fresh one."""
     _check_tol(tol)
-    _reduced(model)
+    model, policy, search = _unpacked(model, policy)
     flavor = "partial_sum" if partial else "per_increment"
     settled = _settled(model, partial)
     if settled is None:
@@ -163,7 +164,7 @@ def _solve_sup_root(model, tol, policy, partial: bool) -> AdjustmentResult:
     if settled:
         return AdjustmentResult(0.0, flavor, (0.0, 0.0), True, False, "criterion is +inf at every h > 0")
     uncertain = [False]
-    search, sup = Search(model, policy), sup_log_mgf if partial else per_increment_sup
+    search, sup = search or Search(model, policy), sup_log_mgf if partial else per_increment_sup
 
     def feasible(h: float) -> bool:
         return _feasibility_from_sup(sup(search, h), uncertain)
@@ -179,12 +180,12 @@ def _solve_sup_root(model, tol, policy, partial: bool) -> AdjustmentResult:
     return AdjustmentResult(value, flavor, bracket, certified, boundary, note)
 
 
-def solve_per_increment(model: RiskModel, tol: float = 1e-10, policy: TruncationPolicy | None = None) -> AdjustmentResult:
+def solve_per_increment(model: RiskModel | Search, tol: float = 1e-10, policy: TruncationPolicy | None = None) -> AdjustmentResult:
     """sup{h >= 0 : sup_j E exp(h v_{j-1} Y*_j) <= 1}, the one-step coefficient."""
     return _solve_sup_root(model, tol, policy, False)
 
 
-def solve_partial_sum(model: RiskModel, tol: float = 1e-10, policy: TruncationPolicy | None = None) -> AdjustmentResult:
+def solve_partial_sum(model: RiskModel | Search, tol: float = 1e-10, policy: TruncationPolicy | None = None) -> AdjustmentResult:
     """sup{h >= 0 : sup_k E exp(h S*_k) <= 1}, the partial-sum coefficient."""
     return _solve_sup_root(model, tol, policy, True)
 

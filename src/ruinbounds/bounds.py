@@ -4,12 +4,12 @@ Every bound here has the shape psi(u) <= exp(log_c - h u) for some exponent h
 and log-constant log_c; values like 1e-165 are ordinary numbers in this
 representation. Results clamp at 1 since psi is a probability.
 
-The sups, roots and certificates behind a bound do not depend on u. The bounds
-that find them (bound_optimize, bound_per_increment, bound_periodic) take a
-search record (models.Search) that the calls for one model over a u-grid
-share: each such value is then found once per grid, and the optimizer's probes
-share their chord references. A record serves one model and one policy, and a
-call refuses a record of another; without one, every call starts afresh.
+The sups, roots and certificates behind a bound do not depend on u. Every
+bound that searches over h takes a search record (models.Search) in place of
+the model, as the sups do, and runs under the record's policy; the calls for
+one model over a u-grid share it. Each such value is then found once per grid,
+and the probes share their chord references, those of the per-increment
+root's solve too. Given a model, a call starts afresh.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .models import (
     _is_int,
     _reduced,
     _settled,
+    _unpacked,
     cumulative_log_mgf,
     iid_base,
     log_mgf_terms,
@@ -108,15 +109,6 @@ def _require_h(h: float) -> None:
         raise ValueError(f"h must be a nonnegative real, got {h!r}")
 
 
-def _checked(search: Search | None, model: RiskModel, policy: TruncationPolicy | None = None) -> Search:
-    """search, or a fresh record; one of another model or policy holds values that are not this call's."""
-    if search is None:
-        return Search(model, policy)
-    if search.model is not model or (policy is not None and search.policy != policy):
-        raise ValueError("the search record belongs to another model or policy")
-    return search
-
-
 def _kept(search: Search, key, compute):
     """compute(), found once per search record and kept in it under key."""
     if key not in search.kept:
@@ -181,11 +173,11 @@ def _golden(f, a: float, c: float, iters: int = 300):
 # bounds
 
 
-def bound_at_h(model: RiskModel, u: float, h: float, policy: TruncationPolicy | None = None) -> BoundResult:
+def bound_at_h(model: RiskModel | Search, u: float, h: float, policy: TruncationPolicy | None = None) -> BoundResult:
     """psi(u) <= exp(-h u) * sup_k E exp(h S*_k), evaluated at a fixed h."""
     _require_u(u)
     _require_h(h)
-    s = sup_log_mgf(model, h, policy or TruncationPolicy())
+    s = sup_log_mgf(model, h, policy)
     if s.value == INF:
         why = "sup diverges at this h" if s.status == "unbounded" else s.note
         return BoundResult(u, 0.0, h, "fixed_h", None, True, f"{why}; trivial bound")
@@ -200,8 +192,7 @@ def _no_exponent(u: float) -> BoundResult:
     return BoundResult(u, 0.0, 0.0, "optimized", Certificate(0.0, 0.0), True, "no exponent improves on the trivial bound")
 
 
-def bound_optimize(model: RiskModel, u: float, policy: TruncationPolicy | None = None, *,
-                   search: Search | None = None) -> BoundResult:
+def bound_optimize(model: RiskModel | Search, u: float, policy: TruncationPolicy | None = None) -> BoundResult:
     """min over h >= 0 of exp(-h u) * sup_k E exp(h S*_k).
 
     The objective -hu + sup_k G_k(h) is a supremum of convex functions, hence
@@ -211,7 +202,8 @@ def bound_optimize(model: RiskModel, u: float, policy: TruncationPolicy | None =
     in the search record, so that no h is evaluated twice.
     """
     _require_u(u)
-    search = _checked(search, model, policy or TruncationPolicy())
+    model, policy, search = _unpacked(model, policy)
+    search = search or Search(model, policy)
     settled = _settled(model, True)
     if settled is None:
         return BoundResult(u, -INF, INF, "optimized", Certificate(0.0, INF), True,
@@ -273,14 +265,14 @@ def bound_optimize(model: RiskModel, u: float, policy: TruncationPolicy | None =
     return BoundResult(u, log_bound, h_star, "optimized", Certificate(s.value, h_star), not exhausted, note)
 
 
-def bound_per_increment(model: RiskModel, u: float, tol: float = 1e-10, policy: TruncationPolicy | None = None, *,
-                        search: Search | None = None) -> BoundResult:
+def bound_per_increment(model: RiskModel | Search, u: float, tol: float = 1e-10, policy: TruncationPolicy | None = None) -> BoundResult:
     """One-step coefficient bound: below the per-increment root every factor of
     E exp(h S*_k) is at most 1, so the first factor alone bounds the sup. The
-    root is kept in the search record."""
+    root is kept in the search record, whose probes its solve shares."""
     _require_u(u)
-    search = _checked(search, model, policy or TruncationPolicy())
-    r = _kept(search, ("per_increment", tol), lambda: solve_per_increment(model, tol, search.policy))
+    model, policy, search = _unpacked(model, policy)
+    search = search or Search(model, policy)
+    r = _kept(search, ("per_increment", tol), lambda: solve_per_increment(search, tol))
     L = r.value
     if L == INF:
         return BoundResult(u, -INF, INF, "per_increment", Certificate(0.0, INF), r.certified, r.note)
@@ -297,7 +289,7 @@ _VARIANTS = ("periodic", "scaled_periodic", "shift_window")
 
 
 def bound_periodic(
-    model: RiskModel,
+    model: RiskModel | Search,
     l: int,
     variant: str = "periodic",
     u: float | None = None,
@@ -305,8 +297,6 @@ def bound_periodic(
     exponent: float | None = None,
     at_h: float | None = None,
     tol: float = 1e-10,
-    *,
-    search: Search | None = None,
 ) -> BoundResult:
     """Constant-times-exponential certificates from one period's structure.
 
@@ -326,7 +316,8 @@ def bound_periodic(
         raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
     if u is not None:
         _require_u(u)
-    search = _checked(search, model)
+    model, policy, search = _unpacked(model)
+    search = search or Search(model, policy)
     cert, ks, certified, note = _kept(search, ("periodic", l, variant, start_index, exponent, at_h, tol),
                                       lambda: _periodic_certificate(search, l, variant, start_index, exponent, at_h, tol))
     if ks is None:  # the root is +inf
@@ -394,9 +385,8 @@ def bound_kappa(model: RiskModel, u: float, tol: float = 1e-10) -> BoundResult:
     """Classical one-distribution root bound, valid with interest and geometric
     scaling down: discount factors in (0, 1] shrink the root criterion, since
     log E exp(t Y) is convex and zero at t = 0."""
-    _reduced(model)
-    _require_u(u)
     base = iid_base(model)
+    _require_u(u)
     if base is None:
         raise ValueError("kappa bound needs i.i.d.-based increments (one-element cycle, scale <= 1)")
     r = solve_kappa(base, tol)

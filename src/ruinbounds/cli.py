@@ -214,8 +214,8 @@ def _infer_l(model: RiskModel, args) -> int:
 
 def cmd_adjustment(args) -> int:
     model = _load(args)
-    policy = _policy(args)
-    results = [solve_per_increment(model, args.tol, policy), solve_partial_sum(model, args.tol, policy)]
+    search = Search(model, _policy(args))
+    results = [solve_per_increment(search, args.tol), solve_partial_sum(search, args.tol)]
     # without --l, the period root only where the block meets its hypotheses
     if isinstance(model.increments, (Periodic, QuasiPeriodicScaled)) and model.rates.period() is not None \
             and (args.l is not None or not _block_unfit(model)):
@@ -241,20 +241,20 @@ def cmd_adjustment(args) -> int:
 
 # each bound method: the flags of _BOUND_FLAGS it reads, the one of them it
 # needs (None if it needs none), and its call on (search, u, args), search
-# being the request's record (models.Search) of its model and policy.
+# being the request's record (models.Search), which the bounds that search h take in place of the model.
 # The calls look the bound functions up by their names in this module.
 _BOUND_FLAGS = ("h", "l", "m", "lstar")
 _BOUND_METHODS = {
-    "optimized": ((), None, lambda s, u, a: bound_optimize(s.model, u, s.policy, search=s)),
-    "fixed_h": (("h",), "h", lambda s, u, a: bound_at_h(s.model, u, a.h, s.policy)),
-    "per_increment": ((), None, lambda s, u, a: bound_per_increment(s.model, u, a.tol, s.policy, search=s)),
+    "optimized": ((), None, lambda s, u, a: bound_optimize(s, u)),
+    "fixed_h": (("h",), "h", lambda s, u, a: bound_at_h(s, u, a.h)),
+    "per_increment": ((), None, lambda s, u, a: bound_per_increment(s, u, a.tol)),
     "periodic": (("l", "h"), None, lambda s, u, a: bound_periodic(
-        s.model, _infer_l(s.model, a), "periodic", u=u, at_h=a.h, tol=a.tol, search=s)),
+        s, _infer_l(s.model, a), "periodic", u=u, at_h=a.h, tol=a.tol)),
     "scaled_periodic": (("l", "h"), None, lambda s, u, a: bound_periodic(
-        s.model, _infer_l(s.model, a), "scaled_periodic", u=u, at_h=a.h, tol=a.tol, search=s)),
+        s, _infer_l(s.model, a), "scaled_periodic", u=u, at_h=a.h, tol=a.tol)),
     "shift_window": (("l", "m", "lstar"), "lstar", lambda s, u, a: bound_periodic(
-        s.model, _infer_l(s.model, a), "shift_window", u=u, start_index=1 if a.m is None else a.m,
-        exponent=a.lstar, tol=a.tol, search=s)),
+        s, _infer_l(s.model, a), "shift_window", u=u, start_index=1 if a.m is None else a.m,
+        exponent=a.lstar, tol=a.tol)),
     "kappa": ((), None, lambda s, u, a: bound_kappa(s.model, u, a.tol)),
     "union": (("h",), "h", lambda s, u, a: bound_union(s.model, u, a.h, s.policy)),
 }

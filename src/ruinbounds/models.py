@@ -1323,23 +1323,28 @@ def _route(model: RiskModel, partial: bool):
     return None
 
 
+def _unpacked(model: RiskModel | Search, policy: TruncationPolicy | None = None):
+    """(model, policy, record) of a model, under policy or the default, with no record;
+    or of a search record in its place, under the record's policy, refusing another."""
+    if isinstance(model, Search):
+        if policy is not None and policy != model.policy:
+            raise ValueError("a search record runs under its own policy")
+        return model.model, model.policy, model
+    _reduced(model)
+    return model, policy or _DEFAULT_POLICY, None
+
+
 def _sup(model: RiskModel | Search, h: float, policy: TruncationPolicy | None, partial: bool) -> SupLogMgf:
     """The supremum over epochs of the running value: partial sums of the
     terms (partial=True) or the terms themselves, by the model's route; given
     a search record, of its model under its policy, with its chord references."""
-    search = None
-    if isinstance(model, Search):
-        if policy is not None and policy != model.policy:
-            raise ValueError("a probe of a search record runs under the record's policy")
-        search, model, policy = model, model.model, model.policy
-    else:
-        _reduced(model)
+    model, policy, search = _unpacked(model, policy)
     if not h >= 0.0:
         raise ValueError(f"h must be >= 0, got {h!r}")
     if h == 0.0:
         return SupLogMgf(0.0, 1, "attained", True)
     route = _route(model, partial)
-    return route(h, partial) if route else _sup_scan(model, h, policy or _DEFAULT_POLICY, partial, search)
+    return route(h, partial) if route else _sup_scan(model, h, policy, partial, search)
 
 
 def sup_log_mgf(model: RiskModel | Search, h: float, policy: TruncationPolicy | None = None) -> SupLogMgf:
@@ -1354,10 +1359,11 @@ def per_increment_sup(model: RiskModel | Search, h: float, policy: TruncationPol
 
 
 class Search:
-    """What the probes of one model's searches over h share, under one policy:
-    the chord references (_sup_scan) of the probes passed the record in place
-    of the model, and the values that bounds keeps apart from u. They depend
-    on h, so a record lives as long as its searches: one u-grid, or one solve."""
+    """What the searches over h of one model share, under one policy: their
+    probes' chord references (_sup_scan) and what bounds keeps apart from u.
+    Every function that searches over h takes the record in place of the model
+    and runs under its policy (_unpacked). What it holds depends on h, so a
+    record lives as long as its searches: one u-grid, or one request's solves."""
 
     def __init__(self, model: RiskModel, policy: TruncationPolicy | None = None) -> None:
         _reduced(model)
@@ -1372,6 +1378,7 @@ class Search:
 
 def iid_base(model: RiskModel) -> IncrementDistribution | None:
     """The common law when increments are iid, or iid up to a contracting scale."""
+    _reduced(model)
     inc = model.increments
     if isinstance(inc, Periodic) and len(inc.cycle) == 1:
         return inc.cycle[0]
@@ -1430,9 +1437,10 @@ class EventModel:
 
 
 def _reduced(model) -> None:
-    """Refuse an EventModel: a model reduced per call would rebuild its memo each time."""
-    if isinstance(model, EventModel):
-        raise TypeError("an EventModel must be reduced to a RiskModel first: pass reduce_event_model(model)")
+    """Refuse what is not a RiskModel; an EventModel reduced per call would rebuild its memo each time."""
+    if not isinstance(model, RiskModel):
+        raise TypeError("an EventModel must be reduced to a RiskModel first: pass reduce_event_model(model)"
+                        if isinstance(model, EventModel) else f"expected a RiskModel, got {type(model).__name__}")
 
 
 def reduce_event_model(em: EventModel) -> RiskModel:

@@ -30,6 +30,8 @@ from ruinbounds import (
     bound_union,
     cumulative_log_mgf,
     per_increment_sup,
+    solve_partial_sum,
+    solve_per_increment,
     sup_log_mgf,
 )
 from ruinbounds import bounds, models
@@ -198,7 +200,8 @@ class TestOptimize:
 class TestGridMemo:
     """One search record over a u-grid: the sups and roots that do not depend
     on u are found once per grid, and nothing is kept between calls without
-    it. A record serves one model and one policy."""
+    it. Every function that searches over h takes the record in place of the
+    model and runs under the record's policy."""
 
     GRID = (1.0, 2.5, 5.0, 10.0, 20.0)
 
@@ -224,23 +227,23 @@ class TestGridMemo:
         per_u = len(probes)
         probes.clear()
         search = Search(m)
-        shared = [bound_optimize(m, u, search=search) for u in self.GRID]
+        shared = [bound_optimize(search, u) for u in self.GRID]
         assert shared == alone
         assert len(probes) == len(set(probes)) < per_u
 
     @pytest.mark.parametrize("solver, call", [
-        ("solve_per_increment", lambda m, u, search: bound_per_increment(m, u, search=search)),
-        ("solve_period_root", lambda m, u, search: bound_periodic(m, 2, "periodic", u=u, search=search)),
-        ("solve_period_root", lambda m, u, search: bound_periodic(m, 2, "scaled_periodic", u=u, search=search)),
+        ("solve_per_increment", lambda m, u: bound_per_increment(m, u)),
+        ("solve_period_root", lambda m, u: bound_periodic(m, 2, "periodic", u=u)),
+        ("solve_period_root", lambda m, u: bound_periodic(m, 2, "scaled_periodic", u=u)),
     ], ids=["per_increment", "periodic", "scaled_periodic"])
     def test_grid_solves_the_root_once(self, solver, call, monkeypatch):
         solves = self._record(monkeypatch, solver)
         m = alternating_normals()
-        alone = [call(m, u, None) for u in self.GRID]
+        alone = [call(m, u) for u in self.GRID]
         assert len(solves) == len(self.GRID)
         solves.clear()
         search = Search(m)
-        assert [call(m, u, search) for u in self.GRID] == alone
+        assert [call(search, u) for u in self.GRID] == alone
         assert len(solves) == 1
 
     def test_grid_shares_the_window_maxima(self, monkeypatch):
@@ -249,12 +252,12 @@ class TestGridMemo:
         # h, the root's included, where its certificate and its searches read it
         windows = self._record(monkeypatch, "_window_max")
         m = alternating_normals()
-        calls = [lambda u, search: bound_periodic(m, 2, "periodic", u=u, search=search),
-                 lambda u, search: bound_periodic(m, 2, "scaled_periodic", u=u, search=search)]
-        alone = [call(u, None) for call in calls for u in self.GRID]
+        calls = [lambda m, u: bound_periodic(m, 2, "periodic", u=u),
+                 lambda m, u: bound_periodic(m, 2, "scaled_periodic", u=u)]
+        alone = [call(m, u) for call in calls for u in self.GRID]
         windows.clear()
         search = Search(m)
-        assert [call(u, search) for call in calls for u in self.GRID] == alone
+        assert [call(search, u) for call in calls for u in self.GRID] == alone
         assert len(windows) == len(set(windows))
 
     def test_no_cache_between_calls(self, monkeypatch):
@@ -270,37 +273,58 @@ class TestGridMemo:
             counts.append((len(probes), len(solves)))
         assert counts[0] == counts[1] and counts[0][0] > 0 and counts[0][1] == 1
 
-    @pytest.mark.parametrize("rule, call", [
-        (ExplicitPrefix, lambda m, search: bound_optimize(m, 5.0, search=search)),
-        (ExplicitPrefix, lambda m, search: bound_per_increment(m, 5.0, search=search)),
-        (Periodic, lambda m, search: bound_periodic(m, 200, "periodic", u=5.0, search=search)),
-    ], ids=["optimized", "per_increment", "periodic"])
-    def test_a_record_of_another_model_is_refused(self, rule, call):
-        # a record read for another model would give it the first one's sups,
-        # roots and certificates: the optimized bound of the 200 laws of mean
-        # -0.5 certifies log10 psi(5) <= -2.17 at h = 1, where the bound of the
-        # laws of mean -0.1 is +32.6 (their own optimum is -0.43)
-        m1, m2 = (RiskModel(rule((Normal(mean, 1.0),) * 200)) for mean in (-0.5, -0.1))
-        search = Search(m1)
-        first = call(m1, search)
-        with pytest.raises(ValueError, match="another model"):
-            call(m2, search)
-        with pytest.raises(ValueError, match="another model"):  # equal, but another object
-            call(RiskModel(m1.increments, m1.rates), search)
-        assert call(m1, search) == first == call(m1, None)
-        assert call(m2, Search(m2)) == call(m2, None) != first
+    # the entry points that search over h, each a call on (a model or a record
+    # in its place, a policy or None); bound_periodic reads no policy
+    SEARCHES = {
+        "sup_log_mgf": lambda m, p: sup_log_mgf(m, 0.5, p),
+        "per_increment_sup": lambda m, p: per_increment_sup(m, 0.5, p),
+        "bound_at_h": lambda m, p: bound_at_h(m, 5.0, 0.5, p),
+        "bound_optimize": lambda m, p: bound_optimize(m, 5.0, p),
+        "bound_per_increment": lambda m, p: bound_per_increment(m, 5.0, policy=p),
+        "solve_partial_sum": lambda m, p: solve_partial_sum(m, policy=p),
+        "solve_per_increment": lambda m, p: solve_per_increment(m, policy=p),
+        "bound_periodic": lambda m, p: bound_periodic(m, 2, "periodic", u=5.0),
+    }
 
-    @pytest.mark.parametrize("call", [
-        lambda m, policy, search: bound_optimize(m, 5.0, policy, search=search),
-        lambda m, policy, search: bound_per_increment(m, 5.0, policy=policy, search=search),
-    ], ids=["optimized", "per_increment"])
-    def test_a_record_of_another_policy_is_refused(self, call):
-        m = linear_drift()
-        assert call(m, None, Search(m, TruncationPolicy())) == call(m, TruncationPolicy(), Search(m))
-        with pytest.raises(ValueError, match="policy"):
-            call(m, TruncationPolicy(k_max=100), Search(m))
-        with pytest.raises(ValueError, match="policy"):
-            call(m, None, Search(m, TruncationPolicy(k_max=100)))
+    @pytest.mark.parametrize("name", SEARCHES)
+    def test_a_record_in_place_of_the_model(self, name):
+        call = self.SEARCHES[name]
+        if name == "bound_periodic":
+            m = alternating_normals()
+            assert repr(call(Search(m), None)) == repr(call(m, None))
+            return
+        # a drift that turns positive past epoch 100, under a rate of 0.2%: a
+        # scan of 60 epochs misses the rise, and every result differs
+        m = RiskModel(IndexedNormal(0.01, -1.0), rates=0.002)
+        short = TruncationPolicy(k_max=60)
+        # a fresh record gives what the model gives, bitwise
+        assert repr(call(Search(m), None)) == repr(call(m, None))
+        # a record runs under its own policy
+        assert repr(call(Search(m, short), None)) == repr(call(Search(m, short), TruncationPolicy(k_max=60))) \
+            == repr(call(m, short)) != repr(call(m, None))
+        # and refuses another
+        for search, other in ((Search(m, short), TruncationPolicy()), (Search(m), short)):
+            with pytest.raises(ValueError, match="its own policy"):
+                call(search, other)
+
+    def test_a_record_is_made_of_a_model(self):
+        m = alternating_normals()
+        for other in (Search(m), m.increments, None):
+            with pytest.raises(TypeError, match="expected a RiskModel"):
+                Search(other)
+
+    @pytest.mark.parametrize("flavor, solve", [(True, solve_partial_sum), (False, solve_per_increment)],
+                             ids=["partial", "per_increment"])
+    def test_a_solve_probes_the_record_it_is_given(self, flavor, solve):
+        # a finite horizon: each solve keeps chord references of its flavour in
+        # the record it probes, and a bound hands its record to its solve
+        m = RiskModel(ExplicitPrefix((Normal(-0.5, 1.0),) * 200))
+        search = Search(m)
+        assert repr(solve(search)) == repr(solve(m))
+        assert search.chords[flavor][0] and list(search.chords) == [flavor]
+        search = Search(m)
+        bound_per_increment(search, 5.0)
+        assert search.chords[False][0]
 
     def test_a_probe_of_a_record_runs_under_its_policy(self):
         # a positive drift that a scan of 60 epochs leaves undetermined

@@ -508,6 +508,7 @@ class TestEventModelReduction:
         "per_increment_sup": lambda m: ruinbounds.per_increment_sup(m, 0.1),
         "cumulative_log_mgf": lambda m: ruinbounds.cumulative_log_mgf(m, 0.1, 3),
         "Search": ruinbounds.Search,
+        "iid_base": ruinbounds.iid_base,
     }
 
     @pytest.mark.parametrize("name", ENTRY_POINTS)

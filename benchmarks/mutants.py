@@ -41,6 +41,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 _ONE_PASS = ("tests/test_properties.py::TestOnePassBlockSup", "tests/test_properties.py::TestSignedTailEnvelope",
              "tests/test_models.py::TestSupLogMgf")
+_KERNELS = ("tests/test_properties.py::TestBlockKernels",)
 _CACHE = ("tests/test_serialize_cli.py::TestCliModelCache",)
 _CHORDS = ("tests/test_properties.py::TestChordCertificates",)
 _RECORD = ("tests/test_bounds.py::TestGridMemo",)
@@ -49,14 +50,24 @@ _RECORD = ("tests/test_bounds.py::TestGridMemo",)
 MUTANTS = {
     # models._sup_periodic, the one-pass block sup and its tail envelope
     "envelope_positive_mass_unfiltered": ("models.py", (
-        ("if term > 0.0:\n                    pos += term", "if True:\n                    pos += term"),), _ONE_PASS),
+        ("if term > 0.0:\n                pos += term", "if True:\n                pos += term"),), _ONE_PASS),
     "envelope_top_carried_across_periods": ("models.py", (
-        ("g, best, arg, j, b, epochs = 0.0, -INF, None, 0, 0,", "g, best, arg, j, b, top, epochs = 0.0, -INF, None, 0, 0, -INF,"),
-        ("pos, total, top = 0.0, -0.0, -INF", "pos, total = 0.0, -0.0")), _ONE_PASS),
+        ("        pos, total, top = 0.0, -0.0, -INF\n        for k, w in zip(tail",
+         "        pos, total = 0.0, -0.0\n        for k, w in zip(tail"),), _ONE_PASS),
     "tail_overflow_check_dropped": ("models.py", (
-        ("        if best == INF:  # a +inf term", "        if best == INF and not b:  # a +inf term"),), _ONE_PASS),
-    "head_nan_stop_dropped": ("models.py", (("elif g != g and not b:", "elif False:"),), _ONE_PASS),
-    "period_sum_over_the_prefix": ("models.py", (("            if j > P:\n", "            if j > 0:\n"),), _ONE_PASS),
+        ("        if best == INF:\n            return SupLogMgf(INF, arg,", "        if False:\n            return SupLogMgf(INF, arg,"),),
+        _ONE_PASS),
+    "head_nan_stop_dropped": ("models.py", (("elif g != g:", "elif False:"),), _ONE_PASS),
+    "period_sum_over_the_prefix": ("models.py", (("        if j > P:\n", "        if j > 0:\n"),), _ONE_PASS),
+    # the walk's own calls of the slots' kernels, and the tail's loop
+    "kernel_zero_guard_dropped": ("models.py", (("k(t) if t else 0.0", "k(t)"),), _KERNELS),
+    "tail_first_maximum_not_strict": ("models.py", (("            if g > best:\n", "            if g >= best:\n"),), _KERNELS),
+    # bounds.bound_optimize, the bracket that closes at the first rise
+    "bracket_rise_not_strict": ("bounds.py", (("fh > fs[-1]", "fh >= fs[-1]"),), ("tests/test_bounds.py::TestOptimize",)),
+    # models._shrinking, the per-increment limit of cycles past _BLOCK_MAX
+    "shrinking_without_decay": ("models.py", (
+        ("return laws if laws.log_ratio < 0.0 or not model.zero_rates() else None", "return laws"),),
+        ("tests/test_adjustment.py::TestLongPeriodCycles",)),
     # cli._load, the models kept per process
     "cache_keyed_by_path": ("cli.py", (
         ("_MODELS.get(raw)", "_MODELS.get(path)"),

@@ -196,10 +196,11 @@ def bound_optimize(model: RiskModel | Search, u: float, policy: TruncationPolicy
     """min over h >= 0 of exp(-h u) * sup_k E exp(h S*_k).
 
     The objective -hu + sup_k G_k(h) is a supremum of convex functions, hence
-    convex; exponential bracketing followed by golden-section search finds the
-    minimizer. The optimal h may sit far above any adjustment coefficient and
-    grows with u for models whose G_k flatten out. Every probed sup is kept
-    in the search record, so that no h is evaluated twice.
+    convex; exponential bracketing, which stops at the first probe where the
+    objective rises, followed by golden-section search finds the minimizer.
+    The optimal h may sit far above any adjustment coefficient and grows with
+    u for models whose G_k flatten out. Every probed sup is kept in the search
+    record, so that no h is evaluated twice.
     """
     _require_u(u)
     model, policy, search = _unpacked(model, policy)
@@ -224,23 +225,14 @@ def bound_optimize(model: RiskModel | Search, u: float, policy: TruncationPolicy
 
     cap = _domain_cap(model)
     h = 1.0 if cap == INF else 0.5 * cap
-    pts = [0.0]
-    fs = [0.0]
-    rises = 0
-    exhausted = True
+    pts, fs, exhausted = [0.0], [0.0], True
     for _ in range(200):
         fh = f(h)
-        if fh > fs[-1]:
-            rises += 1
-        else:
-            rises = 0
+        rise = fh > fs[-1] or fh == INF  # f is convex: past its first rise it only rises
         pts.append(h)
         fs.append(fh)
-        if rises >= 2 or fh == INF:
-            exhausted = False
-            break
         nxt = h * 2.0 if cap == INF else min(h * 2.0, cap)
-        if nxt == h:
+        if rise or nxt == h:
             exhausted = False
             break
         h = nxt

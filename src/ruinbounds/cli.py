@@ -280,13 +280,16 @@ def _bound_grid(search: Search, us, args, method: str) -> list:
 
 
 def _bound_row(b) -> dict:
-    cert_c = cert_l = None
+    """A bound's cells; log10_C, finite where C is too large for a float, is
+    written only by --format json (the CSV columns leave it out)."""
+    cert_c = cert_l = log10_c = None
     if b.certificate is not None:
         cert_c = math.exp(b.certificate.log_c) if b.certificate.log_c < 700.0 else INF
         cert_l = b.certificate.exponent
+        log10_c = b.certificate.log_c / math.log(10.0)
     return {
         "u": b.u, "method": b.method, "h_star": b.h_star, "log10_bound": b.log10_bound,
-        "C": cert_c, "L": cert_l, "certified": b.certified,
+        "C": cert_c, "log10_C": log10_c, "L": cert_l, "certified": b.certified,
     }
 
 

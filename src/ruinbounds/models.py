@@ -20,11 +20,16 @@ effective period, each slot's log multiplier log scale_j + log v_{j-1}, and
 log rho, the period-to-period multiplier of h. Exact periods, contracting
 tails and amplifying tails whose period laws are all nonpositive then reduce
 to a few periods of the block, read in one scalar pass (_sup_periodic) that
-folds each term into the running sum, its maximum and the tail envelope as it
-comes; on such short walks a scalar loop beats numpy's fixed cost. One function, _settled, reads the esssups once per model and flavour
-for the verdicts that no search over h reaches: a criterion that holds at
-every h, and one that an amplifying block makes +inf at every h > 0; the
-routes, the solvers and the optimizer all read it. Four closed forms cover the
+calls each slot's kernel (_Laws.kernels) at t = h w itself and folds each term
+into the running sum, its maximum and the tail envelope as it comes; on such
+short walks a scalar loop beats numpy's fixed cost. A cycle whose effective
+period is too long for a block keeps its law list, and under multipliers of h
+that shrink to 0 its per-increment sup is their limit 0 wherever no law's
+log-MGF at h is above 0 (_shrinking). One function, _settled, reads the
+esssups once per model and flavour for the verdicts that no search over h
+reaches: a criterion that holds at every h, and one that an amplifying block
+makes +inf at every h > 0; the routes, the solvers and the optimizer all read
+it. Four closed forms cover the
 indexed families without interest (the IndexedTwoPoint one in O(1) through
 log-factorials and a power-sum series). Everything else is scanned by
 log_mgf_terms, the vectorized term kernel, on per-family parameter arrays, in
@@ -597,6 +602,13 @@ class _Laws:
         return w
 
     @cached_property
+    def kernels(self) -> tuple:
+        """Each law's scalar log-MGF kernel, law._lmgf, called without
+        log_mgf_at's checks by the block walk (_sup_periodic), which keeps
+        their contract itself, and at h > 0 by the per-increment limit of _sup."""
+        return tuple(law._lmgf for law in self.laws)
+
+    @cached_property
     def log_array(self) -> np.ndarray:
         out = np.array(self.logs)
         out.flags.writeable = False  # _layout hands out views of it
@@ -730,6 +742,20 @@ def _settled(model: RiskModel, partial: bool) -> str | None:
     sums, grows = _esssup_sums(model, span), block is not None and block.log_ratio > 0.0
     holds = sums is not None and (sums <= 0.0).all() and E[-1] <= 0.0 and not (grows and (E > 0.0).any())
     return None if holds else ""
+
+
+@_per_model
+def _shrinking(model: RiskModel) -> _Laws | None:
+    """The law list of a model that keeps one without a block or a horizon (an
+    effective period past _BLOCK_MAX), when every multiplier of h lies in [0, 1]
+    and tends to 0: the rates are >= 0, the tail scale is <= 1, and some rate is
+    above 0 or the scale below 1; else None. Each g_s is convex with g_s(0) = 0,
+    so a term g_s(h w) is at most w max(0, g_s(h)): where every g_s(h) <= 0, the
+    per-increment sup is the terms' limit 0 (_sup)."""
+    laws = model._laws
+    if laws is None or laws.logs is not None or model.horizon() is not None or laws.log_ratio > 0.0:
+        return None
+    return laws if laws.log_ratio < 0.0 or not model.zero_rates() else None
 
 
 _FLOAT_MAX = sys.float_info.max
@@ -897,49 +923,57 @@ def cumulative_log_mgf(model: RiskModel, h: float, K: int) -> list[float]:
 
 def _sup_periodic(block: _Laws, h: float, partial: bool) -> SupLogMgf:
     """The sup over the head (prefix and first period), then, on a contracting tail,
-    over periods b = 1, 2, ... until the envelope closes, in one pass: each term goes
-    at once into the running value g (the partial sum, or the term), its first maximum
-    best at epoch arg, and the period's positive mass, sum and largest prefix sum
-    (_tail_excess). As in a scan, a period stops after its first +inf term, and the
-    head at the first value that is not a number."""
+    over periods b = 1, 2, ... until the envelope closes. Each term goes at once into
+    the running value g (the partial sum, or the term), its first maximum best at epoch
+    arg, and the period's positive mass, sum and largest prefix sum (_tail_excess). As
+    in a scan, a period stops after its first +inf term, and the head at the first value
+    that is not a number.
+
+    The walk calls the slots' kernels (_Laws.kernels) at t = h w itself, under
+    log_mgf_at's contract: a term is 0.0 at t = 0, and a NaN t, which only h = +inf
+    forms with a multiplier that underflowed to 0, raises ValueError. The head runs one
+    loop; the tail, which only the partial sums of a contracting block reach, runs its
+    own without the flavour and prefix branches."""
     P = block.prefix
-    g, best, arg, j, b, epochs = 0.0, -INF, None, 0, 0, zip(block.laws, block.head)
+    kernels = block.kernels if h < INF else [functools.partial(log_mgf_at, law) for law in block.laws]
+    g, best, arg, j = 0.0, -INF, None, 0
+    pos, total, top = 0.0, -0.0, -INF  # from -0.0, total adds the terms as accumulate does
+    for k, w in zip(kernels, block.head):
+        t = h * w
+        term = k(t) if t else 0.0
+        j += 1
+        g = g + term if partial else term
+        if g > best:
+            best, arg = g, j
+        elif g != g:  # only in the head: a later term is no further from 0
+            return _stopped(np.empty(0), j - 1, best, arg)
+        if j > P:
+            if term > 0.0:
+                pos += term
+            total += term
+            if total > top:
+                top = total
+        if term == INF:
+            break
+    if best == INF:  # a +inf term, or finite terms whose sum overflows
+        return SupLogMgf(INF, arg, "unbounded", True, "divergent MGF term")
+    if block.exact or block.amplifying:
+        # every later period repeats these terms, or (amplifying: _route sends only period laws
+        # of esssup <= 0) has nonpositive terms at most the same slot's here; with no period law
+        # above 0, a positive period sum is rounding (a TwoPoint law at 0 a.s. can round above 0)
+        if partial and block.exact and block.period_top > 0.0 and total > 0.0:
+            return SupLogMgf(INF, None, "unbounded", True, "log-MGF grows by a positive amount per period")
+        return SupLogMgf(best, arg, "attained", True)
+    # contracting tail: a later term is at most rho times the same slot's term here
+    # (_tail_excess), so the sup of the terms is attained by now or is their limit
+    # zero, and that of the partial sums is the running maximum once no later sum can exceed it
+    if not partial:
+        if best < 0.0:
+            return SupLogMgf(0.0, None, "limit", True, "terms approach zero from below along the contracting tail")
+        return SupLogMgf(best, arg, "attained", True)
+    rho, b, tail = math.exp(block.log_ratio), 0, kernels[P:]
+    share = rho / -math.expm1(block.log_ratio)
     while True:
-        pos, total, top = 0.0, -0.0, -INF  # from -0.0, total adds the terms as accumulate does
-        for law, w in epochs:
-            term = log_mgf_at(law, h * w)
-            j += 1
-            g = g + term if partial else term
-            if g > best:
-                best, arg = g, j
-            elif g != g and not b:  # only in the head: a later term is no further from 0
-                return _stopped(np.empty(0), j - 1, best, arg)
-            if j > P:
-                if term > 0.0:
-                    pos += term
-                total += term
-                if total > top:
-                    top = total
-            if term == INF:
-                break
-        if best == INF:  # a +inf term, or finite terms whose sum overflows
-            return SupLogMgf(INF, arg, "unbounded", True, "divergent MGF term")
-        if not b and (block.exact or block.amplifying):
-            # every later period repeats these terms, or (amplifying: _route sends only period laws
-            # of esssup <= 0) has nonpositive terms at most the same slot's here; with no period law
-            # above 0, a positive period sum is rounding (a TwoPoint law at 0 a.s. can round above 0)
-            if partial and block.exact and block.period_top > 0.0 and total > 0.0:
-                return SupLogMgf(INF, None, "unbounded", True, "log-MGF grows by a positive amount per period")
-            return SupLogMgf(best, arg, "attained", True)
-        # contracting tail: a later term is at most rho times the same slot's term here
-        # (_tail_excess), so the sup of the terms is attained by now or is their limit
-        # zero, and that of the partial sums is the running maximum once no later sum can exceed it
-        if not partial:
-            if best < 0.0:
-                return SupLogMgf(0.0, None, "limit", True, "terms approach zero from below along the contracting tail")
-            return SupLogMgf(best, arg, "attained", True)
-        if not b:  # _tail_excess reads rho and share, found once per sup
-            share = (rho := math.exp(block.log_ratio)) / -math.expm1(block.log_ratio)
         excess = _tail_excess(pos, total, top, rho, share)
         if g + excess <= best:
             return SupLogMgf(best, arg, "attained", True)
@@ -949,7 +983,23 @@ def _sup_periodic(block: _Laws, h: float, partial: bool) -> SupLogMgf:
         b += 1
         if b >= _BLOCK_CAP:
             return SupLogMgf(g + excess, None, "undetermined", False, f"tail envelope did not converge within {_BLOCK_CAP} periods")
-        epochs = block.period(b)
+        pos, total, top = 0.0, -0.0, -INF
+        for k, w in zip(tail, block.weights(b)):
+            t = h * w
+            term = k(t) if t else 0.0
+            j += 1
+            g += term
+            if g > best:
+                best, arg = g, j
+            if term > 0.0:
+                pos += term
+            total += term
+            if total > top:
+                top = total
+            if term == INF:
+                break
+        if best == INF:
+            return SupLogMgf(INF, arg, "unbounded", True, "divergent MGF term")
 
 
 def _tail_excess(pos: float, total: float, top: float, rho: float, share: float) -> float:
@@ -1344,7 +1394,11 @@ def _sup(model: RiskModel | Search, h: float, policy: TruncationPolicy | None, p
     if h == 0.0:
         return SupLogMgf(0.0, 1, "attained", True)
     route = _route(model, partial)
-    return route(h, partial) if route else _sup_scan(model, h, policy, partial, search)
+    if route:
+        return route(h, partial)
+    if not partial and h < INF and (laws := _shrinking(model)) is not None and all(k(h) <= 0.0 for k in laws.kernels):
+        return SupLogMgf(0.0, None, "limit", True, "no law's log-MGF at h is above 0, and the multipliers of h approach 0")
+    return _sup_scan(model, h, policy, partial, search)
 
 
 def sup_log_mgf(model: RiskModel | Search, h: float, policy: TruncationPolicy | None = None) -> SupLogMgf:

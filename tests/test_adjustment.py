@@ -23,6 +23,7 @@ from ruinbounds import (
     TwoPoint,
     Uniform,
     bound_optimize,
+    per_increment_sup,
     solve_kappa,
     solve_partial_sum,
     solve_per_increment,
@@ -157,6 +158,38 @@ class TestUncertainScan:
         r = solve_partial_sum(m, policy=TruncationPolicy(k_max=400))
         assert r.certified
         assert r.value == pytest.approx(2.0, abs=1e-8)
+
+
+class TestLongPeriodCycles:
+    """A cycle whose effective period passes models._BLOCK_MAX keeps no block.
+    Under rates >= 0 and a scale <= 1 every multiplier w of h lies in [0, 1],
+    and g(h w) <= w max(0, g(h)) for each law's convex log-MGF g, so where no
+    g(h) is above 0 and the multipliers approach 0, the per-increment sup is
+    the terms' limit 0, certified without a scan."""
+
+    @staticmethod
+    def model(rate: float) -> RiskModel:
+        # 317 laws under 331 periodic rates: lcm 104,927 > _BLOCK_MAX
+        return RiskModel(Periodic((Normal(-0.5, 1.0),) * 317), PeriodicRates((rate,) * 331))
+
+    def test_per_increment_sup_is_the_limit_zero(self):
+        m = self.model(0.01)
+        assert m._block is None and m._laws is not None
+        s = per_increment_sup(m, 0.5)
+        assert (s.value, s.argmax, s.status, s.certified) == (0.0, None, "limit", True)
+        above = per_increment_sup(m, 1.5)  # g(1.5) = 0.375 > 0: scanned, largest at epoch 1
+        assert above.value == pytest.approx(0.375, rel=1e-15) and above.argmax == 1
+
+    def test_per_increment_root_is_certified(self):
+        m = self.model(0.01)
+        r = solve_per_increment(m)
+        assert r.certified and r.value == pytest.approx(1.0, abs=1e-9)
+        assert not solve_partial_sum(m).certified  # the partial sums keep the scan
+
+    def test_multipliers_that_do_not_shrink_are_scanned(self):
+        # zero rates and scale 1: every multiplier is 1, and every term is g(0.5)
+        s = per_increment_sup(self.model(0.0), 0.5)
+        assert s.status != "limit" and s.value == pytest.approx(-0.125, rel=1e-15)
 
 
 class TestNeverBounded:

@@ -9,6 +9,7 @@ from ruinbounds import (
     BoundResult,
     Certificate,
     CompoundIncrement,
+    Degenerate,
     ExplicitPrefix,
     IndexedNormal,
     IndexedTwoPoint,
@@ -178,6 +179,14 @@ class TestOptimize:
             probes.clear()
             r = bound_optimize(model(), u)
             assert len(probes) == len(set(probes)), (u, r.h_star)
+
+    def test_flat_objective_is_no_rise(self, monkeypatch):
+        # -h u + sup_k G_k(h) is 0 at every h here: the bracket closes only at
+        # a strict rise, so it doubles on through all of its 200 probes
+        probes = record_probes(monkeypatch)
+        r = bound_optimize(RiskModel(ExplicitPrefix((Degenerate(1.0),))), 1.0)
+        assert (r.log_bound, r.h_star, r.certified) == (0.0, 0.0, True)
+        assert 2.0**199 in {h for h, _ in probes}
 
     def test_nonpositive_paths_short_circuit(self):
         m = RiskModel(Periodic((Uniform(-2.0, -1.0),)))

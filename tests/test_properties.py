@@ -1,6 +1,7 @@
 """Property tests: structural identities that every parameter choice must obey."""
 
 import copy
+import functools
 import itertools
 import json
 import math
@@ -14,6 +15,8 @@ import pytest
 
 from ruinbounds import (
     INF,
+    BoundResult,
+    Certificate,
     CompoundIncrement,
     ConstantRates,
     Degenerate,
@@ -46,7 +49,7 @@ from ruinbounds import (
 )
 from ruinbounds.adjustment import _domain_cap, _esssup_sums
 from ruinbounds.distributions import _log_expm1_ratio_vec, mgf_domain_sup, support_bounds
-from ruinbounds import models as models_module
+from ruinbounds import bounds as bounds_module, models as models_module
 from ruinbounds.models import (
     PrefixThenTail,
     TruncationPolicy,
@@ -246,9 +249,10 @@ class TestSignedTailEnvelope:
         # the period's sum is negative and its largest prefix sum is the first
         # term, so the signed envelope closes after the first period: the sup
         # reads the two terms of the head and no tail period; the positive
-        # parts alone take 25 periods
-        read = []
-        monkeypatch.setattr(models_module, "log_mgf_at", lambda law, t: read.append(t) or log_mgf_at(law, t))
+        # parts alone take 25 periods; the walk calls the laws' kernels, patched
+        # before the model (and its block's kernels) is built
+        read, kernel = [], Normal._lmgf
+        monkeypatch.setattr(Normal, "_lmgf", lambda law, t: read.append(t) or kernel(law, t))
         s = sup_log_mgf(RiskModel(Periodic((Normal(1.0, 1.0), Normal(-3.0, 1.0))), ConstantRates(0.01)), 0.3)
         assert (s.argmax, s.status, s.certified) == (1, "attained", True)
         assert s.value == pytest.approx(0.345, rel=1e-15)
@@ -365,6 +369,148 @@ class TestOnePassBlockSup:
             expected = _walked_sup_periodic(block, h, partial)
             got = models_module._sup_periodic(block, h, partial)
         assert self._fields(got) == self._fields(expected)
+
+
+class TestBlockKernels:
+    """The block walk calls the slots' kernels at t = h w itself, under
+    log_mgf_at's contract: a term at t = 0 (a multiplier of h that underflowed
+    to 0) is 0.0, not the kernel's -0.0, and where h = +inf meets such a
+    multiplier, the NaN t raises ValueError where a walk that calls log_mgf_at
+    does. The tail keeps its first maximum where a partial sum ties it."""
+
+    @st.composite
+    def underflowing(draw):
+        cycle = tuple(draw(st.lists(st.one_of(entire_dists, TestOnePassBlockSup.nonpositive), min_size=1, max_size=3)))
+        prefix = tuple(draw(st.lists(entire_dists, max_size=2)))
+        rates = draw(st.one_of(st.sampled_from([1e150, 1e300]).map(ConstantRates),
+                               st.sampled_from([1e200, 1e300]).map(lambda r: PeriodicRates((r, 0.0)))))
+        return RiskModel(PrefixThenTail(prefix, Periodic(cycle)) if prefix else Periodic(cycle), rates)._block
+
+    @settings(max_examples=200, deadline=None)
+    @given(underflowing(), st.one_of(st.floats(1e-3, 4.0), st.just(INF)), st.booleans())
+    def test_zero_and_nan_arguments_as_log_mgf_at(self, block, h, partial):
+        # the oracle: the same block, each slot's kernel log_mgf_at itself
+        checked = models_module._Laws(block.laws, block.prefix, block.log_ratio, block.logs)
+        checked.kernels = tuple(functools.partial(log_mgf_at, law) for law in block.laws)
+        try:
+            expected = models_module._sup_periodic(checked, h, partial)
+        except ValueError:
+            with pytest.raises(ValueError):
+                models_module._sup_periodic(block, h, partial)
+            return
+        got = models_module._sup_periodic(block, h, partial)
+        assert TestOnePassBlockSup._fields(got) == TestOnePassBlockSup._fields(expected)
+        if h < INF:  # the list walk reads the whole head, also past a NaN partial sum
+            assert TestOnePassBlockSup._fields(got) == TestOnePassBlockSup._fields(_walked_sup_periodic(block, h, partial))
+
+    def test_nan_argument_raises(self):
+        # h = +inf: the terms of epochs 1 and 2 are -inf, and epoch 3's t is inf * 0
+        model = RiskModel(Periodic((Degenerate(-1.0), Degenerate(-2.0), Degenerate(-1.0))), ConstantRates(1e300))
+        assert model._block.head[2] == 0.0
+        with pytest.raises(ValueError, match="NaN"):
+            sup_log_mgf(model, INF)
+
+    def test_zero_multiplier_term_is_positive_zero(self):
+        # epoch 3's multiplier is 0: its term, 0.0, is the per-increment sup
+        block = RiskModel(Periodic((Normal(-0.5, 1.0), Degenerate(-1.0), Degenerate(-1.0))), ConstantRates(1e300))._block
+        assert block.head[2] == 0.0 and log_mgf_at(Degenerate(-1.0), 0.0) == 0.0
+        s = models_module._sup_periodic(block, 0.5, False)
+        assert (repr(s.value), s.argmax, s.status) == ("0.0", 3, "attained")
+
+    def test_tail_keeps_its_first_maximum(self):
+        # the partial sums peak in the tail after a Normal epoch (odd), and
+        # the Degenerate(0) epoch after it ties the peak
+        block = RiskModel(Periodic((Normal(-0.1, 1.0), Degenerate(0.0))), ConstantRates(0.05))._block
+        s = models_module._sup_periodic(block, 2.0, True)
+        assert s.status == "attained" and s.argmax > len(block.laws) and s.argmax % 2 == 1
+        assert TestOnePassBlockSup._fields(s) == TestOnePassBlockSup._fields(_walked_sup_periodic(block, 2.0, True))
+
+
+def _two_rise_optimize(model, u):
+    """bound_optimize as it was when its bracket closed at the second rise in a
+    row, one doubling past the first: the oracle of the first-rise bracket."""
+    settled = models_module._settled(model, True)
+    if settled is None or settled:  # decided without a bracket
+        return bound_optimize(model, u)
+    search, cache, sups = Search(model), {}, {}
+
+    def f(h):
+        if h not in cache:
+            if h and h not in sups:
+                sups[h] = sup_log_mgf(search, h)
+            value = sups[h].value if h else 0.0
+            cache[h] = INF if value == INF else -h * u + value
+        return cache[h]
+
+    cap = _domain_cap(model)
+    h = 1.0 if cap == INF else 0.5 * cap
+    pts, fs, rises, exhausted = [0.0], [0.0], 0, True
+    for _ in range(200):
+        fh = f(h)
+        rises = rises + 1 if fh > fs[-1] else 0
+        pts.append(h)
+        fs.append(fh)
+        if rises >= 2 or fh == INF:
+            exhausted = False
+            break
+        nxt = h * 2.0 if cap == INF else min(h * 2.0, cap)
+        if nxt == h:
+            exhausted = False
+            break
+        h = nxt
+    i_best = min(range(len(pts)), key=lambda i: fs[i])
+    a = pts[i_best - 1] if i_best > 0 else 0.0
+    c = pts[min(i_best + 1, len(pts) - 1)]
+    if c > a:
+        bounds_module._golden(f, a, c)
+    h_star = min(cache, key=cache.get) if cache else 0.0
+    if f(h_star) >= 0.0:
+        h_star = 0.0
+    if h_star == 0.0:
+        return bounds_module._no_exponent(u)
+    s = sups[h_star]
+    log_bound = min(0.0, -h_star * u + s.value)
+    if s.status == "undetermined":
+        return BoundResult(u, log_bound, h_star, "optimized", None, False,
+                           "sup relied on a truncated scan; reported value may understate the bound")
+    note = "objective still decreasing after 200 doublings" if exhausted else ""
+    return BoundResult(u, log_bound, h_star, "optimized", Certificate(s.value, h_star), not exhausted, note)
+
+
+class TestFirstRiseBracket:
+    """bound_optimize closes its bracket at the first probe whose objective
+    rises: the objective is convex, so the probe one doubling further, which
+    the bracket once read, can never be the minimizer. Its rows must be bitwise
+    those of the two-rise bracket on models of the block walk and of the scan."""
+
+    rates = st.one_of(st.just(0.0), st.floats(0.01, 0.2))
+
+    @st.composite
+    def models(draw):
+        cls = TestFirstRiseBracket
+        kind = draw(st.sampled_from(["periodic", "scaled", "prefix", "explicit", "indexed"]))
+        cycle = tuple(draw(st.lists(entire_dists, min_size=1, max_size=3)))
+        if kind == "periodic":
+            return RiskModel(Periodic(cycle), draw(st.lists(cls.rates, min_size=1, max_size=2).map(tuple)))
+        if kind == "scaled":
+            return RiskModel(QuasiPeriodicScaled(cycle, draw(st.floats(0.5, 0.99))), draw(cls.rates))
+        if kind == "prefix":
+            return RiskModel(PrefixThenTail(tuple(draw(st.lists(any_dists, min_size=1, max_size=2))), Periodic(cycle)),
+                             draw(cls.rates))
+        if kind == "explicit":
+            laws = draw(st.lists(any_dists, min_size=1, max_size=4))
+            return RiskModel(ExplicitPrefix(tuple(laws * draw(st.sampled_from([1, 30])))), draw(cls.rates))
+        return RiskModel(IndexedNormal(draw(st.floats(-1.0, -0.1)), draw(st.floats(-0.5, 0.5))), draw(st.floats(0.01, 0.1)))
+
+    @staticmethod
+    def _fields(r):
+        cert = None if r.certificate is None else (repr(r.certificate.log_c), repr(r.certificate.exponent))
+        return repr(r.h_star), repr(r.log_bound), cert, r.certified, r.note
+
+    @settings(max_examples=80, deadline=None)
+    @given(models(), st.floats(0.5, 40.0))
+    def test_rows_equal_the_two_rise_bracket(self, model, u):
+        assert self._fields(bound_optimize(model, u)) == self._fields(_two_rise_optimize(model, u))
 
 
 class TestAmplifyingVerdicts:

@@ -271,6 +271,21 @@ class TestCliBound:
             "4,optimized,1,-1.62860430714,1.28402541669,1,true\n"
         )
 
+    def test_json_rows_carry_a_finite_log10_c(self, capsys):
+        # past u ~ 149 the certified C of this curve is too large for a float
+        argv = ["bound", "--model", "linear_drift_normals", "--u", "140:200:20"]
+        rc, out, _ = run_cli([*argv, "--format", "json"], capsys)
+        assert rc == 0
+        rows = json.loads(out)
+        assert all(row["certified"] for row in rows) and [row["C"] == "inf" for row in rows] == [False, True, True, True]
+        assert all(isinstance(row["log10_C"], float) and math.isfinite(row["log10_C"]) for row in rows)
+        assert rows[0]["log10_C"] == pytest.approx(math.log10(rows[0]["C"]), rel=1e-12)
+        for row in rows:  # the certificate's bound at u, min(1, C e^{-L u}), is the row's
+            assert min(0.0, row["log10_C"] - row["L"] * row["u"] / math.log(10.0)) == pytest.approx(
+                row["log10_bound"], rel=1e-12)
+        rc, out, _ = run_cli(argv, capsys)
+        assert out.splitlines()[0] == "u,method,h_star,log10_bound,C,L,certified"
+
     def test_json_matches_library(self, capsys):
         rc, out, err = run_cli(
             ["bound", "--model", "alternating_normals", "--u", "3",

@@ -11,7 +11,12 @@ record and its support facts. The two solvers run on the scan of a 5000-law
 ExplicitPrefix and on the one-period block of alternating_normals, the two
 sides of the split between the vectorized term kernel and the scalar block
 walk; _domain_cap runs on the prefix alone, and bound_union on the
-IndexedTwoPoint series at h = 9, whose partial sums peak near n = e^9.
+IndexedTwoPoint series at h = 9, whose partial sums peak near n = e^9. The
+scan cases of heavy_sups, IndexedNormal(-0.5, 0.25) at 1% and IndexedTwoPoint
+at 2% under k_max = 2000, show the points that the solvers' convex sandwich
+decides without a probe (most of the first, few of the second, whose root
+near 1.4e-6 the slack alone sets); the period root runs on the contracting
+block of contracting_quasi_periodic.
 """
 
 from __future__ import annotations
@@ -21,11 +26,27 @@ from importlib import resources
 import pytest
 
 from bench_sup import _fresh, _mixed_prefix
-from ruinbounds import IndexedTwoPoint, RiskModel, bound_union, load_model, solve_partial_sum, solve_per_increment
+from ruinbounds import (
+    IndexedNormal,
+    IndexedTwoPoint,
+    Normal,
+    QuasiPeriodicScaled,
+    RiskModel,
+    TruncationPolicy,
+    bound_union,
+    load_model,
+    solve_partial_sum,
+    solve_per_increment,
+    solve_period_root,
+)
 from ruinbounds.adjustment import _domain_cap
 
 PREFIX = _mixed_prefix()
 ALTERNATING = load_model(str(resources.files("ruinbounds") / "configs" / "alternating_normals.json"))
+HEAVY_POLICY = TruncationPolicy(2000)
+SCANS = {"indexed_normal_1pct": RiskModel(IndexedNormal(-0.5, 0.25), 0.01),
+         "indexed_two_point_2pct": RiskModel(IndexedTwoPoint(), 0.02)}
+CONTRACTING = RiskModel(QuasiPeriodicScaled((Normal(-0.5, 1.0), Normal(0.25, 1.0)), 0.95))
 
 
 @pytest.mark.parametrize("solver", [solve_partial_sum, solve_per_increment], ids=["partial_sum", "per_increment"])
@@ -33,6 +54,18 @@ ALTERNATING = load_model(str(resources.files("ruinbounds") / "configs" / "altern
 def test_solver(benchmark, solver, name, model):
     r = benchmark.pedantic(solver, setup=_fresh(model), rounds=30 if model is PREFIX else 300)
     assert r.certified
+
+
+@pytest.mark.parametrize("solver", [solve_partial_sum, solve_per_increment], ids=["partial_sum", "per_increment"])
+@pytest.mark.parametrize("name", list(SCANS))
+def test_solver_heavy_scan(benchmark, solver, name):
+    r = benchmark.pedantic(solver, setup=_fresh(SCANS[name], 1e-10, HEAVY_POLICY), rounds=30)
+    assert r.certified
+
+
+def test_period_root_contracting_quasi_periodic(benchmark):
+    r = benchmark.pedantic(solve_period_root, setup=_fresh(CONTRACTING, 2), rounds=300)
+    assert r.certified and r.value > 0.0
 
 
 def test_domain_cap_explicit_prefix_5000(benchmark):

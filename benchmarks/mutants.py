@@ -45,6 +45,7 @@ _KERNELS = ("tests/test_properties.py::TestBlockKernels",)
 _CACHE = ("tests/test_serialize_cli.py::TestCliModelCache",)
 _CHORDS = ("tests/test_properties.py::TestChordCertificates",)
 _RECORD = ("tests/test_bounds.py::TestGridMemo",)
+_SKIPS = ("tests/test_properties.py::TestSolverSkips",)
 
 # name: (file, ((old, new), ...), node ids)
 MUTANTS = {
@@ -64,9 +65,9 @@ MUTANTS = {
     "tail_first_maximum_not_strict": ("models.py", (("            if g > best:\n", "            if g >= best:\n"),), _KERNELS),
     # bounds.bound_optimize, the bracket that closes at the first rise
     "bracket_rise_not_strict": ("bounds.py", (("fh > fs[-1]", "fh >= fs[-1]"),), ("tests/test_bounds.py::TestOptimize",)),
-    # models._shrinking, the per-increment limit of cycles past _BLOCK_MAX
+    # models._sup_shrinking, the per-increment limit of cycles past _BLOCK_MAX
     "shrinking_without_decay": ("models.py", (
-        ("return laws if laws.log_ratio < 0.0 or not model.zero_rates() else None", "return laws"),),
+        ("    if laws.log_ratio < 0.0 or not model.zero_rates():\n", "    if True:\n"),),
         ("tests/test_adjustment.py::TestLongPeriodCycles",)),
     # cli._load, the models kept per process
     "cache_keyed_by_path": ("cli.py", (
@@ -98,6 +99,17 @@ MUTANTS = {
         ("search = search or Search(model, policy)", "search = Search(model, policy)"),), _RECORD),
     "solve_ignores_its_record": ("adjustment.py", (
         ("search, sup = search or Search(model, policy),", "search, sup = Search(model, policy),"),), _RECORD),
+    # adjustment._grow_and_bisect, the points that the convex sandwich decides unprobed
+    "skip_without_rounding_bound": ("adjustment.py", (
+        ("    return (a * (top + parts[0]) + b * parts[1]) / (1.0 - a) + 1e-300 if", "    return 0.0 if"),), _SKIPS),
+    "skip_secant_from_the_wrong_side": ("adjustment.py", (
+        ("v1 + ((a1 := above[-2])[1] - v1) * ((m - x1) / (a1[0] - x1)) > SLACK",
+         "v1 + ((a1 := below[-1])[1] - v1) * ((m - x1) / (a1[0] - x1)) > SLACK"),), _SKIPS),
+    "skip_without_status_rule": ("adjustment.py", (
+        ("if not a0[2] or x0 == m or x1 == m:", "if x0 == m or x1 == m:"),
+        ("at = scale(h, 2.0 * abs(value) + 1.0) if sound else None", "at = scale(h, 2.0 * abs(value) + 1.0)")), _SKIPS),
+    "skip_chord_test_flipped": ("adjustment.py", (
+        ("up + _error(at, m, 2.0 * abs(up)) <= edge", "up + _error(at, m, 2.0 * abs(up)) >= edge"),), _SKIPS),
 }
 
 

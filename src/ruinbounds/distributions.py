@@ -105,6 +105,16 @@ class IncrementDistribution:
         """Open interval of t where log E exp(t Y) is finite."""
         raise NotImplementedError
 
+    def _scales(self) -> tuple[float, float, float]:
+        """(s, l, k) for the rounding of the kernels: evaluated at the rounded
+        t(1 + d), |d| <= eps, _lmgf and _lmgf_vec differ from the exact log-MGF
+        g(t) by at most k eps (|g(t)| + |t| s + l + t / (b - t)), the last part
+        only for t > 0 where the MGF domain ends at a finite b. s also bounds
+        |E Y|, so that g(t) >= -|t| s (Jensen), and l counts the logs of the
+        parameters that a kernel adds up. A family that does not state them
+        gives +inf: no bound."""
+        return INF, INF, INF
+
     def _support(self) -> tuple[float, float]:
         raise NotImplementedError
 
@@ -130,6 +140,9 @@ class Normal(IncrementDistribution):
 
     def _lmgf(self, t: float) -> float:
         return t * self.mean + 0.5 * self.variance * t * t
+
+    def _scales(self):
+        return abs(self.mean), 0.0, 16.0
 
     @classmethod
     def _table(cls, laws):
@@ -174,6 +187,11 @@ class Uniform(IncrementDistribution):
         if x > 30.0:
             return t * self.upper - (math.log(t) + math.log(width)) + math.log1p(-math.exp(-x))
         return t * self.lower + _log_expm1_ratio(x)
+
+    def _scales(self):
+        # log t, past x = 30, is at most x + |log width|
+        width = self.upper - self.lower
+        return abs(self.lower) + abs(self.upper) + 2.0 * width, 2.0 * abs(math.log(width)) + 4.0, 16.0
 
     @classmethod
     def _table(cls, laws):
@@ -230,6 +248,12 @@ class TwoPoint(IncrementDistribution):
             math.log(self.p1) + t * self.x1,
             math.log1p(-self.p1) + t * self.x2,
         )
+
+    def _scales(self):
+        s = abs(self.x1) + abs(self.x2)
+        if self.p1 in (0.0, 1.0):
+            return s, 0.0, 16.0
+        return s, abs(math.log(self.p1)) + abs(math.log1p(-self.p1)) + 2.0, 16.0
 
     @classmethod
     def _table(cls, laws):
@@ -288,6 +312,9 @@ class ShiftedExponential(IncrementDistribution):
             return INF
         return t * self.shift + math.log(self.rate) - math.log(self.rate - t)
 
+    def _scales(self):
+        return abs(self.shift) + 1.0 / self.rate, 2.0 * abs(math.log(self.rate)) + 2.0, 16.0
+
     @classmethod
     def _table(cls, laws):
         # (rate, shift, log rate)
@@ -326,6 +353,9 @@ class Degenerate(IncrementDistribution):
 
     def _lmgf(self, t: float) -> float:
         return t * self.value
+
+    def _scales(self):
+        return abs(self.value), 0.0, 16.0
 
     @classmethod
     def _table(cls, laws):
@@ -367,6 +397,10 @@ class Scaled(IncrementDistribution):
 
     def _lmgf(self, t: float) -> float:
         return log_mgf_at(self.inner, t * self.factor)
+
+    def _scales(self):
+        s, l, k = self.inner._scales()
+        return abs(self.factor) * s, l, k + 2.0
 
     def _domain(self) -> tuple[float, float]:
         lo, hi = self.inner._domain()
@@ -413,6 +447,11 @@ class CompoundIncrement(IncrementDistribution):
         if claim_part == INF:
             return INF
         return claim_part + log_mgf_at(self.interarrival, -t * self.premium_rate)
+
+    def _scales(self):
+        # |g_claim| + |g_interarrival| <= |g| + 2 t premium_rate s_interarrival
+        (sz, lz, kz), (st, lt, kt) = self.claim._scales(), self.interarrival._scales()
+        return sz + 4.0 * self.premium_rate * st, lz + lt + 1.0, kz + kt + 4.0
 
     def _domain(self) -> tuple[float, float]:
         z_lo, z_hi = self.claim._domain()
@@ -468,6 +507,16 @@ class FiniteDiscrete(IncrementDistribution):
             if p > 0.0:
                 acc = _logaddexp(acc, math.log(p) + t * x)
         return acc
+
+    def _scales(self):
+        # one log-sum-exp per atom, each of parts up to its largest atom's; the
+        # kernel reads the law as stored, of mass within 1e-12 of 1, and counts
+        # log(mass) against the law normalized to mass 1
+        n = sum(p > 0.0 for _, p in self.atoms)
+        x = max(abs(x) for x, _ in self.atoms)
+        logs = max(abs(math.log(p)) for _, p in self.atoms if p > 0.0)
+        mass = abs(math.log(math.fsum(p for _, p in self.atoms))) / (16.0 * 2.0**-53)
+        return n * x, n * (logs + math.log(n) + 2.0) + mass, 16.0
 
     @classmethod
     def _table(cls, laws):

@@ -23,9 +23,10 @@ to a few periods of the block, read in one scalar pass (_sup_periodic) that
 calls each slot's kernel (_Laws.kernels) at t = h w itself and folds each term
 into the running sum, its maximum and the tail envelope as it comes; on such
 short walks a scalar loop beats numpy's fixed cost. A cycle whose effective
-period is too long for a block keeps its law list, and under multipliers of h
-that shrink to 0 its per-increment sup is their limit 0 wherever no law's
-log-MGF at h is above 0 (_shrinking). One function, _settled, reads the
+period is too long for a block keeps its law list; under multipliers of h in
+[0, 1], wherever no law's log-MGF at h is above 0, the sup of its partial sums
+is the first, and where the multipliers shrink to 0 its per-increment sup is
+their limit 0 (_sup_shrinking). One function, _settled, reads the
 esssups once per model and flavour for the verdicts that no search over h
 reaches: a criterion that holds at every h, and one that an amplifying block
 makes +inf at every h > 0; the routes, the solvers and the optimizer all read
@@ -650,6 +651,13 @@ class _Laws:
                          for law in self.laws])
 
     @cached_property
+    def scales(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """Per law |E Y| and the s and l of its kernels' rounding
+        (IncrementDistribution._scales), and the largest k."""
+        s, l, k = zip(*(law._scales() for law in self.laws))
+        return np.array([abs(mean(law)) for law in self.laws]), np.array(s), np.array(l), max(k)
+
+    @cached_property
     def period_top(self) -> float:
         """The largest esssup of a period law, +inf also where one has a finite
         MGF domain (_settled). On an amplifying block a value <= 0 makes every
@@ -744,18 +752,22 @@ def _settled(model: RiskModel, partial: bool) -> str | None:
     return None if holds else ""
 
 
-@_per_model
-def _shrinking(model: RiskModel) -> _Laws | None:
-    """The law list of a model that keeps one without a block or a horizon (an
-    effective period past _BLOCK_MAX), when every multiplier of h lies in [0, 1]
-    and tends to 0: the rates are >= 0, the tail scale is <= 1, and some rate is
-    above 0 or the scale below 1; else None. Each g_s is convex with g_s(0) = 0,
-    so a term g_s(h w) is at most w max(0, g_s(h)): where every g_s(h) <= 0, the
-    per-increment sup is the terms' limit 0 (_sup)."""
-    laws = model._laws
-    if laws is None or laws.logs is not None or model.horizon() is not None or laws.log_ratio > 0.0:
+def _sup_shrinking(model: RiskModel, laws: _Laws, h: float, partial: bool) -> SupLogMgf | None:
+    """The sups of a model that keeps its law list without a block or a horizon
+    (an effective period past _BLOCK_MAX), where every multiplier of h lies in
+    [0, 1]: the rates are >= 0 and the tail scale is <= 1 (_route). Each g_s is
+    convex with g_s(0) = 0, so a term g_s(h w) is at most w max(0, g_s(h)):
+    where every g_s(h) <= 0, every term is <= 0, and the sup of the partial sums
+    is G_1(h), attained at epoch 1; where the multipliers also tend to 0 (some
+    rate is above 0, or the scale below 1), the per-increment sup is the terms'
+    limit 0. None where the scan decides."""
+    if h == INF or not all(k(h) <= 0.0 for k in laws.kernels):
         return None
-    return laws if laws.log_ratio < 0.0 or not model.zero_rates() else None
+    if partial:  # epoch 1 multiplies h by 1
+        return SupLogMgf(laws.kernels[0](h), 1, "attained", True, "no law's log-MGF at h is above 0, so no partial sum rises")
+    if laws.log_ratio < 0.0 or not model.zero_rates():
+        return SupLogMgf(0.0, None, "limit", True, "no law's log-MGF at h is above 0, and the multipliers of h approach 0")
+    return None
 
 
 _FLOAT_MAX = sys.float_info.max
@@ -1097,6 +1109,17 @@ def _scan_certifies_decrease(model: RiskModel, h: float, last_index: int) -> boo
     return facts is not None and facts[0] + facts[1] * (h * facts[2]) < 0.0
 
 
+def _proof_span(model: RiskModel, h: float, cap: int) -> int | None:
+    """The scan's first range: the least of _SCAN_FIRST * 4^i epochs, or the cap,
+    past which the family's proof shows every term negative at h; None if none.
+    b h w with b, w >= 0 is monotone in h also in floating point, so a proof at
+    h holds at every smaller h, at the same range or an earlier one."""
+    n = _SCAN_FIRST
+    while n < cap and not _scan_certifies_decrease(model, h, n):
+        n *= 4
+    return min(n, cap) if n < cap or _scan_certifies_decrease(model, h, cap) else None
+
+
 # a scan's first range is the shortest of _SCAN_FIRST * 4^i epochs that the
 # family's proof closes, and the rest of the scan runs to the cap; no range
 # crosses a multiple of _SCAN_CHUNK epochs, so a scan holds one chunk at a
@@ -1127,15 +1150,10 @@ def _sup_scan(model: RiskModel, h: float, policy: TruncationPolicy, partial: boo
     are finite or +inf (_keep_scan), "unbounded" ones included, and a later
     probe below one reads only a few epochs (_chord_probe).
     """
-    horizon, held, proof = model._horizon, None, None  # proof: an epoch past which every term is negative
+    horizon, held = model._horizon, None
     cap = horizon if horizon is not None else policy.k_max
+    proof = None if horizon is not None else _proof_span(model, h, cap)  # an epoch past which every term is negative
     with np.errstate(all="ignore"):  # t past the float range, and sums of infinities
-        if horizon is None:
-            n = _SCAN_FIRST
-            while n < cap and not _scan_certifies_decrease(model, h, n):
-                n *= 4
-            if n < cap or _scan_certifies_decrease(model, h, cap):
-                proof = min(n, cap)
         if search is not None and horizon is not None and _SCAN_FIRST < cap <= _SCAN_CHUNK:
             if partial not in search.chords:
                 search.chords[partial] = ([], _chord_scale(model, cap))
@@ -1244,6 +1262,11 @@ def _stopped(values: np.ndarray, start: int, best: float, arg: int | None) -> Su
 
 _LOG_RANGE = 746.0
 _EPS = 2.0**-53
+
+
+def _gamma(n: float) -> float:
+    """gamma_n = n eps / (1 - n eps), +inf past n eps = 1/2 (and for n = +inf)."""
+    return n * _EPS / (1.0 - n * _EPS) if n * _EPS < 0.5 else INF
 # a scan with more terms of +inf than this is not kept as a reference
 _DIVERGENT_MAX = 64
 
@@ -1256,8 +1279,7 @@ def _chord_scale(model: RiskModel, K: int) -> tuple[float, float, float, float]:
     laws, slot, c = _layout(model, K)
     with np.errstate(over="ignore"):
         ws = np.minimum(np.exp(c), _FLOAT_MAX) * laws.sigma[slot]
-    count = 2 * K + 64
-    return count * _EPS / (1.0 - count * _EPS), float(ws.sum()), float(ws.max()), 4.0 * K * _LOG_RANGE
+    return _gamma(2 * K + 64), float(ws.sum()), float(ws.max()), 4.0 * K * _LOG_RANGE
 
 
 def _keep_scan(held: list, model: RiskModel, h: float, plan: _Plan, terms: np.ndarray, partial: bool) -> None:
@@ -1358,8 +1380,9 @@ def _chord_probe(model: RiskModel, h: float, partial: bool, held: list, consts: 
 def _route(model: RiskModel, partial: bool):
     """The reduction of the model's sups of one flavour at every h > 0, decided
     once from what does not depend on h: a function of (h, partial) for the
-    closed forms of the indexed families without interest, the periodic block
-    and the amplifying verdict (_settled); None for the scan."""
+    closed forms of the indexed families without interest, the periodic block,
+    the amplifying verdict (_settled) and the long cycles (_sup_shrinking), whose
+    function leaves some h to the scan with None; None for the scan."""
     inc, block = model.increments, model._block
     if model.horizon() is not None:
         return None
@@ -1370,7 +1393,142 @@ def _route(model: RiskModel, partial: bool):
         return lambda h, partial: verdict
     if block is not None and (not block.amplifying or block.period_top <= 0.0):
         return functools.partial(_sup_periodic, block)
+    laws = model._laws
+    if block is None and laws is not None and laws.log_ratio <= 0.0:
+        return functools.partial(_sup_shrinking, model, laws)
     return None
+
+
+# What the solvers' skips read (adjustment._grow_and_bisect). Let F(h) be the
+# exact sup that a route computes: the sup over epochs of the exact terms
+# g_j(h w_j), the exact log-MGFs of the laws as stored, at the multipliers w_j
+# that the route reads, which do not depend on h. Where a route's value at h is
+# certified and finite, it lies within
+#     E(h) = a (F(h)+ + 2 h Wmu) + b (h Ws + logs + count h / (cap - h))
+# of F(h), for (a, b, Wmu, Ws, logs, count, cap) = _rounding_scale of the epochs
+# it reads. Each kernel errs by at most k eps (|g_j| + t_j s_j + l_j + t_j / (b_j - t_j))
+# (IncrementDistribution._scales), with t_j = h w_j, and b >= gamma_{2k} takes
+# that in: Ws sums w_j s_j, logs l_j, and count the laws whose MGF domain ends
+# at a finite b_j; cap is the least b_j / w_j. A running sum of N terms errs
+# by gamma_{N-1} times their magnitudes summed (Higham, Accuracy and Stability
+# of Numerical Algorithms, 2nd ed., section 4.2), and sum_j |g_j| is at most
+# F+ + 2 h Wmu, Wmu the sum of w_j |E Y_j|: g_j >= h w_j E Y_j (Jensen), and
+# every partial sum is at most F. So a is gamma_N + b for the partial sums and
+# b for one term, whose |g_j| is at most max(F+, h w_j |E Y_j|); then each sum
+# over epochs is the largest entry. That F is the model's sup, not only over
+# the epochs read: past a scan's proof every term is negative, and past a
+# block's head the terms repeat, shrink or stay at most the head's
+# (_sup_periodic); a per-increment limit 0 is exact.
+#
+# A contracting tail's partial sums walk periods until the envelope closes. A
+# term p periods on is g(rho^p t) <= rho^p g(t) where positive, and its rounding
+# shrinks as fast where the period's laws read no logs (l = 0) or few, so the
+# positive mass of period p is at most rho^p C, C = 2 (F+ + 2 h Wmu + h Ws + D)
+# over the head (D the domain part of E), plus that rounding; _tail_scale bounds the periods walked before the
+# "limit" exit must fire, and adds its 1e-13 relative envelope to a and b.
+#
+# The routes left out claim no bound (None): the closed forms; and the long
+# cycles (_sup_shrinking), whose certification rests on the computed sign of each
+# law's log-MGF at h.
+
+
+@_per_model
+def _epoch_scales(model: RiskModel, K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+    """Per epoch 1..K: w_j |E Y_j|, w_j s_j, l_j and b_j / w_j (+inf for a domain
+    without end, or w_j = 0), w_j = e^{c_j} clamped at the float maximum; and the
+    largest k (IncrementDistribution._scales)."""
+    inc = model.increments
+    if isinstance(inc, (IndexedNormal, IndexedTwoPoint)):  # in closed form, as _Plan reads them: no law is built
+        j, w, ends = np.arange(1.0, K + 1.0), np.exp(model.log_discounts(K - 1)), np.full(K, INF)
+        if isinstance(inc, IndexedNormal):  # Normal(intercept + slope j, 1)._scales
+            mu = w * np.abs(inc.intercept + inc.slope * j)
+            return mu, mu, np.zeros(K), ends, 16.0
+        p = 1.0 / (j + 1.0)  # TwoPoint(1, p, -1)._scales
+        return w * np.abs(2.0 * p - 1.0), 2.0 * w, np.abs(np.log(p)) + np.abs(np.log1p(-p)) + 2.0, ends, 16.0
+    laws, slot, c = _layout(model, K)
+    mu, s, l, k = laws.scales
+    with np.errstate(all="ignore"):  # e^c past the float range, 0 * inf, and b / 0
+        w = np.minimum(np.exp(c), _FLOAT_MAX)
+        return np.where(w > 0.0, w * mu[slot], 0.0), np.where(w > 0.0, w * s[slot], 0.0), l[slot], laws.dom[slot] / w, k
+
+
+@_per_model
+def _rounding_scale(model: RiskModel, K: int, sums: bool) -> tuple[float, ...]:
+    """(a, b, Wmu, Ws, logs, count, cap) of E(h) (see above) over epochs 1..K:
+    of their partial sums (sums), or of the largest term."""
+    wmu, ws, logs, ends, k = _epoch_scales(model, K)
+    b, count, cap = _gamma(2.0 * k), float((ends < INF).sum()), float(ends.min(initial=INF))
+    with np.errstate(over="ignore"):
+        if sums:
+            return _gamma(K) + b, b, float(wmu.sum()), float(ws.sum()), float(logs.sum()), count, cap
+        return b, b, float(wmu.max()), float(ws.max()), float(logs.max()), min(count, 1.0), cap
+
+
+@_per_model
+def _tail_sums(model: RiskModel) -> tuple[float, ...]:
+    """What _tail_scale reads apart from h and top, once per model: over the head,
+    the sums of w_j |E Y_j| and w_j s_j and the count of finite domain ends; the
+    same with the later periods added as a geometric series; the head's logs and
+    one period's; cap; rho / (1 - rho); b; and the rounding a period adds that
+    does not shrink (see above)."""
+    block = model._block
+    P, log_rho = block.prefix, block.log_ratio
+    wmu, ws, logs, ends, k = _epoch_scales(model, P + block.length)
+    share = 1.01 * math.exp(log_rho) / -math.expm1(log_rho)  # rho / (1 - rho), and the weights' rounding
+    b, finite = _gamma(2.0 * k), ends < INF
+    with np.errstate(over="ignore"):
+        head = float(wmu.sum()), float(ws.sum()), float(finite.sum())
+        tail = (head[0] + share * float(wmu[P:].sum()), head[1] + share * float(ws[P:].sum()),
+                head[2] + share * float(finite[P:].sum()))
+    period_logs = float(logs[P:].sum())
+    return (*head, *tail, float(logs.sum()), period_logs, float(ends.min(initial=INF)), share, b, share * b * period_logs)
+
+
+def _tail_scale(model: RiskModel, h: float, top: float) -> tuple[float, ...] | None:
+    """_rounding_scale of a contracting tail's partial sums at h, where top >= F(h)+:
+    over the head and the periods walked before the envelope's "limit" exit must
+    fire (see above), with the later periods' w_j summed as a geometric series;
+    None where that is _BLOCK_CAP periods or more."""
+    wmu, ws, count, Wmu, Ws, counted, head_logs, period_logs, cap, share, b, noise = _tail_sums(model)
+    D = (count * h / (cap - h) if h < cap else INF) if count else 0.0
+    C = 2.0 * (top + 2.0 * h * wmu + h * ws + D)
+    if not (noise < 0.25e-13 and C < INF):
+        return None
+    span = math.log(max(4e13 * C * share, 1.0)) / -model._block.log_ratio
+    if not span < _BLOCK_CAP - 1:
+        return None
+    periods = max(1, math.ceil(span))
+    # the "limit" exit's envelope: 1e-13 max(1, |best|, |g|) <= 1e-13 (1 + 2 F+ + 3 h Wmu)
+    return (_gamma(model._block.prefix + model._block.length * (periods + 1)) + b + 2e-13, b, Wmu, Ws,
+            head_logs + periods * period_logs + 1e-13 / b, counted, cap)
+
+
+@_per_model
+def _rounding(model: RiskModel, k_max: int, partial: bool):
+    """(cut, scale) for the sups of one flavour under a scan cap of k_max, or
+    None (see above). scale(h, top), top >= F(h)+, is _rounding_scale of the
+    epochs that the sup at h reads, or None where it is not certified. A value
+    at most cut passes the route's checks apart from the value: +inf, except on
+    an exact block's partial sums where a period law's esssup is above 0, whose
+    sup is +inf where the period's computed sum is above 0. With no prefix that
+    sum is the head's last partial sum, at most the value, so cut is 0; with
+    one, -inf."""
+    horizon, block = model.horizon(), model._block
+    if horizon is not None:
+        return INF, lambda h, top: _rounding_scale(model, horizon, partial)
+    route = _route(model, partial)
+    if route is not None:
+        if getattr(route, "func", None) is not _sup_periodic:
+            return None
+        if partial and not (block.exact or block.amplifying):
+            return INF, functools.partial(_tail_scale, model)
+        cut = 0.0 if not block.prefix else -INF
+        head = len(block.logs)
+        return (cut if partial and block.exact and block.period_top > 0.0 else INF,
+                lambda h, top: _rounding_scale(model, head, partial))
+    if not partial:  # a scan to the cap, or to the proof: the largest terms over the cap
+        return INF, lambda h, top: _rounding_scale(model, k_max, False)
+    return INF, lambda h, top: (n := _proof_span(model, h, k_max)) and _rounding_scale(model, n, True)
 
 
 def _unpacked(model: RiskModel | Search, policy: TruncationPolicy | None = None):
@@ -1394,10 +1552,8 @@ def _sup(model: RiskModel | Search, h: float, policy: TruncationPolicy | None, p
     if h == 0.0:
         return SupLogMgf(0.0, 1, "attained", True)
     route = _route(model, partial)
-    if route:
-        return route(h, partial)
-    if not partial and h < INF and (laws := _shrinking(model)) is not None and all(k(h) <= 0.0 for k in laws.kernels):
-        return SupLogMgf(0.0, None, "limit", True, "no law's log-MGF at h is above 0, and the multipliers of h approach 0")
+    if route and (s := route(h, partial)) is not None:  # only the long cycles' route leaves h to the scan
+        return s
     return _sup_scan(model, h, policy, partial, search)
 
 

@@ -164,8 +164,9 @@ class TestLongPeriodCycles:
     """A cycle whose effective period passes models._BLOCK_MAX keeps no block.
     Under rates >= 0 and a scale <= 1 every multiplier w of h lies in [0, 1],
     and g(h w) <= w max(0, g(h)) for each law's convex log-MGF g, so where no
-    g(h) is above 0 and the multipliers approach 0, the per-increment sup is
-    the terms' limit 0, certified without a scan."""
+    g(h) is above 0 every term is <= 0: the partial sums' sup is G_1(h),
+    attained at epoch 1, and where the multipliers also approach 0, the
+    per-increment sup is the terms' limit 0, both certified without a scan."""
 
     @staticmethod
     def model(rate: float) -> RiskModel:
@@ -184,7 +185,13 @@ class TestLongPeriodCycles:
         m = self.model(0.01)
         r = solve_per_increment(m)
         assert r.certified and r.value == pytest.approx(1.0, abs=1e-9)
-        assert not solve_partial_sum(m).certified  # the partial sums keep the scan
+        partial = solve_partial_sum(m)
+        assert partial.certified and partial.value == pytest.approx(1.0, abs=1e-9)
+
+    def test_partial_sum_sup_is_the_first_term(self):
+        for rate in (0.01, 0.0):  # no decay needed: every multiplier lies in [0, 1]
+            s = sup_log_mgf(self.model(rate), 0.5)
+            assert (s.value, s.argmax, s.status, s.certified) == (-0.125, 1, "attained", True)
 
     def test_multipliers_that_do_not_shrink_are_scanned(self):
         # zero rates and scale 1: every multiplier is 1, and every term is g(0.5)

@@ -34,6 +34,11 @@ solve_partial_sum_at_cap is the search of another draw of the prefix
 (seed 3) whose root is the MGF-domain cap (0.80072): every probe is feasible,
 each lies above the ones before, and the probe at the cap is +inf.
 
+Run as a script, it prints for each of those searches how many full scans it
+ran and how many of its probes a chord reference closed (models._chord_probe):
+
+    PYTHONPATH=src python benchmarks/bench_sup.py
+
 The block benches (test_block) time one warm sup_log_mgf probe at h = 0.3 on
 the periodic blocks of the light_curves workload (a contracting
 QuasiPeriodicScaled cycle, alternating Normals under periodic rates, a prefix
@@ -50,6 +55,7 @@ from __future__ import annotations
 
 import random
 from importlib import resources
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -77,6 +83,7 @@ from ruinbounds import (
     solve_per_increment,
     sup_log_mgf,
 )
+from ruinbounds import models
 from ruinbounds.models import _sup_indexed_twopoint
 
 
@@ -161,6 +168,20 @@ def test_prefix_search(benchmark, name):
     assert r.certified
 
 
+def chord_counts() -> dict[str, tuple[int, int]]:
+    """(full scans, probes that a chord closed) of each search in _SEARCHES: a
+    probe tries the chord references of its record first, and runs the full
+    scan where they do not close it."""
+    counts, probe = {}, models._chord_probe
+    for name, search in _SEARCHES.items():
+        results = []
+        with patch.object(models, "_chord_probe", lambda *args: results.append(probe(*args)) or results[-1]):
+            search()
+        closed = sum(r is not None for r in results)
+        counts[name] = (len(results) - closed, closed)
+    return counts
+
+
 def test_indexed_two_point_closed_form_h16(benchmark):
     s = benchmark(_sup_indexed_twopoint, IndexedTwoPoint(), 16.0, True)
     assert s.argmax == 8886110
@@ -228,3 +249,9 @@ def test_block(benchmark, name, h):
     sup_log_mgf(model, h)  # what the model keeps, built once
     s = benchmark(sup_log_mgf, model, h)
     assert s.certified
+
+
+if __name__ == "__main__":
+    print(f"{'search':<26} {'full scans':>10} {'chords closed':>13}")
+    for name, (scans, closed) in chord_counts().items():
+        print(f"{name:<26} {scans:>10} {closed:>13}")

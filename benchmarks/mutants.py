@@ -44,6 +44,7 @@ _ONE_PASS = ("tests/test_properties.py::TestOnePassBlockSup", "tests/test_proper
 _KERNELS = ("tests/test_properties.py::TestBlockKernels",)
 _CACHE = ("tests/test_serialize_cli.py::TestCliModelCache",)
 _CHORDS = ("tests/test_properties.py::TestChordCertificates",)
+_CHORD_ORACLE = ("tests/test_properties.py::TestRoundingBound::test_a_closed_chord_probe_bounds_its_rounding",)
 _RECORD = ("tests/test_bounds.py::TestGridMemo",)
 _SKIPS = ("tests/test_properties.py::TestSolverSkips",)
 
@@ -63,8 +64,13 @@ MUTANTS = {
     # the walk's own calls of the slots' kernels, and the tail's loop
     "kernel_zero_guard_dropped": ("models.py", (("k(t) if t else 0.0", "k(t)"),), _KERNELS),
     "tail_first_maximum_not_strict": ("models.py", (("            if g > best:\n", "            if g >= best:\n"),), _KERNELS),
-    # bounds.bound_optimize, the bracket that closes at the first rise
-    "bracket_rise_not_strict": ("bounds.py", (("fh > fs[-1]", "fh >= fs[-1]"),), ("tests/test_bounds.py::TestOptimize",)),
+    # bounds.bound_optimize, the bracket that closes at the first rise past the values' rounding
+    "bracket_rise_not_strict": ("bounds.py", (("fh - fs[-1] > 2.0 * (carried(h) + carried(pts[-1]))", "fh >= fs[-1]"),),
+                                ("tests/test_bounds.py::TestOptimize",)),
+    "bracket_rise_without_rounding": ("bounds.py", (("2.0 * (carried(h) + carried(pts[-1]))", "0.0"),),
+                                      ("tests/test_properties.py::TestFirstRiseBracket",)),
+    # models._require_h, the one input contract for h
+    "inf_h_accepted": ("models.py", (("0.0 <= h < INF", "0.0 <= h"),), _KERNELS),
     # models._sup_shrinking, the per-increment limit of cycles past _BLOCK_MAX
     "shrinking_without_decay": ("models.py", (
         ("    if laws.log_ratio < 0.0 or not model.zero_rates():\n", "    if True:\n"),),
@@ -88,10 +94,18 @@ MUTANTS = {
         ("bound > b0 - margin)", "bound > b0 + margin)")), _CHORDS),
     "chord_shifted_d": ("models.py", (("rest, S0 = finite[n:].cumsum()", "rest, S0 = finite[n:].cumsum() - finite[n]"),),
                         _CHORDS),
-    "chord_understated_evaluated_entries": ("models.py", (("    bound[at] = values\n", "    bound[at] = values - 1.0\n"),),
-                                            _CHORDS),
+    "chord_understated_evaluated_entries": ("models.py", (
+        ("np.where(bound[at] < INF, values, INF)", "np.where(bound[at] < INF, values - 1.0, INF)"),), _CHORDS),
     "chord_wrong_subset_rows": ("models.py", (
         ("plan.subset(np.array([j]))", "plan.subset(np.array([max(j - 1, 0)]))"),), _CHORDS),
+    # the chord margins' scale, models._rounding_scale of the reference's range
+    "chord_margin_without_domain_part": ("models.py", (
+        ("    scale = _rounding_scale(model, K, partial)\n", "    scale = (*_rounding_scale(model, K, partial)[:5], 0.0, INF)\n"),),
+        _CHORD_ORACLE),
+    "chord_margin_without_logs": ("models.py", (
+        ("    scale = _rounding_scale(model, K, partial)\n",
+         "    scale = (*_rounding_scale(model, K, partial)[:4], 0.0, *_rounding_scale(model, K, partial)[5:])\n"),),
+        _CHORD_ORACLE),
     # models._unpacked and the searches that take a record in place of the model
     "record_policy_check_dropped": ("models.py", (
         ("if policy is not None and policy != model.policy:", "if False:"),), _RECORD),
@@ -100,7 +114,7 @@ MUTANTS = {
     "solve_ignores_its_record": ("adjustment.py", (
         ("search, sup = search or Search(model, policy),", "search, sup = Search(model, policy),"),), _RECORD),
     # adjustment._grow_and_bisect, the points that the convex sandwich decides unprobed
-    "skip_without_rounding_bound": ("adjustment.py", (
+    "skip_without_rounding_bound": ("models.py", (
         ("    return (a * (top + parts[0]) + b * parts[1]) / (1.0 - a) + 1e-300 if", "    return 0.0 if"),), _SKIPS),
     "skip_secant_from_the_wrong_side": ("adjustment.py", (
         ("v1 + ((a1 := above[-2])[1] - v1) * ((m - x1) / (a1[0] - x1)) > SLACK",

@@ -28,6 +28,7 @@ from .distributions import (
     support_bounds,
 )
 from .models import (
+    ExplicitPrefix,
     IndexedNormal,
     IndexedTwoPoint,
     PeriodHypothesisError,
@@ -38,9 +39,9 @@ from .models import (
     TruncationPolicy,
     _EPS,
     _SCAN_CHUNK,
+    _error,
     _esssup_sums,
     _examined_span,
-    _gamma,
     _is_int,
     _layout,
     _per_model,
@@ -105,7 +106,7 @@ def _grow_and_bisect(probe, h_cap: float, tol: float, rounding=None):
     finite, or +inf where no term went unread after it (a finite horizon
     scanned in one range) or no term formed it (a block's period-sum verdict).
     rounding is (cut, scale) as models._rounding gives it (None: probe every
-    point): scale(h, top), top >= F(h)+, gives the bound E(h) (_error) on how
+    point): scale(h, top), top >= F(h)+, gives the bound E(h) (models._error) on how
     far a certified value at h lies from the exact criterion F(h), which is
     convex with F(0) = 0.
 
@@ -182,19 +183,6 @@ def _grow_and_bisect(probe, h_cap: float, tol: float, rounding=None):
             hi = mid
     boundary = h_cap != INF and hi >= h_cap * (1.0 - 1e-12)
     return 0.5 * (lo + hi), (lo, hi), boundary, False
-
-
-def _error(scale, h: float, top: float) -> float:
-    """E(h) = (a (top + 2 h Wmu) + b (h Ws + logs + count h / (cap - h))) / (1 - a)
-    for scale = (a, b, Wmu, Ws, logs, count, cap) (models._rounding_scale), where
-    top bounds F(h)+ but for E itself, plus 1e-300 for the absolute rounding of
-    results in the subnormal range; +inf without a scale or where a part is past
-    1e300 (a sum could overflow)."""
-    if scale is None:
-        return INF
-    a, b, Wmu, Ws, logs, count, cap = scale
-    parts = 2.0 * h * Wmu, h * Ws + logs + (count * h / (cap - h) if h < cap else INF if count else 0.0)
-    return (a * (top + parts[0]) + b * parts[1]) / (1.0 - a) + 1e-300 if max(parts) < 1e300 and a < 0.5 else INF
 
 
 # a solve stops trying to skip after this many points that the values settle but E
@@ -445,11 +433,8 @@ def solve_kappa(dist: IncrementDistribution, tol: float = 1e-10) -> AdjustmentRe
         g = log_mgf(dist, h)
         return g <= SLACK, g, g == g
 
-    s, logs, k = dist._scales()
-    dom = mgf_domain_sup(dist)
-    b = _gamma(2.0 * k)
-    scale = b, b, abs(mean(dist)), s, logs, float(dom < INF), dom
-    value, bracket, boundary, exhausted = _grow_and_bisect(probe, dom, tol, (INF, lambda h, top: scale))
+    scale = _rounding_scale(RiskModel(ExplicitPrefix((dist,))), 1, False)
+    value, bracket, boundary, exhausted = _grow_and_bisect(probe, mgf_domain_sup(dist), tol, (INF, lambda h, top: scale))
     if exhausted:
         return AdjustmentResult(value, "kappa", bracket, False, False, "criterion still held after 200 doublings")
     note = "root at the MGF domain boundary" if boundary else ""

@@ -37,8 +37,10 @@ from .models import (
     RiskModel,
     Search,
     TruncationPolicy,
+    _EPS,
     _is_int,
     _reduced,
+    _require_h,
     _settled,
     _unpacked,
     cumulative_log_mgf,
@@ -102,11 +104,6 @@ class BoundResult:
 def _require_u(u: float) -> None:
     if not (isinstance(u, (int, float)) and u > 0.0 and u != INF):
         raise ValueError(f"u must be a positive real, got {u!r}")
-
-
-def _require_h(h: float) -> None:
-    if not (isinstance(h, (int, float)) and 0.0 <= h < INF):
-        raise ValueError(f"h must be a nonnegative real, got {h!r}")
 
 
 def _kept(search: Search, key, compute):
@@ -197,7 +194,8 @@ def bound_optimize(model: RiskModel | Search, u: float, policy: TruncationPolicy
 
     The objective -hu + sup_k G_k(h) is a supremum of convex functions, hence
     convex; exponential bracketing, which stops at the first probe where the
-    objective rises, followed by golden-section search finds the minimizer.
+    objective rises past the rounding of its values, followed by
+    golden-section search finds the minimizer.
     The optimal h may sit far above any adjustment coefficient and grows with
     u for models whose G_k flatten out. Every probed sup is kept in the search
     record, so that no h is evaluated twice.
@@ -223,12 +221,18 @@ def bound_optimize(model: RiskModel | Search, u: float, policy: TruncationPolicy
             cache[h] = INF if value == INF else -h * u + value
         return cache[h]
 
+    def carried(h: float) -> float:
+        """A bound on the rounding of f(h) = -h u + value, formed in two roundings."""
+        return 2.0 * _EPS * (h * u + abs(sups[h].value)) if h else 0.0
+
     cap = _domain_cap(model)
     h = 1.0 if cap == INF else 0.5 * cap
     pts, fs, exhausted = [0.0], [0.0], True
     for _ in range(200):
         fh = f(h)
-        rise = fh > fs[-1] or fh == INF  # f is convex: past its first rise it only rises
+        # f is convex: past its first rise it only rises. A rise within the rounding that the
+        # two values carry is not one: where -h u cancels the sup, f is rounding noise
+        rise = fh == INF or fh - fs[-1] > 2.0 * (carried(h) + carried(pts[-1]))
         pts.append(h)
         fs.append(fh)
         nxt = h * 2.0 if cap == INF else min(h * 2.0, cap)

@@ -634,28 +634,20 @@ class _Laws:
         return np.array(family, dtype=np.intp), np.array(row, dtype=np.intp), tables
 
     @cached_property
+    def scales(self) -> tuple[np.ndarray, ...]:
+        """Per law, in one pass: |E Y|, the s, l and k of its kernels' rounding
+        (IncrementDistribution._scales, for _epoch_scales), esssup Y and the
+        MGF-domain sup."""
+        return tuple(map(np.array, zip(*((abs(mean(law)), *law._scales(), support_bounds(law)[1], mgf_domain_sup(law))
+                                         for law in self.laws))))
+
+    @property
     def esssup(self) -> np.ndarray:
-        return np.array([support_bounds(law)[1] for law in self.laws])
+        return self.scales[4]
 
-    @cached_property
+    @property
     def dom(self) -> np.ndarray:
-        return np.array([mgf_domain_sup(law) for law in self.laws])
-
-    @cached_property
-    def sigma(self) -> np.ndarray:
-        """Per law, the largest of |E Y| and the finite ones of |essinf Y| and
-        |esssup Y|: t times it bounds the parts that the law's log-MGF kernel
-        adds up at t, apart from |g(t)| itself and the logs of its parameters
-        (_chord_scale)."""
-        return np.array([max([abs(mean(law)), *(abs(x) for x in support_bounds(law) if abs(x) < INF)])
-                         for law in self.laws])
-
-    @cached_property
-    def scales(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        """Per law |E Y| and the s and l of its kernels' rounding
-        (IncrementDistribution._scales), and the largest k."""
-        s, l, k = zip(*(law._scales() for law in self.laws))
-        return np.array([abs(mean(law)) for law in self.laws]), np.array(s), np.array(l), max(k)
+        return self.scales[5]
 
     @cached_property
     def period_top(self) -> float:
@@ -761,7 +753,7 @@ def _sup_shrinking(model: RiskModel, laws: _Laws, h: float, partial: bool) -> Su
     is G_1(h), attained at epoch 1; where the multipliers also tend to 0 (some
     rate is above 0, or the scale below 1), the per-increment sup is the terms'
     limit 0. None where the scan decides."""
-    if h == INF or not all(k(h) <= 0.0 for k in laws.kernels):
+    if not all(k(h) <= 0.0 for k in laws.kernels):
         return None
     if partial:  # epoch 1 multiplies h by 1
         return SupLogMgf(laws.kernels[0](h), 1, "attained", True, "no law's log-MGF at h is above 0, so no partial sum rises")
@@ -879,6 +871,7 @@ def log_mgf_terms(model: RiskModel, h: float, K: int, start: int = 0) -> np.ndar
     Every term depends on its own epoch only, so consecutive ranges give the
     terms of one call.
     """
+    _require_h(h)
     inc = model.increments
     if isinstance(inc, ExplicitPrefix) and K > len(inc.dists):
         # past the prefix only when no term before it diverges, as in _walk
@@ -919,8 +912,7 @@ def _walk(h: float, epochs) -> list[float]:
 def cumulative_log_mgf(model: RiskModel, h: float, K: int) -> list[float]:
     """G_k(h) = sum_{j<=k} log E exp(h v_{j-1} Y*_j) for k = 1..K; +inf is absorbing."""
     _reduced(model)
-    if not h >= 0.0:
-        raise ValueError(f"h must be >= 0, got {h!r}")
+    _require_h(h)
     if K < 1:
         raise ValueError("K must be >= 1")
     block = model._block
@@ -942,12 +934,12 @@ def _sup_periodic(block: _Laws, h: float, partial: bool) -> SupLogMgf:
     that is not a number.
 
     The walk calls the slots' kernels (_Laws.kernels) at t = h w itself, under
-    log_mgf_at's contract: a term is 0.0 at t = 0, and a NaN t, which only h = +inf
-    forms with a multiplier that underflowed to 0, raises ValueError. The head runs one
-    loop; the tail, which only the partial sums of a contracting block reach, runs its
-    own without the flavour and prefix branches."""
+    log_mgf_at's contract: a term is 0.0 at t = 0 (a multiplier that underflowed);
+    h is finite (_require_h), so no t is NaN. The head runs one loop; the tail, which
+    only the partial sums of a contracting block reach, runs its own without the
+    flavour and prefix branches."""
     P = block.prefix
-    kernels = block.kernels if h < INF else [functools.partial(log_mgf_at, law) for law in block.laws]
+    kernels = block.kernels
     g, best, arg, j = 0.0, -INF, None, 0
     pos, total, top = 0.0, -0.0, -INF  # from -0.0, total adds the terms as accumulate does
     for k, w in zip(kernels, block.head):
@@ -1155,10 +1147,8 @@ def _sup_scan(model: RiskModel, h: float, policy: TruncationPolicy, partial: boo
     proof = None if horizon is not None else _proof_span(model, h, cap)  # an epoch past which every term is negative
     with np.errstate(all="ignore"):  # t past the float range, and sums of infinities
         if search is not None and horizon is not None and _SCAN_FIRST < cap <= _SCAN_CHUNK:
-            if partial not in search.chords:
-                search.chords[partial] = ([], _chord_scale(model, cap))
-            held, consts = search.chords[partial]
-            s = _chord_probe(model, h, partial, held, consts)
+            held = search.chords.setdefault(partial, [])
+            s = _chord_probe(model, h, partial, held)
             if s is not None:
                 return s
         start, end, g, best, arg, prev = 0, proof or cap, 0.0, -INF, None, None  # prev: see _plan
@@ -1207,6 +1197,81 @@ def _stopped(values: np.ndarray, start: int, best: float, arg: int | None) -> Su
                      f"scan stopped at epoch {start + values.size + 1}, whose value is not a number")
 
 
+# The rounding model, read by the solvers' skips (adjustment._grow_and_bisect,
+# through _rounding below) and the chord certificates' margins (_chord_probe).
+# Let F(h) be the exact sup that a route computes: the sup over epochs of the
+# exact terms g_j(h w_j), the exact log-MGFs of the laws as stored, at the
+# multipliers w_j that the route reads, which do not depend on h. Where a
+# route's value at h is certified and finite, it lies within
+#     E(h) = a (F(h)+ + 2 h Wmu) + b (h Ws + logs + count h / (cap - h))
+# of F(h), for (a, b, Wmu, Ws, logs, count, cap) = _rounding_scale of the epochs
+# it reads (_error). Each kernel errs by at most k eps (|g_j| + t_j s_j + l_j + t_j / (b_j - t_j))
+# (IncrementDistribution._scales), with t_j = h w_j, and b >= gamma_{2k} takes
+# that in: Ws sums w_j s_j, logs l_j, and count the laws whose MGF domain ends
+# at a finite b_j; cap is the least b_j / w_j. A running sum of N terms errs
+# by gamma_{N-1} times their magnitudes summed (Higham, Accuracy and Stability
+# of Numerical Algorithms, 2nd ed., section 4.2), and sum_j |g_j| is at most
+# F+ + 2 h Wmu, Wmu the sum of w_j |E Y_j|: g_j >= h w_j E Y_j (Jensen), and
+# every partial sum is at most F. So a is gamma_N + b for the partial sums and
+# b for one term, whose |g_j| is at most max(F+, h w_j |E Y_j|); then each sum
+# over epochs is the largest entry. That F is the model's sup, not only over
+# the epochs read: past a scan's proof every term is negative, and past a
+# block's head the terms repeat, shrink or stay at most the head's
+# (_sup_periodic); a per-increment limit 0 is exact.
+
+_EPS = 2.0**-53
+
+
+def _gamma(n: float) -> float:
+    """gamma_n = n eps / (1 - n eps), +inf past n eps = 1/2 (and for n = +inf)."""
+    return n * _EPS / (1.0 - n * _EPS) if n * _EPS < 0.5 else INF
+
+
+@_per_model
+def _epoch_scales(model: RiskModel, K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+    """Per epoch 1..K: w_j |E Y_j|, w_j s_j, l_j and b_j / w_j (+inf for a domain
+    without end, or w_j = 0), w_j = e^{c_j} clamped at the float maximum; and the
+    largest k (IncrementDistribution._scales)."""
+    inc = model.increments
+    if isinstance(inc, (IndexedNormal, IndexedTwoPoint)):  # in closed form, as _Plan reads them: no law is built
+        j, w, ends = np.arange(1.0, K + 1.0), np.exp(model.log_discounts(K - 1)), np.full(K, INF)
+        if isinstance(inc, IndexedNormal):  # Normal(intercept + slope j, 1)._scales
+            mu = w * np.abs(inc.intercept + inc.slope * j)
+            return mu, mu, np.zeros(K), ends, 16.0
+        p = 1.0 / (j + 1.0)  # TwoPoint(1, p, -1)._scales
+        return w * np.abs(2.0 * p - 1.0), 2.0 * w, np.abs(np.log(p)) + np.abs(np.log1p(-p)) + 2.0, ends, 16.0
+    laws, slot, c = _layout(model, K)
+    mu, s, l, k, _, dom = laws.scales
+    with np.errstate(all="ignore"):  # e^c past the float range, 0 * inf, and b / 0
+        w = np.minimum(np.exp(c), _FLOAT_MAX)
+        return np.where(w > 0.0, w * mu[slot], 0.0), np.where(w > 0.0, w * s[slot], 0.0), l[slot], dom[slot] / w, float(k.max())
+
+
+@_per_model
+def _rounding_scale(model: RiskModel, K: int, sums: bool) -> tuple[float, ...]:
+    """(a, b, Wmu, Ws, logs, count, cap) of E(h) (see above) over epochs 1..K:
+    of their partial sums (sums), or of the largest term."""
+    wmu, ws, logs, ends, k = _epoch_scales(model, K)
+    b, count, cap = _gamma(2.0 * k), float((ends < INF).sum()), float(ends.min(initial=INF))
+    with np.errstate(over="ignore"):
+        if sums:
+            return _gamma(K) + b, b, float(wmu.sum()), float(ws.sum()), float(logs.sum()), count, cap
+        return b, b, float(wmu.max()), float(ws.max()), float(logs.max()), min(count, 1.0), cap
+
+
+def _error(scale, h: float, top: float) -> float:
+    """E(h) = (a (top + 2 h Wmu) + b (h Ws + logs + count h / (cap - h))) / (1 - a)
+    for scale = (a, b, Wmu, Ws, logs, count, cap) (_rounding_scale), where top
+    bounds F(h)+ but for E itself (or what a chord probe measured in its place),
+    plus 1e-300 for the absolute rounding of results in the subnormal range;
+    +inf without a scale or where a part is past 1e300 (a sum could overflow)."""
+    if scale is None:
+        return INF
+    a, b, Wmu, Ws, logs, count, cap = scale
+    parts = 2.0 * h * Wmu, h * Ws + logs + (count * h / (cap - h) if h < cap else INF if count else 0.0)
+    return (a * (top + parts[0]) + b * parts[1]) / (1.0 - a) + 1e-300 if max(parts) < 1e300 and a < 0.5 else INF
+
+
 # Chord certificates. Every term g_j is convex in h with g_j(0) = 0, so for
 # h <= h0 it obeys the chord inequality g_j(h) <= (h/h0) g_j(h0), and so does
 # every sum of terms. A full finite-horizon scan at h0 whose terms are finite
@@ -1238,48 +1303,26 @@ def _stopped(values: np.ndarray, start: int, best: float, arg: int | None) -> Su
 #   those read.
 # Either way the value, argmax and status are the full scan's, bitwise: the
 # terms read are the ones the full scan computes, and partial sums through n
-# are the first n of its running sum. A probe that closes keeps what it proved
-# as its own reference, every entry finite: the bound on G_m(h) - G_n(h) as its
-# one D, with the head's plan; lam s as the scale, with the same top and lam
-# times the runner-up, when only the top epoch was open; else lam s U with the
-# epochs read put in.
-# So references tighten as a search closes in, and a search that climbs to
-# the cap settles below the cap's scan. A probe that does not close runs the
-# full scan.
+# are the first n of its running sum. A per-increment probe that closes keeps
+# what it proved as its own reference, which tightens as a search closes in:
+# lam s as the scale, with the same top and lam times the runner-up, when only
+# the top epoch was open; else lam s U with the epochs read put in, J's left
+# open. A partial-sum probe keeps nothing: the reference it read bounds every
+# later probe below as tightly. A probe that does not close runs the full scan.
 #
-# The margin bounds the rounding of both runs: the computed terms and sums
-# differ from the true ones by at most gamma_N (Higham, Accuracy and Stability
-# of Numerical Algorithms, 2nd ed., section 4.2: recursive summation of N
-# numbers errs by at most gamma_{N-1} times the sum of their magnitudes) times
-# the magnitudes summed, N = 2 cap + 64 counting a few roundings per kernel and
-# per chained reference. A kernel's parts at t are bounded by
-# 2 |g_j(t)| + 3 t s_j + 2 _LOG_RANGE (_chord_scale: s_j from the law's mean
-# and finite support bounds; _LOG_RANGE bounds the log of any positive double,
-# a log-weight or log-rate). For a term that a probe never evaluates,
-# |g_j(h)| <= max(lam |g_j(h0)|, h w_j |E Y_j|): the chord gives the upper side
-# and Jensen's inequality, g_j(h) >= h w_j E Y_j, the lower. A term of J has no
-# chord; its magnitude at h, read, joins the margin.
+# The margin is E of both runs (the rounding model above). A reference keeps
+# its range's _rounding_scale and err, how far its entries may lie from the
+# exact values they stand for: E at h0 of the scan, or the margin of the probe,
+# that kept it. A probe's margin is lam err plus E at h of the full scan, with
+# what it measured for F+: lam S0 (S0 sums the finite terms' magnitudes at h0)
+# and the magnitudes of J's terms, or lam times the largest entry; a term that
+# it never evaluates has |g_j(h)| <= max(lam |g_j(h0)|, h w_j |E Y_j|) (the
+# chord, and Jensen), which 2 h Wmu takes in. The domain part counts the epochs
+# outside J only: J's terms are read at the probe, bitwise as the full scan
+# reads them, so a reference at the MGF-domain cap stays usable.
 
-_LOG_RANGE = 746.0
-_EPS = 2.0**-53
-
-
-def _gamma(n: float) -> float:
-    """gamma_n = n eps / (1 - n eps), +inf past n eps = 1/2 (and for n = +inf)."""
-    return n * _EPS / (1.0 - n * _EPS) if n * _EPS < 0.5 else INF
 # a scan with more terms of +inf than this is not kept as a reference
 _DIVERGENT_MAX = 64
-
-
-@_per_model
-def _chord_scale(model: RiskModel, K: int) -> tuple[float, float, float, float]:
-    """What a chord probe's margin reads apart from h: gamma_N (N = 2K + 64), the sum
-    and the maximum over epochs 1..K of w_j s_j, w_j = e^{c_j} and s_j = _Laws.sigma
-    (h w_j s_j bounds |h w_j E Y_j| and the kernel's parts that grow with t), 4 K _LOG_RANGE."""
-    laws, slot, c = _layout(model, K)
-    with np.errstate(over="ignore"):
-        ws = np.minimum(np.exp(c), _FLOAT_MAX) * laws.sigma[slot]
-    return _gamma(2 * K + 64), float(ws.sum()), float(ws.max()), 4.0 * K * _LOG_RANGE
 
 
 def _keep_scan(held: list, model: RiskModel, h: float, plan: _Plan, terms: np.ndarray, partial: bool) -> None:
@@ -1290,7 +1333,11 @@ def _keep_scan(held: list, model: RiskModel, h: float, plan: _Plan, terms: np.nd
     J = np.flatnonzero(~fin)  # the epochs of the terms that are not finite
     if J.size > _DIVERGENT_MAX or (terms[J] != INF).any():
         return
-    finite = np.where(fin, terms, 0.0) if J.size else terms
+    finite, K = np.where(fin, terms, 0.0) if J.size else terms, len(terms)
+    scale = _rounding_scale(model, K, partial)
+    if J.size:  # the domain part counts the epochs outside J
+        ends = np.delete(_epoch_scales(model, K)[3], J)
+        scale = (*scale[:5], min(scale[5], float((ends < INF).sum())), float(ends.min(initial=INF)))
     if partial:
         n = _SCAN_FIRST
         k = int(np.searchsorted(J, n))  # J[k:] lie past the head
@@ -1298,11 +1345,11 @@ def _keep_scan(held: list, model: RiskModel, h: float, plan: _Plan, terms: np.nd
         D = np.maximum.reduceat(rest, np.concatenate(([0], J[k:] - n))).tolist()  # one per stretch
         if np.isfinite(D).all() and S0 < INF:  # a probe reads the head, then J past it and in it
             read = plan.subset(np.concatenate((np.arange(n), J[k:], J[:k]))) if J.size else _plan(model, 0, n)
-            _insert(held, h, (D, S0, read), True)
+            _insert(held, h, (D, S0, read, scale, _error(scale, h, S0)), True)
     else:
-        j = int(terms.argmax())
-        _insert(held, h, [terms, 1.0, j, plan.subset(np.array([j])), _runner_up(terms, j),
-                          float(np.abs(finite).max())], False)
+        j, largest = int(terms.argmax()), float(np.abs(finite).max())
+        _insert(held, h, [terms, 1.0, j, plan.subset(np.array([j])), _runner_up(terms, j), largest,
+                          scale, _error(scale, h, largest)], False)
 
 
 def _runner_up(U: np.ndarray, j: int) -> float:
@@ -1323,7 +1370,7 @@ def _insert(held: list, h: float, ref: tuple | list, partial: bool) -> None:
     held.insert(k, (h, ref))
 
 
-def _chord_probe(model: RiskModel, h: float, partial: bool, held: list, consts: tuple) -> SupLogMgf | None:
+def _chord_probe(model: RiskModel, h: float, partial: bool, held: list) -> SupLogMgf | None:
     """The full scan's result at h when the reference of least h0 >= h settles
     it, else None (see the notes above). Runs inside the scan's np.errstate."""
     k = bisect.bisect_left(held, h, key=operator.itemgetter(0))
@@ -1331,9 +1378,8 @@ def _chord_probe(model: RiskModel, h: float, partial: bool, held: list, consts: 
         return None
     h0, ref = held[k]
     lam = h / h0
-    gamma, total, top, log_room = consts
     if partial:
-        D, S0, plan = ref  # plan: the head, then the epochs of J past it and in it
+        D, S0, plan, scale, err = ref  # plan: the head, then the epochs of J past it and in it
         terms = plan.terms(h)
         values = terms[:_SCAN_FIRST].cumsum()
         i = int(values.argmax())
@@ -1345,34 +1391,34 @@ def _chord_probe(model: RiskModel, h: float, partial: bool, held: list, consts: 
         for d, x in zip(D[1:], g):  # the terms of J past the head up to each stretch
             run += x
             bound = max(bound, lam * d + run)
-        mag = sum(map(abs, g), 0.0)
-        margin = gamma * (4.0 * (lam * S0 + mag) + 10.0 * h * total + log_room + abs(bound))
+        margin = lam * err + _error(scale, h, 4.0 * (lam * S0 + sum(map(abs, g), 0.0)))
         if not (-INF < best < INF and margin < INF and values[-1] + bound <= best - margin):
             return None
-        _insert(held, h, ([bound], lam * S0 + h * total + mag, _plan(model, 0, _SCAN_FIRST)), partial)
         return SupLogMgf(best, i + 1, "attained", True)
-    U, s, j, at_top, runner, largest = ref  # the reference is s U; at_top: the plan of its top epoch j
+    U, s, j, at_top, runner, largest, scale, err = ref  # the reference is s U; at_top: the plan of its top epoch j
+    margin = lam * err + _error(scale, h, 4.0 * lam * largest)
+    if not margin < INF:
+        return None
     if at_top is None:  # a reference kept by a probe that read several epochs: built on first read
         at_top = ref[3] = _plan(model, 0, len(U)).subset(np.array([j]))
     b0 = at_top.terms(h)[0]
-    margin = gamma * (4.0 * lam * largest + 6.0 * h * top + 4.0 * _LOG_RANGE)
     if b0 < INF:
         if runner is None:  # then s is 1
             runner = ref[4] = _runner_up(U, j)
         if lam * runner <= b0 - margin:  # every epoch but j is closed
-            _insert(held, h, [U, lam * s, j, at_top, lam * runner, lam * largest], partial)
+            _insert(held, h, [U, lam * s, j, at_top, lam * runner, lam * largest, scale, margin], partial)
             return SupLogMgf(float(b0), j + 1, "attained", True)
     bound = (lam * s) * U
-    at = np.flatnonzero(bound > b0 - margin)  # holds j, unless the margin fails or b0 is +inf or NaN
+    at = np.flatnonzero(bound > b0 - margin)  # holds j, unless b0 is +inf or NaN
     if not at.size:
         return None
     values = _plan(model, 0, len(U)).subset(at).terms(h)
     if not np.isfinite(values).all():  # +inf and NaN are the full scan's to report
         return None
     i = int(values.argmax())
-    bound[at] = values
+    bound[at] = np.where(bound[at] < INF, values, INF)  # the epochs of J stay open
     largest = max(lam * largest, float(np.abs(values).max()))
-    _insert(held, h, [bound, 1.0, int(at[i]), at_top if at[i] == j else None, None, largest], partial)
+    _insert(held, h, [bound, 1.0, int(at[i]), at_top if at[i] == j else None, None, largest, scale, margin], partial)
     return SupLogMgf(float(values[i]), int(at[i]) + 1, "attained", True)
 
 
@@ -1399,69 +1445,17 @@ def _route(model: RiskModel, partial: bool):
     return None
 
 
-# What the solvers' skips read (adjustment._grow_and_bisect). Let F(h) be the
-# exact sup that a route computes: the sup over epochs of the exact terms
-# g_j(h w_j), the exact log-MGFs of the laws as stored, at the multipliers w_j
-# that the route reads, which do not depend on h. Where a route's value at h is
-# certified and finite, it lies within
-#     E(h) = a (F(h)+ + 2 h Wmu) + b (h Ws + logs + count h / (cap - h))
-# of F(h), for (a, b, Wmu, Ws, logs, count, cap) = _rounding_scale of the epochs
-# it reads. Each kernel errs by at most k eps (|g_j| + t_j s_j + l_j + t_j / (b_j - t_j))
-# (IncrementDistribution._scales), with t_j = h w_j, and b >= gamma_{2k} takes
-# that in: Ws sums w_j s_j, logs l_j, and count the laws whose MGF domain ends
-# at a finite b_j; cap is the least b_j / w_j. A running sum of N terms errs
-# by gamma_{N-1} times their magnitudes summed (Higham, Accuracy and Stability
-# of Numerical Algorithms, 2nd ed., section 4.2), and sum_j |g_j| is at most
-# F+ + 2 h Wmu, Wmu the sum of w_j |E Y_j|: g_j >= h w_j E Y_j (Jensen), and
-# every partial sum is at most F. So a is gamma_N + b for the partial sums and
-# b for one term, whose |g_j| is at most max(F+, h w_j |E Y_j|); then each sum
-# over epochs is the largest entry. That F is the model's sup, not only over
-# the epochs read: past a scan's proof every term is negative, and past a
-# block's head the terms repeat, shrink or stay at most the head's
-# (_sup_periodic); a per-increment limit 0 is exact.
-#
-# A contracting tail's partial sums walk periods until the envelope closes. A
-# term p periods on is g(rho^p t) <= rho^p g(t) where positive, and its rounding
-# shrinks as fast where the period's laws read no logs (l = 0) or few, so the
-# positive mass of period p is at most rho^p C, C = 2 (F+ + 2 h Wmu + h Ws + D)
-# over the head (D the domain part of E), plus that rounding; _tail_scale bounds the periods walked before the
+# The routes' scales of E for the solvers' skips (_rounding). A contracting tail's
+# partial sums walk periods until the envelope closes. A term p periods on is
+# g(rho^p t) <= rho^p g(t) where positive, and its rounding shrinks as fast where
+# the period's laws read no logs (l = 0) or few, so the positive mass of period p
+# is at most rho^p C, C = 2 (F+ + 2 h Wmu + h Ws + D) over the head (D the domain
+# part of E), plus that rounding; _tail_scale bounds the periods walked before the
 # "limit" exit must fire, and adds its 1e-13 relative envelope to a and b.
 #
 # The routes left out claim no bound (None): the closed forms; and the long
 # cycles (_sup_shrinking), whose certification rests on the computed sign of each
 # law's log-MGF at h.
-
-
-@_per_model
-def _epoch_scales(model: RiskModel, K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
-    """Per epoch 1..K: w_j |E Y_j|, w_j s_j, l_j and b_j / w_j (+inf for a domain
-    without end, or w_j = 0), w_j = e^{c_j} clamped at the float maximum; and the
-    largest k (IncrementDistribution._scales)."""
-    inc = model.increments
-    if isinstance(inc, (IndexedNormal, IndexedTwoPoint)):  # in closed form, as _Plan reads them: no law is built
-        j, w, ends = np.arange(1.0, K + 1.0), np.exp(model.log_discounts(K - 1)), np.full(K, INF)
-        if isinstance(inc, IndexedNormal):  # Normal(intercept + slope j, 1)._scales
-            mu = w * np.abs(inc.intercept + inc.slope * j)
-            return mu, mu, np.zeros(K), ends, 16.0
-        p = 1.0 / (j + 1.0)  # TwoPoint(1, p, -1)._scales
-        return w * np.abs(2.0 * p - 1.0), 2.0 * w, np.abs(np.log(p)) + np.abs(np.log1p(-p)) + 2.0, ends, 16.0
-    laws, slot, c = _layout(model, K)
-    mu, s, l, k = laws.scales
-    with np.errstate(all="ignore"):  # e^c past the float range, 0 * inf, and b / 0
-        w = np.minimum(np.exp(c), _FLOAT_MAX)
-        return np.where(w > 0.0, w * mu[slot], 0.0), np.where(w > 0.0, w * s[slot], 0.0), l[slot], laws.dom[slot] / w, k
-
-
-@_per_model
-def _rounding_scale(model: RiskModel, K: int, sums: bool) -> tuple[float, ...]:
-    """(a, b, Wmu, Ws, logs, count, cap) of E(h) (see above) over epochs 1..K:
-    of their partial sums (sums), or of the largest term."""
-    wmu, ws, logs, ends, k = _epoch_scales(model, K)
-    b, count, cap = _gamma(2.0 * k), float((ends < INF).sum()), float(ends.min(initial=INF))
-    with np.errstate(over="ignore"):
-        if sums:
-            return _gamma(K) + b, b, float(wmu.sum()), float(ws.sum()), float(logs.sum()), count, cap
-        return b, b, float(wmu.max()), float(ws.max()), float(logs.max()), min(count, 1.0), cap
 
 
 @_per_model
@@ -1547,8 +1541,7 @@ def _sup(model: RiskModel | Search, h: float, policy: TruncationPolicy | None, p
     terms (partial=True) or the terms themselves, by the model's route; given
     a search record, of its model under its policy, with its chord references."""
     model, policy, search = _unpacked(model, policy)
-    if not h >= 0.0:
-        raise ValueError(f"h must be >= 0, got {h!r}")
+    _require_h(h)
     if h == 0.0:
         return SupLogMgf(0.0, 1, "attained", True)
     route = _route(model, partial)
@@ -1578,7 +1571,7 @@ class Search:
     def __init__(self, model: RiskModel, policy: TruncationPolicy | None = None) -> None:
         _reduced(model)
         self.model, self.policy = model, policy or _DEFAULT_POLICY
-        self.chords = {}  # by partial: the references (h0, reference) in increasing h0, and _chord_scale
+        self.chords = {}  # by partial: the references (h0, reference) in increasing h0
         self.kept = {}  # bounds': its values apart from u, by its keys
 
 
@@ -1644,6 +1637,12 @@ class EventModel:
     @staticmethod
     def _base_dists(rule: SequenceRule):
         return rule.cycle if isinstance(rule, Periodic) else rule.dists
+
+
+def _require_h(h: float) -> None:
+    """Refuse an h that is not a finite real >= 0: every entry point that takes h."""
+    if not 0.0 <= h < INF:
+        raise ValueError(f"h must be a nonnegative real, got {h!r}")
 
 
 def _reduced(model) -> None:

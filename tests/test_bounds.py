@@ -330,10 +330,10 @@ class TestGridMemo:
         m = RiskModel(ExplicitPrefix((Normal(-0.5, 1.0),) * 200))
         search = Search(m)
         assert repr(solve(search)) == repr(solve(m))
-        assert search.chords[flavor][0] and list(search.chords) == [flavor]
+        assert search.chords[flavor] and list(search.chords) == [flavor]
         search = Search(m)
         bound_per_increment(search, 5.0)
-        assert search.chords[False][0]
+        assert search.chords[False]
 
     def test_a_probe_of_a_record_runs_under_its_policy(self):
         # a positive drift that a scan of 60 epochs leaves undetermined

@@ -377,9 +377,9 @@ class TestOnePassBlockSup:
 class TestBlockKernels:
     """The block walk calls the slots' kernels at t = h w itself, under
     log_mgf_at's contract: a term at t = 0 (a multiplier of h that underflowed
-    to 0) is 0.0, not the kernel's -0.0, and where h = +inf meets such a
-    multiplier, the NaN t raises ValueError where a walk that calls log_mgf_at
-    does. The tail keeps its first maximum where a partial sum ties it."""
+    to 0) is 0.0, not the kernel's -0.0. No route forms a NaN t: every entry
+    point refuses h = +inf up front. The tail keeps its first maximum where a
+    partial sum ties it."""
 
     @st.composite
     def underflowing(draw):
@@ -390,28 +390,35 @@ class TestBlockKernels:
         return RiskModel(PrefixThenTail(prefix, Periodic(cycle)) if prefix else Periodic(cycle), rates)._block
 
     @settings(max_examples=200, deadline=None)
-    @given(underflowing(), st.one_of(st.floats(1e-3, 4.0), st.just(INF)), st.booleans())
+    @given(underflowing(), st.floats(1e-3, 4.0), st.booleans())
     def test_zero_and_nan_arguments_as_log_mgf_at(self, block, h, partial):
         # the oracle: the same block, each slot's kernel log_mgf_at itself
         checked = models_module._Laws(block.laws, block.prefix, block.log_ratio, block.logs)
         checked.kernels = tuple(functools.partial(log_mgf_at, law) for law in block.laws)
-        try:
-            expected = models_module._sup_periodic(checked, h, partial)
-        except ValueError:
-            with pytest.raises(ValueError):
-                models_module._sup_periodic(block, h, partial)
-            return
         got = models_module._sup_periodic(block, h, partial)
-        assert TestOnePassBlockSup._fields(got) == TestOnePassBlockSup._fields(expected)
-        if h < INF:  # the list walk reads the whole head, also past a NaN partial sum
-            assert TestOnePassBlockSup._fields(got) == TestOnePassBlockSup._fields(_walked_sup_periodic(block, h, partial))
+        assert TestOnePassBlockSup._fields(got) == TestOnePassBlockSup._fields(models_module._sup_periodic(checked, h, partial))
+        # the list walk reads the whole head, also past a NaN partial sum
+        assert TestOnePassBlockSup._fields(got) == TestOnePassBlockSup._fields(_walked_sup_periodic(block, h, partial))
 
-    def test_nan_argument_raises(self):
-        # h = +inf: the terms of epochs 1 and 2 are -inf, and epoch 3's t is inf * 0
-        model = RiskModel(Periodic((Degenerate(-1.0), Degenerate(-2.0), Degenerate(-1.0))), ConstantRates(1e300))
-        assert model._block.head[2] == 0.0
-        with pytest.raises(ValueError, match="NaN"):
-            sup_log_mgf(model, INF)
+    def test_every_route_refuses_inf(self):
+        # h = +inf is no input: every entry point that takes h refuses it, as bound_at_h
+        # does, before a route forms inf * 0 (the underflowing block) or a closed form
+        # reads n from a NaN; a model of each route, and of each scan
+        models = (RiskModel(IndexedNormal(-0.5, 0.25)), RiskModel(IndexedTwoPoint()),
+                  RiskModel(QuasiPeriodicScaled((Normal(-1.0, 1.0),), 1.5)),
+                  RiskModel(Periodic((Normal(-0.5, 1.0), Normal(0.25, 1.0))), PeriodicRates((0.01, 0.02, 0.03))),
+                  RiskModel(Periodic((Degenerate(-1.0), Degenerate(-2.0), Degenerate(-1.0))), ConstantRates(1e300)),
+                  RiskModel(Periodic((Normal(-0.5, 1.0),) * 317), PeriodicRates((0.01,) * 331)),
+                  RiskModel(IndexedNormal(-0.5, 0.25), 0.01),
+                  RiskModel(ExplicitPrefix((Normal(-0.5, 1.0), Uniform(-1.0, 0.5)) * 50)))
+        for model in models:
+            for call in (lambda h: sup_log_mgf(model, h), lambda h: per_increment_sup(model, h),
+                         lambda h: sup_log_mgf(Search(model), h), lambda h: per_increment_sup(Search(model), h),
+                         lambda h: cumulative_log_mgf(model, h, 3), lambda h: log_mgf_terms(model, h, 3),
+                         lambda h: bound_at_h(model, 1.0, h)):
+                for h in (INF, -1.0, math.nan):
+                    with pytest.raises(ValueError, match="h must be a nonnegative real"):
+                        call(h)
 
     def test_zero_multiplier_term_is_positive_zero(self):
         # epoch 3's multiplier is 0: its term, 0.0, is the per-increment sup
@@ -431,7 +438,9 @@ class TestBlockKernels:
 
 def _two_rise_optimize(model, u):
     """bound_optimize as it was when its bracket closed at the second rise in a
-    row, one doubling past the first: the oracle of the first-rise bracket."""
+    row, one doubling past the first: the oracle of the first-rise bracket. A
+    rise counts as in bound_optimize, past the rounding that the two values
+    carry: 4 eps (h u + |sup|) summed over both points, 0 at h = 0."""
     settled = models_module._settled(model, True)
     if settled is None or settled:  # decided without a bracket
         return bound_optimize(model, u)
@@ -445,12 +454,15 @@ def _two_rise_optimize(model, u):
             cache[h] = INF if value == INF else -h * u + value
         return cache[h]
 
+    def noise(h):
+        return 4.0 * 2.0**-53 * (h * u + abs(sups[h].value)) if h else 0.0
+
     cap = _domain_cap(model)
     h = 1.0 if cap == INF else 0.5 * cap
     pts, fs, rises, exhausted = [0.0], [0.0], 0, True
     for _ in range(200):
         fh = f(h)
-        rises = rises + 1 if fh > fs[-1] else 0
+        rises = rises + 1 if fh - fs[-1] > noise(h) + noise(pts[-1]) else 0
         pts.append(h)
         fs.append(fh)
         if rises >= 2 or fh == INF:
@@ -512,6 +524,9 @@ class TestFirstRiseBracket:
 
     @settings(max_examples=80, deadline=None)
     @given(models(), st.floats(0.5, 40.0))
+    # at h near 3.6e16, -h u + sup is rounding noise (the exact objective is -log h):
+    # a rise there of one ulp of h must not close the bracket
+    @example(RiskModel(ExplicitPrefix((Uniform(0.0, 1.0),))), 1.0)
     def test_rows_equal_the_two_rise_bracket(self, model, u):
         assert self._fields(bound_optimize(model, u)) == self._fields(_two_rise_optimize(model, u))
 
@@ -1087,10 +1102,29 @@ class TestChordCertificates:
         for partial in (True, False):
             got = shared(search, cap, partial)
             self._same(got, model, cap, partial)
-            held, _ = search.chords[partial]
+            held = search.chords[partial]
             # kept, "unbounded" or not, unless too many terms are +inf
             assert [h0 for h0, _ in held] == ([cap] if divergent <= models_module._DIVERGENT_MAX else [])
             for f in fractions:
+                self._same(shared(search, f * cap, partial), model, f * cap, partial)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.floats(0.3, 2.0), st.lists(st.sampled_from([0.0, 1e-15, 1e-12, 1e-9, 1e-6]), min_size=65, max_size=150),
+           st.sampled_from([0.0, 0.01]), st.floats(-3.0, 0.5),
+           st.lists(st.one_of(st.floats(0.5, 1.0, exclude_max=True), st.sampled_from([1.0 - 1e-12, 1.0 - 1e-9, 1.0 - 1e-6])),
+                    min_size=1, max_size=6))
+    def test_probes_near_the_domain_edge_match_full_scans(self, edge, gaps, rate, shift, fractions):
+        # ShiftedExponential laws whose domains end at or just above the cap, b_j / w_j =
+        # edge (1 + gap): the scan at the cap keeps the epochs whose terms are +inf as J,
+        # and the probes below, sharing its record, read every other term near its domain's
+        # end, where the rounding of t is amplified by t / (b - t)
+        w = np.exp(-math.log1p(rate) * np.arange(len(gaps)))
+        laws = tuple(ShiftedExponential(edge * float(x) * (1.0 + gap), shift) for x, gap in zip(w, gaps))
+        model = RiskModel(ExplicitPrefix(laws), rate)
+        cap = _domain_cap(model)
+        for partial in (True, False):
+            search = Search(model)
+            for f in [1.0, *fractions]:
                 self._same(shared(search, f * cap, partial), model, f * cap, partial)
 
     @pytest.mark.parametrize("head, past", [
@@ -1114,19 +1148,20 @@ class TestChordCertificates:
             for h in (0.99, 0.5, 0.25):
                 self._same(shared(search, h, partial), model, h, partial)
 
-    @pytest.mark.parametrize("share, closes", [(13.0, False), (30.0, True)])
+    @pytest.mark.parametrize("share, closes", [(8.0, False), (30.0, True)])
     @pytest.mark.parametrize("at", [64, 2], ids=["past_head", "in_head"])
     def test_the_margin_counts_the_divergent_terms(self, monkeypatch, share, closes, at):
         # at h = 0.5 the terms of epochs at + 1 and at + 2 are -X/2 and X/2 + log 2,
         # the second divergent at h = 1, and the head's maximum G_1 = 0 lies above
-        # G_64 plus the bound on later sums by share X gamma. The margin is about
-        # 14 X gamma with the magnitude of the divergent term and 12 X gamma
-        # without it, so only the larger share closes, whether the divergent
-        # epoch lies past the head or in it; the full scan gives the same sup
+        # G_64 plus the bound on later sums by share X a, a the gamma_N + b of the
+        # partial sums' rounding scale. The margin is about 9.0 X a with the
+        # magnitude of the divergent term and 7.0 X a without it, so only the
+        # larger share closes, whether the divergent epoch lies past the head or
+        # in it; the full scan gives the same sup
         X = 1e12
-        gamma = models_module._chord_scale(RiskModel(ExplicitPrefix((Degenerate(0.0),) * 100)), 100)[0]
+        a = models_module._rounding_scale(RiskModel(ExplicitPrefix((Degenerate(0.0),) * 100)), 100, True)[0]
         laws = [Degenerate(0.0)] * 100
-        laws[1] = Degenerate(-2.0 * (math.log(2.0) + share * X * gamma))
+        laws[1] = Degenerate(-2.0 * (math.log(2.0) + share * X * a))
         laws[at], laws[at + 1] = Degenerate(-X), ShiftedExponential(1.0, X)
         model = RiskModel(ExplicitPrefix(tuple(laws)))
         search = Search(model)
@@ -1147,7 +1182,7 @@ class TestChordCertificates:
             search = Search(model)
             got = shared(search, 1e10, partial)
             assert got.status == "undetermined"
-            assert search.chords[partial][0] == []
+            assert search.chords[partial] == []
             got = shared(search, 1.0, partial)
             self._same(got, model, 1.0, partial)
         assert got.argmax == 80
@@ -2083,10 +2118,12 @@ def _mp_log_mgf(law, t):
 
 
 class TestRoundingBound:
-    """The bound E(h) that the solvers' skips read (models._rounding_scale,
-    adjustment._error) holds: a certified sup lies within E(h) of the exact sup
-    of the exact log-MGFs at the multipliers its route reads, recomputed with
-    mpmath at 50 digits, on finite horizons and on blocks' first periods."""
+    """The bound E(h) of the one rounding model (models._rounding_scale,
+    models._error) holds, recomputed with mpmath at 50 digits from the exact
+    log-MGFs at the multipliers a route reads: a certified sup lies within
+    E(h) of the exact sup, on finite horizons and on blocks' first periods, as
+    the solvers' skips read it; and a chord probe that closes has a margin that
+    covers the rounding of both runs it compares."""
 
     @st.composite
     def cases(draw):
@@ -2121,3 +2158,75 @@ class TestRoundingBound:
             cut, scale = models_module._rounding(model, 10_000, partial)
             top = float(max(exact, 0) * (1 + mpmath.mpf(2) ** -40))
             assert abs(s.value - exact) <= adjustment_module._error(scale(h, top), h, top)
+
+    @st.composite
+    def chorded(draw):
+        """(model, h0, h): a finite horizon of 65 to 100 epochs whose terms are
+        finite at h0, and a probe at h <= h0. Besides laws of either sign, its
+        pool holds ShiftedExponential laws whose MGF domains end just above
+        h0 w_j (the domain part of E: t rounds where w_j < 1) and FiniteDiscrete
+        laws of mass 1 + 9e-13 (the logs part: a kernel adds log mass)."""
+        h0, rate, n = draw(st.floats(0.05, 2.0)), draw(st.sampled_from([0.0, 0.01, 0.2])), draw(st.integers(65, 100))
+        w = np.exp(-math.log1p(rate) * np.arange(n))
+        plain = st.one_of(
+            st.builds(Normal, st.floats(-1.5, 0.3), st.floats(0.05, 2.0)),
+            st.builds(lambda lo, width: Uniform(lo, lo + width), st.floats(-3.0, 0.0), st.floats(0.01, 3.0)),
+            st.builds(TwoPoint, st.floats(0.0, 1.5), st.floats(0.0, 0.5), st.floats(-2.0, -0.5)),
+            st.builds(Degenerate, st.floats(-2.0, 0.2)),
+            st.builds(lambda x, p: FiniteDiscrete(((x, p + 9e-13), (1.0, 1.0 - p))), st.floats(-3.0, -0.5), st.floats(0.5, 0.9)))
+        laws = []
+        for j in range(n):
+            if draw(st.integers(0, 9)) == 0:  # an edge law: g is +inf from (1 + delta) h0 on
+                delta = draw(st.sampled_from([1e-12, 1e-9, 1e-6]))
+                laws.append(ShiftedExponential(h0 * float(w[j]) * (1.0 + delta), draw(st.floats(-3.0, -1.0))))
+            else:
+                laws.append(draw(plain))
+        f = draw(st.one_of(st.floats(0.3, 1.0), st.sampled_from([1.0 - 1e-9, 1.0 - 1e-6])))
+        return RiskModel(ExplicitPrefix(tuple(laws)), rate), h0, f * h0
+
+    @staticmethod
+    def _edge_case():
+        # epoch 10 ends 1e-12 above h0 = 1 (rate 1%), and the probe at 1 - 1e-9 reads its
+        # term near the edge, about 19.7: the largest term, and past it the largest sum
+        w = math.exp(-9.0 * math.log1p(0.01))
+        laws = [Normal(-1.0, 1.0)] * 100
+        laws[9] = ShiftedExponential(w * (1.0 + 1e-12), -1.0)
+        return RiskModel(ExplicitPrefix(tuple(laws)), 0.01), 1.0, 1.0 - 1e-9
+
+    @settings(max_examples=100, deadline=None)
+    @given(chorded(), st.booleans())
+    @example(_edge_case(), True)
+    @example(_edge_case(), False)
+    # each term's log of its mass, 9e-13, is the only rounding the logs part covers
+    @example((RiskModel(ExplicitPrefix((FiniteDiscrete(((-2.0, 0.7 + 9e-13), (1.0, 0.3))),) * 100)), 0.5, 0.4), True)
+    @example((RiskModel(ExplicitPrefix((FiniteDiscrete(((-2.0, 0.7 + 9e-13), (1.0, 0.3))),) * 100)), 0.5, 0.4), False)
+    def test_a_closed_chord_probe_bounds_its_rounding(self, case, partial):
+        # a probe below the scan at h0 closes with the margin lam err + E(h) (models._chord_probe),
+        # which covers the reference's distance to the exact values at h0, times lam, and the
+        # full scan's at h: for the partial sums past the head, their rise from G_n
+        model, h0, h = case
+        sup, K, n = sup_log_mgf if partial else per_increment_sup, model.horizon(), models_module._SCAN_FIRST
+        search = Search(model)
+        sup(search, h0)
+        assume(search.chords[partial] and np.isfinite(log_mgf_terms(model, h0, K)).all())
+        (_, ref), = search.chords[partial]
+        calls, error, probe = [], models_module._error, models_module._chord_probe
+        with patch.object(models_module, "_error", lambda *args: calls.append(error(*args)) or calls[-1]), \
+                patch.object(models_module, "_chord_probe", lambda *args: calls.append(probe(*args)) or calls[-1]):
+            sup(search, h)
+        assume(calls[-1] is not None)  # closed
+        lam = h / h0
+        margin = lam * ref[-1] + calls[0]
+        w, laws = models_module._plan(model, 0, K).w.tolist(), model._laws.laws
+        at_h0, at_h = log_mgf_terms(model, h0, K), log_mgf_terms(model, h, K)
+        with mpmath.workdps(50):
+            exact_h0 = [_mp_log_mgf(law, mpmath.mpf(h0) * mpmath.mpf(x)) for law, x in zip(laws, w)]
+            exact_h = [_mp_log_mgf(law, mpmath.mpf(h) * mpmath.mpf(x)) for law, x in zip(laws, w)]
+            if partial:
+                rise = list(itertools.accumulate(exact_h0[n:]))
+                scan, sums = np.cumsum(at_h), list(itertools.accumulate(exact_h))
+                covered = lam * abs(ref[0][0] - max(rise)) + max(
+                    abs((scan[m] - scan[n - 1]) - (sums[m] - sums[n - 1])) for m in range(n, K))
+            else:
+                covered = max(lam * abs(u - e0) + abs(g - e) for u, e0, g, e in zip(at_h0, exact_h0, at_h, exact_h))
+            assert covered <= margin

@@ -17,6 +17,11 @@ at 2% under k_max = 2000, show the points that the solvers' convex sandwich
 decides without a probe (most of the first, few of the second, whose root
 near 1.4e-6 the slack alone sets); the period root runs on the contracting
 block of contracting_quasi_periodic.
+
+test_solver_kept repeats each solve of test_solver on one warm model, which
+keeps the coefficient once solved (adjustment._solved), as a long-running
+caller or a repeated command-line request does: set beside test_solver's
+fresh model, it shows what a repeat call saves.
 """
 
 from __future__ import annotations
@@ -54,6 +59,13 @@ CONTRACTING = RiskModel(QuasiPeriodicScaled((Normal(-0.5, 1.0), Normal(0.25, 1.0
 def test_solver(benchmark, solver, name, model):
     r = benchmark.pedantic(solver, setup=_fresh(model), rounds=30 if model is PREFIX else 300)
     assert r.certified
+
+
+@pytest.mark.parametrize("solver", [solve_partial_sum, solve_per_increment], ids=["partial_sum", "per_increment"])
+@pytest.mark.parametrize("name, model", [("explicit_prefix_5000", PREFIX), ("alternating_normals", ALTERNATING)])
+def test_solver_kept(benchmark, solver, name, model):
+    r = benchmark(solver, model)
+    assert r.certified and r == solver(RiskModel(model.increments, model.rates, model.label))
 
 
 @pytest.mark.parametrize("solver", [solve_partial_sum, solve_per_increment], ids=["partial_sum", "per_increment"])

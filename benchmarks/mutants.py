@@ -47,6 +47,7 @@ _CHORDS = ("tests/test_properties.py::TestChordCertificates",)
 _CHORD_ORACLE = ("tests/test_properties.py::TestRoundingBound::test_a_closed_chord_probe_bounds_its_rounding",)
 _RECORD = ("tests/test_bounds.py::TestGridMemo",)
 _SKIPS = ("tests/test_properties.py::TestSolverSkips",)
+_KEPT = ("tests/test_properties.py::TestKeptSolves",)
 
 # name: (file, ((old, new), ...), node ids)
 MUTANTS = {
@@ -124,6 +125,12 @@ MUTANTS = {
         ("at = scale(h, 2.0 * abs(value) + 1.0) if sound else None", "at = scale(h, 2.0 * abs(value) + 1.0)")), _SKIPS),
     "skip_chord_test_flipped": ("adjustment.py", (
         ("up + _error(at, m, 2.0 * abs(up)) <= edge", "up + _error(at, m, 2.0 * abs(up)) >= edge"),), _SKIPS),
+    # adjustment._solved, the coefficients kept on the model, and models._Memo's cap on them
+    "solve_key_without_tol": ("adjustment.py", (("(flavor, tol, policy)", "(flavor, policy)"),), _KEPT),
+    "solve_key_without_policy": ("adjustment.py", (("(flavor, tol, policy)", "(flavor, tol)"),), _KEPT),
+    "period_root_key_without_tol": ("adjustment.py", (('("period_root", l, tol)', '("period_root", l)'),), _KEPT),
+    "period_root_key_without_l": ("adjustment.py", (('("period_root", l, tol)', '("period_root", tol)'),), _KEPT),
+    "solves_kept_past_the_cap": ("models.py", ((" and self.solves + solves <= _SOLVES_KEPT", ""),), _KEPT),
 }
 
 

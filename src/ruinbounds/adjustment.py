@@ -261,13 +261,26 @@ def _domain_cap(model: RiskModel, span: int | None = None) -> float:
 # solvers
 
 
+def _solved(model: RiskModel, key: tuple, solve) -> AdjustmentResult:
+    """solve(), kept in the model's memo under key (models._Memo): a
+    coefficient depends on neither h nor u, so a repeat call probes nothing."""
+    result = model._memo.get(key)
+    return result if result is not None else model._memo.keep(key, solve(), solves=1)
+
+
 def _solve_sup_root(model, tol, policy, partial: bool) -> AdjustmentResult:
     """sup{h >= 0 : sup_log_mgf (partial) or per_increment_sup <= 0}, +inf or 0
-    where the esssups settle it (models._settled). The probes share the search
-    record (models.Search) given in place of the model, or a fresh one."""
+    where the esssups settle it (models._settled), kept on the model per tol
+    and policy (_solved). The probes share the search record (models.Search)
+    given in place of the model, or a fresh one."""
     _check_tol(tol)
     model, policy, search = _unpacked(model, policy)
     flavor = "partial_sum" if partial else "per_increment"
+    return _solved(model, (flavor, tol, policy), lambda: _sup_root(model, tol, policy, search, flavor))
+
+
+def _sup_root(model: RiskModel, tol: float, policy: TruncationPolicy, search, flavor: str) -> AdjustmentResult:
+    partial = flavor == "partial_sum"
     settled = _settled(model, partial)
     if settled is None:
         return AdjustmentResult(INF, flavor, None, True, False,
@@ -339,9 +352,14 @@ def _block_unfit(model: RiskModel) -> str:
 
 
 def solve_period_root(model: RiskModel, l: int, tol: float = 1e-10) -> AdjustmentResult:
-    """sup{h >= 0 : E exp(h S*_l) <= 1}, the root of a single period's log-MGF."""
+    """sup{h >= 0 : E exp(h S*_l) <= 1}, the root of a single period's log-MGF,
+    kept on the model per l and tol (_solved)."""
     _check_tol(tol)
     _check_period_args(model, l)
+    return _solved(model, ("period_root", l, tol), lambda: _period_root(model, l, tol))
+
+
+def _period_root(model: RiskModel, l: int, tol: float) -> AdjustmentResult:
     sums = _esssup_sums(model, l)
     if sums is not None and sums[-1] <= 0.0:
         return AdjustmentResult(INF, "period_root", None, True, False, "one full period is nonpositive a.s.")

@@ -4,12 +4,14 @@ Every bound here has the shape psi(u) <= exp(log_c - h u) for some exponent h
 and log-constant log_c; values like 1e-165 are ordinary numbers in this
 representation. Results clamp at 1 since psi is a probability.
 
-The sups, roots and certificates behind a bound do not depend on u. Every
-bound that searches over h takes a search record (models.Search) in place of
-the model, as the sups do, and runs under the record's policy; the calls for
-one model over a u-grid share it. Each such value is then found once per grid,
-and the probes share their chord references, those of the per-increment
-root's solve too. Given a model, a call starts afresh.
+The sups, roots and certificates behind a bound do not depend on u. The
+adjustment coefficients depend on neither h nor u, so each is solved once per
+model and kept on it (adjustment._solved). Every bound that searches over h
+takes a search record (models.Search) in place of the model, as the sups do,
+and runs under the record's policy; the calls for one model over a u-grid
+share it. The sups and certificates are then found once per grid, and the
+probes share their chord references, those of a first per-increment solve
+too. Given a model, a call starts a record afresh.
 """
 
 from __future__ import annotations
@@ -264,11 +266,11 @@ def bound_optimize(model: RiskModel | Search, u: float, policy: TruncationPolicy
 def bound_per_increment(model: RiskModel | Search, u: float, tol: float = 1e-10, policy: TruncationPolicy | None = None) -> BoundResult:
     """One-step coefficient bound: below the per-increment root every factor of
     E exp(h S*_k) is at most 1, so the first factor alone bounds the sup. The
-    root is kept in the search record, whose probes its solve shares."""
+    root is kept on the model (adjustment._solved); a first solve's probes
+    share the search record."""
     _require_u(u)
     model, policy, search = _unpacked(model, policy)
-    search = search or Search(model, policy)
-    r = _kept(search, ("per_increment", tol), lambda: solve_per_increment(search, tol))
+    r = solve_per_increment(search or model, tol, policy)
     L = r.value
     if L == INF:
         return BoundResult(u, -INF, INF, "per_increment", Certificate(0.0, INF), r.certified, r.note)
@@ -332,7 +334,9 @@ def bound_periodic(
 def _periodic_certificate(search: Search, l: int, variant: str, start_index: int, exponent: float | None,
                           at_h: float | None, tol: float) -> tuple[Certificate, range | None, bool, str]:
     """(certificate, window of k, certified, note) of bound_periodic on the
-    record's model; the window is None when the period root is +inf."""
+    record's model; the window is None when the period root is +inf. The
+    period root is kept on the model (adjustment._solved), the certificate
+    and window maxima in the record."""
     model = search.model
     if variant == "shift_window":
         if exponent is None:

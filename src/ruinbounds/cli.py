@@ -142,9 +142,10 @@ def _read(path: str) -> bytes | None:
 def _load(args) -> RiskModel:
     """The request's model, an event model reduced. The models of the
     _MODELS_KEPT configs used last are kept by the bytes of their files, so an
-    edited file gets a new model. A model keeps only what does not depend on
-    h or u (its law record, routes, verdicts and probe plans); every request
-    makes its own search record. A config that fails is never kept."""
+    edited file gets a new model. A model keeps only what depends on neither
+    h nor u (its law record, routes, verdicts, probe plans and adjustment
+    coefficients), so a repeated request solves no coefficient again; every
+    request makes its own search record. A config that fails is never kept."""
     path = _resolve_model_path(args.model)
     raw = _read(path)
     with _MODELS_LOCK:

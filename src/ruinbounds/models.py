@@ -37,7 +37,7 @@ log_mgf_terms, the vectorized term kernel, on per-family parameter arrays, in
 ranges up to a truncation cap; the scan stops early where the family proves
 that every later term is negative. What a probe reads apart from h (its route,
 _route, and each range's probe plan) is built once and kept on the model
-(RiskModel._memo, with the esssup verdicts).
+(RiskModel._memo, with the esssup verdicts and the adjustment coefficients).
 What depends on h lives with the caller, in one record per search (Search):
 the chord references that let a finite-horizon scan below an earlier one, at
 the MGF-domain cap too, read a few epochs (_sup_scan), and what bounds keeps.
@@ -457,19 +457,23 @@ class RiskModel:
 
 
 class _Memo(dict):
-    """A model's facts that do not depend on h, by key: the support facts of
-    _per_model functions and the probe plans (_plan), each kept (keep) after a
-    lookup that missed. The stored plans span at most _PLAN_EPOCHS epochs in
-    all (self.epochs counts them); a plan past that is built, used and
-    dropped, so what a model keeps does not grow with the scan cap."""
+    """A model's facts that depend on neither h nor u, by key: the support
+    facts of _per_model functions, the probe plans (_plan) and the adjustment
+    coefficients (adjustment._solved), each kept (keep) after a lookup that
+    missed. The stored plans span at most _PLAN_EPOCHS epochs in all
+    (self.epochs counts them), and at most _SOLVES_KEPT solves are stored
+    (self.solves); a plan or solve past that is computed, used and dropped,
+    so what a model keeps grows neither with the scan cap nor with the
+    policies and tolerances it is solved under."""
 
-    epochs = 0
+    epochs = solves = 0
 
-    def keep(self, key: tuple, value, epochs: int = 0):
+    def keep(self, key: tuple, value, epochs: int = 0, solves: int = 0):
         with _MEMO_LOCK:  # threads probing one model count each stored plan once
-            if key not in self and self.epochs + epochs <= _PLAN_EPOCHS:
+            if key not in self and self.epochs + epochs <= _PLAN_EPOCHS and self.solves + solves <= _SOLVES_KEPT:
                 self[key] = value
                 self.epochs += epochs
+                self.solves += solves
         return value
 
 
@@ -765,6 +769,8 @@ def _sup_shrinking(model: RiskModel, laws: _Laws, h: float, partial: bool) -> Su
 _FLOAT_MAX = sys.float_info.max
 # probe plans kept per model span at most this many epochs in all
 _PLAN_EPOCHS = 1 << 16
+# coefficient solves kept per model: a request's k_max grows with its largest u
+_SOLVES_KEPT = 32
 
 
 class _Plan:

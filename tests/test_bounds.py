@@ -35,7 +35,7 @@ from ruinbounds import (
     solve_per_increment,
     sup_log_mgf,
 )
-from ruinbounds import bounds, models
+from ruinbounds import adjustment, bounds, models
 
 
 def alternating_normals():
@@ -207,23 +207,24 @@ class TestOptimize:
 
 
 class TestGridMemo:
-    """One search record over a u-grid: the sups and roots that do not depend
-    on u are found once per grid, and nothing is kept between calls without
-    it. Every function that searches over h takes the record in place of the
-    model and runs under the record's policy."""
+    """One search record over a u-grid: the sups and certificates that do not
+    depend on u are found once per grid, and no sup is kept between calls
+    without it; the roots, which depend on neither h nor u, are kept on the
+    model. Every function that searches over h takes the record in place of
+    the model and runs under the record's policy."""
 
     GRID = (1.0, 2.5, 5.0, 10.0, 20.0)
 
     @staticmethod
-    def _record(monkeypatch, name):
+    def _record(monkeypatch, name, module=bounds):
         calls = []
-        original = getattr(bounds, name)
+        original = getattr(module, name)
 
         def recording(*args, **kwargs):
             calls.append(args[1:])
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(bounds, name, recording)
+        monkeypatch.setattr(module, name, recording)
         return calls
 
     @pytest.mark.parametrize("model", [alternating_normals, linear_drift,
@@ -241,17 +242,19 @@ class TestGridMemo:
         assert len(probes) == len(set(probes)) < per_u
 
     @pytest.mark.parametrize("solver, call", [
-        ("solve_per_increment", lambda m, u: bound_per_increment(m, u)),
-        ("solve_period_root", lambda m, u: bound_periodic(m, 2, "periodic", u=u)),
-        ("solve_period_root", lambda m, u: bound_periodic(m, 2, "scaled_periodic", u=u)),
+        ("_sup_root", lambda m, u: bound_per_increment(m, u)),
+        ("_period_root", lambda m, u: bound_periodic(m, 2, "periodic", u=u)),
+        ("_period_root", lambda m, u: bound_periodic(m, 2, "scaled_periodic", u=u)),
     ], ids=["per_increment", "periodic", "scaled_periodic"])
     def test_grid_solves_the_root_once(self, solver, call, monkeypatch):
-        solves = self._record(monkeypatch, solver)
+        # the root is kept on the model (adjustment._solved): one solve per
+        # model, given the model or a record of a fresh one in its place
+        solves = self._record(monkeypatch, solver, adjustment)
         m = alternating_normals()
         alone = [call(m, u) for u in self.GRID]
-        assert len(solves) == len(self.GRID)
+        assert len(solves) == 1
         solves.clear()
-        search = Search(m)
+        search = Search(alternating_normals())
         assert [call(search, u) for u in self.GRID] == alone
         assert len(solves) == 1
 
@@ -278,7 +281,7 @@ class TestGridMemo:
             probes.clear()
             solves.clear()
             bound_optimize(m, 5.0)
-            bound_per_increment(m, 5.0)
+            bound_per_increment(alternating_normals(), 5.0)  # a fresh model: its root is kept on the model
             counts.append((len(probes), len(solves)))
         assert counts[0] == counts[1] and counts[0][0] > 0 and counts[0][1] == 1
 
@@ -327,11 +330,14 @@ class TestGridMemo:
     def test_a_solve_probes_the_record_it_is_given(self, flavor, solve):
         # a finite horizon: each solve keeps chord references of its flavour in
         # the record it probes, and a bound hands its record to its solve
-        m = RiskModel(ExplicitPrefix((Normal(-0.5, 1.0),) * 200))
-        search = Search(m)
-        assert repr(solve(search)) == repr(solve(m))
+        # (the roots are kept on the model, so each solve counted gets a fresh one)
+        def fresh():
+            return RiskModel(ExplicitPrefix((Normal(-0.5, 1.0),) * 200))
+
+        search = Search(fresh())
+        assert repr(solve(search)) == repr(solve(fresh()))
         assert search.chords[flavor] and list(search.chords) == [flavor]
-        search = Search(m)
+        search = Search(fresh())
         bound_per_increment(search, 5.0)
         assert search.chords[False]
 

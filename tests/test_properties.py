@@ -2230,3 +2230,87 @@ class TestRoundingBound:
             else:
                 covered = max(lam * abs(u - e0) + abs(g - e) for u, e0, g, e in zip(at_h0, exact_h0, at_h, exact_h))
             assert covered <= margin
+
+
+class TestKeptSolves:
+    """The adjustment coefficients depend on neither h nor u, so each is kept
+    on the model (adjustment._solved), by flavour, tol and policy, or by l and
+    tol for the period root. A kept solve is field by field (floats bitwise)
+    the same solve on a fresh equal model, whatever searches ran on the model
+    before; a repeat call probes nothing, and a new key is solved afresh,
+    with the fresh solve's probes. At most models._SOLVES_KEPT are kept."""
+
+    TOLS = (1e-10, 1e-6, 1e-14)
+
+    @staticmethod
+    def _fields(r):
+        bracket = None if r.bracket is None else tuple(x.hex() for x in r.bracket)
+        return (r.flavor, r.value.hex(), bracket, r.certified, r.boundary, r.note)
+
+    @staticmethod
+    def _probed(solve, *args):
+        """(fields, the h of each models._sup and cumulative_log_mgf call) of solve(*args)."""
+        calls, sup, cumulative = [], models_module._sup, adjustment_module.cumulative_log_mgf
+        with patch.object(models_module, "_sup", lambda *a: calls.append(a[1]) or sup(*a)), \
+                patch.object(adjustment_module, "cumulative_log_mgf", lambda *a: calls.append(a[1]) or cumulative(*a)):
+            r = solve(*args)
+        return TestKeptSolves._fields(r), calls
+
+    @staticmethod
+    def _fresh(model):
+        return RiskModel(model.increments, model.rates, model.label)
+
+    @settings(max_examples=60, deadline=None)
+    @given(TestKernelShortcuts.routed_models(), st.booleans(), st.sampled_from(TOLS), st.sampled_from(TOLS),
+           st.sampled_from([60, 300, 2000]), st.sampled_from([60, 300, 2000]))
+    @example((RiskModel(Periodic((Normal(-0.25, 1.0), Normal(-0.75, 1.0))), PeriodicRates((0.01, 0.03, 0.02))), [0.5, 2.0]),
+             True, 1e-10, 1e-6, 2000, 60)
+    @example((RiskModel(IndexedNormal(-0.5, 0.25), 0.01), [1.0]), False, 1e-10, 1e-14, 300, 2000)
+    def test_a_kept_solve_is_the_fresh_solve(self, case, partial, tol, other_tol, k_max, other_k_max):
+        model, hs = case
+        assume(tol != other_tol and k_max != other_k_max)
+        solve, other = (solve_partial_sum, solve_per_increment) if partial else (solve_per_increment, solve_partial_sum)
+        policy = TruncationPolicy(k_max)
+        fresh = self._probed(solve, self._fresh(model), tol, policy)
+        # a bound_optimize grid on a shared record, the other flavour, and this
+        # flavour under another tol and under another policy
+        search = Search(model, policy)
+        for u in (1.0, 5.0):
+            bound_optimize(search, u)
+        other(search, tol)
+        solve(model, other_tol, policy)
+        solve(model, tol, TruncationPolicy(other_k_max))
+        assert self._probed(solve, search, tol) == fresh  # a new key: solved afresh
+        assert self._probed(solve, model, tol, policy) == (fresh[0], [])  # kept
+        assert self._probed(solve, Search(model, policy), tol) == (fresh[0], [])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(TestTermKernelParity.laws, min_size=1, max_size=3),
+           st.lists(st.one_of(st.just(0.0), st.floats(0.001, 0.2)), min_size=1, max_size=2),
+           st.one_of(st.just(1.0), st.floats(0.5, 1.0)), st.sampled_from(TOLS), st.sampled_from(TOLS))
+    @example([Normal(-0.25, 1.0), Normal(-0.75, 1.0)], [0.0], 1.0, 1e-10, 1e-6)
+    def test_a_kept_period_root_is_the_fresh_root(self, cycle, rates, scale, tol, other_tol):
+        assume(tol != other_tol)
+        rule = Periodic(tuple(cycle)) if scale == 1.0 else QuasiPeriodicScaled(tuple(cycle), scale)
+        model = RiskModel(rule, PeriodicRates(tuple(rates)))
+        l = math.lcm(len(cycle), len(rates))
+        fresh = self._probed(solve_period_root, self._fresh(model), l, tol)
+        # the other coefficients, and the period root of two periods and under another tol
+        solve_partial_sum(model, tol)
+        solve_per_increment(model, tol)
+        solve_period_root(model, 2 * l, tol)
+        solve_period_root(model, l, other_tol)
+        assert self._probed(solve_period_root, model, l, tol) == fresh
+        assert self._probed(solve_period_root, model, l, tol) == (fresh[0], [])
+
+    def test_the_kept_solves_are_capped(self):
+        # a request's k_max grows with its largest u: past the cap a solve runs and is not kept
+        model = RiskModel(Periodic((Normal(-0.25, 1.0), Normal(-0.75, 1.0))), PeriodicRates((0.01, 0.03, 0.02)))
+        cap, fresh = models_module._SOLVES_KEPT, self._probed(solve_partial_sum, self._fresh(model), 1e-10)
+        assert fresh[1]
+        for k_max in range(1, cap + 6):
+            assert self._probed(solve_partial_sum, model, 1e-10, TruncationPolicy(k_max)) == fresh
+        kept = [key for key in model._memo if key[0] in ("partial_sum", "per_increment", "period_root")]
+        assert model._memo.solves == len(kept) == cap
+        assert self._probed(solve_partial_sum, model, 1e-10, TruncationPolicy(1))[1] == []
+        assert self._probed(solve_partial_sum, model, 1e-10, TruncationPolicy(cap + 5)) == fresh

@@ -13,10 +13,11 @@ sides of the split between the vectorized term kernel and the scalar block
 walk; _domain_cap runs on the prefix alone, and bound_union on the
 IndexedTwoPoint series at h = 9, whose partial sums peak near n = e^9. The
 scan cases of heavy_sups, IndexedNormal(-0.5, 0.25) at 1% and IndexedTwoPoint
-at 2% under k_max = 2000, show the points that the solvers' convex sandwich
-decides without a probe (most of the first, few of the second, whose root
-near 1.4e-6 the slack alone sets); the period root runs on the contracting
-block of contracting_quasi_periodic.
+at 2% under k_max = 2000, probe every point of their searches (the second's
+root near 1.4e-6 the slack alone sets); the period root runs on the
+contracting block of contracting_quasi_periodic. On a fresh model,
+test_solver times only a model's first solve, which no perfbench workload's
+timed phase holds: from then on the model keeps the coefficient.
 
 test_solver_kept repeats each solve of test_solver on one warm model, which
 keeps the coefficient once solved (adjustment._solved), as a long-running

@@ -46,7 +46,6 @@ _CACHE = ("tests/test_serialize_cli.py::TestCliModelCache",)
 _CHORDS = ("tests/test_properties.py::TestChordCertificates",)
 _CHORD_ORACLE = ("tests/test_properties.py::TestRoundingBound::test_a_closed_chord_probe_bounds_its_rounding",)
 _RECORD = ("tests/test_bounds.py::TestGridMemo",)
-_SKIPS = ("tests/test_properties.py::TestSolverSkips",)
 _KEPT = ("tests/test_properties.py::TestKeptSolves",)
 
 # name: (file, ((old, new), ...), node ids)
@@ -99,7 +98,7 @@ MUTANTS = {
         ("np.where(bound[at] < INF, values, INF)", "np.where(bound[at] < INF, values - 1.0, INF)"),), _CHORDS),
     "chord_wrong_subset_rows": ("models.py", (
         ("plan.subset(np.array([j]))", "plan.subset(np.array([max(j - 1, 0)]))"),), _CHORDS),
-    # the chord margins' scale, models._rounding_scale of the reference's range
+    # the chord margins' E: models._rounding_scale of the reference's range, and models._error
     "chord_margin_without_domain_part": ("models.py", (
         ("    scale = _rounding_scale(model, K, partial)\n", "    scale = (*_rounding_scale(model, K, partial)[:5], 0.0, INF)\n"),),
         _CHORD_ORACLE),
@@ -107,6 +106,8 @@ MUTANTS = {
         ("    scale = _rounding_scale(model, K, partial)\n",
          "    scale = (*_rounding_scale(model, K, partial)[:4], 0.0, *_rounding_scale(model, K, partial)[5:])\n"),),
         _CHORD_ORACLE),
+    "margin_without_rounding_bound": ("models.py", (
+        ("    return (a * (top + parts[0]) + b * parts[1]) / (1.0 - a) + 1e-300 if", "    return 0.0 if"),), _CHORD_ORACLE),
     # models._unpacked and the searches that take a record in place of the model
     "record_policy_check_dropped": ("models.py", (
         ("if policy is not None and policy != model.policy:", "if False:"),), _RECORD),
@@ -114,17 +115,6 @@ MUTANTS = {
         ("search = search or Search(model, policy)", "search = Search(model, policy)"),), _RECORD),
     "solve_ignores_its_record": ("adjustment.py", (
         ("search, sup = search or Search(model, policy),", "search, sup = Search(model, policy),"),), _RECORD),
-    # adjustment._grow_and_bisect, the points that the convex sandwich decides unprobed
-    "skip_without_rounding_bound": ("models.py", (
-        ("    return (a * (top + parts[0]) + b * parts[1]) / (1.0 - a) + 1e-300 if", "    return 0.0 if"),), _SKIPS),
-    "skip_secant_from_the_wrong_side": ("adjustment.py", (
-        ("v1 + ((a1 := above[-2])[1] - v1) * ((m - x1) / (a1[0] - x1)) > SLACK",
-         "v1 + ((a1 := below[-1])[1] - v1) * ((m - x1) / (a1[0] - x1)) > SLACK"),), _SKIPS),
-    "skip_without_status_rule": ("adjustment.py", (
-        ("if not a0[2] or x0 == m or x1 == m:", "if x0 == m or x1 == m:"),
-        ("at = scale(h, 2.0 * abs(value) + 1.0) if sound else None", "at = scale(h, 2.0 * abs(value) + 1.0)")), _SKIPS),
-    "skip_chord_test_flipped": ("adjustment.py", (
-        ("up + _error(at, m, 2.0 * abs(up)) <= edge", "up + _error(at, m, 2.0 * abs(up)) >= edge"),), _SKIPS),
     # adjustment._solved, the coefficients kept on the model, and models._Memo's cap on them
     "solve_key_without_tol": ("adjustment.py", (("(flavor, tol, policy)", "(flavor, policy)"),), _KEPT),
     "solve_key_without_policy": ("adjustment.py", (("(flavor, tol, policy)", "(flavor, tol)"),), _KEPT),

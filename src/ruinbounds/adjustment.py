@@ -3,14 +3,10 @@
 Each coefficient is the supremum of h >= 0 keeping a log-MGF criterion at or
 below zero. Every criterion here is a supremum of convex functions vanishing
 at h = 0, so its feasible set is an interval [0, L]; the solvers locate L by
-doubling and bisection (_grow_and_bisect). They probe only the points that
-convexity leaves open: the chord and the extended secants of the probes made
-so far bound the criterion at a new point, and where those bounds, widened by
-a rigorous bound E(h) on the computed value's rounding (models._rounding), put
-it on one side of the slack, and the nearest probe above it was certified, the
-verdict is the one a probe would compute, so every bracket stays bitwise that
-of probing every point. The esssups decide once per model, for the sup routes
-too, where a criterion holds at every h or at none (models._settled).
+doubling and bisection (_grow_and_bisect), probing every point of the
+search. A model's coefficients are kept on it once solved (_solved), so each
+search runs once per model. The esssups decide once per model, for the sup
+routes too, where a criterion holds at every h or at none (models._settled).
 """
 
 from __future__ import annotations
@@ -28,7 +24,6 @@ from .distributions import (
     support_bounds,
 )
 from .models import (
-    ExplicitPrefix,
     IndexedNormal,
     IndexedTwoPoint,
     PeriodHypothesisError,
@@ -37,17 +32,12 @@ from .models import (
     RiskModel,
     Search,
     TruncationPolicy,
-    _EPS,
-    _SCAN_CHUNK,
-    _error,
     _esssup_sums,
     _examined_span,
     _is_int,
     _layout,
     _per_model,
     _reduced,
-    _rounding,
-    _rounding_scale,
     _settled,
     _unpacked,
     _walk,
@@ -97,37 +87,9 @@ def _check_tol(tol: float) -> None:
 # bisection core
 
 
-def _grow_and_bisect(probe, h_cap: float, tol: float, rounding=None):
-    """sup{h >= 0 : feasible at h} for an interval criterion containing 0, by
-    doubling and bisection, probing only the points that convexity leaves open.
-
-    probe(h) returns (feasible, value, sound): the verdict, the computed value
-    of the criterion, and whether the probe was certified with a value that is
-    finite, or +inf where no term went unread after it (a finite horizon
-    scanned in one range) or no term formed it (a block's period-sum verdict).
-    rounding is (cut, scale) as models._rounding gives it (None: probe every
-    point): scale(h, top), top >= F(h)+, gives the bound E(h) (models._error) on how
-    far a certified value at h lies from the exact criterion F(h), which is
-    convex with F(0) = 0.
-
-    Each evaluated probe keeps [value - E, value + E], which holds F(h); h = 0
-    holds F = 0 exactly. A doubling point or midpoint m is then decided without
-    a probe where the sandwich of a convex function (Rote, Computing 48, 1992)
-    settles its verdict, the lines' rounding counted:
-    - feasible, where the chord through the upper ends of the nearest
-      evaluated probes on either side of m, plus E(m), is at most SLACK (and
-      at most cut, for a route that also checks what such a value implies);
-    - infeasible, where the secant through two evaluated probes on one side,
-      extended to m, bounds F(m) from below by more than SLACK plus E(m). No
-      probe below m is +inf: every probe below m was feasible.
-    Either skip also needs the status rule: the nearest evaluated probe above
-    m was sound. The routes that claim a bound certify monotonically in h (a
-    scan's proof at h holds below it, a finite horizon and a block's head are
-    certified unless a value is not a number, and a kernel's overflow at t
-    persists at every larger t; a contracting tail's walk is shown to close
-    before models._BLOCK_CAP at m itself), so the probe at m would have been
-    certified and its verdict is the one decided. The brackets are those of
-    probing every point, bitwise.
+def _grow_and_bisect(feasible, h_cap: float, tol: float):
+    """sup{h >= 0 : feasible(h)} for an interval criterion containing 0, by
+    doubling and bisection; feasible(h) is the verdict of a probe at h.
 
     Returns (value, bracket, boundary, exhausted). boundary means the root sits
     at the MGF domain frontier h_cap; exhausted means 200 doublings never met an
@@ -135,28 +97,6 @@ def _grow_and_bisect(probe, h_cap: float, tol: float, rounding=None):
     """
     if h_cap <= 0.0:
         return 0.0, (0.0, 0.0), True, False
-    # the evaluated probes, [h, value, sound, low, high, scale]: the feasible ones in increasing h,
-    # from h = 0, where F = 0 exactly, and the infeasible ones in decreasing h; so the
-    # last of each is the nearest evaluated probe to a bisection's midpoint on its side
-    below, above = [[0.0, 0.0, True, 0.0, 0.0, None]], []  # filled in on first use (_fill)
-    tries, (cut, scale) = _TRIES if rounding else 0, rounding or (INF, None)
-    edge = min(SLACK, cut)
-
-    def feasible(h: float) -> bool:
-        nonlocal tries
-        if tries:
-            verdict = _skipped(below, above, h, edge, scale)
-            if verdict is True or verdict is False:
-                return verdict
-            if verdict is _WIDE:
-                tries -= 1
-        verdict, value, sound = probe(h)
-        if tries:
-            side = below if verdict else above
-            if not side or side[-1][0] != h:
-                side.append([h, value, sound, None, None, None])
-        return verdict
-
     h0 = 1.0 if h_cap == INF else min(1.0, 0.5 * h_cap)
     lo, hi = 0.0, h0
     if feasible(h0):
@@ -183,64 +123,6 @@ def _grow_and_bisect(probe, h_cap: float, tol: float, rounding=None):
             hi = mid
     boundary = h_cap != INF and hi >= h_cap * (1.0 - 1e-12)
     return 0.5 * (lo + hi), (lo, hi), boundary, False
-
-
-# a solve stops trying to skip after this many points that the values settle but E
-# leaves open: near the root of a solve that E limits, every later point is left open too
-_TRIES = 2
-_WIDE = object()
-
-
-def _fill(probe: list, scale) -> None:
-    """Fill in an evaluated probe [h, value, sound, None, None, None] on first
-    use with low, high and its scale: F(h) lies in [low, high], and scale is
-    its E's (scale(h, top) of _grow_and_bisect), None if it was not sound."""
-    h, value, sound = probe[:3]
-    at = scale(h, 2.0 * abs(value) + 1.0) if sound else None  # F(h)+ <= |value| + E, E <= 1
-    e = _error(at, h, 2.0 * abs(value)) if abs(value) < INF else INF
-    probe[3:] = (value - e, value + e, at) if e <= 1.0 else (-INF, INF, at)
-
-
-def _skipped(below: list, above: list, m: float, edge: float, scale):
-    """The verdict at m that the evaluated probes settle (_grow_and_bisect), or
-    None. Each line is tried first through the values alone: the widened chord
-    is at least that one, a widened secant at most, so a point that they leave
-    open costs no E. The E of the nearest probe above m bounds E(m): a scan's
-    range and a contracting tail's walk only shrink as h does, and
-    F(m)+ <= F(h)+. A point that the values settle but E leaves open gives _WIDE."""
-    if not above:
-        return None
-    b0, a0 = below[-1], above[-1]
-    x0, v0, x1, v1 = b0[0], b0[1], a0[0], a0[1]
-    if not a0[2] or x0 == m or x1 == m:
-        return None
-    if v0 + (v1 - v0) * ((m - x0) / (x1 - x0)) <= edge:
-        for p in (b0, a0):
-            if p[3] is None:
-                _fill(p, scale)
-        up, at = _line(x0, b0[4], x1, a0[4], m, 1.0), a0[5]
-        return True if at is not None and up + _error(at, m, 2.0 * abs(up)) <= edge else _WIDE
-    if len(above) > 1 and v1 + ((a1 := above[-2])[1] - v1) * ((m - x1) / (a1[0] - x1)) > SLACK:
-        near, far, x, y = a0, a1, (x1, a1[0]), (3, 4)
-    elif len(below) > 1 and (b1 := below[-2])[1] + (v0 - b1[1]) * ((m - b1[0]) / (x0 - b1[0])) > SLACK:
-        near, far, x, y = b1, b0, (b1[0], x0), (4, 3)
-    else:
-        return None
-    for p in (near, far, a0):
-        if p[3] is None:
-            _fill(p, scale)
-    low, at = _line(x[0], near[y[0]], x[1], far[y[1]], m, -1.0), a0[5]
-    # a value is at least F - a (F + R), F >= low > 0
-    return False if at is not None and low - _error(at, m, 2.0 * low) > SLACK else _WIDE
-
-
-def _line(a: float, fa: float, b: float, fb: float, m: float, side: float) -> float:
-    """The line through (a, fa) and (b, fb) at m, moved by side (1 or -1) times a
-    bound on its rounding; side * inf where an end is not finite."""
-    if not (abs(fa) < INF and abs(fb) < INF):
-        return side * INF
-    r = (m - a) / (b - a)
-    return fa + (fb - fa) * r + side * 16.0 * _EPS * (abs(fa) + abs(fb)) * (1.0 + abs(r))
 
 
 # ---------------------------------------------------------------------------
@@ -290,22 +172,17 @@ def _sup_root(model: RiskModel, tol: float, policy: TruncationPolicy, search, fl
     uncertain = [False]
     search, sup = search or Search(model, policy), sup_log_mgf if partial else per_increment_sup
 
-    # a finite horizon of one scan range reads every epoch, so its +inf comes with no term unread
-    whole = model.horizon() is not None and model.horizon() <= _SCAN_CHUNK
-
-    def probe(h: float):
+    def feasible(h: float) -> bool:
         """The verdict, conservative on truncation: an undetermined sup is a running
         maximum, infeasible, and flags the solve where it is at most SLACK."""
         s = sup(search, h)
-        value = s.value
         if not s.certified:
-            if value <= SLACK:
+            if s.value <= SLACK:
                 uncertain[0] = True
-            return False, value, False
-        return value <= SLACK, value, value < INF or s.argmax is None or whole
+            return False
+        return s.value <= SLACK
 
-    rounding = _rounding(model, policy.k_max, partial)
-    value, bracket, boundary, exhausted = _grow_and_bisect(probe, _domain_cap(model), tol, rounding)
+    value, bracket, boundary, exhausted = _grow_and_bisect(feasible, _domain_cap(model), tol)
     note = ""
     certified = not uncertain[0]
     if exhausted:
@@ -364,12 +241,8 @@ def _period_root(model: RiskModel, l: int, tol: float) -> AdjustmentResult:
     if sums is not None and sums[-1] <= 0.0:
         return AdjustmentResult(INF, "period_root", None, True, False, "one full period is nonpositive a.s.")
 
-    def probe(h: float):
-        g = cumulative_log_mgf(model, h, l)[-1]
-        return g <= SLACK, g, abs(g) < INF
-
-    rounding = INF, lambda h, top: _rounding_scale(model, l, True)
-    value, bracket, boundary, exhausted = _grow_and_bisect(probe, _domain_cap(model, l), tol, rounding)
+    value, bracket, boundary, exhausted = _grow_and_bisect(
+        lambda h: cumulative_log_mgf(model, h, l)[-1] <= SLACK, _domain_cap(model, l), tol)
     if exhausted:
         return AdjustmentResult(value, "period_root", bracket, False, False, "criterion still held after 200 doublings")
     return AdjustmentResult(value, "period_root", bracket, True, boundary, "")
@@ -447,12 +320,7 @@ def solve_kappa(dist: IncrementDistribution, tol: float = 1e-10) -> AdjustmentRe
     if mean(dist) >= 0.0:
         return AdjustmentResult(0.0, "kappa", (0.0, 0.0), True, False, "nonnegative drift, criterion fails for every h > 0")
 
-    def probe(h: float):
-        g = log_mgf(dist, h)
-        return g <= SLACK, g, g == g
-
-    scale = _rounding_scale(RiskModel(ExplicitPrefix((dist,))), 1, False)
-    value, bracket, boundary, exhausted = _grow_and_bisect(probe, mgf_domain_sup(dist), tol, (INF, lambda h, top: scale))
+    value, bracket, boundary, exhausted = _grow_and_bisect(lambda h: log_mgf(dist, h) <= SLACK, mgf_domain_sup(dist), tol)
     if exhausted:
         return AdjustmentResult(value, "kappa", bracket, False, False, "criterion still held after 200 doublings")
     note = "root at the MGF domain boundary" if boundary else ""

@@ -112,9 +112,9 @@ class IncrementDistribution:
         only for t > 0 where the MGF domain ends at a finite b. s also bounds
         |E Y|, so that g(t) >= -|t| s (Jensen), and l counts the logs of the
         parameters that a kernel adds up. The rounding model of models
-        (_rounding_scale, _error) reads them for both its consumers: the
-        solvers' skips and the chord certificates' margins. A family that does
-        not state them gives +inf: no bound."""
+        (_rounding_scale, _error) reads them for its one consumer, the chord
+        certificates' margins. A family that does not state them gives +inf:
+        no bound."""
         return INF, INF, INF
 
     def _support(self) -> tuple[float, float]:

@@ -1203,8 +1203,8 @@ def _stopped(values: np.ndarray, start: int, best: float, arg: int | None) -> Su
                      f"scan stopped at epoch {start + values.size + 1}, whose value is not a number")
 
 
-# The rounding model, read by the solvers' skips (adjustment._grow_and_bisect,
-# through _rounding below) and the chord certificates' margins (_chord_probe).
+# The rounding model, read by one consumer: the chord certificates' margins
+# (_chord_probe). The root solvers probe every point of their searches.
 # Let F(h) be the exact sup that a route computes: the sup over epochs of the
 # exact terms g_j(h w_j), the exact log-MGFs of the laws as stored, at the
 # multipliers w_j that the route reads, which do not depend on h. Where a
@@ -1220,10 +1220,7 @@ def _stopped(values: np.ndarray, start: int, best: float, arg: int | None) -> Su
 # F+ + 2 h Wmu, Wmu the sum of w_j |E Y_j|: g_j >= h w_j E Y_j (Jensen), and
 # every partial sum is at most F. So a is gamma_N + b for the partial sums and
 # b for one term, whose |g_j| is at most max(F+, h w_j |E Y_j|); then each sum
-# over epochs is the largest entry. That F is the model's sup, not only over
-# the epochs read: past a scan's proof every term is negative, and past a
-# block's head the terms repeat, shrink or stay at most the head's
-# (_sup_periodic); a per-increment limit 0 is exact.
+# over epochs is the largest entry.
 
 _EPS = 2.0**-53
 
@@ -1449,86 +1446,6 @@ def _route(model: RiskModel, partial: bool):
     if block is None and laws is not None and laws.log_ratio <= 0.0:
         return functools.partial(_sup_shrinking, model, laws)
     return None
-
-
-# The routes' scales of E for the solvers' skips (_rounding). A contracting tail's
-# partial sums walk periods until the envelope closes. A term p periods on is
-# g(rho^p t) <= rho^p g(t) where positive, and its rounding shrinks as fast where
-# the period's laws read no logs (l = 0) or few, so the positive mass of period p
-# is at most rho^p C, C = 2 (F+ + 2 h Wmu + h Ws + D) over the head (D the domain
-# part of E), plus that rounding; _tail_scale bounds the periods walked before the
-# "limit" exit must fire, and adds its 1e-13 relative envelope to a and b.
-#
-# The routes left out claim no bound (None): the closed forms; and the long
-# cycles (_sup_shrinking), whose certification rests on the computed sign of each
-# law's log-MGF at h.
-
-
-@_per_model
-def _tail_sums(model: RiskModel) -> tuple[float, ...]:
-    """What _tail_scale reads apart from h and top, once per model: over the head,
-    the sums of w_j |E Y_j| and w_j s_j and the count of finite domain ends; the
-    same with the later periods added as a geometric series; the head's logs and
-    one period's; cap; rho / (1 - rho); b; and the rounding a period adds that
-    does not shrink (see above)."""
-    block = model._block
-    P, log_rho = block.prefix, block.log_ratio
-    wmu, ws, logs, ends, k = _epoch_scales(model, P + block.length)
-    share = 1.01 * math.exp(log_rho) / -math.expm1(log_rho)  # rho / (1 - rho), and the weights' rounding
-    b, finite = _gamma(2.0 * k), ends < INF
-    with np.errstate(over="ignore"):
-        head = float(wmu.sum()), float(ws.sum()), float(finite.sum())
-        tail = (head[0] + share * float(wmu[P:].sum()), head[1] + share * float(ws[P:].sum()),
-                head[2] + share * float(finite[P:].sum()))
-    period_logs = float(logs[P:].sum())
-    return (*head, *tail, float(logs.sum()), period_logs, float(ends.min(initial=INF)), share, b, share * b * period_logs)
-
-
-def _tail_scale(model: RiskModel, h: float, top: float) -> tuple[float, ...] | None:
-    """_rounding_scale of a contracting tail's partial sums at h, where top >= F(h)+:
-    over the head and the periods walked before the envelope's "limit" exit must
-    fire (see above), with the later periods' w_j summed as a geometric series;
-    None where that is _BLOCK_CAP periods or more."""
-    wmu, ws, count, Wmu, Ws, counted, head_logs, period_logs, cap, share, b, noise = _tail_sums(model)
-    D = (count * h / (cap - h) if h < cap else INF) if count else 0.0
-    C = 2.0 * (top + 2.0 * h * wmu + h * ws + D)
-    if not (noise < 0.25e-13 and C < INF):
-        return None
-    span = math.log(max(4e13 * C * share, 1.0)) / -model._block.log_ratio
-    if not span < _BLOCK_CAP - 1:
-        return None
-    periods = max(1, math.ceil(span))
-    # the "limit" exit's envelope: 1e-13 max(1, |best|, |g|) <= 1e-13 (1 + 2 F+ + 3 h Wmu)
-    return (_gamma(model._block.prefix + model._block.length * (periods + 1)) + b + 2e-13, b, Wmu, Ws,
-            head_logs + periods * period_logs + 1e-13 / b, counted, cap)
-
-
-@_per_model
-def _rounding(model: RiskModel, k_max: int, partial: bool):
-    """(cut, scale) for the sups of one flavour under a scan cap of k_max, or
-    None (see above). scale(h, top), top >= F(h)+, is _rounding_scale of the
-    epochs that the sup at h reads, or None where it is not certified. A value
-    at most cut passes the route's checks apart from the value: +inf, except on
-    an exact block's partial sums where a period law's esssup is above 0, whose
-    sup is +inf where the period's computed sum is above 0. With no prefix that
-    sum is the head's last partial sum, at most the value, so cut is 0; with
-    one, -inf."""
-    horizon, block = model.horizon(), model._block
-    if horizon is not None:
-        return INF, lambda h, top: _rounding_scale(model, horizon, partial)
-    route = _route(model, partial)
-    if route is not None:
-        if getattr(route, "func", None) is not _sup_periodic:
-            return None
-        if partial and not (block.exact or block.amplifying):
-            return INF, functools.partial(_tail_scale, model)
-        cut = 0.0 if not block.prefix else -INF
-        head = len(block.logs)
-        return (cut if partial and block.exact and block.period_top > 0.0 else INF,
-                lambda h, top: _rounding_scale(model, head, partial))
-    if not partial:  # a scan to the cap, or to the proof: the largest terms over the cap
-        return INF, lambda h, top: _rounding_scale(model, k_max, False)
-    return INF, lambda h, top: (n := _proof_span(model, h, k_max)) and _rounding_scale(model, n, True)
 
 
 def _unpacked(model: RiskModel | Search, policy: TruncationPolicy | None = None):

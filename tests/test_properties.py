@@ -44,7 +44,6 @@ from ruinbounds import (
     cumulative_log_mgf,
     log_mgf_at,
     per_increment_sup,
-    solve_kappa,
     solve_partial_sum,
     solve_per_increment,
     solve_period_root,
@@ -1975,125 +1974,6 @@ class TestSolverOrdering:
         assert large.log_bound <= small.log_bound + 1e-12
 
 
-def _bisected(feasible, h_cap: float, tol: float):
-    """The solvers' doubling and bisection that probes every point, as it was
-    before the convex sandwich let _grow_and_bisect skip some."""
-    if h_cap <= 0.0:
-        return 0.0, (0.0, 0.0), True, False
-    h0 = 1.0 if h_cap == INF else min(1.0, 0.5 * h_cap)
-    lo, hi = 0.0, h0
-    if feasible(h0):
-        lo = h0
-        hi = None
-        for _ in range(200):
-            cand = lo * 2.0 if h_cap == INF else min(lo * 2.0, h_cap)
-            if feasible(cand):
-                lo = cand
-                if cand == h_cap:
-                    return h_cap, (lo, h_cap), True, False
-            else:
-                hi = cand
-                break
-        if hi is None:
-            return INF, (lo, INF), False, True
-    for _ in range(200):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    boundary = h_cap != INF and hi >= h_cap * (1.0 - 1e-12)
-    return 0.5 * (lo + hi), (lo, hi), boundary, False
-
-
-class TestSolverSkips:
-    """adjustment._grow_and_bisect decides a point without probing it where the
-    convex sandwich of the probes around it, widened by their rounding bound E,
-    settles the verdict, and the nearest probe above it was certified. Every
-    solve must be bitwise one that probes every point (value, bracket,
-    certified, boundary, note), with no more probes, on models of every route:
-    closed forms, exact, contracting and amplifying blocks, scans with and
-    without a family proof (undetermined ones too), finite horizons, compound
-    laws, period roots and kappa."""
-
-    @st.composite
-    def cases(draw):
-        """(solve, its arguments, with the model first where there is one)."""
-        laws = TestTermKernelParity.laws
-        kind = draw(st.sampled_from(["routed", "routed", "routed", "uncertain", "period_root", "kappa"]))
-        tol = draw(st.sampled_from([1e-10, 1e-10, 1e-14, 1e-6]))  # 1e-14: bisections to the last bits
-        if kind == "routed":
-            model, _ = draw(TestKernelShortcuts.routed_models())
-            policy = TruncationPolicy(draw(st.sampled_from([60, 300, 2000])))
-            return draw(st.sampled_from([solve_partial_sum, solve_per_increment])), (model, tol, policy)
-        if kind == "uncertain":
-            # slope 0 leaves no family proof: the scans are undetermined (TestUncertainScan)
-            model = RiskModel(IndexedNormal(draw(st.sampled_from([0.0, -1.0])), draw(st.floats(-1.5, 0.0))),
-                              draw(st.floats(0.2, 3.0)))
-            policy = TruncationPolicy(draw(st.sampled_from([60, 400])))
-            return draw(st.sampled_from([solve_partial_sum, solve_per_increment])), (model, tol, policy)
-        if kind == "period_root":
-            cycle = tuple(draw(st.lists(laws, min_size=1, max_size=3)))
-            rates = tuple(draw(st.lists(st.one_of(st.just(0.0), st.floats(0.001, 0.2)), min_size=1, max_size=2)))
-            rule = Periodic(cycle) if draw(st.booleans()) else QuasiPeriodicScaled(cycle, draw(st.floats(0.5, 1.0)))
-            l = math.lcm(len(cycle), len(rates)) * draw(st.integers(1, 2))
-            return solve_period_root, (RiskModel(rule, PeriodicRates(rates)), l, tol)
-        return solve_kappa, (draw(laws), tol)
-
-    @staticmethod
-    def _solve(solve, args, core):
-        """(fields, probes) of the solve on a fresh model, through core in place of _grow_and_bisect."""
-        probes = []
-
-        def counted(probe, h_cap, tol, rounding=None):
-            return core(lambda h: probes.append(h) or probe(h), h_cap, tol, rounding)
-
-        first = args[0]
-        if isinstance(first, RiskModel):
-            args = (RiskModel(first.increments, first.rates), *args[1:])
-        with patch.object(adjustment_module, "_grow_and_bisect", counted):
-            r = solve(*args)
-        bracket = None if r.bracket is None else tuple(x.hex() for x in r.bracket)
-        return (r.flavor, r.value.hex(), bracket, r.certified, r.boundary, r.note), probes
-
-    @settings(max_examples=250, deadline=None)
-    @given(cases())
-    @example((solve_partial_sum, (RiskModel(IndexedNormal(-0.5, 0.25), 0.01), 1e-10, TruncationPolicy(2000))))
-    @example((solve_partial_sum, (RiskModel(Periodic((Normal(-0.25, 1.0), Normal(-0.75, 1.0))), (0.01, 0.03, 0.02)),
-                                  1e-10, None)))
-    def test_solves_equal_probing_every_point(self, case):
-        solve, args = case
-        got, probes = self._solve(solve, args, adjustment_module._grow_and_bisect)
-        every, all_probes = self._solve(solve, args, lambda probe, h_cap, tol, rounding: _bisected(
-            lambda h: probe(h)[0], h_cap, tol))
-        assert got == every
-        assert set(probes) <= set(all_probes) and len(probes) <= len(all_probes)
-
-    def test_a_point_below_an_unsound_probe_is_probed(self):
-        # F(h) = h^2 / 2 - 1.1 h, exact, whose probes from h = 2.5 on are not
-        # certified: the secant of the probes at 1 and 2 puts F(3) above 0, but
-        # the nearest probe above 3, at 4, was not certified, so 3 is probed
-        # (a scan that is undetermined there would flag its verdict)
-        def probe(h):
-            f = h * h / 2.0 - 1.1 * h
-            return f <= adjustment_module.SLACK, f, h < 2.5
-
-        probes = []
-        exact = (INF, lambda h, top: (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, INF))
-        got = adjustment_module._grow_and_bisect(lambda h: probes.append(h) or probe(h), INF, 1e-10, exact)
-        assert got == _bisected(lambda h: probe(h)[0], INF, 1e-10)
-        assert 3.0 in probes and len(probes) < 20
-
-    def test_the_sandwich_skips_most_probes(self):
-        # the IndexedNormal of heavy_sups at 1%: 35 points, of which few are probed
-        model = RiskModel(IndexedNormal(-0.5, 0.25), 0.01)
-        for solve in (solve_partial_sum, solve_per_increment):
-            _, probes = self._solve(solve, (model, 1e-10, TruncationPolicy(2000)), adjustment_module._grow_and_bisect)
-            assert len(probes) <= 15
-
-
 def _mp_log_mgf(law, t):
     """The exact log-MGF of law at the mpmath number t (+inf past its domain),
     in forms that do not cancel where t is tiny."""
@@ -2121,9 +2001,9 @@ class TestRoundingBound:
     """The bound E(h) of the one rounding model (models._rounding_scale,
     models._error) holds, recomputed with mpmath at 50 digits from the exact
     log-MGFs at the multipliers a route reads: a certified sup lies within
-    E(h) of the exact sup, on finite horizons and on blocks' first periods, as
-    the solvers' skips read it; and a chord probe that closes has a margin that
-    covers the rounding of both runs it compares."""
+    E(h) of the exact sup, on finite horizons and on blocks' first periods;
+    and a chord probe that closes, E's one consumer, has a margin that covers
+    the rounding of both runs it compares."""
 
     @st.composite
     def cases(draw):
@@ -2155,9 +2035,9 @@ class TestRoundingBound:
             exact = max(values)
             if model._block is not None and not model._block.exact:
                 exact = max(exact, 0)  # the per-increment limit along the contracting tail
-            cut, scale = models_module._rounding(model, 10_000, partial)
+            K = model.horizon() if model._block is None else len(model._block.logs)
             top = float(max(exact, 0) * (1 + mpmath.mpf(2) ** -40))
-            assert abs(s.value - exact) <= adjustment_module._error(scale(h, top), h, top)
+            assert abs(s.value - exact) <= models_module._error(models_module._rounding_scale(model, K, partial), h, top)
 
     @st.composite
     def chorded(draw):

@@ -156,11 +156,8 @@ PROBES = {
     "prefix_5000/sup": (_mixed_prefix, None, "sup_log_mgf", (0.1, 0.3), None),
     "prefix_5000/per_increment": (_mixed_prefix, None, "per_increment_sup", (0.1, 0.3), None),
     "prefix_5000_chords/sup": (_mixed_prefix, None, "sup_log_mgf", (0.1, 0.25), 0.3),
-    "prefix_5000_chords/per_increment": (_mixed_prefix, None, "per_increment_sup", (0.1, 0.25), 0.3),
     # a search that climbs toward the cap: every probe lies above the earlier ones
     "prefix_5000_cap/sup": (_mixed_prefix, None, "sup_log_mgf", (0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.98), CAP),
-    # the reference's top epoch is the only one the chord leaves open
-    "prefix_5000_one_open/per_increment": (_mixed_prefix, None, "per_increment_sup", (0.2997, 0.29997), 0.3),
     "contracting_block/sup": (lambda rb: rb.RiskModel(rb.QuasiPeriodicScaled(
         (rb.Normal(-0.5, 1.0), rb.Normal(0.25, 1.0)), 0.95)), None, "sup_log_mgf", (0.1, 0.5, 1.0), None),
     # contracting tails whose partial sums rise for 3 to about 900 periods

@@ -29,7 +29,8 @@ model builds on its first probe: its law record and the plans of its ranges.
 The search benches (test_prefix_search) time one whole call of
 bound_optimize (u = 10), solve_partial_sum and solve_per_increment on the
 5000-law prefix, warm, as the heavy_sups benchmark calls them: 35-40 probes
-that share one store of chord references, which each call builds afresh.
+each. The partial-sum probes of a call share one store of chord references,
+which each call builds afresh; solve_per_increment's probes scan in full.
 The model keeps each coefficient once solved (adjustment._solved), so a
 solve here drops the kept one first (_searched) and searches again on the
 plans the model keeps.
@@ -183,15 +184,17 @@ def test_prefix_search(benchmark, name):
 
 def chord_counts() -> dict[str, tuple[int, int]]:
     """(full scans, probes that a chord closed) of each search in _SEARCHES: a
-    probe tries the chord references of its record first, and runs the full
-    scan where they do not close it."""
-    counts, probe = {}, models._chord_probe
+    partial-sum probe tries the chord references of its record first, and runs
+    the full scan where they do not close it; a per-increment probe always
+    runs it."""
+    counts, scan, probe = {}, models._sup_scan, models._chord_probe
     for name, search in _SEARCHES.items():
-        results = []
-        with patch.object(models, "_chord_probe", lambda *args: results.append(probe(*args)) or results[-1]):
+        scans, results = [], []
+        with patch.object(models, "_sup_scan", lambda *args: scans.append(args) or scan(*args)), \
+                patch.object(models, "_chord_probe", lambda *args: results.append(probe(*args)) or results[-1]):
             search()
         closed = sum(r is not None for r in results)
-        counts[name] = (len(results) - closed, closed)
+        counts[name] = (len(scans) - closed, closed)
     return counts
 
 

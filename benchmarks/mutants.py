@@ -69,6 +69,12 @@ MUTANTS = {
                                 ("tests/test_bounds.py::TestOptimize",)),
     "bracket_rise_without_rounding": ("bounds.py", (("2.0 * (carried(h) + carried(pts[-1]))", "0.0"),),
                                       ("tests/test_properties.py::TestFirstRiseBracket",)),
+    # models._sup_scan's stop at the first value that is not a number, and
+    # log_mgf_terms' cut after the first +inf
+    "scan_nan_stop_dropped": ("models.py", (("            if top != top:\n", "            if False:\n"),),
+                              ("tests/test_models.py::TestSupLogMgf::test_a_scan_stops_at_a_value_that_is_not_a_number",)),
+    "terms_uncut_at_inf": ("models.py", (("    return terms[:cut[0] + 1] if cut.size else terms\n", "    return terms\n"),),
+                           ("tests/test_properties.py::TestTermKernelParity",)),
     # models._require_h, the one input contract for h
     "inf_h_accepted": ("models.py", (("0.0 <= h < INF", "0.0 <= h"),), _KERNELS),
     # models._sup_shrinking, the per-increment limit of cycles past _BLOCK_MAX
@@ -89,22 +95,19 @@ MUTANTS = {
     "chord_without_lam_d": ("models.py", (
         ("values[-1] + bound <= best - margin", "values[-1] <= best - margin"),), _CHORDS),
     "chord_margin_of_the_wrong_sign": ("models.py", (
-        ("values[-1] + bound <= best - margin", "values[-1] + bound <= best + margin"),
-        ("lam * runner <= b0 - margin", "lam * runner <= b0 + margin"),
-        ("bound > b0 - margin)", "bound > b0 + margin)")), _CHORDS),
+        ("values[-1] + bound <= best - margin", "values[-1] + bound <= best + margin"),), _CHORDS),
     "chord_shifted_d": ("models.py", (("rest, S0 = finite[n:].cumsum()", "rest, S0 = finite[n:].cumsum() - finite[n]"),),
                         _CHORDS),
-    "chord_understated_evaluated_entries": ("models.py", (
-        ("np.where(bound[at] < INF, values, INF)", "np.where(bound[at] < INF, values - 1.0, INF)"),), _CHORDS),
     "chord_wrong_subset_rows": ("models.py", (
-        ("plan.subset(np.array([j]))", "plan.subset(np.array([max(j - 1, 0)]))"),), _CHORDS),
+        ("plan.subset(np.concatenate((np.arange(n), J[k:], J[:k])))",
+         "plan.subset(np.concatenate((np.arange(n), J[k:] - 1, J[:k])))"),), _CHORDS),
     # the chord margins' E: models._rounding_scale of the reference's range, and models._error
     "chord_margin_without_domain_part": ("models.py", (
-        ("    scale = _rounding_scale(model, K, partial)\n", "    scale = (*_rounding_scale(model, K, partial)[:5], 0.0, INF)\n"),),
+        ("    scale = _rounding_scale(model, K)\n", "    scale = (*_rounding_scale(model, K)[:5], 0.0, INF)\n"),),
         _CHORD_ORACLE),
     "chord_margin_without_logs": ("models.py", (
-        ("    scale = _rounding_scale(model, K, partial)\n",
-         "    scale = (*_rounding_scale(model, K, partial)[:4], 0.0, *_rounding_scale(model, K, partial)[5:])\n"),),
+        ("    scale = _rounding_scale(model, K)\n",
+         "    scale = (*_rounding_scale(model, K)[:4], 0.0, *_rounding_scale(model, K)[5:])\n"),),
         _CHORD_ORACLE),
     "margin_without_rounding_bound": ("models.py", (
         ("    return (a * (top + parts[0]) + b * parts[1]) / (1.0 - a) + 1e-300 if", "    return 0.0 if"),), _CHORD_ORACLE),

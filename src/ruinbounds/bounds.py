@@ -10,8 +10,8 @@ model and kept on it (adjustment._solved). Every bound that searches over h
 takes a search record (models.Search) in place of the model, as the sups do,
 and runs under the record's policy; the calls for one model over a u-grid
 share it. The sups and certificates are then found once per grid, and the
-probes share their chord references, those of a first per-increment solve
-too. Given a model, a call starts a record afresh.
+partial-sum probes share their chord references. Given a model, a call
+starts a record afresh.
 """
 
 from __future__ import annotations

@@ -39,8 +39,9 @@ that every later term is negative. What a probe reads apart from h (its route,
 _route, and each range's probe plan) is built once and kept on the model
 (RiskModel._memo, with the esssup verdicts and the adjustment coefficients).
 What depends on h lives with the caller, in one record per search (Search):
-the chord references that let a finite-horizon scan below an earlier one, at
-the MGF-domain cap too, read a few epochs (_sup_scan), and what bounds keeps.
+the chord references that let a finite-horizon scan of the partial sums below
+an earlier one, at the MGF-domain cap too, read a few epochs (_sup_scan), and
+what bounds keeps.
 
 Every longer walk reads one epoch layout, _layout(model, K): each epoch's slot
 in the record's law list and its log multiplier log(scale_j v_{j-1}). Only a
@@ -1144,17 +1145,18 @@ def _sup_scan(model: RiskModel, h: float, policy: TruncationPolicy, partial: boo
     (argmax finds the first NaN, else the first +inf; a running +inf stays +inf or NaN).
 
     Given a search record, a finite horizon of one range of more than
-    _SCAN_FIRST epochs keeps in it a reference of each full scan whose terms
-    are finite or +inf (_keep_scan), "unbounded" ones included, and a later
-    probe below one reads only a few epochs (_chord_probe).
+    _SCAN_FIRST epochs keeps in it a reference of each full scan of the
+    partial sums whose terms are finite or +inf (_keep_scan), "unbounded" ones
+    included, and a later probe below one reads only a few epochs
+    (_chord_probe). A per-increment probe always scans in full.
     """
     horizon, held = model._horizon, None
     cap = horizon if horizon is not None else policy.k_max
     proof = None if horizon is not None else _proof_span(model, h, cap)  # an epoch past which every term is negative
     with np.errstate(all="ignore"):  # t past the float range, and sums of infinities
-        if search is not None and horizon is not None and _SCAN_FIRST < cap <= _SCAN_CHUNK:
-            held = search.chords.setdefault(partial, [])
-            s = _chord_probe(model, h, partial, held)
+        if partial and search is not None and horizon is not None and _SCAN_FIRST < cap <= _SCAN_CHUNK:
+            held = search.chords
+            s = _chord_probe(h, held)
             if s is not None:
                 return s
         start, end, g, best, arg, prev = 0, proof or cap, 0.0, -INF, None, None  # prev: see _plan
@@ -1163,7 +1165,7 @@ def _sup_scan(model: RiskModel, h: float, policy: TruncationPolicy, partial: boo
             plan = _plan(model, start, end, prev)
             terms = plan.terms(h)
             if held is not None:  # the scan's one range
-                _keep_scan(held, model, h, plan, terms, partial)
+                _keep_scan(held, model, h, plan, terms)
             prev, plan = plan.last, None  # a plan past the budget goes before the next one is built
             values = terms
             if partial:  # the running sum continues in order from the range before
@@ -1205,10 +1207,11 @@ def _stopped(values: np.ndarray, start: int, best: float, arg: int | None) -> Su
 
 # The rounding model, read by one consumer: the chord certificates' margins
 # (_chord_probe). The root solvers probe every point of their searches.
-# Let F(h) be the exact sup that a route computes: the sup over epochs of the
-# exact terms g_j(h w_j), the exact log-MGFs of the laws as stored, at the
-# multipliers w_j that the route reads, which do not depend on h. Where a
-# route's value at h is certified and finite, it lies within
+# Let F(h) be the exact sup that a route computes of the partial sums: the sup
+# over epochs of the running sums of the exact terms g_j(h w_j), the exact
+# log-MGFs of the laws as stored, at the multipliers w_j that the route reads,
+# which do not depend on h. Where a route's value at h is certified and finite,
+# it lies within
 #     E(h) = a (F(h)+ + 2 h Wmu) + b (h Ws + logs + count h / (cap - h))
 # of F(h), for (a, b, Wmu, Ws, logs, count, cap) = _rounding_scale of the epochs
 # it reads (_error). Each kernel errs by at most k eps (|g_j| + t_j s_j + l_j + t_j / (b_j - t_j))
@@ -1218,9 +1221,7 @@ def _stopped(values: np.ndarray, start: int, best: float, arg: int | None) -> Su
 # by gamma_{N-1} times their magnitudes summed (Higham, Accuracy and Stability
 # of Numerical Algorithms, 2nd ed., section 4.2), and sum_j |g_j| is at most
 # F+ + 2 h Wmu, Wmu the sum of w_j |E Y_j|: g_j >= h w_j E Y_j (Jensen), and
-# every partial sum is at most F. So a is gamma_N + b for the partial sums and
-# b for one term, whose |g_j| is at most max(F+, h w_j |E Y_j|); then each sum
-# over epochs is the largest entry.
+# every partial sum is at most F. So a is gamma_N + b.
 
 _EPS = 2.0**-53
 
@@ -1251,15 +1252,13 @@ def _epoch_scales(model: RiskModel, K: int) -> tuple[np.ndarray, np.ndarray, np.
 
 
 @_per_model
-def _rounding_scale(model: RiskModel, K: int, sums: bool) -> tuple[float, ...]:
-    """(a, b, Wmu, Ws, logs, count, cap) of E(h) (see above) over epochs 1..K:
-    of their partial sums (sums), or of the largest term."""
+def _rounding_scale(model: RiskModel, K: int) -> tuple[float, ...]:
+    """(a, b, Wmu, Ws, logs, count, cap) of E(h) (see above) over the partial
+    sums of epochs 1..K."""
     wmu, ws, logs, ends, k = _epoch_scales(model, K)
     b, count, cap = _gamma(2.0 * k), float((ends < INF).sum()), float(ends.min(initial=INF))
     with np.errstate(over="ignore"):
-        if sums:
-            return _gamma(K) + b, b, float(wmu.sum()), float(ws.sum()), float(logs.sum()), count, cap
-        return b, b, float(wmu.max()), float(ws.max()), float(logs.max()), min(count, 1.0), cap
+        return _gamma(K) + b, b, float(wmu.sum()), float(ws.sum()), float(logs.sum()), count, cap
 
 
 def _error(scale, h: float, top: float) -> float:
@@ -1277,152 +1276,87 @@ def _error(scale, h: float, top: float) -> float:
 
 # Chord certificates. Every term g_j is convex in h with g_j(0) = 0, so for
 # h <= h0 it obeys the chord inequality g_j(h) <= (h/h0) g_j(h0), and so does
-# every sum of terms. A full finite-horizon scan at h0 whose terms are finite
-# or +inf is kept as a reference in the search record (Search), the scan at
-# the MGF-domain cap included; a later probe at h <= h0 takes the reference of
-# least h0 >= h, with lam = h/h0, and reads only the epochs the chord leaves
-# open. The epochs whose terms were +inf at h0 (J, at most _DIVERGENT_MAX of
-# them, else the scan is not kept) are always open, read at h (past the head,
-# in one pass with it):
-# - partial sums: with n = _SCAN_FIRST and F_m the sum of the finite terms of
-#   epochs n+1..m at h0 and p_1 < ... < p_k the epochs of J past the head
-#   (k >= 0), the reference is D_l = the maximum of F_m over p_l <= m < p_{l+1}
-#   (p_0 = n+1, p_{k+1} past the horizon), with one plan of the head, epochs
-#   1..n, then of J past the head and in it. The probe evaluates that plan, so
-#   G_m(h) - G_n(h) <= lam D_l + g_{p_1}(h) + ... + g_{p_l}(h) for m from p_l
-#   on. If G_n(h) plus the largest of these lies below the maximum of
-#   G_1..G_n(h) by the margin, no later partial sum reaches it; a term of J
-#   that is not finite at h sends the probe to the full scan.
-# - per-increment: the reference is an array U >= g_j(h0), +inf where the
-#   term was, kept as s U with a scale s, with its first largest entry (top,
-#   with the plan of its epoch) and the largest of the others (runner-up). A
-#   probe that read several epochs leaves both of its reference to the first
-#   probe that reads it, since a bisection drops about half of these unread.
-#   The probe evaluates the top epoch (b0). If lam times the runner-up is at
-#   most b0 - margin, every other epoch is closed (multiplying by lam >= 0
-#   keeps the order of floats), and the sup is b0 there. Otherwise it reads
-#   every epoch with lam s U_j > b0 - margin; each epoch left out is below the
-#   result by the margin, so the first maximum (and the first +inf) is among
-#   those read.
-# Either way the value, argmax and status are the full scan's, bitwise: the
-# terms read are the ones the full scan computes, and partial sums through n
-# are the first n of its running sum. A per-increment probe that closes keeps
-# what it proved as its own reference, which tightens as a search closes in:
-# lam s as the scale, with the same top and lam times the runner-up, when only
-# the top epoch was open; else lam s U with the epochs read put in, J's left
-# open. A partial-sum probe keeps nothing: the reference it read bounds every
-# later probe below as tightly. A probe that does not close runs the full scan.
+# every sum of terms. A full finite-horizon scan of the partial sums at h0
+# whose terms are finite or +inf is kept as a reference in the search record
+# (Search), the scan at the MGF-domain cap included; a later probe at h <= h0
+# takes the reference of least h0 >= h, with lam = h/h0, and reads only the
+# epochs the chord leaves open. The epochs whose terms were +inf at h0 (J, at
+# most _DIVERGENT_MAX of them, else the scan is not kept) are always open, read
+# at h (past the head, in one pass with it). With n = _SCAN_FIRST, F_m the sum
+# of the finite terms of epochs n+1..m at h0 and p_1 < ... < p_k the epochs of
+# J past the head (k >= 0), the reference is D_l = the maximum of F_m over
+# p_l <= m < p_{l+1} (p_0 = n+1, p_{k+1} past the horizon), with one plan of
+# the head, epochs 1..n, then of J past the head and in it. The probe
+# evaluates that plan, so G_m(h) - G_n(h) <= lam D_l + g_{p_1}(h) + ... +
+# g_{p_l}(h) for m from p_l on. If G_n(h) plus the largest of these lies below
+# the maximum of G_1..G_n(h) by the margin, no later partial sum reaches it; a
+# term of J that is not finite at h sends the probe to the full scan.
+# The value, argmax and status are then the full scan's, bitwise: the terms
+# read are the ones the full scan computes, and partial sums through n are the
+# first n of its running sum. A probe keeps nothing: the reference it read
+# bounds every later probe below as tightly. A probe that does not close runs
+# the full scan.
 #
 # The margin is E of both runs (the rounding model above). A reference keeps
-# its range's _rounding_scale and err, how far its entries may lie from the
-# exact values they stand for: E at h0 of the scan, or the margin of the probe,
-# that kept it. A probe's margin is lam err plus E at h of the full scan, with
-# what it measured for F+: lam S0 (S0 sums the finite terms' magnitudes at h0)
-# and the magnitudes of J's terms, or lam times the largest entry; a term that
-# it never evaluates has |g_j(h)| <= max(lam |g_j(h0)|, h w_j |E Y_j|) (the
-# chord, and Jensen), which 2 h Wmu takes in. The domain part counts the epochs
-# outside J only: J's terms are read at the probe, bitwise as the full scan
-# reads them, so a reference at the MGF-domain cap stays usable.
+# its range's _rounding_scale and err, E at h0 of the scan that kept it: how
+# far its entries may lie from the exact values they stand for. A probe's
+# margin is lam err plus E at h of the full scan, with what it measured for
+# F+: lam S0 (S0 sums the finite terms' magnitudes at h0) and the magnitudes
+# of J's terms; a term that it never evaluates has |g_j(h)| <= max(lam
+# |g_j(h0)|, h w_j |E Y_j|) (the chord, and Jensen), which 2 h Wmu takes in.
+# The domain part counts the epochs outside J only: J's terms are read at the
+# probe, bitwise as the full scan reads them, so a reference at the MGF-domain
+# cap stays usable.
 
 # a scan with more terms of +inf than this is not kept as a reference
 _DIVERGENT_MAX = 64
 
 
-def _keep_scan(held: list, model: RiskModel, h: float, plan: _Plan, terms: np.ndarray, partial: bool) -> None:
-    """Keep the full scan at h, whose terms over plan's range are given, as a
-    reference, unless a term is NaN or -inf, more than _DIVERGENT_MAX are +inf,
-    or its sums overflow."""
+def _keep_scan(held: list, model: RiskModel, h: float, plan: _Plan, terms: np.ndarray) -> None:
+    """Keep the full scan of the partial sums at h, whose terms over plan's
+    range are given, as a reference, unless a term is NaN or -inf, more than
+    _DIVERGENT_MAX are +inf, or its sums overflow."""
     fin = np.isfinite(terms)
     J = np.flatnonzero(~fin)  # the epochs of the terms that are not finite
     if J.size > _DIVERGENT_MAX or (terms[J] != INF).any():
         return
     finite, K = np.where(fin, terms, 0.0) if J.size else terms, len(terms)
-    scale = _rounding_scale(model, K, partial)
+    scale = _rounding_scale(model, K)
     if J.size:  # the domain part counts the epochs outside J
         ends = np.delete(_epoch_scales(model, K)[3], J)
         scale = (*scale[:5], min(scale[5], float((ends < INF).sum())), float(ends.min(initial=INF)))
-    if partial:
-        n = _SCAN_FIRST
-        k = int(np.searchsorted(J, n))  # J[k:] lie past the head
-        rest, S0 = finite[n:].cumsum(), float(np.abs(finite).sum())
-        D = np.maximum.reduceat(rest, np.concatenate(([0], J[k:] - n))).tolist()  # one per stretch
-        if np.isfinite(D).all() and S0 < INF:  # a probe reads the head, then J past it and in it
-            read = plan.subset(np.concatenate((np.arange(n), J[k:], J[:k]))) if J.size else _plan(model, 0, n)
-            _insert(held, h, (D, S0, read, scale, _error(scale, h, S0)), True)
-    else:
-        j, largest = int(terms.argmax()), float(np.abs(finite).max())
-        _insert(held, h, [terms, 1.0, j, plan.subset(np.array([j])), _runner_up(terms, j), largest,
-                          scale, _error(scale, h, largest)], False)
+    n = _SCAN_FIRST
+    k = int(np.searchsorted(J, n))  # J[k:] lie past the head
+    rest, S0 = finite[n:].cumsum(), float(np.abs(finite).sum())
+    D = np.maximum.reduceat(rest, np.concatenate(([0], J[k:] - n))).tolist()  # one per stretch
+    if np.isfinite(D).all() and S0 < INF:  # a probe reads the head, then J past it and in it
+        read = plan.subset(np.concatenate((np.arange(n), J[k:], J[:k]))) if J.size else _plan(model, 0, n)
+        bisect.insort_left(held, (h, (D, S0, read, scale, _error(scale, h, S0))), key=operator.itemgetter(0))
 
 
-def _runner_up(U: np.ndarray, j: int) -> float:
-    """The largest entry of U apart from entry j (set aside, then put back)."""
-    top, U[j] = U[j], -INF
-    runner = float(U.max())
-    U[j] = top
-    return runner
-
-
-def _insert(held: list, h: float, ref: tuple | list, partial: bool) -> None:
-    k = bisect.bisect_left(held, h, key=operator.itemgetter(0))
-    if not partial:
-        # a bisection's later probes all lie above the probes below h, so
-        # their arrays are never read again; dropping them keeps the store small
-        del held[:k]
-        k = 0
-    held.insert(k, (h, ref))
-
-
-def _chord_probe(model: RiskModel, h: float, partial: bool, held: list) -> SupLogMgf | None:
+def _chord_probe(h: float, held: list) -> SupLogMgf | None:
     """The full scan's result at h when the reference of least h0 >= h settles
     it, else None (see the notes above). Runs inside the scan's np.errstate."""
     k = bisect.bisect_left(held, h, key=operator.itemgetter(0))
     if k == len(held):
         return None
-    h0, ref = held[k]
+    h0, (D, S0, plan, scale, err) = held[k]  # plan: the head, then the epochs of J past it and in it
     lam = h / h0
-    if partial:
-        D, S0, plan, scale, err = ref  # plan: the head, then the epochs of J past it and in it
-        terms = plan.terms(h)
-        values = terms[:_SCAN_FIRST].cumsum()
-        i = int(values.argmax())
-        best = float(values[i])
-        g = terms[_SCAN_FIRST:].tolist()  # the terms of J, a few: Python floats
-        if not all(map(math.isfinite, g)):
-            return None
-        bound, run = lam * D[0], 0.0
-        for d, x in zip(D[1:], g):  # the terms of J past the head up to each stretch
-            run += x
-            bound = max(bound, lam * d + run)
-        margin = lam * err + _error(scale, h, 4.0 * (lam * S0 + sum(map(abs, g), 0.0)))
-        if not (-INF < best < INF and margin < INF and values[-1] + bound <= best - margin):
-            return None
-        return SupLogMgf(best, i + 1, "attained", True)
-    U, s, j, at_top, runner, largest, scale, err = ref  # the reference is s U; at_top: the plan of its top epoch j
-    margin = lam * err + _error(scale, h, 4.0 * lam * largest)
-    if not margin < INF:
-        return None
-    if at_top is None:  # a reference kept by a probe that read several epochs: built on first read
-        at_top = ref[3] = _plan(model, 0, len(U)).subset(np.array([j]))
-    b0 = at_top.terms(h)[0]
-    if b0 < INF:
-        if runner is None:  # then s is 1
-            runner = ref[4] = _runner_up(U, j)
-        if lam * runner <= b0 - margin:  # every epoch but j is closed
-            _insert(held, h, [U, lam * s, j, at_top, lam * runner, lam * largest, scale, margin], partial)
-            return SupLogMgf(float(b0), j + 1, "attained", True)
-    bound = (lam * s) * U
-    at = np.flatnonzero(bound > b0 - margin)  # holds j, unless b0 is +inf or NaN
-    if not at.size:
-        return None
-    values = _plan(model, 0, len(U)).subset(at).terms(h)
-    if not np.isfinite(values).all():  # +inf and NaN are the full scan's to report
-        return None
+    terms = plan.terms(h)
+    values = terms[:_SCAN_FIRST].cumsum()
     i = int(values.argmax())
-    bound[at] = np.where(bound[at] < INF, values, INF)  # the epochs of J stay open
-    largest = max(lam * largest, float(np.abs(values).max()))
-    _insert(held, h, [bound, 1.0, int(at[i]), at_top if at[i] == j else None, None, largest, scale, margin], partial)
-    return SupLogMgf(float(values[i]), int(at[i]) + 1, "attained", True)
+    best = float(values[i])
+    g = terms[_SCAN_FIRST:].tolist()  # the terms of J, a few: Python floats
+    if not all(map(math.isfinite, g)):
+        return None
+    bound, run = lam * D[0], 0.0
+    for d, x in zip(D[1:], g):  # the terms of J past the head up to each stretch
+        run += x
+        bound = max(bound, lam * d + run)
+    margin = lam * err + _error(scale, h, 4.0 * (lam * S0 + sum(map(abs, g), 0.0)))
+    if not (-INF < best < INF and margin < INF and values[-1] + bound <= best - margin):
+        return None
+    return SupLogMgf(best, i + 1, "attained", True)
 
 
 @_per_model
@@ -1485,8 +1419,9 @@ def per_increment_sup(model: RiskModel | Search, h: float, policy: TruncationPol
 
 
 class Search:
-    """What the searches over h of one model share, under one policy: their
-    probes' chord references (_sup_scan) and what bounds keeps apart from u.
+    """What the searches over h of one model share, under one policy: the
+    chord references of their partial-sum probes (_sup_scan) and what bounds
+    keeps apart from u.
     Every function that searches over h takes the record in place of the model
     and runs under its policy (_unpacked). What it holds depends on h, so a
     record lives as long as its searches: one u-grid, or one request's solves."""
@@ -1494,7 +1429,7 @@ class Search:
     def __init__(self, model: RiskModel, policy: TruncationPolicy | None = None) -> None:
         _reduced(model)
         self.model, self.policy = model, policy or _DEFAULT_POLICY
-        self.chords = {}  # by partial: the references (h0, reference) in increasing h0
+        self.chords = []  # the partial sums' references (h0, reference) in increasing h0
         self.kept = {}  # bounds': its values apart from u, by its keys
 
 

@@ -327,19 +327,22 @@ class TestGridMemo:
 
     @pytest.mark.parametrize("flavor, solve", [(True, solve_partial_sum), (False, solve_per_increment)],
                              ids=["partial", "per_increment"])
-    def test_a_solve_probes_the_record_it_is_given(self, flavor, solve):
-        # a finite horizon: each solve keeps chord references of its flavour in
-        # the record it probes, and a bound hands its record to its solve
-        # (the roots are kept on the model, so each solve counted gets a fresh one)
+    def test_a_solve_probes_the_record_it_is_given(self, flavor, solve, monkeypatch):
+        # a finite horizon: each solve probes the record it is given, where only
+        # the partial sums keep chord references, and a bound hands its record to
+        # its solve (the roots are kept on the model, so each solve counted gets
+        # a fresh one)
         def fresh():
             return RiskModel(ExplicitPrefix((Normal(-0.5, 1.0),) * 200))
 
         search = Search(fresh())
         assert repr(solve(search)) == repr(solve(fresh()))
-        assert search.chords[flavor] and list(search.chords) == [flavor]
+        assert bool(search.chords) == flavor
+        probed, sup = [], models._sup
+        monkeypatch.setattr(models, "_sup", lambda model, *args: probed.append(model) or sup(model, *args))
         search = Search(fresh())
         bound_per_increment(search, 5.0)
-        assert search.chords[False]
+        assert probed and all(record is search for record in probed) and search.chords == []
 
     def test_a_probe_of_a_record_runs_under_its_policy(self):
         # a positive drift that a scan of 60 epochs leaves undetermined

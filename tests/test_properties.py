@@ -962,9 +962,10 @@ def shared(search: Search, h: float, partial: bool = True):
 
 class TestChordCertificates:
     """Probes of one solve or optimization share the chord references of one
-    search record (models.Search, models._sup_scan): a finite-horizon probe at
-    h below an earlier full scan reads only the epochs that the chord
-    inequality leaves open. Every sup must be bitwise the one of a full scan
+    search record (models.Search, models._sup_scan): a finite-horizon probe of
+    the partial sums at h below an earlier full scan reads only the epochs
+    that the chord inequality leaves open, and a per-increment probe scans in
+    full and keeps nothing. Every sup must be bitwise the one of a full scan
     without a record, and the record is the only place that holds anything
     that depends on h."""
 
@@ -1022,36 +1023,32 @@ class TestChordCertificates:
         assert all(isinstance(x, int) for key in model._memo for x in key[1:])
         assert set(vars(model)) <= {"increments", "rates", "label", "_memo", "_horizon", "_laws", "_block"}
 
-    @pytest.mark.parametrize("flavor", ["partial", "per_increment"])
     @settings(max_examples=40, deadline=None)
     @given(models(), st.floats(1.0, 40.0))
-    def test_solvers_and_optimizer_match_a_storeless_run(self, flavor, case, u):
+    def test_solvers_and_optimizer_match_a_storeless_run(self, case, u):
         model, _ = case
         fresh = RiskModel(model.increments, model.rates)
-        if flavor == "partial":
-            def run(m):
-                return solve_partial_sum(m), bound_optimize(m, u)
-        else:
-            def run(m):
-                return solve_per_increment(m)
-        got = run(model)
+        got = solve_partial_sum(model), bound_optimize(model, u)
         with patch.object(models_module, "_chord_probe", lambda *args: None):
-            expected = run(fresh)
+            expected = solve_partial_sum(fresh), bound_optimize(fresh, u)
         assert repr(got) == repr(expected)
 
     def test_probes_below_a_full_scan_read_few_epochs(self, monkeypatch):
         # 2000 laws of negative drift: the partial sums peak within the first
-        # 64 epochs, and the per-increment sup at one epoch
+        # 64 epochs
         rng = np.random.default_rng(7)
         model = RiskModel(ExplicitPrefix(tuple(Normal(float(m), 1.0) for m in rng.uniform(-1.2, -0.3, 2000))))
         read = self._scans(monkeypatch)
-        for solve, most in ((solve_partial_sum, 3), (solve_per_increment, 1)):  # 36 and 35 probes
-            read.clear()
-            solve(model)
-            assert 0 < read.count(2000) <= most
+        solve_partial_sum(model)  # 36 probes
+        assert 0 < read.count(2000) <= 3
         read.clear()
         bound_optimize(model, 10.0)  # 40 probes, the first ones doubling h
         assert 0 < read.count(2000) <= 8
+        # the per-increment solve's 35 probes each scan in full and keep no reference
+        read.clear()
+        search = Search(model)
+        solve_per_increment(search)
+        assert read.count(2000) == len(read) == 35 and search.chords == []
 
     @staticmethod
     def _scans(monkeypatch) -> list:
@@ -1098,14 +1095,15 @@ class TestChordCertificates:
         with np.errstate(all="ignore"):
             divergent = int((_reference_terms(model, cap, n) == INF).sum())
         search = Search(model)
-        for partial in (True, False):
-            got = shared(search, cap, partial)
-            self._same(got, model, cap, partial)
-            held = search.chords[partial]
-            # kept, "unbounded" or not, unless too many terms are +inf
-            assert [h0 for h0, _ in held] == ([cap] if divergent <= models_module._DIVERGENT_MAX else [])
-            for f in fractions:
-                self._same(shared(search, f * cap, partial), model, f * cap, partial)
+        self._same(shared(search, cap), model, cap, True)
+        # kept, "unbounded" or not, unless too many terms are +inf
+        assert [h0 for h0, _ in search.chords] == ([cap] if divergent <= models_module._DIVERGENT_MAX else [])
+        for f in fractions:
+            self._same(shared(search, f * cap), model, f * cap, True)
+        kept = list(search.chords)
+        for f in [1.0, *fractions]:
+            self._same(shared(search, f * cap, False), model, f * cap, False)
+        assert search.chords == kept  # a per-increment probe keeps no reference
 
     @settings(max_examples=80, deadline=None)
     @given(st.floats(0.3, 2.0), st.lists(st.sampled_from([0.0, 1e-15, 1e-12, 1e-9, 1e-6]), min_size=65, max_size=150),
@@ -1158,7 +1156,7 @@ class TestChordCertificates:
         # larger share closes, whether the divergent epoch lies past the head or
         # in it; the full scan gives the same sup
         X = 1e12
-        a = models_module._rounding_scale(RiskModel(ExplicitPrefix((Degenerate(0.0),) * 100)), 100, True)[0]
+        a = models_module._rounding_scale(RiskModel(ExplicitPrefix((Degenerate(0.0),) * 100)), 100)[0]
         laws = [Degenerate(0.0)] * 100
         laws[1] = Degenerate(-2.0 * (math.log(2.0) + share * X * a))
         laws[at], laws[at + 1] = Degenerate(-X), ShiftedExponential(1.0, X)
@@ -1181,42 +1179,16 @@ class TestChordCertificates:
             search = Search(model)
             got = shared(search, 1e10, partial)
             assert got.status == "undetermined"
-            assert search.chords[partial] == []
+            assert search.chords == []
             got = shared(search, 1.0, partial)
             self._same(got, model, 1.0, partial)
         assert got.argmax == 80
 
-    def test_single_open_epoch_and_its_fallback(self, monkeypatch):
-        # epoch 70 (Normal(-1, 1)) has the largest term at h = 1.6 and 1.2, and
-        # epoch 80 (Degenerate(-0.5)) the runner-up at 1.6 and the largest at 0.8
-        laws = [Degenerate(-5.0)] * 100
-        laws[69], laws[79] = Normal(-1.0, 1.0), Degenerate(-0.5)
-        model = RiskModel(ExplicitPrefix(tuple(laws)))
-        search = Search(model)
-        shared(search, 1.6, False)
-        read = self._scans(monkeypatch)
-        got = shared(search, 1.2, False)  # 0.75 * -0.8 <= -0.48: only epoch 70 is open
-        assert read == [1] and got.argmax == 70
-        self._same(got, model, 1.2, False)
-        read.clear()
-        # (0.8 / 1.2) times the runner-up scaled to 1.2, -0.6, is -0.4 > -0.48: epoch 80 is open
-        got = shared(search, 0.8, False)
-        assert read == [1, 2] and got.argmax == 80
-        self._same(got, model, 0.8, False)
-        read.clear()
-        # the reference kept at 0.8 has epoch 80 on top and epoch 70's -0.48 as
-        # the runner-up, both built at the next probe that reads it: at 0.79 only
-        # epoch 80 is open
-        got = shared(search, 0.79, False)
-        assert read == [1] and got.argmax == 80
-        self._same(got, model, 0.79, False)
-
     def test_a_reference_kept_by_a_probe_that_read_several_epochs(self):
-        # at h = 1.25 epoch 97 (Normal(-1.26, 0.76)) has the largest term and
-        # epoch 68 (Normal(-1.17, 0.49)) the runner-up, -1.08. The probe at 0.74
-        # reads both and keeps epoch 97 on top; the runner-up of its reference,
-        # built at 0.44, is epoch 68's -0.73, which leaves epoch 68 open there,
-        # and its term, -0.467, passes epoch 97's, -0.481
+        # at h = 1.25 and 0.74 epoch 97 (Normal(-1.26, 0.76)) has the largest
+        # term, and at 0.44 epoch 68's (Normal(-1.17, 0.49)), -0.467, passes
+        # epoch 97's, -0.481: per-increment probes that share a record scan in
+        # full, keep no reference, and follow the largest term as it moves
         laws = [Degenerate(-5.0)] * 100
         laws[67], laws[96], laws[98] = Normal(-1.17, 0.49), Normal(-1.26, 0.76), Degenerate(-1.1)
         model = RiskModel(ExplicitPrefix(tuple(laws)))
@@ -1224,7 +1196,7 @@ class TestChordCertificates:
         for h in (1.25, 0.74, 0.44):
             got = shared(search, h, False)
             self._same(got, model, h, False)
-        assert got.argmax == 68
+        assert got.argmax == 68 and search.chords == []
 
     @pytest.mark.parametrize("seed", [2, 5])
     def test_a_search_below_the_cap_scans_twice(self, monkeypatch, seed):
@@ -2000,10 +1972,10 @@ def _mp_log_mgf(law, t):
 class TestRoundingBound:
     """The bound E(h) of the one rounding model (models._rounding_scale,
     models._error) holds, recomputed with mpmath at 50 digits from the exact
-    log-MGFs at the multipliers a route reads: a certified sup lies within
-    E(h) of the exact sup, on finite horizons and on blocks' first periods;
-    and a chord probe that closes, E's one consumer, has a margin that covers
-    the rounding of both runs it compares."""
+    log-MGFs at the multipliers a route reads: a certified sup of the partial
+    sums lies within E(h) of the exact sup, on finite horizons and on exact
+    blocks' first periods; and a chord probe that closes, E's one consumer,
+    has a margin that covers the rounding of both runs it compares."""
 
     @st.composite
     def cases(draw):
@@ -2013,31 +1985,25 @@ class TestRoundingBound:
             n = draw(st.integers(1, 80))
             rates = draw(st.one_of(st.just(0.0), st.floats(0.001, 0.3)))
             return RiskModel(ExplicitPrefix(tuple(draw(st.sampled_from(pool)) for _ in range(n))), rates)
-        # an exact block (zero rates), or one that contracts under periodic rates,
-        # whose per-increment sup reads its first period only
-        rates = draw(st.one_of(st.just((0.0,)), st.lists(st.floats(0.001, 0.3), min_size=1, max_size=2).map(tuple)))
-        return RiskModel(Periodic(tuple(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4)))), rates)
+        # an exact block (zero rates), whose partial-sum sup reads its first period only
+        return RiskModel(Periodic(tuple(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4)))), (0.0,))
 
     @settings(max_examples=200, deadline=None)
-    @given(cases(), st.one_of(st.floats(1e-6, 3.0), st.sampled_from([1e-9, 0.5, 1.0])), st.booleans())
-    def test_bounds_the_distance_to_the_exact_sup(self, model, h, partial):
+    @given(cases(), st.one_of(st.floats(1e-6, 3.0), st.sampled_from([1e-9, 0.5, 1.0])))
+    def test_bounds_the_distance_to_the_exact_sup(self, model, h):
         if model._block is not None:
-            assume(not partial or model._block.exact)
             w, laws = model._block.head, model._block.laws
         else:
             w, laws = models_module._plan(model, 0, model.horizon()).w.tolist(), model._laws.laws
-        s = (sup_log_mgf if partial else per_increment_sup)(model, h)
+        s = sup_log_mgf(model, h)
         assume(s.certified and -INF < s.value < INF)
         with mpmath.workdps(50):
             terms = [_mp_log_mgf(law, mpmath.mpf(h) * mpmath.mpf(x)) for law, x in zip(laws, w)]
             assume(all(mpmath.isfinite(g) for g in terms))
-            values = list(itertools.accumulate(terms)) if partial else terms
-            exact = max(values)
-            if model._block is not None and not model._block.exact:
-                exact = max(exact, 0)  # the per-increment limit along the contracting tail
+            exact = max(itertools.accumulate(terms))
             K = model.horizon() if model._block is None else len(model._block.logs)
             top = float(max(exact, 0) * (1 + mpmath.mpf(2) ** -40))
-            assert abs(s.value - exact) <= models_module._error(models_module._rounding_scale(model, K, partial), h, top)
+            assert abs(s.value - exact) <= models_module._error(models_module._rounding_scale(model, K), h, top)
 
     @st.composite
     def chorded(draw):
@@ -2074,41 +2040,36 @@ class TestRoundingBound:
         return RiskModel(ExplicitPrefix(tuple(laws)), 0.01), 1.0, 1.0 - 1e-9
 
     @settings(max_examples=100, deadline=None)
-    @given(chorded(), st.booleans())
-    @example(_edge_case(), True)
-    @example(_edge_case(), False)
+    @given(chorded())
+    @example(_edge_case())
     # each term's log of its mass, 9e-13, is the only rounding the logs part covers
-    @example((RiskModel(ExplicitPrefix((FiniteDiscrete(((-2.0, 0.7 + 9e-13), (1.0, 0.3))),) * 100)), 0.5, 0.4), True)
-    @example((RiskModel(ExplicitPrefix((FiniteDiscrete(((-2.0, 0.7 + 9e-13), (1.0, 0.3))),) * 100)), 0.5, 0.4), False)
-    def test_a_closed_chord_probe_bounds_its_rounding(self, case, partial):
+    @example((RiskModel(ExplicitPrefix((FiniteDiscrete(((-2.0, 0.7 + 9e-13), (1.0, 0.3))),) * 100)), 0.5, 0.4))
+    def test_a_closed_chord_probe_bounds_its_rounding(self, case):
         # a probe below the scan at h0 closes with the margin lam err + E(h) (models._chord_probe),
         # which covers the reference's distance to the exact values at h0, times lam, and the
         # full scan's at h: for the partial sums past the head, their rise from G_n
         model, h0, h = case
-        sup, K, n = sup_log_mgf if partial else per_increment_sup, model.horizon(), models_module._SCAN_FIRST
+        K, n = model.horizon(), models_module._SCAN_FIRST
         search = Search(model)
-        sup(search, h0)
-        assume(search.chords[partial] and np.isfinite(log_mgf_terms(model, h0, K)).all())
-        (_, ref), = search.chords[partial]
+        sup_log_mgf(search, h0)
+        assume(search.chords and np.isfinite(log_mgf_terms(model, h0, K)).all())
+        (_, ref), = search.chords
         calls, error, probe = [], models_module._error, models_module._chord_probe
         with patch.object(models_module, "_error", lambda *args: calls.append(error(*args)) or calls[-1]), \
                 patch.object(models_module, "_chord_probe", lambda *args: calls.append(probe(*args)) or calls[-1]):
-            sup(search, h)
+            sup_log_mgf(search, h)
         assume(calls[-1] is not None)  # closed
         lam = h / h0
         margin = lam * ref[-1] + calls[0]
         w, laws = models_module._plan(model, 0, K).w.tolist(), model._laws.laws
-        at_h0, at_h = log_mgf_terms(model, h0, K), log_mgf_terms(model, h, K)
+        at_h = log_mgf_terms(model, h, K)
         with mpmath.workdps(50):
             exact_h0 = [_mp_log_mgf(law, mpmath.mpf(h0) * mpmath.mpf(x)) for law, x in zip(laws, w)]
             exact_h = [_mp_log_mgf(law, mpmath.mpf(h) * mpmath.mpf(x)) for law, x in zip(laws, w)]
-            if partial:
-                rise = list(itertools.accumulate(exact_h0[n:]))
-                scan, sums = np.cumsum(at_h), list(itertools.accumulate(exact_h))
-                covered = lam * abs(ref[0][0] - max(rise)) + max(
-                    abs((scan[m] - scan[n - 1]) - (sums[m] - sums[n - 1])) for m in range(n, K))
-            else:
-                covered = max(lam * abs(u - e0) + abs(g - e) for u, e0, g, e in zip(at_h0, exact_h0, at_h, exact_h))
+            rise = list(itertools.accumulate(exact_h0[n:]))
+            scan, sums = np.cumsum(at_h), list(itertools.accumulate(exact_h))
+            covered = lam * abs(ref[0][0] - max(rise)) + max(
+                abs((scan[m] - scan[n - 1]) - (sums[m] - sums[n - 1])) for m in range(n, K))
             assert covered <= margin
 
 

@@ -47,6 +47,7 @@ _CHORDS = ("tests/test_properties.py::TestChordCertificates",)
 _CHORD_ORACLE = ("tests/test_properties.py::TestRoundingBound::test_a_closed_chord_probe_bounds_its_rounding",)
 _RECORD = ("tests/test_bounds.py::TestGridMemo",)
 _KEPT = ("tests/test_properties.py::TestKeptSolves",)
+_WINDOW = ("tests/test_adjustment.py::TestWindowExponent",)
 
 # name: (file, ((old, new), ...), node ids)
 MUTANTS = {
@@ -124,6 +125,11 @@ MUTANTS = {
     "period_root_key_without_tol": ("adjustment.py", (('("period_root", l, tol)', '("period_root", l)'),), _KEPT),
     "period_root_key_without_l": ("adjustment.py", (('("period_root", l, tol)', '("period_root", tol)'),), _KEPT),
     "solves_kept_past_the_cap": ("models.py", ((" and self.solves + solves <= _SOLVES_KEPT", ""),), _KEPT),
+    # adjustment.verify_window_exponent, the period shift that extends the checked windows
+    "window_unfit_guard_skipped": ("adjustment.py", (("    elif _block_unfit(model):\n", "    elif False:\n"),),
+                                   ("tests/test_adjustment.py::TestWindowExponent::test_amplifying_tail_is_unverifiable",)),
+    "window_prefix_ignored": ("adjustment.py", (("max(m, block.prefix + 1)", "max(m, 1)"),), _WINDOW),
+    "window_divergent_exit_dropped": ("adjustment.py", (("    if terms[-1] == INF:\n", "    if False:\n"),), _WINDOW),
 }
 
 

@@ -64,6 +64,10 @@ EXTERNAL_REFERENCES = (
     ("external_b", 178.0, 1.0 / 20.0),
 )
 
+# a --u range holds at most this many points (a list of about 32 MB)
+_U_RANGE_MAX = 1_000_000
+_U_HELP = f"u grid: comma list, or start:stop:step with inclusive ends and at most {_U_RANGE_MAX:,} points"
+
 
 def _fmt(value) -> str:
     """Deterministic cell formatting: 12 significant digits for floats."""
@@ -84,13 +88,18 @@ def _parse_u_spec(spec: str) -> list[float]:
             if len(parts) != 3:
                 raise ValueError("range form is start:stop:step")
             start, stop, step = parts
+            if not all(map(math.isfinite, parts)):
+                raise ValueError("range needs a finite start, stop and step")
             if step <= 0 or stop < start:
                 raise ValueError("range needs step > 0 and stop >= start")
+            end = stop + 1e-12 * max(1.0, abs(stop))
+            if (end - start) / step >= _U_RANGE_MAX:
+                raise ValueError(f"range holds more than {_U_RANGE_MAX:,} points")
             out = []
             k = 0
             while True:
                 v = start + k * step
-                if v > stop + 1e-12 * max(1.0, abs(stop)):
+                if v > end:
                     break
                 if out and v <= out[-1]:  # a step below the float spacing at v
                     raise ValueError("--u values must be strictly increasing")
@@ -421,13 +430,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="evaluate a bound method over a u-grid")
     common(p, bound=True)
-    p.add_argument("--u", required=True, help="u grid: comma list or start:stop:step")
+    p.add_argument("--u", required=True, help=_U_HELP)
     p.add_argument("--method", choices=tuple(_BOUND_METHODS), default="optimized")
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("simulate", help="Monte Carlo ruin frequency with exact intervals")
     common(p, seed=True, bound=True)
-    p.add_argument("--u", required=True)
+    p.add_argument("--u", required=True, help=_U_HELP)
     p.add_argument("--paths", type=int, default=100_000)
     p.add_argument("--horizon", type=int, default=5000)
     p.add_argument("--stop-gap", dest="stop_gap", type=float, default=None,
@@ -438,7 +447,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="our bounds vs the union baseline, external reference curves, and MC")
     common(p, strict=False, seed=True)
-    p.add_argument("--u", required=True)
+    p.add_argument("--u", required=True, help=_U_HELP)
     p.add_argument("--paths", type=int, default=100_000)
     p.add_argument("--horizon", type=int, default=5000)
     p.add_argument("--stop-gap", dest="stop_gap", type=float, default=None)

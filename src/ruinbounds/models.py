@@ -585,10 +585,6 @@ class _Laws:
     def amplifying(self) -> bool:
         return self.log_ratio > _RATIO_TOL
 
-    def period(self, b: int):
-        """(law, multiplier of h) over the b-th period of a block after the prefix."""
-        return zip(self.laws[self.prefix:], self.weights(b))
-
     @cached_property
     def head(self) -> tuple[float, ...]:
         """The multiplier of h, e^c clamped at the float maximum (_weight), at
@@ -610,8 +606,9 @@ class _Laws:
     @cached_property
     def kernels(self) -> tuple:
         """Each law's scalar log-MGF kernel, law._lmgf, called without
-        log_mgf_at's checks by the block walk (_sup_periodic), which keeps
-        their contract itself, and at h > 0 by the per-increment limit of _sup."""
+        log_mgf_at's checks by the block walks (_sup_periodic, and the head of
+        cumulative_log_mgf), which keep their contract themselves, and at
+        h > 0 by _sup_shrinking."""
         return tuple(law._lmgf for law in self.laws)
 
     @cached_property
@@ -873,15 +870,16 @@ def log_mgf_terms(model: RiskModel, h: float, K: int, start: int = 0) -> np.ndar
     the first +inf, where e^{c_j} is the scale times the discount v_{j-1}.
 
     Everything but h comes from the range's probe plan (_plan), which the
-    scans read directly (_sup_scan). The arithmetic is _walk's: exact 0 at
-    t = 0, a cut after the first +inf, and e^c clamped at the float maximum.
+    scans read directly (_sup_scan). The arithmetic is log_mgf_at's at
+    t = h e^c: exact 0 at t = 0, a cut after the first +inf, and e^c clamped
+    at the float maximum.
     Every term depends on its own epoch only, so consecutive ranges give the
     terms of one call.
     """
     _require_h(h)
     inc = model.increments
     if isinstance(inc, ExplicitPrefix) and K > len(inc.dists):
-        # past the prefix only when no term before it diverges, as in _walk
+        # past the prefix only when no term before it diverges
         terms = log_mgf_terms(model, h, len(inc.dists), start)
         if terms[-1] != INF:
             inc.distribution_at(len(inc.dists) + 1)  # raises ModelIndexError
@@ -905,17 +903,6 @@ def _weight(c: float) -> float:
 _WALK_KEPT = 1 << 12
 
 
-def _walk(h: float, epochs) -> list[float]:
-    """The terms log E exp(h w Y), w the multiplier of h, for (Y, w) in epochs, through the first +inf."""
-    terms = []
-    for law, w in epochs:
-        term = log_mgf_at(law, h * w)
-        terms.append(term)
-        if term == INF:
-            break
-    return terms
-
-
 def cumulative_log_mgf(model: RiskModel, h: float, K: int) -> list[float]:
     """G_k(h) = sum_{j<=k} log E exp(h v_{j-1} Y*_j) for k = 1..K; +inf is absorbing."""
     _reduced(model)
@@ -923,8 +910,15 @@ def cumulative_log_mgf(model: RiskModel, h: float, K: int) -> list[float]:
     if K < 1:
         raise ValueError("K must be >= 1")
     block = model._block
-    if block is not None and K <= len(block.logs):
-        sums = list(itertools.accumulate(_walk(h, zip(block.laws, block.head[:K])), initial=0.0))[1:]
+    if block is not None and K <= len(block.logs):  # the head, read as _sup_periodic reads it
+        sums, g = [], 0.0
+        for k, w in zip(block.kernels, block.head[:K]):
+            t = h * w
+            term = k(t) if t else 0.0
+            g += term
+            sums.append(g)
+            if term == INF:
+                break
     else:
         terms = log_mgf_terms(model, h, K)
         with np.errstate(over="ignore"):

@@ -23,6 +23,7 @@ from ruinbounds import (
     TwoPoint,
     Uniform,
     bound_optimize,
+    cumulative_log_mgf,
     per_increment_sup,
     solve_kappa,
     solve_partial_sum,
@@ -313,10 +314,44 @@ class TestWindowExponent:
         w = verify_window_exponent(RiskModel(IndexedNormal(-0.5, 0.25)), 2, 1, 0.5)
         assert not w and w.reason == "unverifiable-tail"
 
+    def test_amplifying_tail_is_unverifiable(self):
+        # the checked windows are negative, but the period shift bounds later
+        # windows only where rho <= 1
+        w = verify_window_exponent(RiskModel(QuasiPeriodicScaled((Normal(-1.0, 1.0),), 1.5)), 2, 1, 0.5)
+        assert not w and w.reason == "unverifiable-tail"
+
     def test_contracting_quasi_period(self):
         m = RiskModel(QuasiPeriodicScaled((Normal(-1.0, 1.0),), 0.5))
         w = verify_window_exponent(m, 1, 1, 1.0)
-        assert w and w.reason == "contracting tail with nonpositive terms"
+        assert w and w.reason == "contracting tail, all phases checked"
+
+    @pytest.mark.parametrize("exponent", [0.5, 1.0, 1.3])
+    def test_contracting_tail_with_a_positive_term(self, exponent):
+        # the first slot's term is positive in every period, but each window of
+        # two is negative, and one period later at most rho times as large
+        m = RiskModel(Periodic((Normal(1.0, 1.0), Normal(-3.0, 1.0))), ConstantRates(0.01))
+        w = verify_window_exponent(m, 2, 1, exponent)
+        assert w and w.reason == "contracting tail, all phases checked"
+        assert w.max_delta < 0.0
+        g = [0.0, *cumulative_log_mgf(m, exponent, 4000)]
+        assert max(b - a for a, b in zip(g, g[2:])) <= 0.0
+
+    def test_a_prefix_is_checked_before_the_tail(self):
+        # the windows inside the prefix are negative; the tail's are not
+        m = RiskModel(PrefixThenTail((Normal(-10.0, 1.0),) * 3, Periodic((Normal(1.0, 1.0),))))
+        w = verify_window_exponent(m, 1, 1, 0.5)
+        assert not w and w.reason == "window criterion fails at a checked index"
+        assert w.max_delta == pytest.approx(0.625, rel=1e-15)
+
+    @pytest.mark.parametrize("increments, expected", [
+        (Periodic((ShiftedExponential(1.0, -3.0),)), (False, "divergent MGF inside the checked window", INF)),
+        # epoch 1 diverges at 1.5, but window n >= 1 reads epochs from 2 on
+        (ExplicitPrefix((ShiftedExponential(1.0, -3.0), Normal(-1.0, 1.0), Normal(-1.0, 1.0))),
+         (True, "finite horizon, exhaustive", -0.375)),
+    ])
+    def test_divergent_terms(self, increments, expected):
+        w = verify_window_exponent(RiskModel(increments), 1, 1, 1.5)
+        assert (w.ok, w.reason, w.max_delta) == expected
 
     def test_finite_horizon_exhaustive(self):
         m = RiskModel(ExplicitPrefix((Normal(-1.0, 1.0), Normal(-0.5, 1.0), Normal(-1.0, 1.0), Normal(-0.5, 1.0))))
@@ -324,6 +359,12 @@ class TestWindowExponent:
         assert w and w.reason == "finite horizon, exhaustive"
         assert w.checked_through == 4
         assert w.max_delta == pytest.approx(-0.54, abs=1e-12)
+
+    def test_finite_horizon_that_fails(self):
+        m = RiskModel(ExplicitPrefix((Normal(-1.0, 1.0), Normal(1.0, 1.0))))
+        w = verify_window_exponent(m, 1, 1, 0.5)
+        assert not w and w.reason == "window criterion fails at a checked index"
+        assert (w.max_delta, w.checked_through) == (0.625, 2)
 
     def test_window_longer_than_horizon(self):
         m = RiskModel(ExplicitPrefix((Normal(-1.0, 1.0),)))

@@ -505,6 +505,15 @@ class TestUnion:
         r = bound_union(uniform_exponential_cycle(), 5.0, 0.0)
         assert r.log_bound == 0.0 and "diverges" in r.note
 
+    @pytest.mark.parametrize("model, h, note", [
+        (RiskModel(ExplicitPrefix((ShiftedExponential(1.0, -3.0),))), 1.5, "a term diverges at this h"),
+        (RiskModel(Periodic((ShiftedExponential(1.0, -3.0),))), 1.5, "a term diverges at this h"),
+        (RiskModel(Periodic((Normal(-1.0, 1.0),)), rates=0.01), 0.5, "per-epoch terms do not vanish; series diverges"),
+    ])
+    def test_trivial_where_the_series_diverges(self, model, h, note):
+        r = bound_union(model, 1.0, h)
+        assert (r.log_bound, r.certificate, r.certified, r.note) == (0.0, None, True, note)
+
     def test_finite_horizon_exact(self):
         m = RiskModel(ExplicitPrefix((Normal(-1.0, 1.0), Normal(-0.5, 1.0))))
         r = bound_union(m, 2.0, 1.0)

@@ -247,6 +247,15 @@ class TestSupLogMgf:
         assert (s.value, s.argmax, s.status, s.certified) == (-INF, None, "undetermined", False)
         assert s.note == "scan stopped at epoch 2, whose value is not a number"
 
+    @pytest.mark.parametrize("sup", [sup_log_mgf, per_increment_sup])
+    def test_a_scan_stopped_after_a_divergent_term_is_unbounded(self, sup):
+        # at h = 2 the first term is +inf, and the second, at t = 2e308 past
+        # the float range, is not a number: the scan stops there, and the +inf
+        # it read stands, certified
+        m = RiskModel(ExplicitPrefix((ShiftedExponential(1.0, -5.0), Scaled(1e308, Uniform(-1.0, 1.0)))))
+        s = sup(m, 2.0)
+        assert (s.value, s.argmax, s.status, s.certified) == (INF, 1, "unbounded", True)
+
     def test_a_contracting_tail_gives_up_after_the_period_cap(self):
         # at a rate of 1e-6 the partial sums rise for about 10^6 periods; the
         # tail stops after 50,000, undetermined at the last period's envelope

@@ -48,8 +48,9 @@ from ruinbounds import (
     solve_per_increment,
     solve_period_root,
     sup_log_mgf,
+    verify_window_exponent,
 )
-from ruinbounds.adjustment import _domain_cap, _esssup_sums
+from ruinbounds.adjustment import SLACK, _domain_cap, _esssup_sums
 from ruinbounds.distributions import _log_expm1_ratio_vec, mgf_domain_sup, support_bounds
 from ruinbounds import adjustment as adjustment_module, bounds as bounds_module, models as models_module
 from ruinbounds.models import (
@@ -58,7 +59,6 @@ from ruinbounds.models import (
     _scan_certifies_decrease,
     _sup_scan,
     _tail_excess,
-    _walk,
     log_mgf_terms,
 )
 from ruinbounds.serialize import ConfigError, model_from_dict, model_to_dict
@@ -240,7 +240,7 @@ class TestSignedTailEnvelope:
         # the envelope of period b against the partial sums of the next periods,
         # relative to the one at the end of period b
         block = model._block
-        periods = [_walk(h, block.period(i)) for i in range(b, b + self.PERIODS)]
+        periods = [_walk(h, zip(block.laws[block.prefix:], block.weights(i))) for i in range(b, b + self.PERIODS)]
         rho, sums = math.exp(block.log_ratio), list(itertools.accumulate(periods[0]))
         excess = _tail_excess(sum(t for t in periods[0] if t > 0.0), sums[-1], max(sums), rho,
                               rho / -math.expm1(block.log_ratio))
@@ -259,6 +259,53 @@ class TestSignedTailEnvelope:
         assert (s.argmax, s.status, s.certified) == (1, "attained", True)
         assert s.value == pytest.approx(0.345, rel=1e-15)
         assert len(read) == 2
+
+
+class TestWindowCheckLemma:
+    """verify_window_exponent extends its checked windows to every later one
+    on exact and contracting blocks: past the prefix, Delta_{n+L} <= rho
+    Delta_n. Wherever it says ok, every window through PERIODS periods past
+    checked_through, summed from its own terms, is at most SLACK plus the
+    rounding of the check's running sums and of the kernels, 1e-12 times one
+    plus the magnitudes of the terms summed."""
+
+    PERIODS = 20
+    laws = st.one_of(st.builds(Normal, st.floats(-2.0, 1.0), st.floats(0.1, 2.0)), uniforms(), two_points())
+
+    @st.composite
+    def models(draw):
+        laws = TestWindowCheckLemma.laws
+        cycle = tuple(draw(st.lists(laws, min_size=1, max_size=3)))
+        scale = draw(st.one_of(st.just(1.0), st.floats(0.5, 1.0)))
+        tail = Periodic(cycle) if scale == 1.0 else QuasiPeriodicScaled(cycle, scale)
+        prefix = tuple(draw(st.lists(laws, max_size=2)))
+        rates = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 0.05)), min_size=1, max_size=2))
+        return RiskModel(PrefixThenTail(prefix, tail) if prefix else tail, PeriodicRates(tuple(rates)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(models(), st.integers(1, 6), st.integers(1, 6), st.floats(0.05, 2.0))
+    def test_every_later_window_holds(self, model, l, m, exponent):
+        check = verify_window_exponent(model, l, m, exponent)
+        assert check.ok or check.reason == "window criterion fails at a checked index"
+        if not check.ok:
+            return
+        assert check.reason.endswith("tail, all phases checked")
+        K = check.checked_through + self.PERIODS * model._block.length
+        terms = log_mgf_terms(model, exponent, K).tolist()
+        allowance = 1e-12 * (1.0 + sum(map(abs, terms)))
+        # window n reads epochs n+1..n+l, terms[n:n+l]
+        assert max(math.fsum(terms[n:n + l]) for n in range(m, K - l + 1)) <= SLACK + allowance
+
+
+def _walk(h, epochs):
+    """The terms log E exp(h w Y) for (Y, w) in epochs, through the first +inf:
+    the scalar oracle of the block walks, on the public log_mgf_at."""
+    terms = []
+    for law, w in epochs:
+        terms.append(log_mgf_at(law, h * w))
+        if terms[-1] == INF:
+            break
+    return terms
 
 
 def _fold(terms, partial, start, g, best, arg):
@@ -312,7 +359,7 @@ def _walked_sup_periodic(block, h, partial):
         b += 1
         if b >= cap:
             return SupLogMgf(g + excess, None, "undetermined", False, f"tail envelope did not converge within {cap} periods")
-        terms = _walk(h, block.period(b))
+        terms = _walk(h, zip(block.laws[P:], block.weights(b)))
         g, best, arg, _ = _fold(terms, True, P + b * L + 1, g, best, arg)
         if best == INF:
             return SupLogMgf(INF, arg, "unbounded", True, "divergent MGF term")

@@ -588,12 +588,16 @@ class TestCliConfigErrors:
          "--method shift_window does not read --h"),
         (["simulate", "--model", "alternating_normals", "--u", "1", "--bound-method", "none", "--h", "1"],
          "--bound-method none does not read --h"),
+        # u ranges that would never end, or hold 1e10 points
+        (["bound", "--model", "alternating_normals", "--u", "1:2:nan"], "range needs a finite start, stop and step"),
+        (["bound", "--model", "alternating_normals", "--u", "1:inf:1"], "range needs a finite start, stop and step"),
+        (["bound", "--model", "alternating_normals", "--u", "0:1e-300:1e-310"], "range holds more than 1,000,000 points"),
     ])
     def test_exit_two_with_diagnostic(self, argv, fragment, capsys):
         rc, out, err = run_cli(argv, capsys)
         assert rc == 2
         assert out == ""
-        assert err.startswith("config error:")
+        assert err.startswith("config error:") and err.count("\n") == 1
         assert fragment in err
 
     @pytest.mark.parametrize("config, fragment", [
@@ -672,6 +676,18 @@ class TestCliConfigErrors:
         with pytest.raises(ConfigError, match="strictly increasing"):
             cli._parse_u_spec("1e18:1e18:1")
         assert time.perf_counter() - t0 < 0.2
+
+    @pytest.mark.parametrize("spec", ["1:2:nan", "1:inf:1", "0:1e-300:1e-310", "1:1000001:1"])
+    def test_a_range_that_never_ends_or_is_too_long_fails_before_it_is_built(self, spec):
+        t0 = time.perf_counter()
+        with pytest.raises(ConfigError, match="finite start|more than 1,000,000 points"):
+            cli._parse_u_spec(spec)
+        assert time.perf_counter() - t0 < 0.2
+
+    def test_ranges_below_the_cap_keep_their_values(self):
+        assert cli._parse_u_spec("5:50:5") == [5.0 + k * 5.0 for k in range(10)]
+        assert cli._parse_u_spec("1:3:0.5") == [1.0, 1.5, 2.0, 2.5, 3.0]
+        assert len(cli._parse_u_spec("1:1000000:1")) == cli._U_RANGE_MAX
 
     @pytest.mark.parametrize("command", [
         ["bound"],

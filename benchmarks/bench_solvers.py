@@ -20,7 +20,7 @@ test_solver times only a model's first solve, which no perfbench workload's
 timed phase holds: from then on the model keeps the coefficient.
 
 test_solver_kept repeats each solve of test_solver on one warm model, which
-keeps the coefficient once solved (adjustment._solved), as a long-running
+keeps the coefficient once solved (models._Memo.kept), as a long-running
 caller or a repeated command-line request does: set beside test_solver's
 fresh model, it shows what a repeat call saves.
 """

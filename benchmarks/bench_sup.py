@@ -31,7 +31,7 @@ bound_optimize (u = 10), solve_partial_sum and solve_per_increment on the
 5000-law prefix, warm, as the heavy_sups benchmark calls them: 35-40 probes
 each. The partial-sum probes of a call share one store of chord references,
 which each call builds afresh; solve_per_increment's probes scan in full.
-The model keeps each coefficient once solved (adjustment._solved), so a
+The model keeps each coefficient once solved (models._Memo.kept), so a
 solve here drops the kept one first (_searched) and searches again on the
 plans the model keeps.
 solve_partial_sum_at_cap is the search of another draw of the prefix

@@ -119,12 +119,22 @@ MUTANTS = {
         ("search = search or Search(model, policy)", "search = Search(model, policy)"),), _RECORD),
     "solve_ignores_its_record": ("adjustment.py", (
         ("search, sup = search or Search(model, policy),", "search, sup = Search(model, policy),"),), _RECORD),
-    # adjustment._solved, the coefficients kept on the model, and models._Memo's cap on them
+    # the coefficients kept in the model's memo (models._Memo.kept), and its caps on solves and plans
     "solve_key_without_tol": ("adjustment.py", (("(flavor, tol, policy)", "(flavor, policy)"),), _KEPT),
     "solve_key_without_policy": ("adjustment.py", (("(flavor, tol, policy)", "(flavor, tol)"),), _KEPT),
     "period_root_key_without_tol": ("adjustment.py", (('("period_root", l, tol)', '("period_root", l)'),), _KEPT),
     "period_root_key_without_l": ("adjustment.py", (('("period_root", l, tol)', '("period_root", tol)'),), _KEPT),
     "solves_kept_past_the_cap": ("models.py", ((" and self.solves + solves <= _SOLVES_KEPT", ""),), _KEPT),
+    "kept_past_the_plan_budget": ("models.py", (("self.epochs + epochs <= _PLAN_EPOCHS and ", ""),),
+                                  ("tests/test_properties.py::TestProbePlans",)),
+    # bounds.bound_optimize, the sups kept in the search record's memo
+    "optimize_keeps_no_sups": ("bounds.py", (('sups = search.memo.kept("sup_log_mgf", dict)', "sups = {}"),), _RECORD),
+    # montecarlo's entry points, which refuse an event model as the sups do (models._reduced)
+    "simulator_reduces_event_models": ("montecarlo.py", (
+        ("    _reduced(model)\n",
+         "    from .models import EventModel, reduce_event_model\n"
+         "    model = reduce_event_model(model) if isinstance(model, EventModel) else model\n"),),
+        ("tests/test_models.py::TestEventModelReduction",)),
     # adjustment.verify_window_exponent, the period shift that extends the checked windows
     "window_unfit_guard_skipped": ("adjustment.py", (("    elif _block_unfit(model):\n", "    elif False:\n"),),
                                    ("tests/test_adjustment.py::TestWindowExponent::test_amplifying_tail_is_unverifiable",)),

@@ -4,9 +4,10 @@ Each coefficient is the supremum of h >= 0 keeping a log-MGF criterion at or
 below zero. Every criterion here is a supremum of convex functions vanishing
 at h = 0, so its feasible set is an interval [0, L]; the solvers locate L by
 doubling and bisection (_grow_and_bisect), probing every point of the
-search. A model's coefficients are kept on it once solved (_solved), so each
-search runs once per model. The esssups decide once per model, for the sup
-routes too, where a criterion holds at every h or at none (models._settled).
+search. A model's coefficients are kept in its memo once solved
+(models._Memo), so each search runs once per model. The esssups decide once
+per model, for the sup routes too, where a criterion holds at every h or at
+none (models._settled).
 """
 
 from __future__ import annotations
@@ -143,22 +144,16 @@ def _domain_cap(model: RiskModel, span: int | None = None) -> float:
 # solvers
 
 
-def _solved(model: RiskModel, key: tuple, solve) -> AdjustmentResult:
-    """solve(), kept in the model's memo under key (models._Memo): a
-    coefficient depends on neither h nor u, so a repeat call probes nothing."""
-    result = model._memo.get(key)
-    return result if result is not None else model._memo.keep(key, solve(), solves=1)
-
-
 def _solve_sup_root(model, tol, policy, partial: bool) -> AdjustmentResult:
     """sup{h >= 0 : sup_log_mgf (partial) or per_increment_sup <= 0}, +inf or 0
-    where the esssups settle it (models._settled), kept on the model per tol
-    and policy (_solved). The probes share the search record (models.Search)
-    given in place of the model, or a fresh one."""
+    where the esssups settle it (models._settled), kept in the model's memo
+    (models._Memo) per tol and policy: a coefficient depends on neither h nor
+    u, so a repeat call probes nothing. The probes share the search record
+    (models.Search) given in place of the model, or a fresh one."""
     _check_tol(tol)
     model, policy, search = _unpacked(model, policy)
     flavor = "partial_sum" if partial else "per_increment"
-    return _solved(model, (flavor, tol, policy), lambda: _sup_root(model, tol, policy, search, flavor))
+    return model._memo.kept((flavor, tol, policy), _sup_root, model, tol, policy, search, flavor, solves=1)
 
 
 def _sup_root(model: RiskModel, tol: float, policy: TruncationPolicy, search, flavor: str) -> AdjustmentResult:
@@ -230,10 +225,10 @@ def _block_unfit(model: RiskModel) -> str:
 
 def solve_period_root(model: RiskModel, l: int, tol: float = 1e-10) -> AdjustmentResult:
     """sup{h >= 0 : E exp(h S*_l) <= 1}, the root of a single period's log-MGF,
-    kept on the model per l and tol (_solved)."""
+    kept in the model's memo per l and tol (models._Memo)."""
     _check_tol(tol)
     _check_period_args(model, l)
-    return _solved(model, ("period_root", l, tol), lambda: _period_root(model, l, tol))
+    return model._memo.kept(("period_root", l, tol), _period_root, model, l, tol, solves=1)
 
 
 def _period_root(model: RiskModel, l: int, tol: float) -> AdjustmentResult:

@@ -6,7 +6,7 @@ representation. Results clamp at 1 since psi is a probability.
 
 The sups, roots and certificates behind a bound do not depend on u. The
 adjustment coefficients depend on neither h nor u, so each is solved once per
-model and kept on it (adjustment._solved). Every bound that searches over h
+model and kept in its memo (models._Memo). Every bound that searches over h
 takes a search record (models.Search) in place of the model, as the sups do,
 and runs under the record's policy; the calls for one model over a u-grid
 share it. The sups and certificates are then found once per grid, and the
@@ -108,13 +108,6 @@ def _require_u(u: float) -> None:
         raise ValueError(f"u must be a positive real, got {u!r}")
 
 
-def _kept(search: Search, key, compute):
-    """compute(), found once per search record and kept in it under key."""
-    if key not in search.kept:
-        search.kept[key] = compute()
-    return search.kept[key]
-
-
 def _logsumexp(values) -> float:
     """log sum_i exp(values_i), shifted by the maximum; -inf for no mass, +inf
     when a value is +inf."""
@@ -130,11 +123,12 @@ def _logsumexp(values) -> float:
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-# relative tolerance on f at which the search stops
+# relative tolerance on f at which the search stops, and its most steps
 _FTOL = 1e-8
+_GOLDEN_ITERS = 300
 
 
-def _golden(f, a: float, c: float, iters: int = 300):
+def _golden(f, a: float, c: float):
     """Minimize convex f on [a, c]; f may return +inf. Returns (x, f(x))."""
     best_x, best_f = a, f(a)
     fc = f(c)
@@ -143,7 +137,7 @@ def _golden(f, a: float, c: float, iters: int = 300):
     b1 = c - _INVPHI * (c - a)
     b2 = a + _INVPHI * (c - a)
     f1, f2 = f(b1), f(b2)
-    for _ in range(iters):
+    for _ in range(_GOLDEN_ITERS):
         if f1 < best_f:
             best_x, best_f = b1, f1
         if f2 < best_f:
@@ -213,7 +207,7 @@ def bound_optimize(model: RiskModel | Search, u: float, policy: TruncationPolicy
         return _no_exponent(u)
 
     cache: dict[float, float] = {}  # this call's probes: h_star is the best of them
-    sups = _kept(search, "sup_log_mgf", dict)  # by h, the probes of every call on the record
+    sups = search.memo.kept("sup_log_mgf", dict)  # by h, the probes of every call on the record
 
     def f(h: float) -> float:
         if h not in cache:
@@ -266,7 +260,7 @@ def bound_optimize(model: RiskModel | Search, u: float, policy: TruncationPolicy
 def bound_per_increment(model: RiskModel | Search, u: float, tol: float = 1e-10, policy: TruncationPolicy | None = None) -> BoundResult:
     """One-step coefficient bound: below the per-increment root every factor of
     E exp(h S*_k) is at most 1, so the first factor alone bounds the sup. The
-    root is kept on the model (adjustment._solved); a first solve's probes
+    root is kept in the model's memo (models._Memo); a first solve's probes
     share the search record."""
     _require_u(u)
     model, policy, search = _unpacked(model, policy)
@@ -316,8 +310,8 @@ def bound_periodic(
         _require_u(u)
     model, policy, search = _unpacked(model)
     search = search or Search(model, policy)
-    cert, ks, certified, note = _kept(search, ("periodic", l, variant, start_index, exponent, at_h, tol),
-                                      lambda: _periodic_certificate(search, l, variant, start_index, exponent, at_h, tol))
+    cert, ks, certified, note = search.memo.kept(("periodic", l, variant, start_index, exponent, at_h, tol),
+                                                 _periodic_certificate, search, l, variant, start_index, exponent, at_h, tol)
     if ks is None:  # the root is +inf
         lb = -INF if u is not None else 0.0
         return BoundResult(u, lb, INF, variant, cert, certified, note or "one period is nonpositive a.s.")
@@ -325,7 +319,7 @@ def bound_periodic(
         return BoundResult(None, min(0.0, cert.log_c), cert.exponent, variant, cert, certified,
                            (note + "; " if note else "") + "certificate-only")
 
-    h_star, f_min = _golden(lambda h: -h * u + _kept(search, ("window", ks, h), lambda: _window_max(model, ks, h)),
+    h_star, f_min = _golden(lambda h: -h * u + search.memo.kept(("window", ks, h), _window_max, model, ks, h),
                             0.0, cert.exponent)
     log_bound = min(0.0, min(f_min, cert.log_bound_at(u)))
     return BoundResult(u, log_bound, h_star, variant, cert, certified, note)
@@ -335,8 +329,8 @@ def _periodic_certificate(search: Search, l: int, variant: str, start_index: int
                           at_h: float | None, tol: float) -> tuple[Certificate, range | None, bool, str]:
     """(certificate, window of k, certified, note) of bound_periodic on the
     record's model; the window is None when the period root is +inf. The
-    period root is kept on the model (adjustment._solved), the certificate
-    and window maxima in the record."""
+    period root is kept in the model's memo, the certificate and window
+    maxima in the record's (models._Memo)."""
     model = search.model
     if variant == "shift_window":
         if exponent is None:
@@ -371,7 +365,7 @@ def _periodic_certificate(search: Search, l: int, variant: str, start_index: int
         if L == INF:
             return Certificate(0.0, INF), None, certified, note
         ks = range(1, l + 1) if variant == "periodic" else range(0, l)
-    return Certificate(_kept(search, ("window", ks, L), lambda: _window_max(model, ks, L)), L), ks, certified, note
+    return Certificate(search.memo.kept(("window", ks, L), _window_max, model, ks, L), L), ks, certified, note
 
 
 def _window_max(model: RiskModel, ks: range, h: float) -> float:
@@ -459,7 +453,7 @@ def bound_union(model: RiskModel, u: float, h: float, policy: TruncationPolicy |
     horizon = model.horizon()
     if horizon is not None:
         g = cumulative_log_mgf(model, h, horizon)
-        if g[-1] == INF or any(v == INF for v in g):
+        if g[-1] == INF:  # +inf is absorbing (cumulative_log_mgf)
             return trivial("a term diverges at this h")
         return wrap(_logsumexp(g))
 
@@ -467,7 +461,7 @@ def bound_union(model: RiskModel, u: float, h: float, policy: TruncationPolicy |
     if block is not None:
         prefix_len = block.prefix
         g = cumulative_log_mgf(model, h, prefix_len + block.length)
-        if any(v == INF for v in g):
+        if g[-1] == INF:
             return trivial("a term diverges at this h")
         if not block.exact:
             return trivial("per-epoch terms do not vanish; series diverges")

@@ -458,18 +458,26 @@ class RiskModel:
 
 
 class _Memo(dict):
-    """A model's facts that depend on neither h nor u, by key: the support
-    facts of _per_model functions, the probe plans (_plan) and the adjustment
-    coefficients (adjustment._solved), each kept (keep) after a lookup that
-    missed. The stored plans span at most _PLAN_EPOCHS epochs in all
+    """Values by key, each computed once and kept (kept): a model's facts that
+    depend on neither h nor u (RiskModel._memo: the support facts of
+    _per_model functions, the probe plans of _plan and the adjustment
+    coefficients), or what bounds keeps apart from u in one search record
+    (Search.memo). The stored plans span at most _PLAN_EPOCHS epochs in all
     (self.epochs counts them), and at most _SOLVES_KEPT solves are stored
     (self.solves); a plan or solve past that is computed, used and dropped,
     so what a model keeps grows neither with the scan cap nor with the
-    policies and tolerances it is solved under."""
+    policies and tolerances it is solved under. Two caches stay apart:
+    _Laws.weights admits periods by count up to _WALK_KEPT and is read once
+    per walked period, and cli._MODELS is an LRU keyed by config bytes."""
 
     epochs = solves = 0
 
-    def keep(self, key: tuple, value, epochs: int = 0, solves: int = 0):
+    def kept(self, key, compute, *args, epochs: int = 0, solves: int = 0):
+        """The value under key, or compute(*args), stored under the caps."""
+        value = self.get(key, _MISSING)
+        if value is not _MISSING:
+            return value
+        value = compute(*args)
         with _MEMO_LOCK:  # threads probing one model count each stored plan once
             if key not in self and self.epochs + epochs <= _PLAN_EPOCHS and self.solves + solves <= _SOLVES_KEPT:
                 self[key] = value
@@ -496,7 +504,7 @@ def _per_model(fn):
     def once(model: RiskModel, *args):
         key = (name, *args)
         value = model._memo.get(key, _MISSING)
-        return model._memo.keep(key, fn(model, *args)) if value is _MISSING else value
+        return model._memo.kept(key, fn, model, *args) if value is _MISSING else value
 
     return once
 
@@ -862,7 +870,7 @@ def _plan(model: RiskModel, start: int, K: int, prev: float | None = None) -> _P
     them from v_0."""
     key = ("plan", start, K)
     plan = model._memo.get(key)
-    return plan if plan is not None else model._memo.keep(key, _Plan(model, start, K, prev), K - start)
+    return plan if plan is not None else model._memo.kept(key, _Plan, model, start, K, prev, epochs=K - start)
 
 
 def log_mgf_terms(model: RiskModel, h: float, K: int, start: int = 0) -> np.ndarray:
@@ -1424,7 +1432,7 @@ class Search:
         _reduced(model)
         self.model, self.policy = model, policy or _DEFAULT_POLICY
         self.chords = []  # the partial sums' references (h0, reference) in increasing h0
-        self.kept = {}  # bounds': its values apart from u, by its keys
+        self.memo = _Memo()  # bounds': its values apart from u, by its keys
 
 
 # ---------------------------------------------------------------------------
@@ -1446,16 +1454,6 @@ def iid_base(model: RiskModel) -> IncrementDistribution | None:
 # event-level description and its reduction
 
 
-def _coerce_seq(value) -> SequenceRule:
-    if isinstance(value, SequenceRule):
-        return value
-    if isinstance(value, IncrementDistribution):
-        return Periodic((value,))
-    if isinstance(value, (list, tuple)):
-        return Periodic(tuple(value))
-    raise ValueError(f"cannot interpret {value!r} as a sequence rule")
-
-
 @dataclass(frozen=True)
 class EventModel:
     """Event-level description: claims Z_k at epochs T_k with interarrivals
@@ -1470,8 +1468,6 @@ class EventModel:
     label: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "claim", _coerce_seq(self.claim))
-        object.__setattr__(self, "interarrival", _coerce_seq(self.interarrival))
         for name in ("premium_rate", "reserve_interest", "premium_interest"):
             object.__setattr__(self, name, _coerce_rates(getattr(self, name)))
         for name in ("claim", "interarrival"):

@@ -17,12 +17,11 @@ import numpy as np
 
 from .distributions import INF, sample
 from .models import (
-    EventModel,
     ExplicitPrefix,
     RiskModel,
     _is_int,
     _layout,
-    reduce_event_model,
+    _reduced,
     sup_log_mgf,
 )
 
@@ -328,17 +327,13 @@ def _epoch_laws(model: RiskModel, K: int) -> tuple[list, np.ndarray]:
     return [laws.laws[s] for s in slot.tolist()], c
 
 
-def _coerce_model(model) -> RiskModel:
-    return reduce_event_model(model) if isinstance(model, EventModel) else model
-
-
-def simulate_ruin_grid(model, u_grid, cfg: SimConfig) -> list[SimResult]:
+def simulate_ruin_grid(model: RiskModel, u_grid, cfg: SimConfig) -> list[SimResult]:
     """Ruin frequency over a grid of initial reserves from one set of paths.
 
     Every u shares the same paths, so estimates across the grid are coupled
     (and monotone in u by construction).
     """
-    model = _coerce_model(model)
+    _reduced(model)
     us = [float(u) for u in u_grid]
     if not us:
         raise ValueError("u_grid must be nonempty")
@@ -357,7 +352,7 @@ def simulate_ruin_grid(model, u_grid, cfg: SimConfig) -> list[SimResult]:
     return results
 
 
-def simulate_ruin(model, u: float, cfg: SimConfig) -> SimResult:
+def simulate_ruin(model: RiskModel, u: float, cfg: SimConfig) -> SimResult:
     """Estimate the probability that the discounted claim surplus ever exceeds u."""
     return simulate_ruin_grid(model, [u], cfg)[0]
 
@@ -384,7 +379,7 @@ class PathRealization:
 
 
 def realize_path(model: RiskModel, horizon: int, seed: int = 0, alpha_sampler=None) -> PathRealization:
-    model = _coerce_model(model)
+    _reduced(model)
     rng = np.random.Generator(np.random.Philox(key=(int(seed) << 64)))
     K = int(horizon)
     dists, c = _epoch_laws(model, K)
@@ -475,7 +470,7 @@ def check_discount_ordering(model: RiskModel, cfg: SimConfig, alpha_sampler=None
     alpha_k from the sampler (default: floor plus a standard exponential) and
     accumulates both conventions exactly.
     """
-    model = _coerce_model(model)
+    _reduced(model)
     sampler = alpha_sampler or _default_alpha_sampler
     K = cfg.horizon
     dists, c = _epoch_laws(model, K)
@@ -524,7 +519,7 @@ class DominanceReport:
         return self.ok
 
 
-def check_bound_dominance(model, u_grid, bound_results, cfg: SimConfig) -> DominanceReport:
+def check_bound_dominance(model: RiskModel, u_grid, bound_results, cfg: SimConfig) -> DominanceReport:
     """Confront simulated ruin frequencies with computed bounds on a u-grid.
 
     A row is dominated when the interval's lower end stays at or below the

@@ -82,6 +82,14 @@ class TestFrozenRoots:
         assert r.value == pytest.approx(0.25, abs=1e-8)
         assert r.certified
 
+    @pytest.mark.parametrize("solve", [solve_per_increment, solve_partial_sum])
+    def test_root_at_the_domain_cap(self, solve):
+        # the doubling lands on the MGF-domain cap 1.3 (the exponential law's
+        # rate 1 over the multiplier 1/1.3) and the criterion holds there
+        m = RiskModel(Periodic((Normal(-1.0, 1.0), ShiftedExponential(1.0, -50.0))), ConstantRates(0.3))
+        r = solve(m)
+        assert (r.value, r.bracket, r.certified, r.boundary) == (1.2999999999999998, (1.2999999999999998,) * 2, True, True)
+
 
 class TestKappa:
     def test_classical_compound(self):

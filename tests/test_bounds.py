@@ -247,7 +247,7 @@ class TestGridMemo:
         ("_period_root", lambda m, u: bound_periodic(m, 2, "scaled_periodic", u=u)),
     ], ids=["per_increment", "periodic", "scaled_periodic"])
     def test_grid_solves_the_root_once(self, solver, call, monkeypatch):
-        # the root is kept on the model (adjustment._solved): one solve per
+        # the root is kept in the model's memo (models._Memo.kept): one solve per
         # model, given the model or a record of a fresh one in its place
         solves = self._record(monkeypatch, solver, adjustment)
         m = alternating_normals()
@@ -462,6 +462,10 @@ class TestPeriodicVariants:
         with pytest.raises(ValueError):
             bound_periodic(alternating_normals(), 2, "windowed")
 
+    def test_shift_window_needs_a_positive_start_index(self):
+        with pytest.raises(ValueError, match="start_index must be a positive integer"):
+            bound_periodic(alternating_normals(), 2, "shift_window", u=1.0, start_index=0, exponent=0.5)
+
     @pytest.mark.parametrize("l", [2.5, True])
     def test_shift_window_needs_an_integer_period(self, l):
         m = RiskModel(Periodic((Normal(-0.5, 1.0),)))
@@ -484,6 +488,11 @@ class TestKappa:
         m = RiskModel(Periodic((CompoundIncrement(ShiftedExponential(1.0), 1.0, ShiftedExponential(0.5)),)), rates=0.05)
         r = bound_kappa(m, 4.0)
         assert r.log_bound == pytest.approx(-2.0, abs=1e-8)
+
+    def test_nonpositive_increment_gives_an_infinite_root(self):
+        r = bound_kappa(RiskModel(Periodic((Uniform(-2.0, -1.0),))), 1.0)
+        assert (r.log_bound, r.h_star, r.certificate, r.certified) == (-INF, INF, Certificate(0.0, INF), True)
+        assert r.note == "increment is nonpositive a.s."
 
 
 class TestUnion:
@@ -509,6 +518,8 @@ class TestUnion:
         (RiskModel(ExplicitPrefix((ShiftedExponential(1.0, -3.0),))), 1.5, "a term diverges at this h"),
         (RiskModel(Periodic((ShiftedExponential(1.0, -3.0),))), 1.5, "a term diverges at this h"),
         (RiskModel(Periodic((Normal(-1.0, 1.0),)), rates=0.01), 0.5, "per-epoch terms do not vanish; series diverges"),
+        # the first chunk of the series ends at +inf
+        (RiskModel(IndexedNormal(-0.5, 0.25)), 1e155, "series diverges or tail not certified within the scan budget"),
     ])
     def test_trivial_where_the_series_diverges(self, model, h, note):
         r = bound_union(model, 1.0, h)

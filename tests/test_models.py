@@ -145,6 +145,9 @@ class TestCumulativeLogMgf:
         m = RiskModel(Periodic((ShiftedExponential(1.0), Normal(-1.0, 1.0))))
         g = cumulative_log_mgf(m, 1.5, 4)
         assert g[0] == INF and g[3] == INF
+        # past an explicit prefix too: the sums after its one law's +inf stay +inf
+        prefix = RiskModel(ExplicitPrefix((ShiftedExponential(1.0, -3.0),)))
+        assert cumulative_log_mgf(prefix, 1.5, 3) == [INF] * 3
 
 
 class TestPeriodicStructure:
@@ -501,7 +504,8 @@ class TestEventModelReduction:
         assert isinstance(m.increments, Periodic)
         assert len(m.increments.cycle) == 6
 
-    # each entry point on a model m (the bounds at u = 2, the sups at h = 0.1)
+    SIM = ruinbounds.SimConfig(n_paths=8, horizon=4, workers=1)
+    # each entry point on a model m (the bounds at u = 2, the sups at h = 0.1, the simulator on SIM)
     ENTRY_POINTS = {
         "bound_optimize": lambda m: ruinbounds.bound_optimize(m, 2.0),
         "bound_per_increment": lambda m: ruinbounds.bound_per_increment(m, 2.0),
@@ -518,6 +522,11 @@ class TestEventModelReduction:
         "cumulative_log_mgf": lambda m: ruinbounds.cumulative_log_mgf(m, 0.1, 3),
         "Search": ruinbounds.Search,
         "iid_base": ruinbounds.iid_base,
+        "simulate_ruin": lambda m: ruinbounds.simulate_ruin(m, 2.0, TestEventModelReduction.SIM),
+        "simulate_ruin_grid": lambda m: ruinbounds.simulate_ruin_grid(m, [1.0, 2.0], TestEventModelReduction.SIM),
+        "realize_path": lambda m: ruinbounds.realize_path(m, 4),
+        "check_discount_ordering": lambda m: ruinbounds.check_discount_ordering(m, TestEventModelReduction.SIM),
+        "check_bound_dominance": lambda m: ruinbounds.check_bound_dominance(m, [2.0], [1.0], TestEventModelReduction.SIM),
     }
 
     @pytest.mark.parametrize("name", ENTRY_POINTS)
@@ -540,3 +549,7 @@ class TestEventModelReduction:
             )
         with pytest.raises(ValueError):
             EventModel(claim=IndexedTwoPoint(), interarrival=Periodic((ShiftedExponential(1.0),)))
+        # a bare law or a list is no rule: the caller names Periodic or ExplicitPrefix
+        for claim in (ShiftedExponential(1.0), [ShiftedExponential(1.0)]):
+            with pytest.raises(ValueError, match="explicit or periodic rule"):
+                EventModel(claim=claim, interarrival=Periodic((ShiftedExponential(1.0),)))

@@ -2122,8 +2122,8 @@ class TestRoundingBound:
 
 class TestKeptSolves:
     """The adjustment coefficients depend on neither h nor u, so each is kept
-    on the model (adjustment._solved), by flavour, tol and policy, or by l and
-    tol for the period root. A kept solve is field by field (floats bitwise)
+    in the model's memo (models._Memo.kept), by flavour, tol and policy, or by
+    l and tol for the period root. A kept solve is field by field (floats bitwise)
     the same solve on a fresh equal model, whatever searches ran on the model
     before; a repeat call probes nothing, and a new key is solved afresh,
     with the fresh solve's probes. At most models._SOLVES_KEPT are kept."""
